@@ -1,69 +1,123 @@
-"""Rational functions with factored linear denominators, and exponential sums.
+"""Rational functions over the root lattice, and exponential sums.
 
-A RatFunc is a polynomial numerator over a multiset of primitive linear
-forms; all the denominators produced by the sequence calculus are of this
-shape, so cancellation is trial exact division and never needs a general
-multivariate gcd.  An ExpSum is a finite weight-indexed family of RatFunc
-coefficients, the Fourier-transform picture of a simplex measure: the
-product is convolution on exponents.
+A RatFunc is a polynomial numerator over a product of linear forms.  Every
+denominator of the sequence calculus is a product of root-lattice weights
+beta_k - beta_j, so `den` keys each factor by an integer coefficient tuple,
+for a weight its `alpha_coords()`: a primitive tuple (coprime entries, the
+first nonzero one positive) mapped to its multiplicity.  The content of a
+factor (its gcd, signed like its first nonzero coefficient) is divided out
+of the numerator once, when the factor enters; forms in other variables,
+such as the x_j - x_i of the symbolic n_x, are keyed the same way.  The
+numerator is kept cancelled against the denominator by trial exact
+division, never a general multivariate gcd, so each rational function has
+exactly one (num, den) and equality compares the two.
+
+An ExpSum is a finite weight-indexed family of RatFunc coefficients, the
+Fourier-transform picture of a simplex measure: the product is convolution
+on exponents.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, gcd, lcm
 
 from .exactalg.groebner import _exact_poly_division
 from .exactalg.poly import MultiPoly
-from .roota import Weight, alpha_names, partial_sums, seq_weight, sequences
+from .roota import Weight, alpha_names, partial_sums, seq_weight
 
 
-def _canonical_linear(form: MultiPoly):
-    """Normalize a nonzero linear form to primitive with positive first coeff.
+def _form_key(form, n: int):
+    """(key, content) with form == content * key, key as in RatFunc.den.
 
-    Returns (canonical form, scalar) with form == scalar * canonical.
+    The form is a linear MultiPoly or a tuple of integer coefficients over
+    n variables.
     """
-    if form.is_zero() or form.total_degree() != 1 or form.constant_term() != 0:
-        raise ValueError("denominator factors must be homogeneous linear forms")
-    prim, content = form.primitive()
-    return prim, content
+    denom = 1
+    if isinstance(form, MultiPoly):
+        coeffs = [Fraction(0)] * len(form.variables)
+        for mon, c in form.terms.items():
+            if sum(mon) != 1:
+                raise ValueError("denominator factors must be homogeneous linear forms")
+            coeffs[mon.index(1)] = c
+        denom = lcm(*(c.denominator for c in coeffs))
+        form = tuple(int(c * denom) for c in coeffs)
+    if len(form) != n:
+        raise ValueError("denominator form and numerator have different variables")
+    g = gcd(*form)
+    if g == 0:
+        raise ValueError("denominator factors must be nonzero linear forms")
+    for c in form:
+        if c:
+            break
+    if c < 0:
+        g = -g
+    if g == 1 and denom == 1:
+        return form, 1
+    return tuple(c // g for c in form), Fraction(g, denom)
+
+
+@lru_cache(maxsize=4096)
+def _form_poly(key: tuple, variables: tuple) -> MultiPoly:
+    """The linear form of a denominator key, as a polynomial."""
+    n = len(key)
+    return MultiPoly(variables, {
+        tuple(int(i == k) for i in range(n)): c for k, c in enumerate(key) if c
+    })
 
 
 class RatFunc:
-    """numerator / product of linear forms, kept factored and cancelled."""
+    """num / prod of linear forms, kept factored and cancelled.
+
+    `den` maps primitive integer coefficient tuples to multiplicities (see
+    the module docstring).  The constructor also takes non-primitive tuples
+    and linear MultiPoly forms as keys, and moves their content into the
+    numerator.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: MultiPoly, den=None):
-        self.num = num
+        n = len(num.variables)
         clean: dict = {}
-        scale = Fraction(1)
+        scale = 1
         for form, mult in (den or {}).items():
             if mult == 0:
                 continue
             if mult < 0:
                 raise ValueError("negative denominator multiplicity")
-            prim, content = _canonical_linear(form)
-            scale *= content**mult
-            clean[prim] = clean.get(prim, 0) + mult
+            key, content = _form_key(form, n)
+            if content != 1:
+                scale *= content**mult
+            clean[key] = clean.get(key, 0) + mult
         if scale != 1:
-            self.num = self.num * Fraction(1, 1) / scale
+            num = num * (1 / Fraction(scale))
+        self.num = num
         self.den = clean
         self._cancel()
 
     def _cancel(self):
-        if self.num.is_zero():
+        num = self.num
+        if num.is_zero():
             self.den = {}
             return
-        for form in list(self.den):
-            while self.den.get(form, 0) > 0:
+        if num.is_constant():
+            return
+        variables = num.variables
+        for key, mult in list(self.den.items()):
+            form = _form_poly(key, variables)
+            while mult:
                 try:
-                    self.num = _exact_poly_division(self.num, form)
+                    num = _exact_poly_division(num, form)
                 except ArithmeticError:
                     break
-                self.den[form] -= 1
-            if self.den.get(form) == 0:
-                del self.den[form]
+                mult -= 1
+            if mult:
+                self.den[key] = mult
+            else:
+                del self.den[key]
+        self.num = num
 
     # -- constructors
 
@@ -74,18 +128,6 @@ class RatFunc:
     @classmethod
     def constant(cls, variables, c) -> "RatFunc":
         return cls(MultiPoly.constant(variables, c), {})
-
-    @classmethod
-    def one_over(cls, forms) -> "RatFunc":
-        """1 / product of the given linear forms (a list, repeats allowed)."""
-        forms = list(forms)
-        if not forms:
-            raise ValueError("need at least one linear form")
-        variables = forms[0].variables
-        den: dict = {}
-        for f in forms:
-            den[f] = den.get(f, 0) + 1
-        return cls(MultiPoly.constant(variables, 1), den)
 
     @property
     def variables(self):
@@ -101,23 +143,27 @@ class RatFunc:
     # -- arithmetic
 
     def _common_den(self, other: "RatFunc"):
-        forms = set(self.den) | set(other.den)
-        common = {f: max(self.den.get(f, 0), other.den.get(f, 0)) for f in forms}
-        a = self.num
-        for f, mult in common.items():
-            need = mult - self.den.get(f, 0)
-            for _ in range(need):
-                a = a * f
-        b = other.num
-        for f, mult in common.items():
-            need = mult - other.den.get(f, 0)
-            for _ in range(need):
-                b = b * f
+        common = dict(self.den)
+        for key, mult in other.den.items():
+            if mult > common.get(key, 0):
+                common[key] = mult
+        variables = self.variables
+        a, b = self.num, other.num
+        for key, mult in common.items():
+            form = _form_poly(key, variables)
+            for _ in range(mult - self.den.get(key, 0)):
+                a = a * form
+            for _ in range(mult - other.den.get(key, 0)):
+                b = b * form
         return a, b, common
 
     def __add__(self, other):
         if not isinstance(other, RatFunc):
             other = RatFunc.constant(self.variables, other)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         a, b, common = self._common_den(other)
         return RatFunc(a + b, common)
 
@@ -134,8 +180,8 @@ class RatFunc:
     def __mul__(self, other):
         if isinstance(other, RatFunc):
             den = dict(self.den)
-            for f, mult in other.den.items():
-                den[f] = den.get(f, 0) + mult
+            for key, mult in other.den.items():
+                den[key] = den.get(key, 0) + mult
             return RatFunc(self.num * other.num, den)
         if isinstance(other, MultiPoly):
             return RatFunc(self.num * other, dict(self.den))
@@ -143,7 +189,8 @@ class RatFunc:
 
     __rmul__ = __mul__
 
-    def divide_by_form(self, form: MultiPoly) -> "RatFunc":
+    def divide_by_form(self, form) -> "RatFunc":
+        """self / form, for a linear MultiPoly form or a coefficient tuple."""
         den = dict(self.den)
         den[form] = den.get(form, 0) + 1
         return RatFunc(self.num, den)
@@ -156,16 +203,17 @@ class RatFunc:
                 other = RatFunc.constant(self.variables, other)
             except (TypeError, ValueError):
                 return NotImplemented
-        a, b, _ = self._common_den(other)
-        return a == b
+        # both sides are cancelled with canonical keys, so the pair is unique
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
         return hash((self.num, frozenset(self.den.items())))
 
     def evaluate(self, values) -> Fraction:
         result = self.num.evaluate(values)
-        for f, mult in self.den.items():
-            v = f.evaluate(values)
+        point = [Fraction(values[v]) for v in self.variables]
+        for key, mult in self.den.items():
+            v = sum(c * x for c, x in zip(key, point) if c)
             if v == 0:
                 raise ZeroDivisionError("denominator vanishes at the point")
             result /= v**mult
@@ -179,10 +227,12 @@ class RatFunc:
     def __str__(self):
         if not self.den:
             return str(self.num)
+        variables = self.variables
         factors = []
-        for f in sorted(self.den, key=lambda p: str(p)):
-            mult = self.den[f]
-            factors.append(f"({f})" + (f"^{mult}" if mult > 1 else ""))
+        for form, mult in sorted(
+            (str(_form_poly(key, variables)), mult) for key, mult in self.den.items()
+        ):
+            factors.append(f"({form})" + (f"^{mult}" if mult > 1 else ""))
         return f"({self.num}) / ({'*'.join(factors)})"
 
     def __repr__(self):
@@ -192,16 +242,25 @@ class RatFunc:
 # -- the sequence calculus -----------------------------------------------------
 
 
+def _simplex_term(names, coords, j: int) -> RatFunc:
+    """1 / prod over k != j of (beta_k - beta_j), from the alpha coordinates.
+
+    For k > j the key is beta_k - beta_j, and for k < j it is beta_j - beta_k,
+    which contributes a sign: both have nonnegative coordinates.
+    """
+    bj = coords[j]
+    den: dict = {}
+    for k, bk in enumerate(coords):
+        if k != j:
+            key = tuple(abs(a - b) for a, b in zip(bk, bj))
+            den[key] = den.get(key, 0) + 1
+    return RatFunc(MultiPoly.constant(names, (-1) ** j), den)
+
+
 def dbar_i(m: int, seq) -> RatFunc:
     """Product over k < p of 1/(beta_k - beta_p) for the sequence's partial sums."""
-    names = alpha_names(m)
-    seq = tuple(seq)
-    if not seq:
-        return RatFunc.constant(names, 1)
-    sums = partial_sums(m, seq)
-    top = sums[-1]
-    forms = [(b - top).linear_form(names) for b in sums[:-1]]
-    return RatFunc.one_over(forms)
+    coords = [b.alpha_coords() for b in partial_sums(m, seq)]
+    return _simplex_term(alpha_names(m), coords, len(coords) - 1)
 
 
 def ft_i(m: int, seq) -> "ExpSum":
@@ -211,16 +270,11 @@ def ft_i(m: int, seq) -> "ExpSum":
     sums are pairwise distinct in type A, which the construction checks.
     """
     names = alpha_names(m)
-    seq = tuple(seq)
     sums = partial_sums(m, seq)
     if len(set(sums)) != len(sums):
         raise ValueError("repeated partial sums; transform undefined")
-    coeffs: dict = {}
-    for j, bj in enumerate(sums):
-        forms = [(bk - bj).linear_form(names) for k, bk in enumerate(sums) if k != j]
-        c = RatFunc.one_over(forms) if forms else RatFunc.constant(names, 1)
-        coeffs[bj] = coeffs.get(bj, RatFunc.constant(names, 0)) + c
-    return ExpSum(m, coeffs)
+    coords = [b.alpha_coords() for b in sums]
+    return ExpSum(m, {bj: _simplex_term(names, coords, j) for j, bj in enumerate(sums)})
 
 
 class ExpSum:
@@ -348,23 +402,17 @@ def ft_total_mass(e: ExpSum, p: int, direction=None) -> Fraction:
     # evaluate sum_j exp(-b_j t)/prod(c_k - c_j) * t^{-p}: collect t^p coefficient
     total = Fraction(0)
     for b, coeff in e.coeffs.items():
-        # coeff = q(alpha)/prod forms; along the ray: numerator ~ q(c)t^deg etc.
-        # Restrict to the pure sequence shape: numerator constant, p linear forms.
-        if coeff.num.is_constant():
-            cnum = coeff.num.constant_term()
-            forms_val = Fraction(1)
-            order = 0
-            for f, mult in coeff.den.items():
-                v = f.evaluate({n: Fraction(c) for n, c in zip(alpha_names(m), direction)})
-                forms_val *= v**mult
-                order += mult
-            if order != p:
-                raise ValueError("coefficient is not a pure degree -p term")
-            bval = b.pair(_ray_point(m, direction))
-            # t^p coefficient of exp(-bval * t) is (-bval)^p / p!
-            total += cnum * Fraction((-bval) ** p, factorial(p)) / forms_val
-        else:
+        # along the ray the coefficient is cnum / (prod of form values * t^p);
+        # the t^p coefficient of exp(-bval * t) is (-bval)^p / p!
+        if not coeff.num.is_constant():
             raise ValueError("total-mass check expects simplex transforms")
+        forms_val = Fraction(1)
+        for key, mult in coeff.den.items():
+            forms_val *= sum(c * d for c, d in zip(key, direction)) ** mult
+        if sum(coeff.den.values()) != p:
+            raise ValueError("coefficient is not a pure degree -p term")
+        bval = b.pair(_ray_point(m, direction))
+        total += coeff.num.constant_term() * Fraction((-bval) ** p, factorial(p)) / forms_val
     return total
 
 

@@ -580,7 +580,7 @@ def orbital_ideal(tau: Tableau, provenance: str = "computed-saturation") -> Orbi
     if dim_final != target:
         raise ValueError(
             f"component extraction failed: dim {dim_final} != {target}; "
-            f"witnesses tried: {[str(w) for w in witnesses]}"
+            f"witnesses tried: {[str(w) for w in rc.witnesses]}"
         )
     return OrbitalIdeal(
         chart=chart,
@@ -613,8 +613,8 @@ def dbar_mv(tau_or_orb) -> RatFunc:
     md = orbital_multidegree(orb)
     den = {}
     for wgt, mult in p_mu_factors(orb.chart.m, orb.chart.mu):
-        f = wgt.linear_form(alpha_names(orb.chart.m))
-        den[f] = den.get(f, 0) + mult
+        key = wgt.alpha_coords()
+        den[key] = den.get(key, 0) + mult
     return RatFunc(md, den)
 
 

@@ -691,33 +691,30 @@ def _flag_function_interpolated(m: int, chi: dict) -> RatFunc:
             )
         except ZeroDivisionError:
             continue
-        den = {}
-        for r in roots:
-            f = r.linear_form(names)
-            den[f] = den.get(f, 0) + mult
-        candidate = RatFunc(num, den)
+        candidate = RatFunc(num, {r.alpha_coords(): mult for r in roots})
         if _certify_flag(m, chi, candidate):
             return candidate
     raise ArithmeticError("flag function does not clear against the root product")
 
 
 def _flag_eval(m: int, chi: dict, alpha_values: dict) -> Fraction:
-    partial_cache: dict = {}
+    """Sum of chi_i * Dbar_i at a point given by its alpha values."""
+    point = [alpha_values[n] for n in alpha_names(m)]
+    tail_cache: dict = {}
 
-    def form_value(w: Weight) -> Fraction:
-        if w not in partial_cache:
-            partial_cache[w] = w.linear_form().evaluate(alpha_values)
-        return partial_cache[w]
+    def tail_value(tail: tuple) -> Fraction:
+        # beta_k - beta_p = -(alpha coordinates of the letters after k)
+        if tail not in tail_cache:
+            tail_cache[tail] = -sum(c * x for c, x in zip(tail, point) if c)
+        return tail_cache[tail]
 
     total = Fraction(0)
     for seq, c in chi.items():
-        sums = [Weight.zero(m)]
-        for i in seq:
-            sums.append(sums[-1] + Weight.alpha(m, i))
-        top = sums[-1]
+        tail = [0] * (m - 1)
         prod = Fraction(1)
-        for b in sums[:-1]:
-            v = form_value(b - top)
+        for i in reversed(seq):
+            tail[i - 1] += 1
+            v = tail_value(tuple(tail))
             if v == 0:
                 raise ZeroDivisionError("grid point hits a pole")
             prod /= v
@@ -726,9 +723,10 @@ def _flag_eval(m: int, chi: dict, alpha_values: dict) -> Fraction:
 
 
 def _roots_eval(m: int, alpha_values: dict) -> Fraction:
+    point = [alpha_values[n] for n in alpha_names(m)]
     prod = Fraction(1)
     for r in positive_roots(m):
-        prod *= r.linear_form().evaluate(alpha_values)
+        prod *= sum(c * x for c, x in zip(r.alpha_coords(), point) if c)
     return prod
 
 

@@ -227,6 +227,28 @@ def shuffles(j, k) -> list:
     return out
 
 
+def shuffle_multiplicity(j, k, s) -> int:
+    """How often s occurs in shuffles(j, k), in O(|j| * |k|) steps.
+
+    ways[b] after row a counts the interleavings of j[:a] and k[:b] that
+    spell s[:a + b].
+    """
+    j, k, s = tuple(j), tuple(k), tuple(s)
+    if len(s) != len(j) + len(k):
+        return 0
+    ways = [1] * (len(k) + 1)
+    for b in range(1, len(k) + 1):
+        ways[b] = ways[b - 1] if k[b - 1] == s[b - 1] else 0
+    for a in range(1, len(j) + 1):
+        ways[0] = ways[0] if j[a - 1] == s[a - 1] else 0
+        for b in range(1, len(k) + 1):
+            letter = s[a + b - 1]
+            ways[b] = (ways[b] if j[a - 1] == letter else 0) + (
+                ways[b - 1] if k[b - 1] == letter else 0
+            )
+    return ways[-1]
+
+
 def shuffle_permutations(p: int, q: int):
     """Permutations sigma of {1..p+q} increasing on the first p and last q slots.
 

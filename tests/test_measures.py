@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvtk.exactalg import MultiPoly
 from mvtk.measures import (
@@ -209,3 +211,58 @@ def test_expsum_serialization():
     data = e.serialize()
     assert data[0]["exponent"] == "[0,0,0]"
     assert "a1" in data[0]["coeff"]
+
+
+# -- RatFunc properties on sums and products of Dbar terms ---------------------
+
+_WORDS = st.lists(st.integers(1, 3), max_size=3).map(tuple)
+_EXPRS = st.recursive(
+    _WORDS,
+    lambda sub: st.tuples(st.sampled_from("+*"), sub, sub),
+    max_leaves=4,
+)
+# every denominator key is a nonnegative alpha vector, so none vanishes here
+_POINT = {"a1": Fraction(3), "a2": Fraction(5), "a3": Fraction(7)}
+_PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+def _build(expr):
+    if expr and isinstance(expr[0], str):
+        op, left, right = expr
+        a, b = _build(left), _build(right)
+        return a + b if op == "+" else a * b
+    return dbar_i(4, expr)
+
+
+@_PROPERTY_SETTINGS
+@given(_EXPRS, _EXPRS)
+def test_ratfunc_evaluate_is_a_ring_map(x, y):
+    a, b = _build(x), _build(y)
+    va, vb = a.evaluate(_POINT), b.evaluate(_POINT)
+    assert (a + b).evaluate(_POINT) == va + vb
+    assert (a * b).evaluate(_POINT) == va * vb
+
+
+@_PROPERTY_SETTINGS
+@given(_EXPRS, _EXPRS, _EXPRS)
+def test_ratfunc_equal_values_have_equal_hashes(x, y, z):
+    a, b, c = _build(x), _build(y), _build(z)
+    for lhs, rhs in [(a + b, b + a), (a * b, b * a),
+                     ((a + b) + c, a + (b + c)), (a * (b + c), a * b + a * c),
+                     ((a + b) - b, a)]:
+        assert lhs == rhs
+        assert hash(lhs) == hash(rhs)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@_PROPERTY_SETTINGS
+@given(_EXPRS)
+def test_ratfunc_content_moves_into_numerator(x):
+    n = _build(x).num
+    a1 = MultiPoly.var(n.variables, "a1")
+    lhs = RatFunc(n, {a1 * -2: 1})
+    rhs = RatFunc(n * Fraction(-1, 2), {a1: 1})
+    assert lhs == rhs
+    assert hash(lhs) == hash(rhs)
+    assert RatFunc(n, {(-2, 0, 0): 1}) == rhs

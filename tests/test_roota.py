@@ -1,4 +1,6 @@
 from fractions import Fraction
+from collections import Counter
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -14,6 +16,7 @@ from mvtk.roota import (
     seq_weight,
     sequence_count,
     sequences,
+    shuffle_multiplicity,
     shuffle_permutations,
     shuffles,
 )
@@ -75,6 +78,19 @@ def test_shuffle_count_all_lengths():
             k = tuple(2 for _ in range(q))
             assert len(shuffles(j, k)) == comb(p + q, p)
             assert len(list(shuffle_permutations(p, q))) == comb(p + q, p)
+
+
+def test_shuffle_multiplicity_matches_shuffle_lists():
+    # every j, k, s over {1, 2, 3} with |s| <= 4
+    words = [w for n in range(5) for w in product((1, 2, 3), repeat=n)]
+    for j in words:
+        for k in words:
+            if len(j) + len(k) > 4:
+                continue
+            counts = Counter(shuffles(j, k))
+            for s in product((1, 2, 3), repeat=len(j) + len(k)):
+                assert shuffle_multiplicity(j, k, s) == counts[s], (j, k, s)
+            assert shuffle_multiplicity(j, k, (1,) * (len(j) + len(k) + 1)) == 0
 
 
 def test_shuffle_weight_constant():
