@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import product as iproduct
 
 from .exactalg.poly import MultiPoly
 from .measures import RatFunc, dbar_i
@@ -52,47 +52,6 @@ def _rref(rows, p):
             break
     out = [tuple(r) for r in rows[:pivot_row] if any(r)]
     return tuple(out)
-
-
-def _in_span(vec, rref_rows, p):
-    v = list(vec)
-    for row in rref_rows:
-        lead = next(i for i, x in enumerate(row) if x)
-        if v[lead] % p:
-            f = v[lead]
-            v = [(a - f * b) % p for a, b in zip(v, row)]
-    return not any(x % p for x in v)
-
-
-def _span_contains(rref_small, rref_big, p):
-    return all(_in_span(row, rref_big, p) for row in rref_small)
-
-
-def _subspaces(d, k, p):
-    """All k-dimensional subspaces of F_p^d as rref tuples."""
-    if k == 0:
-        yield ()
-        return
-    for pivots in combinations(range(d), k):
-        free_positions = []
-        for r, pc in enumerate(pivots):
-            for c in range(pc + 1, d):
-                if c not in pivots:
-                    free_positions.append((r, c))
-        for values in iproduct(range(p), repeat=len(free_positions)):
-            rows = [[0] * d for _ in range(k)]
-            for r, pc in enumerate(pivots):
-                rows[r][pc] = 1
-            for (r, c), v in zip(free_positions, values):
-                rows[r][c] = v
-            yield tuple(tuple(r) for r in rows)
-
-
-def _all_subspaces(d, p):
-    out = []
-    for k in range(d + 1):
-        out.extend(_subspaces(d, k, p))
-    return out
 
 
 def _mat_vec(mat, vec, p):
@@ -254,75 +213,89 @@ class QuiverRep:
 
 
 class SubmoduleLattice:
-    """All submodules of a representation over F_p, with containment."""
+    """All submodules of a nilpotent representation over F_p, with containment.
+
+    The lattice is built top-down by a breadth-first search from the full
+    module.  The codimension-1 submodules of a submodule N are the N with
+    the space U_i at one vertex i replaced by a hyperplane of U_i that
+    contains the images of the arrows into i.  The search reaches every
+    submodule exactly when it reaches zero, i.e. when the module is
+    nilpotent; otherwise it raises ValueError.  Every module over the
+    preprojective algebra is nilpotent, but a QuiverRep built with
+    check=False need not be.
+
+    subs: the submodules as tuples of rref tuples, one per vertex, sorted
+      by total dimension and then by the tuple; subs[0] is zero and the
+      last is the full module.  index maps a submodule to its position and
+      dim_vectors[i] is the dimension vector of subs[i].
+    covers[i]: the pairs (j, letter), ascending in j, with subs[j] of
+      codimension 1 in subs[i] and quotient the simple at vertex letter.
+    below[i]: the ascending indices of all submodules of subs[i], itself
+      included; the reflexive-transitive closure of covers.
+    """
 
     def __init__(self, rep: QuiverRep):
         if rep.field == "Q":
             raise ValueError("enumerate over a prime field")
         self.rep = rep
         self.p = rep.field
-        self.subs = self._enumerate()
+        self.subs, self.covers = self._search()
         self.dim_vectors = [
             tuple(len(u) for u in sub) for sub in self.subs
         ]
-        self.below = self._containments()
+        self.below = self._closure()
         self.index = {sub: i for i, sub in enumerate(self.subs)}
 
-    def _enumerate(self):
+    def _search(self):
         rep = self.rep
         p = self.p
         nv = rep.m - 1
-        choices = [_all_subspaces(d, p) for d in rep.dims]
-        subs = []
+        full = tuple(
+            tuple(tuple(1 if a == b else 0 for a in range(d)) for b in range(d))
+            for d in rep.dims
+        )
+        children = {}  # submodule -> [(codimension-1 submodule, letter)]
+        level = [full]
+        while level:
+            lower = set()  # submodules one dimension down
+            for sub in level:
+                kids = children[sub] = []
+                for i in range(1, nv + 1):
+                    incoming = []
+                    for v in (i - 1, i + 1):
+                        if 1 <= v <= nv:
+                            mat = rep.maps[(v, i)]
+                            for row in sub[v - 1]:
+                                img = _mat_vec(mat, row, p)
+                                if any(img):
+                                    incoming.append(img)
+                    for h in _hyperplanes_containing(sub[i - 1], incoming, p, rep.dims[i - 1]):
+                        child = sub[: i - 1] + (h,) + sub[i:]
+                        kids.append((child, i))
+                        lower.add(child)
+            level = lower
+        if ((),) * nv not in children:
+            raise ValueError(
+                "module is not nilpotent: the top-down search does not reach "
+                "the zero submodule"
+            )
+        subs = sorted(children, key=lambda s: (sum(len(u) for u in s), s))
+        index = {sub: i for i, sub in enumerate(subs)}
+        covers = [
+            sorted((index[child], letter) for child, letter in children[sub])
+            for sub in subs
+        ]
+        return subs, covers
 
-        def invariant_step(partial, v):
-            # check arrows between vertex v and v-1 (both already chosen)
-            if v >= 2:
-                for (src, dst) in ((v - 1, v), (v, v - 1)):
-                    mat = rep.maps[(src, dst)]
-                    u_src = partial[src - 1]
-                    u_dst = partial[dst - 1]
-                    for row in u_src:
-                        img = _mat_vec(mat, row, p)
-                        if any(img) and not _in_span(img, u_dst, p):
-                            return False
-            return True
-
-        def rec(partial, v):
-            if v > nv:
-                subs.append(tuple(partial))
-                return
-            for u in choices[v - 1]:
-                partial.append(u)
-                if invariant_step(partial, v):
-                    rec(partial, v + 1)
-                partial.pop()
-
-        rec([], 1)
-        subs.sort(key=lambda s: (sum(len(u) for u in s), s))
-        return subs
-
-    def _containments(self):
-        p = self.p
-        n = len(self.subs)
-        below = [[] for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    below[b].append(a)
-                    continue
-                da, db = self.dim_vectors[a], self.dim_vectors[b]
-                if any(x > y for x, y in zip(da, db)):
-                    continue
-                if all(
-                    _span_contains(ua, ub, p)
-                    for ua, ub in zip(self.subs[a], self.subs[b])
-                ):
-                    below[b].append(a)
-        return below
-
-    def full_index(self):
-        return len(self.subs) - 1
+    def _closure(self):
+        # one bitset per node; covers point to lower indices, so one pass
+        bits = []
+        for i, cov in enumerate(self.covers):
+            b = 1 << i
+            for j, _ in cov:
+                b |= bits[j]
+            bits.append(b)
+        return [[k for k, c in enumerate(reversed(bin(b))) if c == "1"] for b in bits]
 
     # -- counting queries
 
@@ -336,27 +309,23 @@ class SubmoduleLattice:
     def composition_series_counts(self) -> dict:
         """Counts of complete simple-quotient chains, per type sequence."""
         n = len(self.subs)
-        order = sorted(range(n), key=lambda i: sum(self.dim_vectors[i]))
-        table = [dict() for _ in range(n)]
-        for i in order:
-            if sum(self.dim_vectors[i]) == 0:
-                table[i][()] = 1
-                continue
+        parents = [0] * n
+        for cov in self.covers:
+            for j, _ in cov:
+                parents[j] += 1
+        table = [None] * n
+        table[0] = {(): 1}
+        for i in range(1, n):
             acc: dict = {}
-            di = self.dim_vectors[i]
-            for j in self.below[i]:
-                if j == i:
-                    continue
-                dj = self.dim_vectors[j]
-                diff = [x - y for x, y in zip(di, dj)]
-                if sum(diff) != 1:
-                    continue
-                letter = diff.index(1) + 1
+            for j, letter in self.covers[i]:
                 for seq, cnt in table[j].items():
                     key = seq + (letter,)
                     acc[key] = acc.get(key, 0) + cnt
+                parents[j] -= 1
+                if not parents[j]:
+                    table[j] = None  # its last parent has consumed it
             table[i] = acc
-        return table[self.full_index()]
+        return table[-1]
 
     def chain_counts_by_total(self, n: int) -> dict:
         """Chains 0 <= M^1 <= ... <= M^n <= M, bucketed by sum of dim M^k."""
@@ -408,7 +377,12 @@ def count_points(rep: QuiverRep, query, q: int, budget: int = 2_000_000) -> int:
     ('compseries', sequence).  `rep` may be over Q (it is reduced mod q).
     Composition series of one fixed type are counted by top-quotient
     peeling, which stays feasible on modules whose full submodule lattice
-    would not; the other queries enumerate the lattice within budget.
+    would not; the other queries build the lattice within budget.
+
+    The budget estimate counts tuples of subspaces, one per vertex, each
+    Grassmannian by its largest cell q^(k(d-k)).  Submodules are such
+    tuples, so the estimate sizes the lattice from above (to leading order
+    in q); it does not bound the work of the chain counts over it.
     """
     base = rep.reduce_mod(q) if rep.field == "Q" else rep
     kind = query[0]

@@ -1,5 +1,6 @@
 import importlib.resources as res
 from fractions import Fraction
+from itertools import combinations, product as iproduct
 
 import pytest
 
@@ -60,6 +61,81 @@ def a5_module(a=2):
     return load_module_fixture(str(FIXTURES / "a5_module.json"), params={"a": a})
 
 
+def injective_pair(m, i, j):
+    return injective_module(m, i).direct_sum(injective_module(m, j))
+
+
+# -- reference lattice: every tuple of subspaces, then all-pairs containment ----
+# SubmoduleLattice searches down from the full module along cover edges; this
+# brute-force build shares no code with it and is called only by the tests.
+
+
+def _ref_in_span(vec, rref_rows, p):
+    v = list(vec)
+    for row in rref_rows:
+        lead = next(i for i, x in enumerate(row) if x)
+        if v[lead] % p:
+            f = v[lead]
+            v = [(a - f * b) % p for a, b in zip(v, row)]
+    return not any(x % p for x in v)
+
+
+def _ref_subspaces(d, p):
+    """All subspaces of F_p^d as rref tuples, by pivot columns and free entries."""
+    out = []
+    for k in range(d + 1):
+        for pivots in combinations(range(d), k):
+            free = [(r, c) for r, pc in enumerate(pivots)
+                    for c in range(pc + 1, d) if c not in pivots]
+            for values in iproduct(range(p), repeat=len(free)):
+                rows = [[0] * d for _ in range(k)]
+                for r, pc in enumerate(pivots):
+                    rows[r][pc] = 1
+                for (r, c), v in zip(free, values):
+                    rows[r][c] = v
+                out.append(tuple(tuple(r) for r in rows))
+    return out
+
+
+def _ref_lattice(rep):
+    """(subs, below, dim_vectors) by bottom-up enumeration over F_p."""
+    p, nv = rep.field, rep.m - 1
+    choices = [_ref_subspaces(d, p) for d in rep.dims]
+    subs = []
+
+    def invariant(partial, v):
+        # arrows between vertex v and v-1, both already chosen
+        for (src, dst) in ((v - 1, v), (v, v - 1)) if v >= 2 else ():
+            mat = rep.maps[(src, dst)]
+            for row in partial[src - 1]:
+                img = tuple(sum(a * b for a, b in zip(r, row)) % p for r in mat)
+                if any(img) and not _ref_in_span(img, partial[dst - 1], p):
+                    return False
+        return True
+
+    def rec(partial, v):
+        if v > nv:
+            subs.append(tuple(partial))
+            return
+        for u in choices[v - 1]:
+            partial.append(u)
+            if invariant(partial, v):
+                rec(partial, v + 1)
+            partial.pop()
+
+    rec([], 1)
+    subs.sort(key=lambda s: (sum(len(u) for u in s), s))
+    dims = [tuple(len(u) for u in s) for s in subs]
+    below = [
+        [a for a in range(len(subs))
+         if all(x <= y for x, y in zip(dims[a], dims[b]))
+         and all(_ref_in_span(row, ub, p)
+                 for ua, ub in zip(subs[a], subs[b]) for row in ua)]
+        for b in range(len(subs))
+    ]
+    return subs, below, dims
+
+
 def total_formula(n):
     return (n + 1) ** 2 * (n + 2) ** 2 * (n + 3) * (5 * n + 12) // 144
 
@@ -94,6 +170,54 @@ def test_a4_submodule_table_row():
 def test_a4_submodule_dim_vectors_match_table():
     lat = SubmoduleLattice(a4_module().reduce_mod(3))
     assert lat.submodule_dim_vectors() == set(TABLE_ROWS)
+
+
+@pytest.mark.parametrize("name, q", [
+    ("a4", 2), ("a4", 3), ("a4", 5), ("a4", 7),
+    ("a5", 5), ("a5", 7),
+    ("i52_i53", 2), ("i52_i53", 3),
+])
+def test_lattice_matches_bottom_up_reference(name, q):
+    build = {"a4": a4_module, "a5": a5_module,
+             "i52_i53": lambda: injective_pair(5, 2, 3)}[name]
+    rep = build().reduce_mod(q)
+    lat = SubmoduleLattice(rep)
+    subs, below, dims = _ref_lattice(rep)
+    assert lat.subs == subs
+    assert lat.below == below
+    assert lat.dim_vectors == dims
+    assert lat.index == {s: i for i, s in enumerate(subs)}
+    nv = rep.m - 1
+    edges = []
+    for i, cov in enumerate(lat.covers):
+        for j, letter in cov:
+            diff = tuple(a - b for a, b in zip(dims[i], dims[j]))
+            assert diff == tuple(1 if v == letter else 0 for v in range(1, nv + 1))
+            edges.append((i, j))
+    codim1 = [(i, j) for i in range(len(subs)) for j in below[i]
+              if sum(dims[i]) - sum(dims[j]) == 1]
+    assert sorted(edges) == codim1
+
+
+def test_non_nilpotent_rep_raises():
+    # both arrows the identity on F_5: no proper nonzero submodule, no zero reached
+    rep = QuiverRep(3, (1, 1), {(1, 2): ((1,),), (2, 1): ((1,),)}, field=5, check=False)
+    with pytest.raises(ValueError, match="nilpotent"):
+        SubmoduleLattice(rep)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q, nodes, pairs, covers, series", [
+    (2, 347, 20_096, 970, (652_510, 7_018_070)),
+    (3, 487, 32_093, 1_400, (652_510, 15_933_952)),
+])
+def test_injective_pair_lattice_at_scale(q, nodes, pairs, covers, series):
+    lat = SubmoduleLattice(injective_pair(6, 2, 4).reduce_mod(q))
+    assert len(lat.subs) == nodes
+    assert sum(len(b) for b in lat.below) == pairs
+    assert sum(len(c) for c in lat.covers) == covers
+    table = lat.composition_series_counts()
+    assert (len(table), sum(table.values())) == series
 
 
 def test_euler_interpolate():
