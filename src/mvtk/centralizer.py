@@ -224,10 +224,11 @@ def pair_word(m: int, seq, f: CoordFunction) -> Fraction:
     zero = MultiPoly.zero(tnames)
     mat = [[one if i == j else zero for j in range(m)] for i in range(m)]
     for k, i in enumerate(seq):
+        # right-multiplying by 1 + t_k e_i adds t_k * (column i) to column i+1
         tk = MultiPoly.var(tnames, tnames[k])
-        step = [[one if a == b else zero for b in range(m)] for a in range(m)]
-        step[i - 1][i] = tk
-        mat = mat_mul(mat, step)
+        for row in mat:
+            if not row[i - 1].is_zero():
+                row[i] = row[i] + row[i - 1] * tk
     target = (1,) * p
     total = Fraction(0)
     positions = entry_positions(m)

@@ -307,25 +307,61 @@ class SubmoduleLattice:
         return set(self.dim_vectors)
 
     def composition_series_counts(self) -> dict:
-        """Counts of complete simple-quotient chains, per type sequence."""
-        n = len(self.subs)
-        parents = [0] * n
-        for cov in self.covers:
-            for j, _ in cov:
-                parents[j] += 1
-        table = [None] * n
-        table[0] = {(): 1}
-        for i in range(1, n):
-            acc: dict = {}
-            for j, letter in self.covers[i]:
-                for seq, cnt in table[j].items():
-                    key = seq + (letter,)
-                    acc[key] = acc.get(key, 0) + cnt
-                parents[j] -= 1
-                if not parents[j]:
-                    table[j] = None  # its last parent has consumed it
-            table[i] = acc
-        return table[-1]
+        """Counts of complete simple-quotient chains, per type sequence.
+
+        A type sequence lists the simple quotients from the bottom up.  Every
+        chain passes through exactly one node of the middle rank r = rank // 2
+        (rank = total dimension), so the count of a sequence p + s, with p of
+        length r, is the sum over the rank-r nodes N of (chains from 0 to N
+        of type p) * (chains from N to the full module of type s).  Prefix
+        tables are built up to rank r along covers, suffix tables down to
+        rank r along the reversed covers.  Prefixes with the same vector of
+        counts over the rank-r nodes form one class, and so do suffixes; a
+        prefix class and a suffix class of the same dimension vector give
+        every p + s the dot product of their two vectors.  The walks only
+        build words of up to half the length, so the one large table is the
+        result.
+        """
+        ranks = [sum(d) for d in self.dim_vectors]
+        r = ranks[-1] // 2
+        ups = [[] for _ in self.subs]
+        for i, cov in enumerate(self.covers):
+            for j, letter in cov:
+                ups[j].append((i, letter))
+        low = [i for i, k in enumerate(ranks) if k <= r]
+        high = [i for i, k in enumerate(ranks) if k >= r][::-1]
+        middle = [i for i in low if ranks[i] == r]
+        prefixes = self._classes(_path_tables(low, self.covers), middle)
+        # the downward walk spells each suffix from the top, so reverse it
+        suffixes = self._classes(_path_tables(high, ups), middle, reverse=True)
+        out = {}
+        for dv, pre_classes in prefixes.items():
+            for pvec, pwords in pre_classes:
+                for svec, swords in suffixes.get(dv, ()):
+                    value = sum(c * svec.get(node, 0) for node, c in pvec.items())
+                    if value:
+                        for p in pwords:
+                            for s in swords:
+                                out[p + s] = value
+        return out
+
+    def _classes(self, tables, middle, reverse=False):
+        """Words grouped by their count vectors over the middle nodes.
+
+        Returns {dimension vector: [({node: count}, [word, ...]), ...]}; all
+        nodes in the support of one vector share the dimension vector.
+        """
+        vectors: dict = {}
+        for node in middle:
+            for word, cnt in tables[node].items():
+                vectors.setdefault(word[::-1] if reverse else word, {})[node] = cnt
+        by_vector: dict = {}
+        for word, vec in vectors.items():
+            by_vector.setdefault(tuple(vec.items()), []).append(word)
+        by_dim: dict = {}
+        for vec, words in by_vector.items():
+            by_dim.setdefault(self.dim_vectors[vec[0][0]], []).append((dict(vec), words))
+        return by_dim
 
     def chain_counts_by_total(self, n: int) -> dict:
         """Chains 0 <= M^1 <= ... <= M^n <= M, bucketed by sum of dim M^k."""
@@ -368,6 +404,23 @@ class SubmoduleLattice:
             key = self.dim_vectors[i]
             out[key] = out.get(key, 0) + f[i]
         return out
+
+
+def _path_tables(order, edges):
+    """Words along `edges` from order[0] to each node of `order`, with counts.
+
+    edges[i] lists the pairs (j, letter) by which node i is reached from an
+    earlier node j of `order`; a word is the letters in walking order.
+    """
+    tables = {order[0]: {(): 1}}
+    for i in order[1:]:
+        acc: dict = {}
+        for j, letter in edges[i]:
+            for word, cnt in tables[j].items():
+                key = word + (letter,)
+                acc[key] = acc.get(key, 0) + cnt
+        tables[i] = acc
+    return tables
 
 
 def count_points(rep: QuiverRep, query, q: int, budget: int = 2_000_000) -> int:
@@ -635,7 +688,8 @@ def flag_function(rep: QuiverRep, primes=DEFAULT_PRIMES, method="auto") -> RatFu
 def flag_function_from_chi(m: int, chi: dict, method="auto") -> RatFunc:
     names = alpha_names(m)
     if not chi:
-        return RatFunc.constant(names, 1)  # the zero module: empty sequence only
+        # every chi vanished (the zero module has chi {(): 1}): an empty sum
+        return RatFunc.constant(names, 0)
     if method == "auto":
         method = "direct" if len(chi) <= 64 else "interpolate"
     if method == "direct":

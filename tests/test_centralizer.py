@@ -23,6 +23,7 @@ from mvtk.centralizer import (
     verify_nx,
     weyl_witness,
 )
+from mvtk.exactalg import MultiPoly
 from mvtk.measures import dbar_i
 from mvtk.roota import Weight, sequences, shuffles
 
@@ -76,6 +77,40 @@ def test_pairing_calibration_rank2():
     assert pair_word(3, (2, 1), f_z) == 0
     one = CoordFunction.parse(3, "1")
     assert pair_word(3, (), one) == 1
+
+
+def _ref_pair_word(m, seq, f):
+    """pair_word by full matrix products, one elementary matrix per letter."""
+    p = len(seq)
+    if p == 0:
+        return f.poly.constant_term()
+    tnames = tuple(f"t{k}" for k in range(1, p + 1))
+    one = MultiPoly.constant(tnames, 1)
+    zero = MultiPoly.zero(tnames)
+    mat = [[one if i == j else zero for j in range(m)] for i in range(m)]
+    for k, i in enumerate(seq):
+        step = [[one if a == b else zero for b in range(m)] for a in range(m)]
+        step[i - 1][i] = MultiPoly.var(tnames, tnames[k])
+        mat = mat_mul(mat, step)
+    total = Fraction(0)
+    for mon, c in f.poly.terms.items():
+        prod = one
+        for e, (i, j) in zip(mon, entry_positions(m)):
+            if e:
+                prod = prod * mat[i - 1][j - 1] ** e
+        total += c * prod.coefficient((1,) * p)
+    return total
+
+
+@pytest.mark.parametrize("m, text", [
+    (3, "n12"), (3, "n13"), (3, "n12*n23 - 2*n13"), (3, "n12^2*n23"),
+    (4, "n14"), (4, "n14 + n12*n24"), (4, "n13*n24 - n14*n23"), (4, "3*n23^2*n12 - n13*n23"),
+])
+def test_pair_word_matches_full_product(m, text):
+    f = CoordFunction.parse(m, text)
+    for p in range(4):
+        for seq in product(range(1, m), repeat=p):
+            assert pair_word(m, seq, f) == _ref_pair_word(m, seq, f), seq
 
 
 def test_pairing_matches_differential_operators():

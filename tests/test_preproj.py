@@ -9,6 +9,7 @@ from mvtk.measures import RatFunc, dbar_i
 from mvtk.preproj import (
     QuiverRep,
     SubmoduleLattice,
+    _count_compseries_fixed,
     brick_module,
     count_points,
     euler_interpolate,
@@ -136,6 +137,19 @@ def _ref_lattice(rep):
     return subs, below, dims
 
 
+def _ref_composition_series_counts(lat):
+    """Sequence tables carried bottom-up through every node along the covers."""
+    table = [{(): 1}]
+    for cov in lat.covers[1:]:
+        acc = {}
+        for j, letter in cov:
+            for seq, cnt in table[j].items():
+                key = seq + (letter,)
+                acc[key] = acc.get(key, 0) + cnt
+        table.append(acc)
+    return table[-1]
+
+
 def total_formula(n):
     return (n + 1) ** 2 * (n + 2) ** 2 * (n + 3) * (5 * n + 12) // 144
 
@@ -206,7 +220,38 @@ def test_non_nilpotent_rep_raises():
         SubmoduleLattice(rep)
 
 
-@pytest.mark.slow
+@pytest.mark.parametrize("name, q", [
+    ("a4", 2), ("a4", 3), ("a4", 5), ("a5", 5), ("i52_i53", 2),
+])
+def test_composition_series_counts_match_oracles(name, q):
+    build = {"a4": a4_module, "a5": a5_module,
+             "i52_i53": lambda: injective_pair(5, 2, 3)}[name]
+    rep = build().reduce_mod(q)
+    lat = SubmoduleLattice(rep)
+    table = lat.composition_series_counts()
+    assert table == _ref_composition_series_counts(lat)
+    # peeling counts one sequence at a time, without the lattice
+    if name == "i52_i53":
+        seqs = sorted(table)[::8]  # 688 of the 5498 keys: peeling all is slow
+    else:
+        seqs = sequences(rep.m, rep.dim_vector())  # the zero counts too
+    for seq in seqs:
+        assert _count_compseries_fixed(rep, seq) == table.get(seq, 0), seq
+
+
+@pytest.mark.parametrize("rep, expect", [
+    (QuiverRep(3, (0, 0), {}, field=2), {(): 1}),
+    (simple_module(3, 1).reduce_mod(2), {(1,): 1}),
+    (brick_module(4, 1, 3).reduce_mod(2), {(1, 2): 1}),
+])
+def test_composition_series_counts_small_modules(rep, expect):
+    lat = SubmoduleLattice(rep)
+    assert lat.composition_series_counts() == expect
+    assert _ref_composition_series_counts(lat) == expect
+    for seq, cnt in expect.items():
+        assert _count_compseries_fixed(rep, seq) == cnt
+
+
 @pytest.mark.parametrize("q, nodes, pairs, covers, series", [
     (2, 347, 20_096, 970, (652_510, 7_018_070)),
     (3, 487, 32_093, 1_400, (652_510, 15_933_952)),
@@ -282,6 +327,12 @@ def test_flag_function_trivial_cases():
     assert flag_function(z) == RatFunc.constant(alpha_names(3), 1)
     s1 = simple_module(3, 1)
     assert flag_function(s1) == dbar_i(3, (1,))
+
+
+def test_flag_function_of_vanishing_chi_is_zero():
+    # an empty chi is an empty sum; the zero module's chi is {(): 1}
+    assert flag_function_from_chi(3, {}) == RatFunc.constant(alpha_names(3), 0)
+    assert flag_data(QuiverRep(3, (0, 0), {})) == {(): 1}
 
 
 def test_a4_flag_pattern_and_identity():
