@@ -482,29 +482,48 @@ def ideal_quotient(gens: Sequence[MultiPoly], f: MultiPoly) -> list:
 
 
 def _exact_poly_division(g: MultiPoly, f: MultiPoly) -> MultiPoly:
-    """g / f when the division is exact; raises otherwise."""
+    """g / f when the division is exact; raises ArithmeticError otherwise.
+
+    The working terms sit behind a lazy max-heap, as in _normal_form_full:
+    each step pops the running lead instead of rescanning, and only terms
+    new to the working polynomial are pushed.  The division fails as soon
+    as the lead is not divisible by lm(f).
+    """
+    import heapq
+
     if g.is_zero():
         return g
-    order = GREVLEX
-    key = order.key
-    work = dict(g.terms)
-    quo: dict = {}
-    lm_f = f.leading_monomial(order)
+    heap_key = GREVLEX.heap_key
+    lm_f = f.leading_monomial(GREVLEX)
     lc_f = f.terms[lm_f]
-    while work:
-        lm = max(work, key=key)
+    # the lead of f cancels the running lead exactly, so only its tail is applied
+    tail = [(m, c) for m, c in f.terms.items() if m != lm_f]
+    work = dict(g.terms)
+    heap = [(heap_key(m), m) for m in work]
+    heapq.heapify(heap)
+    quo: dict = {}
+    while heap:
+        lm = heapq.heappop(heap)[1]
+        c = work.pop(lm, None)
+        if c is None:  # cancelled after it was pushed
+            continue
         if not _mon_divides(lm_f, lm):
             raise ArithmeticError("inexact polynomial division")
         shift = _mon_div(lm, lm_f)
-        c = work[lm] / lc_f
+        c /= lc_f
         quo[shift] = c
-        for m, cf in f.terms.items():
+        for m, cf in tail:
             mm = _mon_mul(m, shift)
-            v = work.get(mm, Fraction(0)) - c * cf
-            if v:
-                work[mm] = v
+            old = work.get(mm)
+            if old is None:
+                work[mm] = -c * cf
+                heapq.heappush(heap, (heap_key(mm), mm))
             else:
-                work.pop(mm, None)
+                v = old - c * cf
+                if v:
+                    work[mm] = v
+                else:
+                    del work[mm]
     return MultiPoly(g.variables, quo)
 
 

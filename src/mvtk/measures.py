@@ -8,9 +8,14 @@ first nonzero one positive) mapped to its multiplicity.  The content of a
 factor (its gcd, signed like its first nonzero coefficient) is divided out
 of the numerator once, when the factor enters; forms in other variables,
 such as the x_j - x_i of the symbolic n_x, are keyed the same way.  The
-numerator is kept cancelled against the denominator by trial exact
-division, never a general multivariate gcd, so each rational function has
-exactly one (num, den) and equality compares the two.
+numerator is kept cancelled against the denominator, never by a general
+multivariate gcd: a factor f is divided out by exact division, tried only
+when the numerator vanishes at a fixed point of the hyperplane f = 0 over
+F_P.  A nonzero value there proves that f does not divide it: if num = f*q
+and D is the lcm of num's coefficient denominators, D*q is integral by
+Gauss's lemma (f is primitive), so num vanishes mod P wherever f does as
+long as P does not divide D.  Each rational function thus has exactly one
+(num, den), and equality compares the two.
 
 An ExpSum is a finite weight-indexed family of RatFunc coefficients, the
 Fourier-transform picture of a simplex measure: the product is convolution
@@ -67,6 +72,78 @@ def _form_poly(key: tuple, variables: tuple) -> MultiPoly:
     })
 
 
+# The hyperplane test of RatFunc._cancel runs over F_P at a fixed point; the
+# point and the prime affect only how often it must fall back to division.
+_P = (1 << 61) - 1
+
+
+@lru_cache(maxsize=16)
+def _base_point(n: int) -> tuple:
+    # powers of one constant, not multiples of it: a homogeneous numerator at
+    # c * (1, ..., n) is its value at small integers, which can vanish by structure
+    return tuple(pow(0x9E3779B97F4A7C15, k + 1, _P) for k in range(n))
+
+
+def _residues(num: MultiPoly):
+    """(terms, degree) of num at the base point mod _P; None if _P divides a denominator.
+
+    Each term is (monomial, value of the term at the base point).
+    """
+    deg = num.total_degree()
+    pw = []
+    for x in _base_point(len(num.variables)):
+        powers = [1]
+        for _ in range(deg):
+            powers.append(powers[-1] * x % _P)
+        pw.append(powers)
+    terms = []
+    for mon, c in num.terms.items():
+        d = c.denominator
+        if d % _P == 0:
+            return None
+        r = c.numerator
+        if d != 1:
+            r *= pow(d, -1, _P)
+        for e, p in zip(mon, pw):
+            if e:
+                r *= p[e]
+        terms.append((mon, r % _P))
+    return terms, deg
+
+
+@lru_cache(maxsize=4096)
+def _hyperplane_point(key: tuple):
+    """(j, x_j / b_j) for the point of key = 0 that differs from the base point b
+    only in coordinate j, the first nonzero entry of key; None when _P divides key[j]."""
+    j = next(k for k, c in enumerate(key) if c)
+    if key[j] % _P == 0:
+        return None
+    base = _base_point(len(key))
+    rest = sum(c * b for k, (c, b) in enumerate(zip(key, base)) if k != j)
+    return j, -rest * pow(key[j] * base[j], -1, _P) % _P
+
+
+def _off_hyperplane(residues, key: tuple) -> bool:
+    """True when num, given by its residues, is nonzero at a point of key = 0 mod _P.
+
+    At the point of _hyperplane_point each term's value at the base point
+    is rescaled by (x_j / b_j)^e_j.  The test is skipped (False) when _P
+    divides key[j].
+    """
+    point = _hyperplane_point(key)
+    if point is None:
+        return False
+    j, ratio = point
+    terms, deg = residues
+    by_exponent = [0] * (deg + 1)
+    for mon, r in terms:
+        by_exponent[mon[j]] += r
+    total = 0
+    for s in reversed(by_exponent):
+        total = (total * ratio + s) % _P
+    return total != 0
+
+
 class RatFunc:
     """num / prod of linear forms, kept factored and cancelled.
 
@@ -98,20 +175,29 @@ class RatFunc:
         self._cancel()
 
     def _cancel(self):
+        """Divide out each denominator factor as often as it divides num.
+
+        A factor is divided only after num vanishes at the hyperplane test's
+        point (see the module docstring); a nonzero value rejects it
+        without a division.  Neither the point nor _P decides a result.
+        """
         num = self.num
         if num.is_zero():
             self.den = {}
             return
-        if num.is_constant():
+        if num.is_constant() or not self.den:
             return
         variables = num.variables
+        residues = _residues(num)
         for key, mult in list(self.den.items()):
-            form = _form_poly(key, variables)
             while mult:
+                if residues is not None and _off_hyperplane(residues, key):
+                    break
                 try:
-                    num = _exact_poly_division(num, form)
+                    num = _exact_poly_division(num, _form_poly(key, variables))
                 except ArithmeticError:
                     break
+                residues = _residues(num)
                 mult -= 1
             if mult:
                 self.den[key] = mult

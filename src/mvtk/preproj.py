@@ -680,24 +680,29 @@ def flag_data(rep: QuiverRep, primes=DEFAULT_PRIMES) -> dict:
 
 
 def flag_function(rep: QuiverRep, primes=DEFAULT_PRIMES, method="auto") -> RatFunc:
-    """The rational function sum of chi(F_i) * Dbar_i over Seq(dim vector)."""
+    """The rational function sum of chi(F_i) * Dbar_i over Seq(dim vector).
+
+    method "auto" (the default) and "direct" add the Dbar_i as RatFuncs;
+    "interpolate" reconstructs the sum from values on a grid, which is
+    far slower at rank 5 and is kept as an independent route.
+    """
     chi = flag_data(rep, primes)
     return flag_function_from_chi(rep.m, chi, method=method)
 
 
 def flag_function_from_chi(m: int, chi: dict, method="auto") -> RatFunc:
+    if method not in ("auto", "direct", "interpolate"):
+        raise ValueError(f"unknown flag-function method {method!r}")
     names = alpha_names(m)
     if not chi:
         # every chi vanished (the zero module has chi {(): 1}): an empty sum
         return RatFunc.constant(names, 0)
-    if method == "auto":
-        method = "direct" if len(chi) <= 64 else "interpolate"
-    if method == "direct":
-        total = RatFunc.constant(names, 0)
-        for seq in sorted(chi):
-            total = total + dbar_i(m, seq) * chi[seq]
-        return total
-    return _flag_function_interpolated(m, chi)
+    if method == "interpolate":
+        return _flag_function_interpolated(m, chi)
+    total = RatFunc.constant(names, 0)
+    for seq in sorted(chi):
+        total = total + dbar_i(m, seq) * chi[seq]
+    return total
 
 
 def _flag_function_interpolated(m: int, chi: dict) -> RatFunc:
@@ -841,8 +846,9 @@ def flag_function_generic(builder, values=(Fraction(2), Fraction(3)),
     """Flag function of a family: evaluate the parameter twice, require agreement.
 
     Equal composition-series data implies equal flag functions, so the
-    expensive assembly runs once when the two evaluations already agree at
-    the counting level; otherwise both functions are built and compared.
+    assembly runs once when the two evaluations already agree at the
+    counting level; otherwise both functions are built and compared.
+    `method` is passed to flag_function_from_chi, as in flag_function.
     """
     data = []
     for a in values:

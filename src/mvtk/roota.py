@@ -280,23 +280,20 @@ def partial_sums(m: int, seq) -> list:
 
 def p_mu(m: int, mu) -> MultiPoly:
     """Product over i<j of (eps_i - eps_j)^{mu_j} in the alpha variables."""
+    names = alpha_names(m)
+    result = MultiPoly.constant(names, 1)
+    for root, mult in p_mu_factors(m, mu):
+        result = result * root.linear_form(names) ** mult
+    return result
+
+
+def p_mu_factors(m: int, mu) -> list:
+    """The factors of p_mu as a list of (root Weight, multiplicity)."""
     mu = tuple(int(x) for x in mu)
     if len(mu) != m:
         raise ValueError("mu must have m parts (pad with zeros)")
     if any(x < 0 for x in mu) or any(mu[i] < mu[i + 1] for i in range(m - 1)):
         raise ValueError("mu must be dominant (weakly decreasing, nonnegative)")
-    names = alpha_names(m)
-    result = MultiPoly.constant(names, 1)
-    for i in range(1, m):
-        for j in range(i + 1, m + 1):
-            if mu[j - 1]:
-                result = result * Weight.root(m, i, j).linear_form(names) ** mu[j - 1]
-    return result
-
-
-def p_mu_factors(m: int, mu) -> list:
-    """The same product as a list of (linear form Weight, multiplicity)."""
-    mu = tuple(int(x) for x in mu)
     out = []
     for i in range(1, m):
         for j in range(i + 1, m + 1):

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvtk.exactalg import (
     GREVLEX,
@@ -16,6 +19,7 @@ from mvtk.exactalg import (
     poly_ring,
     saturate,
 )
+from mvtk.exactalg.groebner import _exact_poly_division
 
 A10 = tuple(f"a{k}" for k in range(1, 11))
 
@@ -157,3 +161,76 @@ def test_random_membership_consistency():
             mon = tuple(rng.randint(0, 1) for _ in range(3))
             combo = combo + g * MultiPoly(vs, {mon: Fraction(rng.randint(1, 2))})
         assert in_ideal(combo, G)
+
+
+# -- exact division -----------------------------------------------------------
+# The kernel pops the running lead from a heap; this oracle rescans for it at
+# every step, shares no code with it and is called only by the tests.
+
+
+def _ref_exact_poly_division(g, f):
+    if g.is_zero():
+        return g
+    key = GREVLEX.key
+    work = dict(g.terms)
+    quo = {}
+    lm_f = f.leading_monomial(GREVLEX)
+    lc_f = f.terms[lm_f]
+    while work:
+        lm = max(work, key=key)
+        if any(a > b for a, b in zip(lm_f, lm)):
+            raise ArithmeticError("inexact polynomial division")
+        shift = tuple(a - b for a, b in zip(lm, lm_f))
+        c = work[lm] / lc_f
+        quo[shift] = c
+        for m, cf in f.terms.items():
+            mm = tuple(a + b for a, b in zip(m, shift))
+            v = work.get(mm, Fraction(0)) - c * cf
+            if v:
+                work[mm] = v
+            else:
+                work.pop(mm, None)
+    return MultiPoly(g.variables, quo)
+
+
+XYZ = ("x", "y", "z")
+_DIV_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+_COEFFS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+_POLYS = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3), _COEFFS, max_size=6
+).map(lambda terms: MultiPoly(XYZ, terms))
+_NONZERO_POLYS = _POLYS.filter(lambda p: not p.is_zero())
+
+
+@st.composite
+def _primitive_linear(draw):
+    coeffs = draw(st.tuples(*[st.integers(-4, 4)] * 3).filter(any))
+    g = gcd(*coeffs)
+    return MultiPoly(XYZ, {
+        tuple(int(i == k) for i in range(3)): Fraction(c // g)
+        for k, c in enumerate(coeffs) if c
+    })
+
+
+_DIVISORS = st.one_of(_primitive_linear(), _NONZERO_POLYS)
+
+
+@_DIV_SETTINGS
+@given(_DIVISORS, _POLYS)
+def test_exact_division_recovers_the_quotient(f, q):
+    g = f * q
+    assert _exact_poly_division(g, f) == q
+    assert _ref_exact_poly_division(g, f) == q
+
+
+@_DIV_SETTINGS
+@given(_DIVISORS, _POLYS, _NONZERO_POLYS)
+def test_exact_division_fails_exactly_when_the_oracle_does(f, q, r):
+    g = f * q + r
+    try:
+        expected = _ref_exact_poly_division(g, f)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            _exact_poly_division(g, f)
+    else:
+        assert _exact_poly_division(g, f) == expected

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvtk import measures
 from mvtk.exactalg import MultiPoly
 from mvtk.measures import (
     ExpSum,
@@ -266,3 +268,44 @@ def test_ratfunc_content_moves_into_numerator(x):
     assert lhs == rhs
     assert hash(lhs) == hash(rhs)
     assert RatFunc(n, {(-2, 0, 0): 1}) == rhs
+
+
+# -- the hyperplane test of RatFunc._cancel -------------------------------------
+
+# primitive keys, first nonzero entry positive, as RatFunc.den holds them
+_KEYS = st.tuples(*[st.integers(-4, 4)] * 3).filter(any).map(
+    lambda t: measures._form_key(t, 3)[0]
+)
+_QUOTIENTS = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    max_size=6,
+).map(lambda terms: MultiPoly(alpha_names(4), terms))
+
+
+@_PROPERTY_SETTINGS
+@given(_KEYS, _QUOTIENTS, st.integers(1, 2))
+def test_hyperplane_test_never_rejects_a_multiple(key, q, k):
+    form = measures._form_poly(key, q.variables)
+    num = form**k * q
+    assert not measures._off_hyperplane(measures._residues(num), key)
+    assert RatFunc(num, {key: k}) == RatFunc.from_poly(q)
+
+
+def _sums_of_all_short_words(m):
+    names = alpha_names(m)
+    words = [w for n in range(4) for w in product(range(1, m), repeat=n)]
+    dbar = RatFunc.constant(names, 0)
+    ft = ExpSum(m, {})
+    for w in words:
+        dbar = dbar + dbar_i(m, w)
+        ft = ft + ft_i(m, w)
+    return [dbar] + [ft.coeffs[b] for b in sorted(ft.coeffs, key=lambda b: b.entries)]
+
+
+def test_hyperplane_test_changes_no_sum(monkeypatch):
+    # with the test off, _cancel tries every division: the results must not change
+    on = _sums_of_all_short_words(4)
+    monkeypatch.setattr(measures, "_off_hyperplane", lambda residues, key: False)
+    off = _sums_of_all_short_words(4)
+    assert [(r.num, r.den) for r in on] == [(r.num, r.den) for r in off]
