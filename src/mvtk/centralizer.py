@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .exactalg.linalg import solve
 from .exactalg.poly import MultiPoly
 from .measures import RatFunc, dbar_i, measure_from_coeffs
 from .roota import Weight, alpha_names, sequences
@@ -316,39 +317,6 @@ def sbar(m: int, i: int):
     return mat_mul(mat_mul(e, fmat), e)
 
 
-def _solve_linear(rows, rhs):
-    """Exact Gaussian elimination; raises on inconsistency."""
-    n = len(rows[0])
-    aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = None
-        for rr in range(r, len(aug)):
-            if aug[rr][c] != 0:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for rr in range(len(aug)):
-            if rr != r and aug[rr][c] != 0:
-                factor = aug[rr][c]
-                aug[rr] = [a - factor * b for a, b in zip(aug[rr], aug[r])]
-        pivots.append(c)
-        r += 1
-    for rr in range(r, len(aug)):
-        if aug[rr][n] != 0:
-            raise ValueError("inconsistent linear system")
-    sol = [Fraction(0)] * n
-    for row, c in enumerate(pivots):
-        sol[c] = aug[row][n]
-    # free variables (if any) stay zero; callers check the solution
-    return sol
-
-
 def weyl_witness(x, i: int):
     """Solve n_{s_i x} = y n_x sbar_i^{-1} t with y lower-unitriangular, t diagonal.
 
@@ -377,7 +345,7 @@ def weyl_witness(x, i: int):
             coeff = [n_sx[a][k] * c_mat[k][b] for k in range(m)]
             rows.append(coeff)
             rhs.append(Fraction(1) if a == b else Fraction(0))
-    s = _solve_linear(rows, rhs)
+    s = solve(rows, rhs, m)
     if any(v == 0 for v in s):
         raise ValueError("no invertible diagonal witness; implementation fault")
     t = [Fraction(1) / v for v in s]
@@ -397,24 +365,10 @@ def weyl_witness(x, i: int):
     for k in range(m):
         t_diag[k][k] = t[k]
     left = n_sx
-    right = mat_mul(mat_mul(mat_mul(y, n_x), unitriangular_inverse_general(w)), t_diag)
+    # sbar_i^{-1}, solved one column at a time
+    w_inv = list(zip(*(solve(w, e, m) for e in identity_matrix(m))))
+    right = mat_mul(mat_mul(mat_mul(y, n_x), w_inv), t_diag)
     if left != right:
         raise AssertionError("factorization check failed")
     return y, t
 
-
-def unitriangular_inverse_general(mat):
-    """Inverse of an integer matrix with determinant +-1 (for Weyl lifts)."""
-    m = len(mat)
-    aug = [[Fraction(v) for v in row] + [Fraction(1) if i == j else Fraction(0) for j in range(m)]
-           for i, row in enumerate(mat)]
-    for c in range(m):
-        pivot = next(r for r in range(c, m) if aug[r][c] != 0)
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        aug[c] = [v / pv for v in aug[c]]
-        for r in range(m):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
-    return [row[m:] for row in aug]

@@ -1,4 +1,7 @@
-"""Exact commutative-algebra kernel: polynomials, Groebner bases, multidegrees."""
+"""Exact commutative-algebra kernel: polynomials, Groebner bases, multidegrees.
+
+Linear algebra over Q and F_p lives in the submodule `linalg`.
+"""
 
 from .poly import GREVLEX, LEX, MultiPoly, TermOrder, poly_ring
 from .groebner import (
@@ -7,7 +10,6 @@ from .groebner import (
     groebner,
     homogenize,
     ideal_contains,
-    ideal_quotient,
     ideals_equal,
     in_ideal,
     normal_form,
@@ -21,7 +23,6 @@ from .mdeg import (
     monomial_ideal_summary,
     multidegree,
     multidegree_monomial,
-    multidegree_monomial_recursive,
     multigraded_hilbert,
 )
 
@@ -39,7 +40,6 @@ __all__ = [
     "ideals_equal",
     "eliminate",
     "saturate",
-    "ideal_quotient",
     "homogenize",
     "WeightAssignment",
     "MonomialIdealSummary",
@@ -47,7 +47,6 @@ __all__ = [
     "monomial_ideal_summary",
     "multidegree",
     "multidegree_monomial",
-    "multidegree_monomial_recursive",
     "multigraded_hilbert",
     "dimension",
 ]

@@ -432,12 +432,8 @@ def eliminate(gens: Sequence[MultiPoly], drop: Iterable[str]) -> list:
     return out
 
 
-def saturate(gens: Sequence[MultiPoly], f: MultiPoly, cross_check: bool = False) -> list:
-    """(I : f^infinity) by the extra-variable method.
-
-    With cross_check=True the iterated ideal quotient route is run as well
-    and the two results are asserted equal.
-    """
+def saturate(gens: Sequence[MultiPoly], f: MultiPoly) -> list:
+    """(I : f^infinity) by the extra-variable method."""
     if f.is_zero():
         raise ValueError("cannot saturate by zero")
     gens = [g for g in gens if not g.is_zero()]
@@ -452,33 +448,7 @@ def saturate(gens: Sequence[MultiPoly], f: MultiPoly, cross_check: bool = False)
     y = MultiPoly.var(new_vars, aux)
     lifted.append(y * f_l - MultiPoly.constant(new_vars, 1))
     result = eliminate(lifted, (aux,))
-    result = [g.restrict(variables) if g.variables != variables else g for g in result]
-    if cross_check:
-        alt = _saturate_by_quotients(gens, f)
-        if not ideals_equal(result, alt):
-            raise AssertionError("saturation cross-check failed")
-    return result
-
-
-def ideal_quotient(gens: Sequence[MultiPoly], f: MultiPoly) -> list:
-    """(I : f) via I cap (f) computed with one auxiliary variable."""
-    gens = [g for g in gens if not g.is_zero()]
-    variables = _check_same_ring(gens) or f.variables
-    if not gens:
-        return []
-    aux = _fresh_name(variables, "zquo")
-    new_vars, lifted = _extend_ring(gens, aux, front=True)
-    t = MultiPoly.var(new_vars, aux)
-    f_l = f.rename(new_vars)
-    mixed = [t * g for g in lifted]
-    mixed.append((MultiPoly.constant(new_vars, 1) - t) * f_l)
-    inter = eliminate(mixed, (aux,))
-    out = []
-    for g in inter:
-        g = g.restrict(variables) if g.variables != variables else g
-        q = _exact_poly_division(g, f)
-        out.append(q)
-    return out
+    return [g.restrict(variables) if g.variables != variables else g for g in result]
 
 
 def _exact_poly_division(g: MultiPoly, f: MultiPoly) -> MultiPoly:
@@ -525,15 +495,6 @@ def _exact_poly_division(g: MultiPoly, f: MultiPoly) -> MultiPoly:
                 else:
                     del work[mm]
     return MultiPoly(g.variables, quo)
-
-
-def _saturate_by_quotients(gens: Sequence[MultiPoly], f: MultiPoly) -> list:
-    current = list(gens)
-    while True:
-        nxt = ideal_quotient(current, f)
-        if ideals_equal(current, nxt):
-            return list(groebner(current).gens)
-        current = nxt
 
 
 def homogenize(gens: Sequence[MultiPoly], hvar: str) -> list:

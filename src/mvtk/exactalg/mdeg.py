@@ -8,16 +8,6 @@ prime's variables.  The multiplicity of a minimal prime is the number of
 standard monomials in its variables after setting all other variables to 1;
 the restricted ideal is cofinite there, which certifies the enumeration is
 finite.
-
-A second, recursive algorithm for monomial ideals is kept as an oracle:
-peeling a variable x off a monomial ideal J splits the class of V(J) into
-the parts inside and transverse to the hyperplane x = 0,
-
-    mdeg(J) = mdeg(J + (x)) + mdeg(J : x)
-
-where a summand only contributes when its codimension still equals
-codim(J), and the base case (a coordinate-subspace ideal) has multidegree
-equal to the product of its variables' weights.
 """
 
 from __future__ import annotations
@@ -200,56 +190,6 @@ def multidegree_monomial(lead_monomials: Sequence[tuple], w: WeightAssignment) -
             term = term * w.form(w.variables[i])
         total = total + term
     return total
-
-
-def multidegree_monomial_recursive(lead_monomials: Sequence[tuple],
-                                   w: WeightAssignment) -> MultiPoly:
-    """Oracle route: hyperplane splitting, filtered by codimension."""
-    alpha = w.alpha_names
-    nvars = len(w.variables)
-
-    def codim_of(gens):
-        if not gens:
-            return 0
-        return min(len(p) for p in minimal_primes(gens))
-
-    def rec(gens):
-        gens = _minimalize(gens)
-        if any(not any(g) for g in gens):
-            raise ValueError("unit ideal has no multidegree")
-        if not gens:
-            return MultiPoly.constant(alpha, 1)
-        if all(sum(g) == 1 for g in gens):
-            term = MultiPoly.constant(alpha, 1)
-            for g in gens:
-                i = next(j for j, e in enumerate(g) if e)
-                term = term * w.form(w.variables[i])
-            return term
-        c = codim_of(gens)
-        # deterministic pivot: first variable occurring in a non-linear generator
-        pivot = None
-        for g in gens:
-            if sum(g) > 1:
-                pivot = next(j for j, e in enumerate(g) if e)
-                break
-        unit = tuple(1 if j == pivot else 0 for j in range(nvars))
-        plus = _minimalize(list(gens) + [unit])
-        colon = _minimalize(
-            tuple(e - 1 if j == pivot and e else e for j, e in enumerate(g))
-            for g in gens
-        )
-        total = MultiPoly.zero(alpha)
-        if codim_of(plus) == c:
-            total = total + rec(plus)
-        if colon and any(any(g) for g in colon):
-            if codim_of(colon) == c:
-                total = total + rec(colon)
-        else:
-            # colon ideal became the whole ring: V(J:x) empty contribution
-            pass
-        return total
-
-    return rec(list(lead_monomials))
 
 
 def dimension(gens: Sequence[MultiPoly], nvars: int | None = None,

@@ -34,6 +34,7 @@ from .exactalg import (
     normal_form,
     saturate,
 )
+from .exactalg.linalg import solve
 from .measures import RatFunc
 from .roota import Weight, alpha_names, p_mu, root_positions
 
@@ -789,9 +790,9 @@ def _check_plucker_fixture(kernel, names, subsets, fixture):
 
     # Solve for the sign flips over GF(2): per generator, exactly one
     # relative sign pattern of its terms lies in the kernel.
-    flip_vars = [l for l in labels if rename.get(l) != "u"]
-    var_index = {l: k for k, l in enumerate(flip_vars)}
-    equations = []  # (GF(2) row, rhs)
+    # unknown: one flip per label not sent to u, by its index in labels
+    flip_idx = [v for v, l in enumerate(labels) if rename.get(l) != "u"]
+    rows, rhs = [], []
     for poly in parsed:
         mons = sorted(poly.terms)
         if len(mons) == 1:
@@ -814,44 +815,19 @@ def _check_plucker_fixture(kernel, names, subsets, fixture):
         if found is None:
             raise AssertionError("no sign pattern of a fixture generator lies in the kernel")
         for k, mon in enumerate(mons[1:]):
-            row = [0] * len(flip_vars)
-            for name_idx, l in enumerate(labels):
-                e = (mon[name_idx] - base[name_idx]) % 2
-                if e and l in var_index:
-                    row[var_index[l]] ^= 1
-            equations.append((row, (found >> k) & 1))
-    flips = _solve_gf2(equations, len(flip_vars))
-    flip_set = {flip_vars[k] for k in range(len(flip_vars)) if flips[k]}
+            # flips change this term's sign against the base term's by the
+            # parity of their exponent differences
+            rows.append([mon[v] - base[v] for v in flip_idx])
+            rhs.append((found >> k) & 1)
+    try:
+        flips = solve(rows, rhs, len(flip_idx), p=2)
+    except ValueError:
+        raise AssertionError("inconsistent sign constraints for the fixture") from None
+    flip_set = {labels[v] for v, f in zip(flip_idx, flips) if f}
     fixture_gens = [substituted(p, flip_set) for p in parsed]
     if not ideals_equal(list(kernel), fixture_gens):
         raise AssertionError("computed kernel does not match the fixture ideal")
     return flip_set
-
-
-def _solve_gf2(equations, n):
-    rows = [(list(r), b) for r, b in equations]
-    sol = [0] * n
-    pivots = {}
-    reduced = []
-    for row, b in rows:
-        row = row[:]
-        for col, (prow, pb) in pivots.items():
-            if row[col]:
-                row = [a ^ c for a, c in zip(row, prow)]
-                b ^= pb
-        lead = next((i for i, v in enumerate(row) if v), None)
-        if lead is None:
-            if b:
-                raise AssertionError("inconsistent sign constraints for the fixture")
-            continue
-        pivots[lead] = (row, b)
-    for col, (row, b) in sorted(pivots.items(), reverse=True):
-        acc = b
-        for j in range(col + 1, n):
-            if row[j]:
-                acc ^= sol[j]
-        sol[col] = acc
-    return sol
 
 
 def plucker_sections(tau: Tableau, n: int, chart: PluckerChart | None = None,

@@ -17,45 +17,10 @@ import json
 from fractions import Fraction
 from itertools import product as iproduct
 
+from .exactalg.linalg import coords, mat_vec, null_space, rref
 from .exactalg.poly import MultiPoly
 from .measures import RatFunc, dbar_i
 from .roota import Weight, alpha_names, positive_roots, root_positions
-
-
-# -- finite-field linear algebra ------------------------------------------------
-
-
-def _rref(rows, p):
-    """Reduced row echelon form over F_p; returns tuple of nonzero rows."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    pivot_row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col] % p:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        inv = pow(rows[pivot_row][col], p - 2, p) if p > 2 else rows[pivot_row][col]
-        rows[pivot_row] = [(v * inv) % p for v in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] % p:
-                f = rows[r][col]
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    out = [tuple(r) for r in rows[:pivot_row] if any(r)]
-    return tuple(out)
-
-
-def _mat_vec(mat, vec, p):
-    return tuple(sum(a * b for a, b in zip(row, vec)) % p for row in mat)
 
 
 # -- the representations ----------------------------------------------------------
@@ -201,11 +166,7 @@ class QuiverRep:
                     mat = self.maps[(v, w)]
                     for r in range(self.dims[w - 1]):
                         stacked.append(tuple(mat[r][c] for c in range(dv)))
-            if not stacked:
-                out.append(dv)
-                continue
-            rank = len(_rref(stacked, p))
-            out.append(dv - rank)
+            out.append(len(null_space(stacked, dv, p)))
         return tuple(out)
 
 
@@ -266,10 +227,10 @@ class SubmoduleLattice:
                         if 1 <= v <= nv:
                             mat = rep.maps[(v, i)]
                             for row in sub[v - 1]:
-                                img = _mat_vec(mat, row, p)
+                                img = mat_vec(mat, row, p)
                                 if any(img):
                                     incoming.append(img)
-                    for h in _hyperplanes_containing(sub[i - 1], incoming, p, rep.dims[i - 1]):
+                    for h in _hyperplanes_containing(sub[i - 1], incoming, p):
                         child = sub[: i - 1] + (h,) + sub[i:]
                         kids.append((child, i))
                         lower.add(child)
@@ -485,11 +446,11 @@ def _count_compseries_fixed(rep: QuiverRep, seq) -> int:
             if 1 <= v <= m - 1:
                 mat = rep.maps[(v, i)]
                 for row in state[v - 1]:
-                    img = _mat_vec(mat, row, p)
+                    img = mat_vec(mat, row, p)
                     if any(img):
                         incoming.append(img)
         total = 0
-        for h in _hyperplanes_containing(u_i, incoming, p, rep.dims[i - 1]):
+        for h in _hyperplanes_containing(u_i, incoming, p):
             nxt = tuple(
                 h if v == i - 1 else state[v] for v in range(m - 1)
             )
@@ -500,103 +461,30 @@ def _count_compseries_fixed(rep: QuiverRep, seq) -> int:
     return rec(full, len(seq))
 
 
-def _hyperplanes_containing(space_rows, must_contain, p, ambient_dim):
-    """Codimension-1 subspaces of a given space containing the given vectors.
+def _hyperplanes_containing(space_rows, must_contain, p):
+    """Hyperplanes of the span of `space_rows` (rref) containing `must_contain`.
 
-    Works in coordinates on the space itself, then maps back to ambient
-    rref tuples.
+    In coordinates on the space, a hyperplane containing the vectors is the
+    kernel of a functional that vanishes on them: one per projective point
+    of their annihilator.  Each is yielded as an ambient rref tuple.
     """
-    k = len(space_rows)
-    if k == 0:
-        return
-    # coordinates of must_contain vectors in the basis space_rows
     w_rows = []
     for vec in must_contain:
-        coords = _coords_in_span(vec, space_rows, p)
-        if coords is None:
-            return  # image leaves the subspace: no invariant hyperplane
-        w_rows.append(coords)
-    w_rref = _rref(w_rows, p)
-    r = len(w_rref)
-    if r >= k:
-        return
-    # hyperplanes of F^k containing W <-> hyperplanes of F^k / W
-    for functional in _projective_functionals(k, w_rref, p):
-        rows = _kernel_of_functional(functional, k, p)
-        lifted = []
-        for row in rows:
-            amb = [0] * ambient_dim
-            for c, srow in zip(row, space_rows):
-                if c:
-                    amb = [(a + c * b) % p for a, b in zip(amb, srow)]
-            lifted.append(tuple(amb))
-        yield _rref(lifted, p)
-
-
-def _coords_in_span(vec, rref_rows, p):
-    v = list(vec)
-    coords = [0] * len(rref_rows)
-    for idx, row in enumerate(rref_rows):
-        lead = next(i for i, x in enumerate(row) if x)
-        if v[lead] % p:
-            f = v[lead]
-            coords[idx] = f % p
-            v = [(a - f * b) % p for a, b in zip(v, row)]
-    if any(x % p for x in v):
-        return None
-    return coords
-
-
-def _projective_functionals(k, w_rref, p):
-    """Nonzero functionals on F^k vanishing on W, one per hyperplane.
-
-    Enumerated as normalized projective points of the annihilator of W.
-    """
-    ann = _null_space(w_rref, k, p)
-    d = len(ann)
-    for coeffs in iproduct(range(p), repeat=d):
-        if not any(coeffs):
-            continue
-        lead = next(i for i, c in enumerate(coeffs) if c)
-        if coeffs[lead] != 1:
-            continue
-        functional = [0] * k
-        for c, row in zip(coeffs, ann):
-            if c:
-                functional = [(a + c * b) % p for a, b in zip(functional, row)]
-        yield tuple(functional)
-
-
-def _null_space(rows, k, p):
-    """Basis of the right null space of the given row vectors in F^k."""
-    rref = _rref(rows, p)
-    pivots = []
-    for row in rref:
-        pivots.append(next(i for i, x in enumerate(row) if x))
-    free = [c for c in range(k) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * k
-        vec[f] = 1
-        for row, piv in zip(rref, pivots):
-            vec[piv] = (-row[f]) % p
-        basis.append(tuple(vec))
-    return basis
-
-
-def _kernel_of_functional(coeffs, k, p):
-    """Basis of the kernel of a nonzero functional on F^k."""
-    lead = next(i for i, c in enumerate(coeffs) if c)
-    inv = pow(coeffs[lead], p - 2, p) if p > 2 else coeffs[lead]
-    rows = []
-    for j in range(k):
-        if j == lead:
-            continue
-        row = [0] * k
-        row[j] = 1
-        row[lead] = (-coeffs[j] * inv) % p
-        rows.append(tuple(row))
-    return rows
+        c = coords(vec, space_rows, p)
+        if c is None:
+            return  # an image leaves the space: no invariant hyperplane
+        w_rows.append(c)
+    ann = null_space(w_rows, len(space_rows), p)
+    ann_cols = tuple(zip(*ann))
+    for point in iproduct(range(p), repeat=len(ann)):
+        if next((c for c in point if c), 0) != 1:
+            continue  # one representative per projective point
+        phi = mat_vec(ann_cols, point, p)
+        # rref of the rows (phi_j | space row j): the first row holds the
+        # pivot in column 0, and the rest, less that column, are the rref
+        # of the kernel of phi on the space
+        reduced = rref([(f,) + row for f, row in zip(phi, space_rows)], p)
+        yield tuple(row[1:] for row in reduced[1:])
 
 
 # -- Euler characteristics by interpolation ----------------------------------------
@@ -985,38 +873,6 @@ class FiltrationCertificate:
             self.layers.append((root, int(mult), {int(v): list(vs) for v, vs in span.items()}))
 
 
-def _rref_q(rows):
-    rows = [list(map(Fraction, r)) for r in rows if any(r)]
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    pr = 0
-    for c in range(ncols):
-        piv = next((r for r in range(pr, len(rows)) if rows[r][c] != 0), None)
-        if piv is None:
-            continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        rows[pr] = [v / rows[pr][c] for v in rows[pr]]
-        for r in range(len(rows)):
-            if r != pr and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
-        pr += 1
-        if pr == len(rows):
-            break
-    return tuple(tuple(r) for r in rows[:pr] if any(r))
-
-
-def _in_span_q(vec, rref_rows):
-    v = list(map(Fraction, vec))
-    for row in rref_rows:
-        lead = next(i for i, x in enumerate(row) if x != 0)
-        if v[lead] != 0:
-            f = v[lead]
-            v = [a - f * b for a, b in zip(v, row)]
-    return all(x == 0 for x in v)
-
-
 def hn_verify(rep: QuiverRep, cert: FiltrationCertificate):
     """Check a Harder-Narasimhan certificate and return the Lusztig datum.
 
@@ -1033,7 +889,7 @@ def hn_verify(rep: QuiverRep, cert: FiltrationCertificate):
     rank = {pos: k for k, pos in enumerate(order)}
     datum = [0] * len(order)
     prev = [
-        _rref_q([tuple(1 if a == b else 0 for a in range(d)) for b in range(d)])
+        rref([tuple(1 if a == b else 0 for a in range(d)) for b in range(d)])
         for d in rep.dims
     ]
     last_rank = -1
@@ -1046,7 +902,7 @@ def hn_verify(rep: QuiverRep, cert: FiltrationCertificate):
         current = []
         for v in range(1, m):
             vectors = span.get(v, [])
-            current.append(_rref_q(vectors))
+            current.append(rref(vectors))
         _check_layer(rep, prev, current, root, mult, layer_no)
         datum[rank[root]] = mult
         prev = current
@@ -1061,13 +917,12 @@ def _check_layer(rep, big, small, root, mult, layer_no):
     # small must be an arrow-invariant subspace chain inside big
     for v in range(1, m):
         for row in small[v - 1]:
-            if not _in_span_q(row, big[v - 1]):
+            if coords(row, big[v - 1]) is None:
                 raise ValueError(f"layer {layer_no}: not contained in the previous layer")
     for (src, dst) in arrow_pairs(m):
         mat = rep.maps[(src, dst)]
         for row in small[src - 1]:
-            img = [sum(mat[r][c] * row[c] for c in range(len(row))) for r in range(rep.dims[dst - 1])]
-            if any(img) and not _in_span_q(img, small[dst - 1]):
+            if coords(mat_vec(mat, row), small[dst - 1]) is None:
                 raise ValueError(f"layer {layer_no}: span is not a submodule")
     # quotient dimension vector must equal mult * root
     quo_dims = tuple(len(b) - len(s) for b, s in zip(big, small))
@@ -1080,50 +935,39 @@ def _check_layer(rep, big, small, root, mult, layer_no):
     lifts = []
     for v in range(1, m):
         lift = []
-        span_rows = list(small[v - 1])
+        span = small[v - 1]
         for row in big[v - 1]:
-            if not _in_span_q(row, _rref_q(span_rows)):
+            if coords(row, span) is None:
                 lift.append(row)
-                span_rows.append(row)
+                span = rref(span + (row,))
         lifts.append(lift)
     for v in range(i, j - 1):
-        # down arrow v+1 -> v must be an isomorphism on the quotient
+        # down arrow v+1 -> v must be an isomorphism on the quotient:
+        # the images of the lifts stay independent modulo small
         mat = rep.maps[(v + 1, v)]
-        images = []
-        for row in lifts[v]:
-            img = [sum(mat[r][c] * row[c] for c in range(len(row))) for r in range(rep.dims[v - 1])]
-            images.append(img)
-        # reduce images modulo small at v; residues must be independent
-        reduced = []
-        for img in images:
-            w = list(img)
-            for srow in small[v - 1]:
-                lead = next(k for k, x in enumerate(srow) if x != 0)
-                if w[lead] != 0:
-                    f = w[lead]
-                    w = [a - f * b for a, b in zip(w, srow)]
-            reduced.append(w)
-        if len(_rref_q(reduced)) != mult:
+        images = tuple(mat_vec(mat, row) for row in lifts[v])
+        if len(rref(small[v - 1] + images)) - len(small[v - 1]) != mult:
             raise ValueError(f"layer {layer_no}: down arrow {v + 1}->{v} not full rank on the quotient")
     for v in range(i, j - 1):
         # up arrow v -> v+1 must vanish on the quotient
         mat = rep.maps[(v, v + 1)]
         for row in lifts[v - 1]:
-            img = [sum(mat[r][c] * row[c] for c in range(len(row))) for r in range(rep.dims[v])]
-            if any(img) and not _in_span_q(img, small[v]):
+            if coords(mat_vec(mat, row), small[v]) is None:
                 raise ValueError(f"layer {layer_no}: up arrow {v}->{v + 1} nonzero on the quotient")
 
 
 # -- fixtures -----------------------------------------------------------------------
 
 
-def load_module_fixture(payload, params=None) -> QuiverRep:
-    """Build a representation from a fixture dict, evaluating parameters."""
+def _read_fixture(payload, params):
+    """The fixture dict (read from a path if given one) and its entry parser.
+
+    Entries may be polynomials in the fixture's parameters; every parameter
+    needs a value in `params`.
+    """
     if isinstance(payload, str):
         with open(payload) as fh:
             payload = json.load(fh)
-    m = payload["m"]
-    dims = payload["dims"]
     param_names = tuple(payload.get("params", []))
     values = {k: Fraction(v) for k, v in (params or {}).items()}
     for name in param_names:
@@ -1136,32 +980,26 @@ def load_module_fixture(payload, params=None) -> QuiverRep:
             return poly.evaluate(values)
         return Fraction(str(text))
 
+    return payload, entry
+
+
+def load_module_fixture(payload, params=None) -> QuiverRep:
+    """Build a representation from a fixture dict, evaluating parameters."""
+    payload, entry = _read_fixture(payload, params)
     maps = {}
     for key, rows in payload["arrows"].items():
         src, dst = key.split("->")
         maps[(int(src), int(dst))] = [[entry(v) for v in row] for row in rows]
-    return QuiverRep(m, dims, maps, "Q")
+    return QuiverRep(payload["m"], payload["dims"], maps, "Q")
 
 
 def load_certificate(payload, params=None) -> FiltrationCertificate:
     """Parse an HN certificate; entries may involve the fixture parameters."""
-    if isinstance(payload, str):
-        with open(payload) as fh:
-            payload = json.load(fh)
-    m = payload["m"]
-    param_names = tuple(payload.get("params", []))
-    values = {k: Fraction(v) for k, v in (params or {}).items()}
-
-    def entry(text):
-        if param_names:
-            poly = MultiPoly.parse(str(text).replace(" ", ""), param_names)
-            return poly.evaluate(values)
-        return Fraction(str(text))
-
+    payload, entry = _read_fixture(payload, params)
     layers = []
     for layer in payload["hn_certificate"]:
         span = {}
         for v, vectors in layer.get("sub", {}).items():
             span[int(v)] = [[entry(x) for x in vec] for vec in vectors]
         layers.append((tuple(layer["root"]), layer["mult"], span))
-    return FiltrationCertificate(m, layers)
+    return FiltrationCertificate(payload["m"], layers)

@@ -9,13 +9,14 @@ from mvtk.exactalg import (
     WeightAssignment,
     dimension,
     groebner,
+    minimal_primes,
     monomial_ideal_summary,
     multidegree,
     multidegree_monomial,
-    multidegree_monomial_recursive,
     multigraded_hilbert,
     poly_ring,
 )
+from mvtk.exactalg.mdeg import _minimalize
 from mvtk.roota import Weight, alpha_names
 
 
@@ -67,6 +68,67 @@ def _random_monomial_or_binomial_ideal(rng, names):
                     MultiPoly(names, {mon1: Fraction(1), mon2: Fraction(-rng.randint(1, 2))})
                 )
     return gens
+
+
+# -- recursive multidegree oracle ---------------------------------------------
+# Peeling a variable x off a monomial ideal J splits the class of V(J) into
+# the parts inside and transverse to the hyperplane x = 0,
+#
+#     mdeg(J) = mdeg(J + (x)) + mdeg(J : x)
+#
+# where a summand only contributes when its codimension still equals
+# codim(J), and the base case (a coordinate-subspace ideal) has multidegree
+# equal to the product of its variables' weights.  multidegree_monomial
+# sums over the top-dimensional minimal primes instead.
+
+
+def multidegree_monomial_recursive(lead_monomials, w):
+    """Oracle route: hyperplane splitting, filtered by codimension."""
+    alpha = w.alpha_names
+    nvars = len(w.variables)
+
+    def codim_of(gens):
+        if not gens:
+            return 0
+        return min(len(p) for p in minimal_primes(gens))
+
+    def rec(gens):
+        gens = _minimalize(gens)
+        if any(not any(g) for g in gens):
+            raise ValueError("unit ideal has no multidegree")
+        if not gens:
+            return MultiPoly.constant(alpha, 1)
+        if all(sum(g) == 1 for g in gens):
+            term = MultiPoly.constant(alpha, 1)
+            for g in gens:
+                i = next(j for j, e in enumerate(g) if e)
+                term = term * w.form(w.variables[i])
+            return term
+        c = codim_of(gens)
+        # deterministic pivot: first variable occurring in a non-linear generator
+        pivot = None
+        for g in gens:
+            if sum(g) > 1:
+                pivot = next(j for j, e in enumerate(g) if e)
+                break
+        unit = tuple(1 if j == pivot else 0 for j in range(nvars))
+        plus = _minimalize(list(gens) + [unit])
+        colon = _minimalize(
+            tuple(e - 1 if j == pivot and e else e for j, e in enumerate(g))
+            for g in gens
+        )
+        total = MultiPoly.zero(alpha)
+        if codim_of(plus) == c:
+            total = total + rec(plus)
+        if colon and any(any(g) for g in colon):
+            if codim_of(colon) == c:
+                total = total + rec(colon)
+        else:
+            # colon ideal became the whole ring: V(J:x) empty contribution
+            pass
+        return total
+
+    return rec(list(lead_monomials))
 
 
 def test_order_independence_and_recursion_on_random_ideals():

@@ -1,10 +1,17 @@
 import importlib.resources as res
+import json
 
 import pytest
 
 from mvtk import orbital
-from mvtk.orbital import Tableau, dbar_mv, orbital_ideal
-from mvtk.preproj import flag_function, load_module_fixture
+from mvtk.orbital import Tableau, dbar_mv, orbital_ideal, plucker_chart, plucker_sections
+from mvtk.preproj import (
+    SubmoduleLattice,
+    euler_interpolate,
+    flag_function,
+    load_module_fixture,
+)
+from mvtk.roota import Weight
 
 FIXTURES = res.files("mvtk") / "fixtures"
 A4_TAU = [[1, 2], [3, 4], [5]]
@@ -31,3 +38,31 @@ def test_orbital_ideal_reports_failed_extraction(monkeypatch):
     monkeypatch.setattr(orbital, "dimension", lambda gens, nvars: -1)
     with pytest.raises(ValueError, match="component extraction failed"):
         orbital_ideal(Tableau(A4_TAU))
+
+
+@pytest.fixture(scope="module")
+def a4_plucker():
+    # checked against the fixture's Pluecker relations, signs solved over GF(2)
+    fixture = json.loads((FIXTURES / "a4_plucker.json").read_text())
+    return plucker_chart(Tableau(A4_TAU), fixture=fixture)
+
+
+@pytest.mark.parametrize("n, total", [(1, 17), (2, 110)])
+def test_a4_sections_equal_chain_euler_characteristics(a4_plucker, n, total):
+    # identity (b): the degree-n sections, by weight, are the Euler
+    # characteristics of the n-step chain varieties of the A4 module
+    sections = plucker_sections(Tableau(A4_TAU), n, chart=a4_plucker)
+    assert sum(sections.values()) == total
+    a4 = load_module_fixture(str(FIXTURES / "a4_module.json"))
+    primes = (2, 3, 5, 7, 11, 13, 17, 19)
+    samples = {}
+    for q in primes:
+        for dims, count in SubmoduleLattice(a4.reduce_mod(q)).chain_counts_by_total(n).items():
+            samples.setdefault(dims, []).append((q, count))
+    chains = {}
+    for dims, points in samples.items():
+        chi = euler_interpolate(points, len(primes) - 2)
+        if chi:
+            weight = Weight.from_alpha(a4.m, dims)
+            chains[weight] = chains.get(weight, 0) + chi
+    assert sections == chains

@@ -447,6 +447,12 @@ def test_hn_certificate_a5():
         assert hn_verify(Ma, cert) == (0, 1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0)
 
 
+@pytest.mark.parametrize("load", [load_module_fixture, load_certificate])
+def test_fixture_loaders_reject_a_missing_parameter(load):
+    with pytest.raises(ValueError, match="missing value for parameter 'a'"):
+        load(str(FIXTURES / "a5_module.json"))
+
+
 def test_hn_rejects_wrong_certificate():
     from mvtk.preproj import FiltrationCertificate
 
