@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .exactalg.linalg import solve
 from .exactalg.poly import MultiPoly
-from .measures import RatFunc, dbar_i, measure_from_coeffs
+from .measures import RatFunc, measure_from_coeffs
 from .roota import Weight, alpha_names, sequences
 
 
@@ -356,7 +356,6 @@ def weyl_witness(x, i: int):
     # exact verification of the factorization and the shape of y
     for a in range(m):
         for b in range(m):
-            expect = Fraction(1) if a == b else None
             if b > a and y[a][b] != 0:
                 raise AssertionError("witness y is not lower-unitriangular")
             if a == b and y[a][b] != 1:

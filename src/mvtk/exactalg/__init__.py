@@ -9,7 +9,6 @@ from .groebner import (
     eliminate,
     groebner,
     homogenize,
-    ideal_contains,
     ideals_equal,
     in_ideal,
     normal_form,
@@ -36,7 +35,6 @@ __all__ = [
     "groebner",
     "normal_form",
     "in_ideal",
-    "ideal_contains",
     "ideals_equal",
     "eliminate",
     "saturate",

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
-from .poly import GREVLEX, LEX, MultiPoly, TermOrder
+from .poly import GREVLEX, MultiPoly, TermOrder
 
 IntPoly = dict  # monomial tuple -> int coefficient, content-free
 
@@ -287,15 +287,19 @@ def _interreduce(basis: list, order) -> list:
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis; members are monic MultiPoly."""
+    """Reduced Groebner basis; members are monic MultiPoly.
 
-    __slots__ = ("order", "gens", "variables", "reduced")
+    It is built only from members already reduced for `order` (by
+    `groebner`, `eliminate`, `saturate`, `homogenize`), so the operations
+    that take generators accept it without running Buchberger again.
+    """
+
+    __slots__ = ("order", "gens", "variables")
 
     def __init__(self, variables, gens: Sequence[MultiPoly], order: TermOrder):
         self.variables = tuple(variables)
         self.gens = tuple(gens)
         self.order = order
-        self.reduced = True
 
     def leading_monomials(self) -> list:
         return [g.leading_monomial(self.order) for g in self.gens]
@@ -329,6 +333,8 @@ def _check_same_ring(gens: Sequence[MultiPoly]):
 
 
 def groebner(gens: Sequence[MultiPoly], order: TermOrder = GREVLEX) -> GroebnerBasis:
+    if isinstance(gens, GroebnerBasis) and gens.order == order:
+        return gens
     gens = [g for g in gens if not g.is_zero()]
     variables = _check_same_ring(gens)
     if variables is None:
@@ -379,16 +385,17 @@ def in_ideal(f: MultiPoly, G: GroebnerBasis) -> bool:
     return normal_form(f, G).is_zero()
 
 
-def ideal_contains(G_big: GroebnerBasis, gens: Iterable[MultiPoly]) -> bool:
-    return all(in_ideal(g, G_big) for g in gens)
-
-
 def ideals_equal(gens_a: Sequence[MultiPoly], gens_b: Sequence[MultiPoly],
                  order: TermOrder = GREVLEX) -> bool:
-    """Mutual containment of two ideals given by generators in one ring."""
+    """Equality of two ideals in one ring, by comparing their reduced bases.
+
+    The reduced basis of an ideal is unique for the order, so the ideals are
+    equal exactly when the bases are.  Either side may already be a basis.
+    The zero ideal's basis is empty whatever ring it was built in.
+    """
     Ga = groebner(gens_a, order)
     Gb = groebner(gens_b, order)
-    return ideal_contains(Ga, gens_b) and ideal_contains(Gb, gens_a)
+    return Ga == Gb or not (Ga.gens or Gb.gens)
 
 
 # -- variable bookkeeping -----------------------------------------------------
@@ -410,30 +417,38 @@ def _extend_ring(gens: Sequence[MultiPoly], extra: str, front: bool):
     return new_vars, [g.rename(new_vars) for g in gens]
 
 
-def eliminate(gens: Sequence[MultiPoly], drop: Iterable[str]) -> list:
-    """Generators of the ideal intersected with the subring without `drop`."""
+def eliminate(gens: Sequence[MultiPoly], drop: Iterable[str]) -> GroebnerBasis:
+    """Reduced grevlex basis of the ideal intersected with the subring without `drop`.
+
+    The block order compares the `drop` variables first and breaks ties by
+    grevlex on the rest, so by the Elimination Theorem (Cox-Little-O'Shea,
+    Ideals, Varieties, and Algorithms, ch. 3, sec. 1) the members of its
+    reduced basis free of `drop` form a Groebner basis of the elimination
+    ideal for grevlex.  Restricting them to the kept variables changes no
+    term, so they stay monic and reduced, in the same order.
+    """
     gens = [g for g in gens if not g.is_zero()]
     variables = _check_same_ring(gens)
     drop = tuple(drop)
     if variables is None:
-        return []
+        return groebner(())
     for v in drop:
         if v not in variables:
             raise ValueError(f"cannot drop unknown variable {v!r}")
     keep = tuple(v for v in variables if v not in drop)
-    ordered = tuple(drop) + keep
-    reordered = [g.rename(ordered) for g in gens]
+    reordered = [g.rename(drop + keep) for g in gens]
     G = groebner(reordered, TermOrder("block", len(drop)))
-    out = []
-    for g in G.gens:
-        if g.support_variables() & set(drop):
-            continue
-        out.append(g.restrict(keep))
-    return out
+    dropped = set(drop)
+    out = [g.restrict(keep) for g in G.gens if not g.support_variables() & dropped]
+    return GroebnerBasis(keep, out, GREVLEX)
 
 
-def saturate(gens: Sequence[MultiPoly], f: MultiPoly) -> list:
-    """(I : f^infinity) by the extra-variable method."""
+def saturate(gens: Sequence[MultiPoly], f: MultiPoly) -> GroebnerBasis:
+    """Reduced grevlex basis of (I : f^infinity), by the extra-variable method.
+
+    (I : f^infinity) = (I + (1 - y*f)) cap k[x]; the auxiliary y goes in
+    front of the ring, so `eliminate` returns the basis in the ring of I.
+    """
     if f.is_zero():
         raise ValueError("cannot saturate by zero")
     gens = [g for g in gens if not g.is_zero()]
@@ -441,14 +456,13 @@ def saturate(gens: Sequence[MultiPoly], f: MultiPoly) -> list:
     if f.variables != variables:
         raise ValueError("saturating element lives in a different ring")
     if not gens:
-        return []
+        return GroebnerBasis(variables, (), GREVLEX)
     aux = _fresh_name(variables, "zsat")
     new_vars, lifted = _extend_ring(gens, aux, front=True)
     f_l = f.rename(new_vars)
     y = MultiPoly.var(new_vars, aux)
     lifted.append(y * f_l - MultiPoly.constant(new_vars, 1))
-    result = eliminate(lifted, (aux,))
-    return [g.restrict(variables) if g.variables != variables else g for g in result]
+    return eliminate(lifted, (aux,))
 
 
 def _exact_poly_division(g: MultiPoly, f: MultiPoly) -> MultiPoly:
@@ -497,18 +511,19 @@ def _exact_poly_division(g: MultiPoly, f: MultiPoly) -> MultiPoly:
     return MultiPoly(g.variables, quo)
 
 
-def homogenize(gens: Sequence[MultiPoly], hvar: str) -> list:
-    """Generators of the homogenization (w.r.t. total degree) of the ideal.
+def homogenize(gens: Sequence[MultiPoly], hvar: str) -> GroebnerBasis:
+    """Reduced grevlex basis of the homogenization (in total degree) of the ideal.
 
-    Homogenizes a grevlex Groebner basis, which is enough to generate the
-    homogenized ideal; the result is saturated with respect to hvar.
+    The ring is the ideal's variables followed by `hvar`.  Homogenizing the
+    reduced grevlex basis G of I gives a Groebner basis of I^h
+    (Cox-Little-O'Shea, ch. 8, sec. 4, Theorem 4): on homogeneous polynomials
+    the order used there is grevlex with `hvar` last.  Each g^h keeps the
+    leading monomial of g and maps no other term onto a multiple of a lead,
+    so G^h is reduced, monic and in the same order.  In particular I^h is
+    saturated with respect to hvar.
     """
-    gens = [g for g in gens if not g.is_zero()]
-    variables = _check_same_ring(gens)
-    if variables is None:
-        return []
     G = groebner(gens, GREVLEX)
-    new_vars = variables + (hvar,)
+    new_vars = G.variables + (hvar,)
     out = []
     for g in G.gens:
         d = g.total_degree()
@@ -516,4 +531,4 @@ def homogenize(gens: Sequence[MultiPoly], hvar: str) -> list:
         for m, c in g.terms.items():
             terms[m + (d - sum(m),)] = c
         out.append(MultiPoly(new_vars, terms))
-    return out
+    return GroebnerBasis(new_vars, out, GREVLEX)

@@ -13,10 +13,9 @@ finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .groebner import GroebnerBasis, groebner, saturate, ideals_equal
+from .groebner import GroebnerBasis, groebner
 from .poly import GREVLEX, MultiPoly, TermOrder
 
 
@@ -158,20 +157,17 @@ def monomial_ideal_summary(lead_monomials: Sequence[tuple], nvars: int) -> Monom
 # -- multidegree --------------------------------------------------------------
 
 
-def _initial_ideal(gens: Sequence[MultiPoly], order: TermOrder) -> tuple:
+def _initial_ideal(gens: Sequence[MultiPoly] | GroebnerBasis, order: TermOrder) -> tuple:
     G = groebner(gens, order)
     if any(g.is_constant() for g in G.gens):
         raise ValueError("unit ideal has no multidegree")
-    return G, [g.leading_monomial(order) for g in G.gens]
+    return G, G.leading_monomials()
 
 
-def multidegree(gens: Sequence[MultiPoly], w: WeightAssignment,
+def multidegree(gens: Sequence[MultiPoly] | GroebnerBasis, w: WeightAssignment,
                 order: TermOrder = GREVLEX) -> MultiPoly:
     """Torus-equivariant class of V(I) inside the weighted coordinate space."""
     w.check_nonzero()
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return MultiPoly.constant(w.alpha_names, 1)
     _, lead = _initial_ideal(gens, order)
     return multidegree_monomial(lead, w)
 
@@ -192,16 +188,14 @@ def multidegree_monomial(lead_monomials: Sequence[tuple], w: WeightAssignment) -
     return total
 
 
-def dimension(gens: Sequence[MultiPoly], nvars: int | None = None,
+def dimension(gens: Sequence[MultiPoly] | GroebnerBasis, nvars: int | None = None,
               order: TermOrder = GREVLEX) -> int:
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
+    G, lead = _initial_ideal(gens, order)
+    if not G.gens:
         if nvars is None:
             raise ValueError("dimension of the zero ideal needs the ambient size")
         return nvars
-    n = len(gens[0].variables)
-    G, lead = _initial_ideal(gens, order)
-    return monomial_ideal_summary(lead, n).dimension
+    return monomial_ideal_summary(lead, len(G.variables)).dimension
 
 
 # -- multigraded Hilbert function --------------------------------------------
@@ -229,32 +223,20 @@ def _degree_n_monomials(nvars: int, n: int):
     yield from rec(0, n)
 
 
-def multigraded_hilbert(gens: Sequence[MultiPoly], w: WeightAssignment, n: int,
-                        hvar: str | None = None) -> dict:
+def multigraded_hilbert(gens: Sequence[MultiPoly] | GroebnerBasis, w: WeightAssignment,
+                        n: int) -> dict:
     """Weight histogram of the degree-n standard monomials of in(I).
 
-    I must be homogeneous in total degree.  When `hvar` names the
-    homogenizing variable, the precondition (I : hvar^inf) == I is checked
-    and the saturation is substituted if it fails.
+    I must be homogeneous in total degree, which holds exactly when its
+    reduced grevlex basis is homogeneous.
     """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        variables = w.variables
-        lead = []
-    else:
-        for g in gens:
-            if not g.is_homogeneous():
-                raise ValueError("ideal is not homogeneous in total degree")
-        variables = gens[0].variables
-        if hvar is not None:
-            u = MultiPoly.var(variables, hvar)
-            sat = saturate(gens, u)
-            if not ideals_equal(sat, gens):
-                gens = sat
-        G = groebner(gens, GREVLEX)
-        if any(g.is_constant() for g in G.gens):
-            raise ValueError("unit ideal")
-        lead = G.leading_monomials()
+    G = groebner(gens, GREVLEX)
+    if any(g.is_constant() for g in G.gens):
+        raise ValueError("unit ideal")
+    if any(not g.is_homogeneous() for g in G.gens):
+        raise ValueError("ideal is not homogeneous in total degree")
+    variables = G.variables if G.gens else w.variables
+    lead = G.leading_monomials()
     if tuple(variables) != w.variables:
         raise ValueError("weight assignment does not match the ring")
     nvars = len(variables)

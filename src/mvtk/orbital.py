@@ -19,7 +19,6 @@ from itertools import combinations
 from math import comb
 
 from .exactalg import (
-    GREVLEX,
     GroebnerBasis,
     MultiPoly,
     WeightAssignment,
@@ -28,7 +27,6 @@ from .exactalg import (
     groebner,
     homogenize,
     ideals_equal,
-    in_ideal,
     multidegree,
     multigraded_hilbert,
     normal_form,
@@ -36,7 +34,7 @@ from .exactalg import (
 )
 from .exactalg.linalg import solve
 from .measures import RatFunc
-from .roota import Weight, alpha_names, p_mu, root_positions
+from .roota import Weight, alpha_names, root_positions
 
 
 # -- tableaux ---------------------------------------------------------------------
@@ -491,11 +489,15 @@ def _witness_candidates(reduced, t, zero, limit=12):
 @dataclass
 class OrbitalIdeal:
     chart: TmuChart
-    gens: tuple  # reduced Groebner basis, grevlex
+    basis: GroebnerBasis  # reduced, grevlex, in the ring without removed_vars
     provenance: str
     dim: int
     tableau: Tableau
     removed_vars: tuple = ()  # variables forced to zero, pruned from the ring
+
+    @property
+    def gens(self) -> tuple:
+        return self.basis.gens
 
     def weight_assignment(self) -> WeightAssignment:
         live = [v for v in self.chart.variables if v not in self.removed_vars]
@@ -504,11 +506,17 @@ class OrbitalIdeal:
         )
 
     def groebner_basis(self) -> GroebnerBasis:
-        return groebner(self.gens, GREVLEX)
+        return self.basis
 
 
 def _prune_zero_variables(gens, variables):
-    """Remove variables that appear as bare generators; substitute zero."""
+    """Remove variables that appear as bare generators; substitute zero.
+
+    A reduced basis comes back as a basis: no other member of it contains
+    a bare member's variable (that term would reduce by the bare member), so
+    pruning only drops the bare members and shrinks the ring of the rest,
+    leaving them reduced, monic and in their order.
+    """
     removed = []
     current = list(gens)
     names = tuple(variables)
@@ -537,6 +545,10 @@ def _prune_zero_variables(gens, variables):
             if not p.is_zero():
                 nxt.append(p)
         current = nxt
+    if isinstance(gens, GroebnerBasis):
+        if removed:
+            gens = GroebnerBasis(names, current, gens.order)
+        return gens, names, tuple(removed)
     return current, names, tuple(removed)
 
 
@@ -555,29 +567,25 @@ def orbital_ideal(tau: Tableau, provenance: str = "computed-saturation") -> Orbi
             return None
         return trimmed.restrict(live_names)
 
-    current = list(groebner(gens).gens) if gens else []
+    current = groebner(gens)
     for raw_w in rc.witnesses:
         if not current:
             break
         w = fit(raw_w)
         if w is None or w.is_constant():
             continue
-        G = groebner(current)
-        if normal_form(w, G).is_zero():
+        if normal_form(w, current).is_zero():
             continue
         sat = saturate(current, w)
-        if sat and any(g.is_constant() for g in sat):
+        if any(g.is_constant() for g in sat):
             continue
-        new_dim = dimension(sat, nvars=len(live_names)) if sat else len(live_names)
-        if new_dim < target:
+        if dimension(sat, nvars=len(live_names)) < target:
             continue
-        if not ideals_equal(sat, current):
-            current = list(groebner(sat).gens)
-        # re-prune bare variables the saturation may have exposed
-        current, live_names, removed2 = _prune_zero_variables(current, live_names)
+        # the saturation's basis replaces I's (the same basis if nothing
+        # changed); re-prune bare variables the saturation may have exposed
+        current, live_names, removed2 = _prune_zero_variables(sat, live_names)
         removed = removed + removed2
-    final = groebner(current) if current else None
-    dim_final = dimension(current, nvars=len(live_names)) if current else len(live_names)
+    dim_final = dimension(current, nvars=len(live_names))
     if dim_final != target:
         raise ValueError(
             f"component extraction failed: dim {dim_final} != {target}; "
@@ -585,7 +593,7 @@ def orbital_ideal(tau: Tableau, provenance: str = "computed-saturation") -> Orbi
         )
     return OrbitalIdeal(
         chart=chart,
-        gens=tuple(final.gens) if final else (),
+        basis=current,
         provenance=provenance,
         dim=dim_final,
         tableau=tau,
@@ -597,10 +605,7 @@ def orbital_multidegree(orb: OrbitalIdeal) -> MultiPoly:
     """Multidegree in the full chart: pruned zero variables multiply back in."""
     w = orb.weight_assignment()
     names = alpha_names(orb.chart.m)
-    if orb.gens:
-        md = multidegree(list(orb.gens), w)
-    else:
-        md = MultiPoly.constant(names, 1)
+    md = multidegree(orb.basis, w)
     for v in orb.removed_vars:
         md = md * orb.chart.weights[v].linear_form(names)
     return md
@@ -628,8 +633,8 @@ class PluckerChart:
     subsets: tuple        # tuple of tuples; negative entries mean barred columns
     variables: tuple      # u first, then b1.., aligned with subsets
     weights: dict         # variable -> Weight
-    kernel: tuple         # generators of the affine kernel ideal in the b ring
-    homogeneous: tuple    # generators of the homogenized ideal in (b..., u)
+    kernel: GroebnerBasis       # the affine kernel ideal in the b ring
+    homogeneous: GroebnerBasis  # its homogenization, saturated by u, in (b..., u)
 
 
 def _minor_subsets(m: int):
@@ -659,7 +664,9 @@ def plucker_chart(tau: Tableau, orb: OrbitalIdeal | None = None,
 
     Requires the two-step window: mu = (1,...,1) and at most two columns.
     The kernel comes from eliminating the chart variables; when a fixture
-    is supplied its generators are checked for mutual containment.
+    is supplied its generators must generate the same ideal.  The
+    homogenized kernel is saturated by u once here, and the saturated
+    basis is stored, so the section counts run no Buchberger.
     """
     m = tau.m
     mu = tau.content()
@@ -671,7 +678,7 @@ def plucker_chart(tau: Tableau, orb: OrbitalIdeal | None = None,
     orb = orb or orbital_ideal(tau)
     chart = orb.chart
     A = chart.generic_matrix()
-    G = orb.groebner_basis()
+    G = orb.basis
     live = G.variables if G.gens else tuple(v for v in chart.variables if v not in orb.removed_vars)
 
     def to_live(p: MultiPoly) -> MultiPoly:
@@ -721,24 +728,26 @@ def plucker_chart(tau: Tableau, orb: OrbitalIdeal | None = None,
     # kernel: eliminate the chart variables from (b - minor) + I
     big_vars = live + tuple(n for n in names if n != "u")
     lifted = []
-    for g in (G.gens if G.gens else ()):  # the orbital relations
+    for g in G.gens:  # the orbital relations
         lifted.append(g.rename(big_vars))
     for name, minor in zip(names, minors):
         if name == "u":
             continue  # the identity minor is 1 on the chart
         lifted.append(MultiPoly.var(big_vars, name) - minor.rename(big_vars))
-    kernel = eliminate(lifted, live) if lifted else []
-    kernel = [g.restrict(tuple(n for n in names if n != "u")) for g in kernel]
+    kernel = eliminate(lifted, live)
     if fixture is not None:
         _check_plucker_fixture(kernel, names, subsets, fixture)
+    # homogenizing a grevlex basis already gives an ideal saturated by u;
+    # the saturation is computed, not assumed, and its basis is the one kept
     hom = homogenize(kernel, "u")
+    homogeneous = saturate(hom, MultiPoly.var(hom.variables, "u"))
     return PluckerChart(
         m=m,
         subsets=tuple(subsets),
         variables=names,
         weights=weights,
-        kernel=tuple(kernel),
-        homogeneous=tuple(hom),
+        kernel=kernel,
+        homogeneous=homogeneous,
     )
 
 
@@ -755,7 +764,7 @@ def _substitute_removed(p: MultiPoly, removed) -> MultiPoly:
 
 
 def _check_plucker_fixture(kernel, names, subsets, fixture):
-    """Mutual containment against fixture generators given per-subset labels.
+    """Equality of the kernel ideal with fixture generators given per-subset labels.
 
     The reference coordinates may differ from the computed minors by signs
     (a choice of basis vector per wedge coordinate, invisible to every
@@ -774,7 +783,7 @@ def _check_plucker_fixture(kernel, names, subsets, fixture):
     bn = tuple(n for n in names if n != "u")
     labels = tuple(fixture["minors"].keys())
     parsed = [MultiPoly.parse(text, labels) for text in fixture["generators"]]
-    G = groebner(list(kernel)) if kernel else None
+    kernel = groebner(kernel)  # returns the chart's basis as it is
 
     def substituted(poly, flips):
         images = {}
@@ -805,11 +814,7 @@ def _check_plucker_fixture(kernel, names, subsets, fixture):
                 if (pattern >> k) & 1:
                     trial[mon] = -trial[mon]
             cand = substituted(MultiPoly(labels, trial), set())
-            if G is None:
-                ok = cand.is_zero()
-            else:
-                ok = normal_form(cand, G).is_zero()
-            if ok:
+            if normal_form(cand, kernel).is_zero():
                 found = pattern
                 break
         if found is None:
@@ -825,7 +830,7 @@ def _check_plucker_fixture(kernel, names, subsets, fixture):
         raise AssertionError("inconsistent sign constraints for the fixture") from None
     flip_set = {labels[v] for v, f in zip(flip_idx, flips) if f}
     fixture_gens = [substituted(p, flip_set) for p in parsed]
-    if not ideals_equal(list(kernel), fixture_gens):
+    if not ideals_equal(fixture_gens, kernel):
         raise AssertionError("computed kernel does not match the fixture ideal")
     return flip_set
 
@@ -841,9 +846,8 @@ def plucker_sections(tau: Tableau, n: int, chart: PluckerChart | None = None,
     chart = chart or plucker_chart(tau)
     m = chart.m
     ring = tuple(n2 for n2 in chart.variables if n2 != "u") + ("u",)
-    gens = [g.rename(ring) for g in chart.homogeneous]
     wa = WeightAssignment(ring, {v: chart.weights[v] for v in ring}, alpha_names(m))
-    raw = multigraded_hilbert(gens, wa, n, hvar="u")
+    raw = multigraded_hilbert(chart.homogeneous, wa, n)
     if not calibrated:
         return raw
     lam = tau.weight_lambda()

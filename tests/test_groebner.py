@@ -3,15 +3,18 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvtk.exactalg import (
     GREVLEX,
     LEX,
+    GroebnerBasis,
     MultiPoly,
     eliminate,
     groebner,
+    homogenize,
     ideals_equal,
     in_ideal,
     normal_form,
@@ -166,7 +169,7 @@ def test_eliminate_basic():
     out = eliminate([b - a**2, a], ["a"])
     assert ideals_equal(out, [MultiPoly.parse("b", ("b",))])
     out2 = eliminate([MultiPoly.parse("y*x - 1", ("y", "x"))], ["y"])
-    assert out2 == []
+    assert not out2.gens
 
 
 def test_ideal_quotient():
@@ -274,3 +277,171 @@ def test_exact_division_fails_exactly_when_the_oracle_does(f, q, r):
             _exact_poly_division(g, f)
     else:
         assert _exact_poly_division(g, f) == expected
+
+
+# -- bases as values ----------------------------------------------------------
+# eliminate, saturate and homogenize return reduced grevlex bases without a
+# final Buchberger run.  Each is checked against groebner() run afresh on its
+# own members, and against sympy's reduced basis of the same ideal, computed
+# by sympy's own elimination (a lex basis) where the ideal is an elimination
+# ideal.  ideals_equal compares reduced bases; the mutual-containment oracle
+# below checks membership by normal forms and is called only by the tests.
+
+
+def ideal_contains(G_big, gens):
+    return all(in_ideal(g, G_big) for g in gens)
+
+
+def _equal_by_containment(gens_a, gens_b):
+    Ga, Gb = groebner(gens_a), groebner(gens_b)
+    return ideal_contains(Ga, gens_b) and ideal_contains(Gb, gens_a)
+
+
+def _to_sympy(polys, syms):
+    return [
+        sum(sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*[s**e for s, e in zip(syms, mon)])
+            for mon, c in p.terms.items())
+        for p in polys
+    ]
+
+
+def _from_sympy(G, variables):
+    return {
+        MultiPoly(variables, {mon: Fraction(int(c.numerator), int(c.denominator))
+                              for mon, c in q.terms()})
+        for q in G.polys
+    }
+
+
+def _sympy_grevlex(polys, variables):
+    syms = sympy.symbols(variables)
+    G = sympy.groebner(_to_sympy(polys, syms), *syms, order="grevlex", domain=sympy.QQ)
+    return _from_sympy(G, variables)
+
+
+def _sympy_eliminate(polys, variables, drop):
+    """Reduced grevlex basis of the elimination ideal, by a sympy lex basis."""
+    keep = tuple(v for v in variables if v not in drop)
+    syms = sympy.symbols(variables)
+    lead = [sympy.Symbol(v) for v in drop]
+    rest = [sympy.Symbol(v) for v in keep]
+    G = sympy.groebner(_to_sympy(polys, syms), *lead, *rest, order="lex", domain=sympy.QQ)
+    tail = [g for g in G.exprs if not g.free_symbols & set(lead)]
+    if not tail:
+        return set()
+    Gk = sympy.groebner(tail, *rest, order="grevlex", domain=sympy.QQ)
+    return _from_sympy(Gk, keep)
+
+
+def _assert_fresh_basis(G):
+    assert isinstance(G, GroebnerBasis) and G.order == GREVLEX
+    fresh = groebner(list(G.gens))
+    # groebner() of no generators cannot know the ring of an empty basis
+    assert G == fresh or not (G.gens or fresh.gens)
+    assert [str(g) for g in G] == [str(g) for g in fresh]
+
+
+_SMALL_POLYS = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3).filter(lambda m: sum(m) <= 2),
+    st.integers(-3, 3).filter(bool).map(Fraction), min_size=1, max_size=3,
+).map(lambda terms: MultiPoly(XYZ, terms))
+_SMALL_IDEALS = st.lists(_SMALL_POLYS, min_size=1, max_size=3)
+_IDEAL_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+@_IDEAL_SETTINGS
+@given(_SMALL_IDEALS)
+def test_eliminate_returns_the_reduced_grevlex_basis(gens):
+    G = eliminate(gens, ["x"])
+    assert G.variables == ("y", "z")
+    _assert_fresh_basis(G)
+    assert set(G.gens) == _sympy_eliminate(gens, XYZ, ("x",))
+
+
+@_IDEAL_SETTINGS
+@given(_SMALL_IDEALS, _SMALL_POLYS.filter(lambda f: not f.is_zero()))
+def test_saturate_returns_the_reduced_grevlex_basis(gens, f):
+    G = saturate(gens, f)
+    assert G.variables == XYZ
+    _assert_fresh_basis(G)
+    t = ("t",) + XYZ
+    lifted = [g.rename(t) for g in gens]
+    lifted.append(MultiPoly.var(t, "t") * f.rename(t) - MultiPoly.constant(t, 1))
+    assert set(G.gens) == _sympy_eliminate(lifted, t, ("t",))
+
+
+@_IDEAL_SETTINGS
+@given(_SMALL_IDEALS)
+def test_homogenize_returns_the_reduced_grevlex_basis(gens):
+    G = homogenize(gens, "h")
+    ring = XYZ + ("h",)
+    assert G.variables == ring
+    _assert_fresh_basis(G)
+    assert set(G.gens) == _sympy_grevlex(list(G.gens), ring)
+    # I^h = (f^h : f in gens) : h^inf, whatever generators of I are homogenized
+    hom = [MultiPoly(ring, {m + (g.total_degree() - sum(m),): c for m, c in g.terms.items()})
+           for g in gens]
+    assert set(G.gens) == set(saturate(hom, MultiPoly.var(ring, "h")).gens)
+
+
+@_IDEAL_SETTINGS
+@given(_SMALL_IDEALS)
+def test_groebner_matches_sympy_grevlex(gens):
+    assert set(groebner(gens).gens) == _sympy_grevlex(gens, XYZ)
+
+
+@st.composite
+def _ideal_pairs(draw):
+    """Two generating sets: the second is the first under invertible row
+    operations (so the ideals agree), or drawn on its own."""
+    a = draw(_SMALL_IDEALS)
+    if not draw(st.booleans()):
+        return a, draw(_SMALL_IDEALS)
+    b = list(a)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(b) - 1))
+        j = draw(st.integers(0, len(b) - 1))
+        if i != j:
+            b[i] = b[i] + draw(_SMALL_POLYS) * b[j]
+        else:
+            b[i] = b[i] * draw(st.integers(-3, 3).filter(bool))
+    return a, b[::-1]
+
+
+@_IDEAL_SETTINGS
+@given(_ideal_pairs())
+def test_ideals_equal_agrees_with_mutual_containment(pair):
+    a, b = pair
+    expected = _equal_by_containment(a, b)
+    assert ideals_equal(a, b) == expected
+    assert ideals_equal(groebner(a), groebner(b)) == expected
+
+
+def test_ideals_equal_zero_and_unit_ideals():
+    vs, (x, y) = poly_ring(["x", "y"])
+    one = MultiPoly.constant(vs, 1)
+    zero = MultiPoly.zero(vs)
+    # an empty basis from eliminate lives in the kept ring, groebner([]) in none
+    empty = eliminate([MultiPoly.parse("y*x - 1", ("y", "x"))], ["y"])
+    assert empty.variables == ("x",) and not empty.gens
+    cases = [
+        ([], []),
+        ([zero], []),
+        (empty, []),
+        (empty, groebner([])),
+        ([], [x]),
+        (empty, [x]),
+        ([one], [x + 1, x]),
+        ([one], [x - y, y - 1, x]),
+        ([one], [x * y]),
+        (saturate([x**2], x), [one]),
+        ([x * y - 1], [one]),
+    ]
+    for a, b in cases:
+        expected = _equal_by_containment(a, b)
+        assert ideals_equal(a, b) == expected
+        assert ideals_equal(b, a) == expected
+    assert ideals_equal(empty, groebner([]))
+    assert ideals_equal([one], [x + 1, x])
+    assert not ideals_equal([], [x])

@@ -1,3 +1,4 @@
+import importlib
 import importlib.resources as res
 import json
 
@@ -47,7 +48,7 @@ def a4_plucker():
     return plucker_chart(Tableau(A4_TAU), fixture=fixture)
 
 
-@pytest.mark.parametrize("n, total", [(1, 17), (2, 110)])
+@pytest.mark.parametrize("n, total", [(1, 17), (2, 110), (3, 450)])
 def test_a4_sections_equal_chain_euler_characteristics(a4_plucker, n, total):
     # identity (b): the degree-n sections, by weight, are the Euler
     # characteristics of the n-step chain varieties of the A4 module
@@ -66,3 +67,42 @@ def test_a4_sections_equal_chain_euler_characteristics(a4_plucker, n, total):
             weight = Weight.from_alpha(a4.m, dims)
             chains[weight] = chains.get(weight, 0) + chi
     assert sections == chains
+
+
+@pytest.mark.parametrize("n, total", [(4, 1400), (5, 3626)])
+def test_a4_section_totals(a4_plucker, n, total):
+    # beyond the chain counts above: the totals of the degree-n sections
+    sections = plucker_sections(Tableau(A4_TAU), n, chart=a4_plucker)
+    assert sum(sections.values()) == total
+
+
+@pytest.fixture
+def buchberger_runs(monkeypatch):
+    # the exactalg package re-exports the function `groebner` under the
+    # submodule's name, so the module is looked up by its full name
+    module = importlib.import_module("mvtk.exactalg.groebner")
+    runs = []
+    inner = module._buchberger
+
+    def counted(*args):
+        runs.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, "_buchberger", counted)
+    return runs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_plucker_sections_run_no_buchberger(a4_plucker, buchberger_runs, n):
+    # the chart stores the saturated homogeneous basis; the Hilbert count
+    # reads its leading monomials
+    plucker_sections(Tableau(A4_TAU), n, chart=a4_plucker)
+    assert len(buchberger_runs) == 0
+
+
+def test_orbital_ideal_carries_its_basis(buchberger_runs):
+    # one run per rank-condition refresh, the first basis and each
+    # saturation; none on a basis already in hand
+    orb = orbital_ideal(Tableau(A5_TAU))
+    assert len(buchberger_runs) <= 40
+    assert orb.groebner_basis() is orb.basis
