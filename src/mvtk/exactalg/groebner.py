@@ -69,19 +69,20 @@ def _mon_mask(mon: tuple) -> int:
     return mask
 
 
-def _normal_form_full(p: IntPoly, basis: Sequence[tuple], order) -> IntPoly:
+def _normal_form_full(p: IntPoly, basis: Sequence[tuple], order) -> tuple:
     """Full normal form of p against basis entries (lm, poly[, deg, mask]).
 
     Fraction-free: rescalings applied to the working polynomial are mirrored
-    on the remainder, so the output is the normal form up to overall content.
-    The working terms sit behind a lazy max-heap so the running lead is
-    found without rescanning.
+    on the remainder.  Returns (r, scale): r is content-free and equals
+    scale * (the normal form of p), scale a Fraction.  The working terms sit
+    behind a lazy max-heap so the running lead is found without rescanning.
     """
     import heapq
 
     heap_key = order.heap_key
     remainder: IntPoly = {}
     work = dict(p)
+    num = den = 1  # the scale applied so far, num / den in lowest terms
     heap = [(heap_key(m), m) for m in work]
     heapq.heapify(heap)
     steps = 0
@@ -114,6 +115,9 @@ def _normal_form_full(p: IntPoly, basis: Sequence[tuple], order) -> IntPoly:
         cp //= s
         cg //= s
         if cg != 1:
+            t = gcd(den, cg)
+            den //= t
+            num *= cg // t
             for m in remainder:
                 remainder[m] *= cg
             for m in work:
@@ -142,11 +146,21 @@ def _normal_form_full(p: IntPoly, basis: Sequence[tuple], order) -> IntPoly:
                     if gg == 1:
                         break
             if gg > 1:
+                t = gcd(num, gg)
+                num //= t
+                den *= gg // t
                 for m in work:
                     work[m] //= gg
                 for m in remainder:
                     remainder[m] //= gg
-    return _content_normalize(remainder)
+    gg = 0
+    for c in remainder.values():
+        gg = gcd(gg, c)
+    if gg > 1:
+        for m in remainder:
+            remainder[m] //= gg
+        den *= gg
+    return remainder, Fraction(num, den)
 
 
 def _spoly(f: IntPoly, lm_f: tuple, g: IntPoly, lm_g: tuple) -> IntPoly:
@@ -189,7 +203,7 @@ def _buchberger(gens: list, order) -> list:
     # drops out during the insertion normal forms
     gens = sorted(gens, key=lambda p: (sum(_lead(p, key)), len(p), key(_lead(p, key))))
     for p in gens:
-        p = _normal_form_full(p, basis, order)
+        p, _ = _normal_form_full(p, basis, order)
         if p:
             basis.append(enrich(p))
 
@@ -249,7 +263,7 @@ def _buchberger(gens: list, order) -> list:
             continue
         del live[(i, j)]
         s = _spoly(basis[i][1], basis[i][0], basis[j][1], basis[j][0])
-        s = _normal_form_full(s, basis, order)
+        s, _ = _normal_form_full(s, basis, order)
         if s:
             basis.append(enrich(s))
             update(len(basis) - 1)
@@ -276,7 +290,7 @@ def _interreduce(basis: list, order) -> list:
     reduced = []
     for idx, (lm, p) in enumerate(keep):
         others = [keep[k] for k in range(len(keep)) if k != idx]
-        r = _normal_form_full(p, others, order)
+        r, _ = _normal_form_full(p, others, order)
         if r:
             reduced.append((_lead(r, key), r))
     reduced.sort(key=lambda t: key(t[0]), reverse=True)
@@ -294,12 +308,22 @@ class GroebnerBasis:
     that take generators accept it without running Buchberger again.
     """
 
-    __slots__ = ("order", "gens", "variables")
+    __slots__ = ("order", "gens", "variables", "_entries")
 
     def __init__(self, variables, gens: Sequence[MultiPoly], order: TermOrder):
         self.variables = tuple(variables)
         self.gens = tuple(gens)
         self.order = order
+        self._entries = None
+
+    def _kernel_entries(self) -> list:
+        """The members as normal-form kernel entries (lm, IntPoly, deg, mask), built once."""
+        if self._entries is None:
+            self._entries = []
+            for g in self.gens:
+                lm = g.leading_monomial(self.order)
+                self._entries.append((lm, _to_int_poly(g), sum(lm), _mon_mask(lm)))
+        return self._entries
 
     def leading_monomials(self) -> list:
         return [g.leading_monomial(self.order) for g in self.gens]
@@ -347,38 +371,22 @@ def groebner(gens: Sequence[MultiPoly], order: TermOrder = GREVLEX) -> GroebnerB
 
 
 def normal_form(f: MultiPoly, G: GroebnerBasis) -> MultiPoly:
-    """Remainder of f modulo the reduced basis; zero iff f lies in the ideal."""
+    """Remainder of f modulo the reduced basis; zero iff f lies in the ideal.
+
+    The heap kernel reduces f's primitive integer part; the content and the
+    scale the kernel reports turn its output back into the exact remainder.
+    """
     if not G.gens:
         return f
     if f.variables != G.variables:
         raise ValueError("polynomial and basis live in different rings")
     if f.is_zero():
         return f
-    key = G.order.key
-    basis = [(g.leading_monomial(G.order), g) for g in G.gens]
-    work = dict(f.terms)
-    remainder: dict = {}
-    while work:
-        lm = max(work, key=key)
-        hit = None
-        for lm_g, g in basis:
-            if _mon_divides(lm_g, lm):
-                hit = (lm_g, g)
-                break
-        if hit is None:
-            remainder[lm] = work.pop(lm)
-            continue
-        lm_g, g = hit
-        shift = _mon_div(lm, lm_g)
-        coef = work[lm] / g.terms[lm_g]
-        for m, c in g.terms.items():
-            mm = _mon_mul(m, shift)
-            v = work.get(mm, Fraction(0)) - coef * c
-            if v:
-                work[mm] = v
-            else:
-                work.pop(mm, None)
-    return MultiPoly(f.variables, remainder)
+    part, content = f.primitive()
+    raw = {m: int(c) for m, c in part.terms.items()}
+    remainder, scale = _normal_form_full(raw, G._kernel_entries(), G.order)
+    factor = content / scale
+    return MultiPoly(f.variables, {m: c * factor for m, c in remainder.items()})
 
 
 def in_ideal(f: MultiPoly, G: GroebnerBasis) -> bool:

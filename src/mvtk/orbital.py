@@ -350,7 +350,7 @@ def _bordered_minors(mat, R, zero, vanishes=None):
 
 @dataclass
 class RankConditions:
-    closure_gens: list
+    basis: GroebnerBasis  # reduced grevlex basis of the closure equations
     witnesses: list  # ordered candidate polynomials, preferred first
 
 
@@ -434,7 +434,6 @@ def rank_condition_ideal(tau: Tableau, chart: TmuChart | None = None,
             if basis is not None:
                 gens = list(basis.gens)
                 gens = [g.rename(chart.variables) for g in gens]
-    uniq = _dedupe_polys(gens)
     wuniq = []
     wseen = set()
     for w in witnesses:
@@ -442,7 +441,7 @@ def rank_condition_ideal(tau: Tableau, chart: TmuChart | None = None,
         if wp not in wseen and not wp.is_constant():
             wseen.add(wp)
             wuniq.append(wp)
-    return RankConditions(uniq, wuniq)
+    return RankConditions(basis if basis is not None else groebner([]), wuniq)
 
 
 def _dedupe_polys(polys):
@@ -509,16 +508,16 @@ class OrbitalIdeal:
         return self.basis
 
 
-def _prune_zero_variables(gens, variables):
-    """Remove variables that appear as bare generators; substitute zero.
+def _prune_zero_variables(basis, variables):
+    """Remove variables that appear as bare members of a reduced basis; substitute zero.
 
-    A reduced basis comes back as a basis: no other member of it contains
-    a bare member's variable (that term would reduce by the bare member), so
+    The result is again a reduced basis: no other member contains a bare
+    member's variable (that term would reduce by the bare member), so
     pruning only drops the bare members and shrinks the ring of the rest,
     leaving them reduced, monic and in their order.
     """
     removed = []
-    current = list(gens)
+    current = list(basis)
     names = tuple(variables)
     while True:
         bare = None
@@ -545,11 +544,9 @@ def _prune_zero_variables(gens, variables):
             if not p.is_zero():
                 nxt.append(p)
         current = nxt
-    if isinstance(gens, GroebnerBasis):
-        if removed:
-            gens = GroebnerBasis(names, current, gens.order)
-        return gens, names, tuple(removed)
-    return current, names, tuple(removed)
+    if removed:
+        basis = GroebnerBasis(names, current, basis.order)
+    return basis, names, tuple(removed)
 
 
 def orbital_ideal(tau: Tableau, provenance: str = "computed-saturation") -> OrbitalIdeal:
@@ -558,7 +555,7 @@ def orbital_ideal(tau: Tableau, provenance: str = "computed-saturation") -> Orbi
     chart = TmuChart(m, tau.content())
     target = tau.weight_nu().height()
     rc = rank_condition_ideal(tau, chart)
-    gens, live_names, removed = _prune_zero_variables(rc.closure_gens, chart.variables)
+    current, live_names, removed = _prune_zero_variables(rc.basis, chart.variables)
 
     def fit(poly):
         """Re-express a full-ring polynomial in the current live ring (or None)."""
@@ -567,7 +564,6 @@ def orbital_ideal(tau: Tableau, provenance: str = "computed-saturation") -> Orbi
             return None
         return trimmed.restrict(live_names)
 
-    current = groebner(gens)
     for raw_w in rc.witnesses:
         if not current:
             break

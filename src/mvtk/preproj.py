@@ -14,8 +14,9 @@ is a hard error, never a warning.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, ValuesView
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import chain, repeat, product as iproduct
 
 from .exactalg.linalg import coords, mat_vec, null_space, rref
 from .exactalg.poly import MultiPoly
@@ -267,7 +268,7 @@ class SubmoduleLattice:
     def submodule_dim_vectors(self) -> set:
         return set(self.dim_vectors)
 
-    def composition_series_counts(self) -> dict:
+    def composition_series_counts(self) -> "CompositionSeriesTable":
         """Counts of complete simple-quotient chains, per type sequence.
 
         A type sequence lists the simple quotients from the bottom up.  Every
@@ -280,8 +281,9 @@ class SubmoduleLattice:
         counts over the rank-r nodes form one class, and so do suffixes; a
         prefix class and a suffix class of the same dimension vector give
         every p + s the dot product of their two vectors.  The walks only
-        build words of up to half the length, so the one large table is the
-        result.
+        build words of up to half the length, and the result keeps the join
+        factored (see CompositionSeriesTable): no full-length sequence is
+        built until a caller iterates over the keys.
         """
         ranks = [sum(d) for d in self.dim_vectors]
         r = ranks[-1] // 2
@@ -295,22 +297,24 @@ class SubmoduleLattice:
         prefixes = self._classes(_path_tables(low, self.covers), middle)
         # the downward walk spells each suffix from the top, so reverse it
         suffixes = self._classes(_path_tables(high, ups), middle, reverse=True)
-        out = {}
-        for dv, pre_classes in prefixes.items():
-            for pvec, pwords in pre_classes:
-                for svec, swords in suffixes.get(dv, ()):
+        values = {}
+        for i, (dv, pvec, _) in enumerate(prefixes):
+            for j, (sdv, svec, _) in enumerate(suffixes):
+                if sdv == dv:
                     value = sum(c * svec.get(node, 0) for node, c in pvec.items())
                     if value:
-                        for p in pwords:
-                            for s in swords:
-                                out[p + s] = value
-        return out
+                        values[i, j] = value
+        return CompositionSeriesTable(
+            r, [w for _, _, w in prefixes], [w for _, _, w in suffixes], values
+        )
 
     def _classes(self, tables, middle, reverse=False):
         """Words grouped by their count vectors over the middle nodes.
 
-        Returns {dimension vector: [({node: count}, [word, ...]), ...]}; all
-        nodes in the support of one vector share the dimension vector.
+        Returns [(dimension vector, {node: count}, [word, ...]), ...], the
+        classes of one dimension vector together, in the order the vectors
+        first occur; all nodes in the support of one vector share the
+        dimension vector.
         """
         vectors: dict = {}
         for node in middle:
@@ -322,7 +326,7 @@ class SubmoduleLattice:
         by_dim: dict = {}
         for vec, words in by_vector.items():
             by_dim.setdefault(self.dim_vectors[vec[0][0]], []).append((dict(vec), words))
-        return by_dim
+        return [(dv, vec, words) for dv, group in by_dim.items() for vec, words in group]
 
     def chain_counts_by_total(self, n: int) -> dict:
         """Chains 0 <= M^1 <= ... <= M^n <= M, bucketed by sum of dim M^k."""
@@ -365,6 +369,62 @@ class SubmoduleLattice:
             key = self.dim_vectors[i]
             out[key] = out.get(key, 0) + f[i]
         return out
+
+
+class CompositionSeriesTable(Mapping):
+    """Read-only map from type sequence to composition-series count.
+
+    The join of SubmoduleLattice.composition_series_counts stays factored:
+    the split length r, one word -> class-index dict each for the prefixes
+    (length r) and the suffixes, and the count of every prefix-class x
+    suffix-class pair whose count is nonzero.  Storage is linear in the
+    number of half-length words, not in the number of sequences.
+
+    Costs: `table[seq]` (and `get`, `in`) slices seq at r and makes three
+    dict lookups; a missing sequence, a zero count, a wrong-length tuple or a
+    non-tuple raises KeyError.  `len` is computed once.  Iteration builds
+    each key p + s on the fly, in the order prefix class, suffix class,
+    prefix word, suffix word.  `values()` repeats each pair's count once per
+    sequence without building keys, so `sum(table.values())` runs at C
+    speed.  `items()` and `==` come from Mapping and look each key up;
+    `dict(table)` materialises the whole table.
+    """
+
+    def __init__(self, r, prefix_classes, suffix_classes, values):
+        """values maps (prefix class, suffix class) index pairs to nonzero counts."""
+        self._r = r
+        self._prefix = {w: k for k, words in enumerate(prefix_classes) for w in words}
+        self._suffix = {w: k for k, words in enumerate(suffix_classes) for w in words}
+        self._values = values
+        self._pairs = [(prefix_classes[i], suffix_classes[j], value)
+                       for (i, j), value in values.items()]
+        self._len = sum(len(pw) * len(sw) for pw, sw, _ in self._pairs)
+
+    def __getitem__(self, seq):
+        if isinstance(seq, tuple):
+            r = self._r
+            value = self._values.get((self._prefix.get(seq[:r]), self._suffix.get(seq[r:])))
+            if value is not None:
+                return value
+        raise KeyError(seq)
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        for pwords, swords, _ in self._pairs:
+            for p in pwords:
+                yield from map(p.__add__, swords)
+
+    def values(self):
+        return _CountsView(self)
+
+
+class _CountsView(ValuesView):
+    def __iter__(self):
+        return chain.from_iterable(
+            repeat(value, len(pw) * len(sw)) for pw, sw, value in self._mapping._pairs
+        )
 
 
 def _path_tables(order, edges):

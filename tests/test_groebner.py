@@ -391,6 +391,48 @@ def test_groebner_matches_sympy_grevlex(gens):
     assert set(groebner(gens).gens) == _sympy_grevlex(gens, XYZ)
 
 
+def _ref_normal_form(f, G):
+    """The remainder by Fraction arithmetic, rescanning for the lead at every
+    step; the loop normal_form ran before it went through the heap kernel."""
+    key = G.order.key
+    basis = [(g.leading_monomial(G.order), g) for g in G.gens]
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        lm = max(work, key=key)
+        hit = next(((lm_g, g) for lm_g, g in basis if all(a <= b for a, b in zip(lm_g, lm))),
+                   None)
+        if hit is None:
+            remainder[lm] = work.pop(lm)
+            continue
+        lm_g, g = hit
+        shift = tuple(a - b for a, b in zip(lm, lm_g))
+        coef = work[lm] / g.terms[lm_g]
+        for m, c in g.terms.items():
+            mm = tuple(a + b for a, b in zip(m, shift))
+            v = work.get(mm, Fraction(0)) - coef * c
+            if v:
+                work[mm] = v
+            else:
+                work.pop(mm, None)
+    return MultiPoly(f.variables, remainder)
+
+
+_NF_POLYS = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3), _COEFFS, max_size=8
+).map(lambda terms: MultiPoly(XYZ, terms))
+
+
+@_IDEAL_SETTINGS
+@given(_SMALL_IDEALS, _NF_POLYS, st.sampled_from([GREVLEX, LEX]))
+def test_normal_form_matches_the_fraction_loop(gens, f, order):
+    G = groebner(gens, order)
+    r = normal_form(f, G)
+    assert r == _ref_normal_form(f, G)
+    assert normal_form(r, G) == r
+    assert in_ideal(f - r, G)
+
+
 @st.composite
 def _ideal_pairs(draw):
     """Two generating sets: the second is the first under invertible row

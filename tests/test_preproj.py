@@ -1,4 +1,5 @@
 import importlib.resources as res
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
@@ -229,7 +230,18 @@ def test_composition_series_counts_match_oracles(name, q):
     rep = build().reduce_mod(q)
     lat = SubmoduleLattice(rep)
     table = lat.composition_series_counts()
-    assert table == _ref_composition_series_counts(lat)
+    oracle = _ref_composition_series_counts(lat)
+    assert table == oracle
+    # the factored table against the oracle's dict, access by access
+    assert dict(table) == oracle
+    assert len(list(table)) == len(table)
+    assert list(table.values()) == [table[k] for k in table]
+    assert sum(table.values()) == sum(oracle.values())
+    # a sequence of the right content with no series, and a wrong-length tuple
+    absent = next(s for s in sequences(rep.m, rep.dim_vector()) if s not in oracle)
+    for seq in (absent, next(iter(oracle)) + (1,)):
+        assert table.get(seq, 0) == 0
+        assert seq not in table
     # peeling counts one sequence at a time, without the lattice
     if name == "i52_i53":
         seqs = sorted(table)[::8]  # 688 of the 5498 keys: peeling all is slow
@@ -255,6 +267,7 @@ def test_composition_series_counts_small_modules(rep, expect):
 @pytest.mark.parametrize("q, nodes, pairs, covers, series", [
     (2, 347, 20_096, 970, (652_510, 7_018_070)),
     (3, 487, 32_093, 1_400, (652_510, 15_933_952)),
+    (5, 821, 65_873, 2_440, (652_510, 56_599_160)),
 ])
 def test_injective_pair_lattice_at_scale(q, nodes, pairs, covers, series):
     lat = SubmoduleLattice(injective_pair(6, 2, 4).reduce_mod(q))
@@ -263,6 +276,18 @@ def test_injective_pair_lattice_at_scale(q, nodes, pairs, covers, series):
     assert sum(len(c) for c in lat.covers) == covers
     table = lat.composition_series_counts()
     assert (len(table), sum(table.values())) == series
+
+
+def test_composition_series_counts_memory_at_scale():
+    # the join stays factored: no table of the 652,510 sequences is built
+    lat = SubmoduleLattice(injective_pair(6, 2, 4).reduce_mod(2))
+    tracemalloc.start()
+    try:
+        lat.composition_series_counts()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_euler_interpolate():
