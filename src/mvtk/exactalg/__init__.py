@@ -15,13 +15,11 @@ from .groebner import (
     saturate,
 )
 from .mdeg import (
-    MonomialIdealSummary,
+    HilbertNumerator,
     WeightAssignment,
     dimension,
-    minimal_primes,
-    monomial_ideal_summary,
+    hilbert_numerator,
     multidegree,
-    multidegree_monomial,
     multigraded_hilbert,
 )
 
@@ -40,11 +38,9 @@ __all__ = [
     "saturate",
     "homogenize",
     "WeightAssignment",
-    "MonomialIdealSummary",
-    "minimal_primes",
-    "monomial_ideal_summary",
+    "HilbertNumerator",
+    "hilbert_numerator",
     "multidegree",
-    "multidegree_monomial",
     "multigraded_hilbert",
     "dimension",
 ]

@@ -1,19 +1,33 @@
-"""Multidegrees and multigraded Hilbert functions of weighted ideals.
+"""Dimensions, multidegrees and multigraded Hilbert functions from K-polynomials.
 
-The multidegree of an ideal I in a coordinate space whose variables carry
-nonzero torus weights is computed from the grevlex initial ideal: enumerate
-the minimal primes of in(I) (coordinate subspaces), keep those of maximal
-dimension, and sum multiplicity times the product of the weights of the
-prime's variables.  The multiplicity of a minimal prime is the number of
-standard monomials in its variables after setting all other variables to 1;
-the restricted ideal is cofinite there, which certifies the enumeration is
-finite.
+All three are read off one invariant of the initial ideal J = in(I): the
+K-polynomial of S/J, the numerator of H(S/J; t) = K(t) / prod_i (1 - t^{g_i})
+when x_i has degree g_i.  `_k_polynomial` computes it with integer
+coefficients by Bigatti's pivot algorithm (Bigatti 1997, *Computation of
+Hilbert-Poincare series*, JPAA 119; Miller-Sturmfels, *Combinatorial
+Commutative Algebra*, ch. 1-2):
+
+    K(J) = K(J + <x>) + t^{g(x)} K(J : x),
+
+down to generators with pairwise disjoint supports, where K is the product
+of the factors (1 - t^{deg m}).  Variables are graded by (1, weight):
+
+- the codimension c of J is the order of vanishing of K at t = 1, read on
+  the total-degree projection;
+- substituting t^{(d, beta)} = exp(-<beta, alpha>) leaves a power series
+  whose lowest terms, of degree c, are the multidegree (Miller-Sturmfels,
+  ch. 8): mdeg(J) = ((-1)^c / c!) * sum_beta c_beta <beta, alpha>^c, where
+  c_beta sums the coefficients of K of weight beta;
+- the degree-n weight histogram is the degree-n part of
+  K / prod_i (1 - t^{(1, w_i)}), taken by a DP over the variables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from fractions import Fraction
+from math import comb, factorial
+from typing import Mapping, Sequence
 
 from .groebner import GroebnerBasis, groebner
 from .poly import GREVLEX, MultiPoly, TermOrder
@@ -22,11 +36,13 @@ from .poly import GREVLEX, MultiPoly, TermOrder
 class WeightAssignment:
     """Torus weights of the coordinates, with their linear-form images.
 
-    `weights` maps each variable to a lattice weight (any hashable object
-    exposing ``linear_form(names)`` returning a MultiPoly in the alpha
-    variables, and ``is_zero()``).  Multidegree computations require every
-    weight nonzero; the Hilbert bucketing accepts weight zero (e.g. the
-    homogenizing variable of a projective cone).
+    `weights` maps each variable to a lattice weight exposing
+    ``linear_form(names)`` (a MultiPoly in the alpha variables),
+    ``is_zero()``, and integer coordinates ``entries`` that add under ``+``
+    and rebuild the weight through its constructor, as `roota.Weight` does.
+    Multidegree computations require every weight nonzero; the Hilbert
+    bucketing accepts weight zero (e.g. the homogenizing variable of a
+    projective cone).
     """
 
     __slots__ = ("variables", "weights", "alpha_names")
@@ -47,17 +63,16 @@ class WeightAssignment:
             if self.weights[v].is_zero():
                 raise ValueError(f"variable {v!r} has weight zero")
 
+    def grades(self) -> tuple:
+        """Per variable, its grade (1, weight entries)."""
+        return tuple((1,) + tuple(self.weights[v].entries) for v in self.variables)
 
-@dataclass(frozen=True)
-class MonomialIdealSummary:
-    min_primes: tuple  # ((frozenset of variable names, multiplicity), ...)
-    dimension: int
+    def weight(self, entries):
+        """The weight with the given entries."""
+        return type(self.weights[self.variables[0]])(entries)
 
 
-# -- monomial ideal combinatorics -------------------------------------------
-
-
-def _minimalize(mons: Iterable[tuple]) -> list:
+def _minimalize(mons) -> list:
     mons = sorted(set(mons), key=lambda m: (sum(m), m))
     out = []
     for m in mons:
@@ -66,95 +81,49 @@ def _minimalize(mons: Iterable[tuple]) -> list:
     return out
 
 
-def _support(m: tuple) -> frozenset:
-    return frozenset(i for i, e in enumerate(m) if e)
+def _k_polynomial(gens: Sequence[tuple], grades: Sequence[tuple]) -> dict:
+    """K-polynomial {grade: coefficient} of S/<gens>, x_i of degree grades[i]."""
+    out: dict = {}
+    nvars = len(grades)
 
+    def add(a, b, k=1):
+        return tuple(x + k * y for x, y in zip(a, b))
 
-def minimal_primes(lead_monomials: Sequence[tuple]) -> list:
-    """Minimal primes of a monomial ideal, as frozensets of variable indices."""
-    gens = [_support(m) for m in _minimalize(lead_monomials)]
-    covers: set = set()
-
-    def extend(cover: frozenset, remaining: tuple):
-        if not remaining:
-            covers.add(cover)
+    def rec(gens, shift):
+        gens = _minimalize(gens)
+        if gens and not any(gens[0]):
+            return  # the unit ideal: K = 0
+        counts = [sum(1 for m in gens if m[i]) for i in range(nvars)]
+        x = max(range(nvars), key=counts.__getitem__, default=None)
+        if x is None or counts[x] <= 1:
+            # pairwise disjoint supports: K = prod (1 - t^{deg m})
+            poly = {shift: 1}
+            for m in gens:
+                d = tuple(0 for _ in shift)
+                for e, g in zip(m, grades):
+                    d = add(d, g, e)
+                for k, c in list(poly.items()):
+                    poly[add(k, d)] = poly.get(add(k, d), 0) - c
+            for k, c in poly.items():
+                out[k] = out.get(k, 0) + c
             return
-        head = remaining[0]
-        if cover & head:
-            extend(cover, remaining[1:])
-            return
-        for v in sorted(head):
-            extend(cover | {v}, remaining[1:])
+        unit = tuple(int(i == x) for i in range(nvars))
+        rec([m for m in gens if not m[x]] + [unit], shift)
+        rec([m[:x] + (m[x] - 1,) + m[x + 1:] if m[x] else m for m in gens], add(shift, grades[x]))
 
-    extend(frozenset(), tuple(gens))
-    minimal = []
-    for c in sorted(covers, key=lambda s: (len(s), sorted(s))):
-        if not any(other < c for other in covers):
-            minimal.append(c)
-    return minimal
+    rec(list(gens), tuple(0 for _ in grades[0]) if grades else ())
+    return {k: c for k, c in out.items() if c}
 
 
-def _restricted_ideal(lead_monomials: Sequence[tuple], prime: frozenset) -> list:
-    """Set variables outside the prime to 1; returns monomials over sorted(prime)."""
-    cols = sorted(prime)
-    out = []
-    for m in lead_monomials:
-        out.append(tuple(m[i] for i in cols))
-    return _minimalize([m for m in out if any(m)])
-
-
-def _standard_monomial_count(gens: list, nvars: int) -> int:
-    """Number of monomials outside a cofinite monomial ideal.
-
-    Requires a pure power of every variable among the generators (the
-    finiteness certificate); raises otherwise.
-    """
-    if nvars == 0:
-        return 0 if any(not any(g) for g in gens) else 1
-    bounds = [None] * nvars
-    for g in gens:
-        sup = [i for i, e in enumerate(g) if e]
-        if len(sup) == 1:
-            i = sup[0]
-            if bounds[i] is None or g[i] < bounds[i]:
-                bounds[i] = g[i]
-    if any(b is None for b in bounds):
-        raise ValueError("restricted ideal is not cofinite: no pure-power bound")
-
-    def count(gens_, active):
-        gens_ = _minimalize(gens_)
-        if any(not any(g) for g in gens_):
-            return 0
-        if not active:
-            return 1
-        i = active[-1]
-        total = 0
-        for e in range(bounds[i]):
-            sliced = []
-            for g in gens_:
-                if g[i] <= e:
-                    sliced.append(tuple(0 if j == i else x for j, x in enumerate(g)))
-            total += count(sliced, active[:-1])
-        return total
-
-    return count(list(gens), tuple(range(nvars)))
-
-
-def monomial_ideal_summary(lead_monomials: Sequence[tuple], nvars: int) -> MonomialIdealSummary:
-    lead = _minimalize(lead_monomials)
-    if not lead:
-        return MonomialIdealSummary(((frozenset(), 1),), nvars)
-    primes = minimal_primes(lead)
-    codim = min(len(p) for p in primes)
-    rows = []
-    for p in primes:
-        restricted = _restricted_ideal(lead, p)
-        mult = _standard_monomial_count(restricted, len(p))
-        rows.append((p, mult))
-    return MonomialIdealSummary(tuple(rows), nvars - codim)
-
-
-# -- multidegree --------------------------------------------------------------
+def _codim(k_poly: dict) -> int:
+    """Order of vanishing of K at t = 1, on its total-degree projection."""
+    by_degree: dict = {}
+    for grade, c in k_poly.items():
+        by_degree[grade[0]] = by_degree.get(grade[0], 0) + c
+    k = 0  # the k-th Taylor coefficient at 1 is sum_d c_d * binom(d, k)
+    while not sum(c * comb(d, k) for d, c in by_degree.items()):
+        k += 1
+    return k
 
 
 def _initial_ideal(gens: Sequence[MultiPoly] | GroebnerBasis, order: TermOrder) -> tuple:
@@ -169,23 +138,28 @@ def multidegree(gens: Sequence[MultiPoly] | GroebnerBasis, w: WeightAssignment,
     """Torus-equivariant class of V(I) inside the weighted coordinate space."""
     w.check_nonzero()
     _, lead = _initial_ideal(gens, order)
-    return multidegree_monomial(lead, w)
-
-
-def multidegree_monomial(lead_monomials: Sequence[tuple], w: WeightAssignment) -> MultiPoly:
-    nvars = len(w.variables)
-    summary = monomial_ideal_summary(lead_monomials, nvars)
-    codim = nvars - summary.dimension
-    alpha = w.alpha_names
-    total = MultiPoly.zero(alpha)
-    for prime, mult in summary.min_primes:
-        if len(prime) != codim:
-            continue
-        term = MultiPoly.constant(alpha, mult)
-        for i in sorted(prime):
-            term = term * w.form(w.variables[i])
-        total = total + term
-    return total
+    k_poly = _k_polynomial(lead, w.grades())
+    c = _codim(k_poly)
+    by_weight: dict = {}
+    for (_, *beta), coef in k_poly.items():
+        by_weight[tuple(beta)] = by_weight.get(tuple(beta), 0) + coef
+    total: dict = {}
+    for beta, coef in by_weight.items():
+        form = w.weight(beta).linear_form(w.alpha_names).terms
+        # alpha_j -> its coefficient, a plain int on the root lattice
+        form = {m.index(1): f.numerator if f.denominator == 1 else f for m, f in form.items()}
+        power = {(0,) * len(w.alpha_names): coef}
+        for _ in range(c):
+            nxt: dict = {}
+            for mon, v in power.items():
+                for j, f in form.items():
+                    key = mon[:j] + (mon[j] + 1,) + mon[j + 1:]
+                    nxt[key] = nxt.get(key, 0) + v * f
+            power = nxt
+        for mon, v in power.items():
+            total[mon] = total.get(mon, 0) + v
+    scale = Fraction((-1) ** c, factorial(c))
+    return MultiPoly(w.alpha_names, {mon: v * scale for mon, v in total.items() if v})
 
 
 def dimension(gens: Sequence[MultiPoly] | GroebnerBasis, nvars: int | None = None,
@@ -195,37 +169,21 @@ def dimension(gens: Sequence[MultiPoly] | GroebnerBasis, nvars: int | None = Non
         if nvars is None:
             raise ValueError("dimension of the zero ideal needs the ambient size")
         return nvars
-    return monomial_ideal_summary(lead, len(G.variables)).dimension
+    nvars = len(G.variables)
+    return nvars - _codim(_k_polynomial(lead, [(1,)] * nvars))
 
 
-# -- multigraded Hilbert function --------------------------------------------
+@dataclass(frozen=True)
+class HilbertNumerator:
+    """The K-polynomial of S/in(I) under the grades of a WeightAssignment."""
+
+    grades: tuple
+    terms: dict  # grade -> nonzero integer coefficient
 
 
-def _degree_n_monomials(nvars: int, n: int):
-    """Yield exponent tuples of total degree n (grevlex-agnostic order)."""
-    mon = [0] * nvars
-
-    def rec(i, left):
-        if i == nvars - 1:
-            mon[i] = left
-            yield tuple(mon)
-            mon[i] = 0
-            return
-        for e in range(left + 1):
-            mon[i] = e
-            yield from rec(i + 1, left - e)
-            mon[i] = 0
-
-    if nvars == 0:
-        if n == 0:
-            yield ()
-        return
-    yield from rec(0, n)
-
-
-def multigraded_hilbert(gens: Sequence[MultiPoly] | GroebnerBasis, w: WeightAssignment,
-                        n: int) -> dict:
-    """Weight histogram of the degree-n standard monomials of in(I).
+def hilbert_numerator(gens: Sequence[MultiPoly] | GroebnerBasis,
+                      w: WeightAssignment) -> HilbertNumerator:
+    """K-polynomial of S/in(I) graded by (degree, weight).
 
     I must be homogeneous in total degree, which holds exactly when its
     reduced grevlex basis is homogeneous.
@@ -235,23 +193,29 @@ def multigraded_hilbert(gens: Sequence[MultiPoly] | GroebnerBasis, w: WeightAssi
         raise ValueError("unit ideal")
     if any(not g.is_homogeneous() for g in G.gens):
         raise ValueError("ideal is not homogeneous in total degree")
-    variables = G.variables if G.gens else w.variables
-    lead = G.leading_monomials()
-    if tuple(variables) != w.variables:
+    if G.gens and G.variables != w.variables:
         raise ValueError("weight assignment does not match the ring")
-    nvars = len(variables)
-    lead = _minimalize(lead)
-    histogram: dict = {}
-    for mon in _degree_n_monomials(nvars, n):
-        if any(all(x <= y for x, y in zip(g, mon)) for g in lead):
-            continue
-        weight = None
-        for e, v in zip(mon, variables):
-            if not e:
-                continue
-            contrib = w.weights[v] * e
-            weight = contrib if weight is None else weight + contrib
-        if weight is None:
-            weight = w.weights[variables[0]] * 0
-        histogram[weight] = histogram.get(weight, 0) + 1
-    return histogram
+    return HilbertNumerator(w.grades(), _k_polynomial(G.leading_monomials(), w.grades()))
+
+
+def multigraded_hilbert(gens: Sequence[MultiPoly] | GroebnerBasis | HilbertNumerator,
+                        w: WeightAssignment, n: int) -> dict:
+    """Weight histogram of the degree-n standard monomials of in(I).
+
+    Takes the ideal, or its `hilbert_numerator` under the same weights.
+    """
+    k = gens if isinstance(gens, HilbertNumerator) else hilbert_numerator(gens, w)
+    if k.grades != w.grades():
+        raise ValueError("numerator was graded by other weights")
+    # layers[d]: weight -> coefficient of degree d in K / prod (1 - t^{g_i})
+    layers = [{} for _ in range(n + 1)]
+    for (d, *beta), c in k.terms.items():
+        if d <= n:
+            layers[d][tuple(beta)] = c
+    for _, *step in k.grades:
+        for d in range(1, n + 1):
+            layer = layers[d]
+            for beta, c in layers[d - 1].items():
+                key = tuple(x + y for x, y in zip(beta, step))
+                layer[key] = layer.get(key, 0) + c
+    return {w.weight(beta): c for beta, c in layers[n].items() if c}

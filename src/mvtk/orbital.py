@@ -20,11 +20,13 @@ from math import comb
 
 from .exactalg import (
     GroebnerBasis,
+    HilbertNumerator,
     MultiPoly,
     WeightAssignment,
     dimension,
     eliminate,
     groebner,
+    hilbert_numerator,
     homogenize,
     ideals_equal,
     multidegree,
@@ -631,6 +633,12 @@ class PluckerChart:
     weights: dict         # variable -> Weight
     kernel: GroebnerBasis       # the affine kernel ideal in the b ring
     homogeneous: GroebnerBasis  # its homogenization, saturated by u, in (b..., u)
+    numerator: HilbertNumerator  # K-polynomial of its initial ideal, by (degree, weight)
+
+    def weight_assignment(self) -> WeightAssignment:
+        """Weights of the homogeneous ring (b..., u)."""
+        ring = tuple(v for v in self.variables if v != "u") + ("u",)
+        return WeightAssignment(ring, {v: self.weights[v] for v in ring}, alpha_names(self.m))
 
 
 def _minor_subsets(m: int):
@@ -662,7 +670,8 @@ def plucker_chart(tau: Tableau, orb: OrbitalIdeal | None = None,
     The kernel comes from eliminating the chart variables; when a fixture
     is supplied its generators must generate the same ideal.  The
     homogenized kernel is saturated by u once here, and the saturated
-    basis is stored, so the section counts run no Buchberger.
+    basis is stored with the K-polynomial of its initial ideal, so the
+    section counts run no Buchberger and no pivot recursion.
     """
     m = tau.m
     mu = tau.content()
@@ -737,14 +746,17 @@ def plucker_chart(tau: Tableau, orb: OrbitalIdeal | None = None,
     # the saturation is computed, not assumed, and its basis is the one kept
     hom = homogenize(kernel, "u")
     homogeneous = saturate(hom, MultiPoly.var(hom.variables, "u"))
-    return PluckerChart(
+    chart = PluckerChart(
         m=m,
         subsets=tuple(subsets),
         variables=names,
         weights=weights,
         kernel=kernel,
         homogeneous=homogeneous,
+        numerator=None,
     )
+    chart.numerator = hilbert_numerator(homogeneous, chart.weight_assignment())
+    return chart
 
 
 def _substitute_removed(p: MultiPoly, removed) -> MultiPoly:
@@ -840,10 +852,7 @@ def plucker_sections(tau: Tableau, n: int, chart: PluckerChart | None = None,
     normalization); otherwise the raw weights are returned.
     """
     chart = chart or plucker_chart(tau)
-    m = chart.m
-    ring = tuple(n2 for n2 in chart.variables if n2 != "u") + ("u",)
-    wa = WeightAssignment(ring, {v: chart.weights[v] for v in ring}, alpha_names(m))
-    raw = multigraded_hilbert(chart.homogeneous, wa, n)
+    raw = multigraded_hilbert(chart.numerator, chart.weight_assignment(), n)
     if not calibrated:
         return raw
     lam = tau.weight_lambda()

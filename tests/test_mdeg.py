@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from math import comb
 
+import pytest
+
 from mvtk.exactalg import (
     GREVLEX,
     LEX,
@@ -9,14 +11,11 @@ from mvtk.exactalg import (
     WeightAssignment,
     dimension,
     groebner,
-    minimal_primes,
-    monomial_ideal_summary,
+    hilbert_numerator,
     multidegree,
-    multidegree_monomial,
     multigraded_hilbert,
     poly_ring,
 )
-from mvtk.exactalg.mdeg import _minimalize
 from mvtk.roota import Weight, alpha_names
 
 
@@ -44,11 +43,14 @@ def test_multiplicity_two():
 
 
 def test_summary_fields():
-    s = monomial_ideal_summary([(1, 1, 0), (1, 0, 1)], 3)
-    assert s.dimension == 2
-    primes = dict(s.min_primes)
-    assert frozenset([0]) in primes and primes[frozenset([0])] == 1
-    assert frozenset([1, 2]) in primes
+    # <x0*x1, x0*x2> = <x0> meet <x1, x2>: the plane x0 = 0 is the only
+    # top component, the line x1 = x2 = 0 drops out of the class
+    vs, (x0, x1, x2) = poly_ring(["x0", "x1", "x2"])
+    w = wa_for(vs, 4, [(1, 2), (2, 3), (3, 4)])
+    assert dimension([x0 * x1, x0 * x2]) == 2
+    assert multidegree([x0 * x1, x0 * x2], w) == w.form("x0")
+    # the oracle below sees both components
+    assert minimal_primes([(1, 1, 0), (1, 0, 1)]) == [frozenset([0]), frozenset([1, 2])]
 
 
 def _random_monomial_or_binomial_ideal(rng, names):
@@ -70,7 +72,7 @@ def _random_monomial_or_binomial_ideal(rng, names):
     return gens
 
 
-# -- recursive multidegree oracle ---------------------------------------------
+# -- oracles: minimal primes, hyperplane splitting, enumeration ------------------
 # Peeling a variable x off a monomial ideal J splits the class of V(J) into
 # the parts inside and transverse to the hyperplane x = 0,
 #
@@ -78,19 +80,54 @@ def _random_monomial_or_binomial_ideal(rng, names):
 #
 # where a summand only contributes when its codimension still equals
 # codim(J), and the base case (a coordinate-subspace ideal) has multidegree
-# equal to the product of its variables' weights.  multidegree_monomial
-# sums over the top-dimensional minimal primes instead.
+# equal to the product of its variables' weights.  The codimensions come from
+# the minimal primes (coordinate subspaces) found by enumerating covers; the
+# library reads both off the K-polynomial instead.
+
+
+def _minimalize(mons):
+    mons = sorted(set(mons), key=lambda m: (sum(m), m))
+    out = []
+    for m in mons:
+        if not any(all(x <= y for x, y in zip(g, m)) for g in out):
+            out.append(m)
+    return out
+
+
+def minimal_primes(lead_monomials):
+    """Minimal primes of a monomial ideal, as frozensets of variable indices."""
+    gens = [frozenset(i for i, e in enumerate(m) if e) for m in _minimalize(lead_monomials)]
+    covers = set()
+
+    def extend(cover, remaining):
+        if not remaining:
+            covers.add(cover)
+            return
+        head = remaining[0]
+        if cover & head:
+            extend(cover, remaining[1:])
+            return
+        for v in sorted(head):
+            extend(cover | {v}, remaining[1:])
+
+    extend(frozenset(), tuple(gens))
+    minimal = []
+    for c in sorted(covers, key=lambda s: (len(s), sorted(s))):
+        if not any(other < c for other in covers):
+            minimal.append(c)
+    return minimal
+
+
+def codim_by_minimal_primes(gens):
+    if not gens:
+        return 0
+    return min(len(p) for p in minimal_primes(gens))
 
 
 def multidegree_monomial_recursive(lead_monomials, w):
     """Oracle route: hyperplane splitting, filtered by codimension."""
     alpha = w.alpha_names
     nvars = len(w.variables)
-
-    def codim_of(gens):
-        if not gens:
-            return 0
-        return min(len(p) for p in minimal_primes(gens))
 
     def rec(gens):
         gens = _minimalize(gens)
@@ -104,7 +141,7 @@ def multidegree_monomial_recursive(lead_monomials, w):
                 i = next(j for j, e in enumerate(g) if e)
                 term = term * w.form(w.variables[i])
             return term
-        c = codim_of(gens)
+        c = codim_by_minimal_primes(gens)
         # deterministic pivot: first variable occurring in a non-linear generator
         pivot = None
         for g in gens:
@@ -118,10 +155,10 @@ def multidegree_monomial_recursive(lead_monomials, w):
             for g in gens
         )
         total = MultiPoly.zero(alpha)
-        if codim_of(plus) == c:
+        if codim_by_minimal_primes(plus) == c:
             total = total + rec(plus)
         if colon and any(any(g) for g in colon):
-            if codim_of(colon) == c:
+            if codim_by_minimal_primes(colon) == c:
                 total = total + rec(colon)
         else:
             # colon ideal became the whole ring: V(J:x) empty contribution
@@ -129,6 +166,30 @@ def multidegree_monomial_recursive(lead_monomials, w):
         return total
 
     return rec(list(lead_monomials))
+
+
+def _degree_n_monomials(nvars, n):
+    """Exponent tuples of total degree n."""
+    if nvars == 0:
+        return [()] if n == 0 else []
+    if nvars == 1:
+        return [(n,)]
+    return [(e,) + rest for e in range(n + 1) for rest in _degree_n_monomials(nvars - 1, n - e)]
+
+
+def hilbert_by_enumeration(lead_monomials, w, n):
+    """Oracle route: test every degree-n monomial against the lead monomials."""
+    lead = _minimalize(lead_monomials)
+    histogram = {}
+    for mon in _degree_n_monomials(len(w.variables), n):
+        if any(all(x <= y for x, y in zip(g, mon)) for g in lead):
+            continue
+        weight = w.weights[w.variables[0]] * 0
+        for e, v in zip(mon, w.variables):
+            if e:
+                weight = weight + w.weights[v] * e
+        histogram[weight] = histogram.get(weight, 0) + 1
+    return histogram
 
 
 def test_order_independence_and_recursion_on_random_ideals():
@@ -151,10 +212,11 @@ def test_order_independence_and_recursion_on_random_ideals():
         md_lex = multidegree(gens, w, LEX)
         assert md_grevlex == md_lex
         lead = [g.leading_monomial(GREVLEX) for g in G.gens]
-        assert multidegree_monomial(lead, w) == multidegree_monomial_recursive(lead, w)
+        assert md_grevlex == multidegree_monomial_recursive(lead, w)
         # homogeneous of degree = codim
         n = len(names)
         codim = n - dimension(gens)
+        assert codim == codim_by_minimal_primes(lead)
         assert md_grevlex.is_homogeneous()
         assert md_grevlex.total_degree() == codim
         checked += 1
@@ -178,3 +240,39 @@ def test_hilbert_respects_grading():
     assert sum(hist.values()) == 2
     assert hist[Weight.root(3, 1, 2) + Weight.root(3, 2, 3)] == 1
     assert hist[Weight.root(3, 2, 3) * 2] == 1
+
+
+def test_hilbert_rejects_a_numerator_of_other_weights():
+    names = ("x", "y")
+    x = MultiPoly.var(names, "x")
+    numerator = hilbert_numerator([x**2], wa_for(names, 3, [(1, 2), (2, 3)]))
+    assert multigraded_hilbert(numerator, wa_for(names, 3, [(1, 2), (2, 3)]), 2)
+    with pytest.raises(ValueError, match="other weights"):
+        multigraded_hilbert(numerator, wa_for(names, 3, [(1, 3), (2, 3)]), 2)
+
+
+def test_hilbert_numerator_matches_enumeration_on_random_monomial_ideals():
+    # seed 20261018, 40 ideals in 2..5 variables, every n in 0..4: the
+    # K-polynomial DP against the enumeration oracle.  The last variable
+    # has weight zero, like the homogenizing u of a projective cone; the
+    # others draw positive roots with repetition, so weight buckets merge.
+    rng = random.Random(20261018)
+    m = 5
+    cases = 0
+    while cases < 40:
+        k = rng.randint(2, 5)
+        names = tuple(f"x{i}" for i in range(k))
+        weights = {v: Weight.root(m, *sorted(rng.sample(range(1, m + 1), 2))) for v in names[:-1]}
+        weights[names[-1]] = Weight.zero(m)
+        w = WeightAssignment(names, weights, alpha_names(m))
+        mons = set()
+        for _ in range(rng.randint(1, 5)):
+            mon = tuple(rng.randint(0, 2) for _ in names)
+            if any(mon):
+                mons.add(mon)
+        if not mons:
+            continue
+        gens = [MultiPoly(names, {mon: Fraction(1)}) for mon in mons]
+        for n in range(5):
+            assert multigraded_hilbert(gens, w, n) == hilbert_by_enumeration(mons, w, n)
+        cases += 1

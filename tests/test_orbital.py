@@ -5,7 +5,16 @@ import json
 import pytest
 
 from mvtk import orbital
-from mvtk.orbital import Tableau, dbar_mv, orbital_ideal, plucker_chart, plucker_sections
+from mvtk.orbital import (
+    Tableau,
+    dbar_mv,
+    lusztig_datum,
+    lusztig_weight,
+    orbital_ideal,
+    orbital_multidegree,
+    plucker_chart,
+    plucker_sections,
+)
 from mvtk.preproj import (
     SubmoduleLattice,
     euler_interpolate,
@@ -69,7 +78,7 @@ def test_a4_sections_equal_chain_euler_characteristics(a4_plucker, n, total):
     assert sections == chains
 
 
-@pytest.mark.parametrize("n, total", [(4, 1400), (5, 3626)])
+@pytest.mark.parametrize("n, total", [(4, 1400), (5, 3626), (6, 8232)])
 def test_a4_section_totals(a4_plucker, n, total):
     # beyond the chain counts above: the totals of the degree-n sections
     sections = plucker_sections(Tableau(A4_TAU), n, chart=a4_plucker)
@@ -94,10 +103,30 @@ def buchberger_runs(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_plucker_sections_run_no_buchberger(a4_plucker, buchberger_runs, n):
-    # the chart stores the saturated homogeneous basis; the Hilbert count
-    # reads its leading monomials
+    # the chart stores the saturated homogeneous basis and the K-polynomial
+    # of its initial ideal; the section count reads the stored numerator
     plucker_sections(Tableau(A4_TAU), n, chart=a4_plucker)
     assert len(buchberger_runs) == 0
+
+
+def test_plucker_sections_reuse_the_chart_numerator(a4_plucker, monkeypatch):
+    # the K-polynomial is built once, in plucker_chart; every later count,
+    # calibrated or raw, runs only the DP over the variables
+    module = importlib.import_module("mvtk.exactalg.mdeg")
+    runs = []
+    inner = module._k_polynomial
+
+    def counted(*args):
+        runs.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, "_k_polynomial", counted)
+    numerator = a4_plucker.numerator
+    for n in (1, 2, 3, 2):
+        plucker_sections(Tableau(A4_TAU), n, chart=a4_plucker)
+        plucker_sections(Tableau(A4_TAU), n, chart=a4_plucker, calibrated=False)
+    assert runs == []
+    assert a4_plucker.numerator is numerator
 
 
 def test_orbital_ideal_carries_its_basis(buchberger_runs):
@@ -106,3 +135,25 @@ def test_orbital_ideal_carries_its_basis(buchberger_runs):
     orb = orbital_ideal(Tableau(A5_TAU))
     assert len(buchberger_runs) <= 29
     assert orb.groebner_basis() is orb.basis
+
+
+def test_lusztig_datum_of_a5_tableau_matches_fixture():
+    fixture = json.loads((FIXTURES / "a5_module.json").read_text())
+    assert lusztig_datum(Tableau(A5_TAU)) == tuple(fixture["expected_lusztig"])
+
+
+@pytest.mark.parametrize("rows", [A4_TAU, A5_TAU], ids=["A4", "A5"])
+def test_lusztig_weight_is_the_tableau_weight(rows):
+    tau = Tableau(rows)
+    assert lusztig_weight(tau.m, lusztig_datum(tau)) == tau.weight_nu()
+
+
+@pytest.mark.parametrize("rows, codim", [(A4_TAU, 4), (A5_TAU, 13)], ids=["A4", "A5"])
+def test_orbital_multidegree_has_the_chart_codimension(rows, codim):
+    # pruned zero variables multiply back in, so the degree is the
+    # codimension in the full chart, not in the live ring
+    orb = orbital_ideal(Tableau(rows))
+    md = orbital_multidegree(orb)
+    assert len(orb.chart.variables) - orb.dim == codim
+    assert md.is_homogeneous()
+    assert md.total_degree() == codim
