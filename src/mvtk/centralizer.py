@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactalg.linalg import solve
+from .exactalg.linalg import identity, inverse, mat_mul, solve
 from .exactalg.poly import MultiPoly
 from .measures import RatFunc, measure_from_coeffs
 from .roota import Weight, alpha_names, sequences
@@ -82,53 +82,7 @@ class CoordFunction:
         return f"CoordFunction({self.poly})"
 
 
-# -- exact matrix helpers ---------------------------------------------------------
-
-
-def mat_mul(a, b):
-    n = len(a)
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(n)), start=_zero_like(a[i][0]))
-         for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _zero_like(x):
-    if isinstance(x, RatFunc):
-        return RatFunc.constant(x.variables, 0)
-    if isinstance(x, MultiPoly):
-        return MultiPoly.zero(x.variables)
-    return Fraction(0)
-
-
-def identity_matrix(m, one=Fraction(1), zero=Fraction(0)):
-    return [[one if i == j else zero for j in range(m)] for i in range(m)]
-
-
-def unitriangular_inverse(mat):
-    """Inverse of an upper-unitriangular matrix, by back substitution.
-
-    Works for Fraction, MultiPoly, or RatFunc entries.
-    """
-    m = len(mat)
-    sample = mat[0][0]
-    inv = [[_coerce_like(sample, 1 if i == j else 0) for j in range(m)] for i in range(m)]
-    for j in range(m):
-        for i in range(j - 1, -1, -1):
-            s = _coerce_like(sample, 0)
-            for k in range(i + 1, j + 1):
-                s = s + mat[i][k] * inv[k][j]
-            inv[i][j] = -s
-    return inv
-
-
-def _coerce_like(sample, c):
-    if isinstance(sample, RatFunc):
-        return RatFunc.constant(sample.variables, c)
-    if isinstance(sample, MultiPoly):
-        return MultiPoly.constant(sample.variables, c)
-    return Fraction(c)
+# -- regularity ----------------------------------------------------------------------
 
 
 def check_regular(x) -> None:
@@ -288,9 +242,8 @@ def psi_eval(x, t):
     if any(v == 0 for v in tvals):
         raise ValueError("torus point must be invertible")
     n = solve_nx(m, x)
-    ninv = unitriangular_inverse(n)
     tinv_n_t = [[n[i][j] * tvals[j] / tvals[i] for j in range(m)] for i in range(m)]
-    return mat_mul(tinv_n_t, ninv)
+    return mat_mul(tinv_n_t, inverse(n))
 
 
 def ft_of_function(f: CoordFunction):
@@ -310,9 +263,9 @@ def ft_of_function(f: CoordFunction):
 
 def sbar(m: int, i: int):
     """The lift exp(-e_i) exp(f_i) exp(-e_i) of the simple reflection s_i."""
-    e = identity_matrix(m)
+    e = identity(m)
     e[i - 1][i] = Fraction(-1)
-    fmat = identity_matrix(m)
+    fmat = identity(m)
     fmat[i][i - 1] = Fraction(1)
     return mat_mul(mat_mul(e, fmat), e)
 
@@ -334,7 +287,7 @@ def weyl_witness(x, i: int):
     n_x = solve_nx(m, vals)
     n_sx = solve_nx(m, sx)
     w = sbar(m, i)
-    c_mat = mat_mul(w, unitriangular_inverse(n_x))
+    c_mat = mat_mul(w, inverse(n_x))
 
     # B(s) = n_sx diag(s) C must be lower-unitriangular, s = t^{-1}
     # entries: B[a][b] = sum_k n_sx[a][k] s_k C[k][b]
@@ -349,10 +302,7 @@ def weyl_witness(x, i: int):
     if any(v == 0 for v in s):
         raise ValueError("no invertible diagonal witness; implementation fault")
     t = [Fraction(1) / v for v in s]
-    tinv_diag = identity_matrix(m)
-    for k in range(m):
-        tinv_diag[k][k] = s[k]
-    y = mat_mul(mat_mul(n_sx, tinv_diag), c_mat)
+    y = mat_mul([[v * s[k] for k, v in enumerate(row)] for row in n_sx], c_mat)
     # exact verification of the factorization and the shape of y
     for a in range(m):
         for b in range(m):
@@ -360,14 +310,9 @@ def weyl_witness(x, i: int):
                 raise AssertionError("witness y is not lower-unitriangular")
             if a == b and y[a][b] != 1:
                 raise AssertionError("witness y is not unitriangular")
-    t_diag = identity_matrix(m)
-    for k in range(m):
-        t_diag[k][k] = t[k]
-    left = n_sx
-    # sbar_i^{-1}, solved one column at a time
-    w_inv = list(zip(*(solve(w, e, m) for e in identity_matrix(m))))
-    right = mat_mul(mat_mul(mat_mul(y, n_x), w_inv), t_diag)
-    if left != right:
+    right = mat_mul(mat_mul(y, n_x), inverse(w))
+    right = [[v * t[k] for k, v in enumerate(row)] for row in right]
+    if n_sx != right:
         raise AssertionError("factorization check failed")
     return y, t
 

@@ -208,23 +208,20 @@ def _buchberger(gens: list, order) -> list:
             basis.append(enrich(p))
 
     heap: list = []  # (deg lcm, key(lcm), i, j); lcm cached in `live`
-    live: dict = {}  # (i, j) -> lcm, for pairs still pending
+    live: dict = {}  # (i, j) -> (lcm, its mask), for pairs still pending
 
-    def push(i, j, l):
-        live[(i, j)] = l
+    def push(i, j, l, ml):
+        live[(i, j)] = (l, ml)
         heapq.heappush(heap, (sum(l), key(l), i, j))
 
     def update(new_index: int):
         """Gebauer-Moeller update on arrival of basis[new_index]."""
         lm_new = basis[new_index][0]
         lcms = [_mon_lcm(basis[i][0], lm_new) for i in range(new_index)]
-        masks = [_mon_mask(l) for l in lcms]
-        degs = [sum(l) for l in lcms]
         # criterion B: drop old pairs strictly refined by the new element
         mask_new = basis[new_index][3]
-        for (i, j) in list(live):
-            l = live[(i, j)]
-            if mask_new & ~_mon_mask(l):
+        for (i, j), (l, ml) in list(live.items()):
+            if mask_new & ~ml:
                 continue
             if _mon_divides(lm_new, l) and lcms[i] != l and lcms[j] != l:
                 del live[(i, j)]
@@ -247,12 +244,12 @@ def _buchberger(gens: list, order) -> list:
                     break
             if not dominated:
                 kept.append((l, ml, dl))
-        for l, _, _ in kept:
+        for l, ml, _ in kept:
             i = by_lcm[l]
             # product criterion: coprime leading terms reduce to zero
             if l == _mon_mul(basis[i][0], lm_new):
                 continue
-            push(i, new_index, l)
+            push(i, new_index, l, ml)
 
     for idx in range(len(basis)):
         update(idx)

@@ -5,7 +5,8 @@ anything `Fraction` accepts, and results hold Fractions.  A prime `p` means
 F_p: entries are ints, and results hold ints reduced into range(p) (GF(2) is
 `p = 2`).  Vectors and matrix rows are sequences of entries; a matrix is a
 sequence of rows.  Every Gaussian elimination over a field in mvtk runs
-here.
+here, and so does every product and inverse of matrices with field
+entries.
 """
 
 from __future__ import annotations
@@ -112,3 +113,27 @@ def mat_vec(mat, vec, p=None) -> tuple:
     if p is None:
         return tuple([sum(map(mul, row, vec), Fraction(0)) for row in mat])
     return tuple([sum(map(mul, row, vec)) % p for row in mat])
+
+
+def mat_mul(a, b, p=None) -> list:
+    """The product a . b as a list of row lists; b needs at least one row."""
+    cols = tuple(zip(*b))
+    return [list(mat_vec(cols, row, p)) for row in a]
+
+
+def identity(n: int, p=None) -> list:
+    """The n x n identity matrix as a list of row lists."""
+    zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def inverse(mat, p=None) -> list:
+    """The inverse of a square matrix, read off the rref of [mat | I].
+
+    Raises ValueError when mat is singular.
+    """
+    n = len(mat)
+    reduced = rref([list(row) + e for row, e in zip(mat, identity(n, p))], p)
+    if n and not any(reduced[-1][:n]):
+        raise ValueError("singular matrix")
+    return [list(row[n:]) for row in reduced]

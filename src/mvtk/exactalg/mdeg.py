@@ -138,6 +138,8 @@ def multidegree(gens: Sequence[MultiPoly] | GroebnerBasis, w: WeightAssignment,
     """Torus-equivariant class of V(I) inside the weighted coordinate space."""
     w.check_nonzero()
     _, lead = _initial_ideal(gens, order)
+    if not w.variables:
+        return MultiPoly.constant(w.alpha_names, 1)  # K = 1, codimension 0: a point
     k_poly = _k_polynomial(lead, w.grades())
     c = _codim(k_poly)
     by_weight: dict = {}

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 from .exactalg import (
@@ -200,25 +200,40 @@ def _poly_matmul(A, B, zero):
     return out
 
 
-def _det(mat, zero):
-    n = len(mat)
-    if n == 0:
-        return None
-    if n == 1:
-        return mat[0][0]
-    # expand along the sparsest row
-    best = min(range(n), key=lambda r: sum(0 if mat[r][c].is_zero() else 1 for c in range(n)))
-    total = zero
-    for c in range(n):
-        if mat[best][c].is_zero():
-            continue
-        sub = [row[:c] + row[c + 1 :] for r, row in enumerate(mat) if r != best]
-        term = mat[best][c] * _det(sub, zero)
-        if (best + c) % 2 == 0:
-            total = total + term
-        else:
-            total = total - term
-    return total
+class _Minors:
+    """The minors of one MultiPoly matrix, keyed by (rows, cols) index tuples.
+
+    Each minor expands along its first row and keeps every sub-minor it
+    meets, so the minors of one matrix share their smaller minors.
+    """
+
+    def __init__(self, mat, zero):
+        self.mat = mat
+        self.zero = zero
+        self.shape = (len(mat), len(mat[0]) if mat else 0)
+        self._memo = {}
+
+    def __call__(self, rows, cols):
+        if len(rows) == 1:
+            return self.mat[rows[0]][cols[0]]
+        d = self._memo.get((rows, cols))
+        if d is None:
+            row, rest = self.mat[rows[0]], rows[1:]
+            d = self.zero
+            for k, c in enumerate(cols):
+                if not row[c].is_zero():
+                    term = row[c] * self(rest, cols[:k] + cols[k + 1:])
+                    d = d + term if k % 2 == 0 else d - term
+            self._memo[(rows, cols)] = d
+        return d
+
+    def blocks(self, t):
+        """The t x t (rows, cols) blocks, in lexicographic order."""
+        nrows, ncols = self.shape
+        if 0 < t <= min(nrows, ncols):
+            for rs in combinations(range(nrows), t):
+                for cs in combinations(range(ncols), t):
+                    yield rs, cs
 
 
 def _pivot_reduce(mat, zero):
@@ -258,22 +273,12 @@ def _pivot_reduce(mat, zero):
         pivots += 1
 
 
-def _all_minors(mat, t, zero, cap=20000):
-    rows = len(mat)
-    cols = len(mat[0]) if mat else 0
-    if t <= 0 or t > min(rows, cols):
-        return []
-    out = []
-    count = 0
-    for rs in combinations(range(rows), t):
-        for cs in combinations(range(cols), t):
-            count += 1
-            if count > cap:
-                raise ValueError("minor enumeration cap exceeded")
-            d = _det([[mat[r][c] for c in cs] for r in rs], zero)
-            if d is not None and not d.is_zero():
-                out.append(d)
-    return out
+def _all_minors(minor, t):
+    """The nonzero t-minors; raises past MINOR_CAP blocks."""
+    nrows, ncols = minor.shape
+    if comb(nrows, t) * comb(ncols, t) > MINOR_CAP:
+        raise ValueError("minor enumeration cap exceeded")
+    return [d for rs, cs in minor.blocks(t) if not (d := minor(rs, cs)).is_zero()]
 
 
 def _pivot_candidates(mat, t, limit=400):
@@ -310,7 +315,7 @@ def _pivot_candidates(mat, t, limit=400):
         yield sorted(p[0] for p in picked), sorted(p[1] for p in picked)
 
 
-def _bordered_minors(mat, R, zero, vanishes=None):
+def _bordered_minors(minor, R, vanishes=None):
     """(R+1)-minors containing a fixed R x R pivot block.
 
     The pivot determinant must not vanish on the variety cut so far
@@ -319,35 +324,18 @@ def _bordered_minors(mat, R, zero, vanishes=None):
     condition, and the pivot determinant joins the saturation witnesses.
     Returns (minors, pivot determinant) or None if no usable pivot exists.
     """
-    pivot_det = None
-    pick = None
-    for rs, cs in _pivot_candidates(mat, R):
-        d = _det([[mat[r][c] for c in cs] for r in rs], zero)
-        if d is None or d.is_zero():
-            continue
-        if vanishes is not None and vanishes(d):
-            continue
-        pivot_det = d
-        pick = (rs, cs)
-        break
-    if pick is None:
+    if R <= 0:
+        return None  # no pivot block to border
+    for rs, cs in _pivot_candidates(minor.mat, R):
+        pivot_det = minor(tuple(rs), tuple(cs))
+        if not pivot_det.is_zero() and not (vanishes and vanishes(pivot_det)):
+            break
+    else:
         return None
-    rs, cs = pick
-    rows = len(mat)
-    cols = len(mat[0])
-    out = []
-    for r in range(rows):
-        if r in rs:
-            continue
-        for c in range(cols):
-            if c in cs:
-                continue
-            sub_rows = sorted(rs + [r])
-            sub_cols = sorted(cs + [c])
-            d = _det([[mat[a][b] for b in sub_cols] for a in sub_rows], zero)
-            if d is not None and not d.is_zero():
-                out.append(d)
-    return out, pivot_det
+    nrows, ncols = minor.shape
+    out = [minor(tuple(sorted(rs + [r])), tuple(sorted(cs + [c])))
+           for r in range(nrows) if r not in rs for c in range(ncols) if c not in cs]
+    return [d for d in out if not d.is_zero()], pivot_det
 
 
 @dataclass
@@ -356,9 +344,15 @@ class RankConditions:
     witnesses: list  # ordered candidate polynomials, preferred first
 
 
-def rank_condition_ideal(tau: Tableau, chart: TmuChart | None = None,
-                         minor_cap: int = 60000,
-                         full_minor_threshold: int = 700) -> RankConditions:
+# Past FULL_MINOR_THRESHOLD minors a rank condition borders one pivot block;
+# enumerating all minors of a condition stops at MINOR_CAP, and the witness
+# search tries the first WITNESS_BLOCKS blocks.
+FULL_MINOR_THRESHOLD = 700
+MINOR_CAP = 60000
+WITNESS_BLOCKS = 4000
+
+
+def rank_condition_ideal(tau: Tableau, chart: TmuChart | None = None) -> RankConditions:
     """Closure equations and openness witnesses from the Jordan-type chain.
 
     Conditions are generated per restriction step and per power, with the
@@ -407,26 +401,22 @@ def rank_condition_ideal(tau: Tableau, chart: TmuChart | None = None,
                     f"rank condition at step {i}, power {r} is infeasible"
                 )
             t = R + 1 - k
-            nrows = len(reduced)
-            ncols = len(reduced[0]) if reduced else 0
-            n_minors = (
-                comb(nrows, t) * comb(ncols, t) if t <= min(nrows, ncols) else 0
-            )
-            if n_minors > full_minor_threshold:
+            minor = _Minors(reduced, zero)
+            nrows, ncols = minor.shape
+            bordered = None
+            if comb(nrows, t) * comb(ncols, t) > FULL_MINOR_THRESHOLD:
                 vanishes = None
                 if basis is not None:
                     vanishes = lambda d: normal_form(d, basis).is_zero()
-                bordered = _bordered_minors(reduced, t - 1, zero, vanishes=vanishes)
-                if bordered is None:
-                    got = _all_minors(reduced, t, zero, cap=minor_cap)
-                else:
-                    got, pivot_det = bordered
-                    witnesses.insert(0, pivot_det)
+                bordered = _bordered_minors(minor, t - 1, vanishes=vanishes)
+            if bordered is None:
+                got = _all_minors(minor, t)
             else:
-                got = _all_minors(reduced, t, zero, cap=minor_cap)
+                got, pivot_det = bordered
+                witnesses.insert(0, pivot_det)
             gens.extend(got)
             fresh += len(got)
-            witnesses.extend(_witness_candidates(reduced, R - k, zero))
+            witnesses.extend(_witness_candidates(minor, R - k))
             power = _poly_matmul(power, block, zero)
             power = [[reduce_entry(e) for e in row] for row in power]
             r += 1
@@ -459,29 +449,15 @@ def _dedupe_polys(polys):
     return uniq
 
 
-def _witness_candidates(reduced, t, zero, limit=12):
+def _witness_candidates(minor, t, limit=12):
     """Deterministic t-minors likely nonzero on the component: sparse first."""
-    if t <= 0:
-        return []
-    rows = len(reduced)
-    cols = len(reduced[0]) if reduced else 0
-    if t > min(rows, cols):
-        return []
     scored = []
-    count = 0
-    for rs in combinations(range(rows), t):
-        for cs in combinations(range(cols), t):
-            count += 1
-            if count > 4000:
-                break
-            d = _det([[reduced[r][c] for c in cs] for r in rs], zero)
-            if d is None or d.is_zero():
-                continue
+    for rs, cs in islice(minor.blocks(t), WITNESS_BLOCKS):
+        d = minor(rs, cs)
+        if not d.is_zero():
             scored.append((len(d.terms), sum(sum(mon) for mon in d.terms), str(d), d))
-        if count > 4000:
-            break
-    scored.sort(key=lambda s: (s[0], s[1], s[2]))
-    return [d for _, _, _, d in scored[:limit]]
+    scored.sort(key=lambda s: s[:3])
+    return [s[3] for s in scored[:limit]]
 
 
 # -- component extraction --------------------------------------------------------------
@@ -491,7 +467,6 @@ def _witness_candidates(reduced, t, zero, limit=12):
 class OrbitalIdeal:
     chart: TmuChart
     basis: GroebnerBasis  # reduced, grevlex, in the ring without removed_vars
-    provenance: str
     dim: int
     tableau: Tableau
     removed_vars: tuple = ()  # variables forced to zero, pruned from the ring
@@ -551,7 +526,7 @@ def _prune_zero_variables(basis, variables):
     return basis, names, tuple(removed)
 
 
-def orbital_ideal(tau: Tableau, provenance: str = "computed-saturation") -> OrbitalIdeal:
+def orbital_ideal(tau: Tableau) -> OrbitalIdeal:
     """Extract the top-dimensional component ideal by guarded saturation."""
     m = tau.m
     chart = TmuChart(m, tau.content())
@@ -592,7 +567,6 @@ def orbital_ideal(tau: Tableau, provenance: str = "computed-saturation") -> Orbi
     return OrbitalIdeal(
         chart=chart,
         basis=current,
-        provenance=provenance,
         dim=dim_final,
         tableau=tau,
         removed_vars=removed,
@@ -647,21 +621,6 @@ def _minor_subsets(m: int):
     return [tuple(c) for c in combinations(universe, m)]
 
 
-def _minor_polynomial(subset, A, m, variables):
-    zero = MultiPoly.zero(variables)
-    cols = []
-    for c in subset:
-        if c > 0:
-            col = [MultiPoly.constant(variables, 1 if r == c - 1 else 0) for r in range(m)]
-        else:
-            b = -c
-            col = [A[b - 1][r] for r in range(m)]  # row b of A, as a column
-        cols.append(col)
-    mat = [[cols[j][i] for j in range(m)] for i in range(m)]
-    d = _det(mat, zero)
-    return d if d is not None else zero
-
-
 def plucker_chart(tau: Tableau, orb: OrbitalIdeal | None = None,
                   fixture: dict | None = None) -> PluckerChart:
     """Minor coordinates of the chart image, with the kernel ideal.
@@ -683,6 +642,12 @@ def plucker_chart(tau: Tableau, orb: OrbitalIdeal | None = None,
     orb = orb or orbital_ideal(tau)
     chart = orb.chart
     A = chart.generic_matrix()
+    zero = MultiPoly.zero(chart.variables)
+    one = MultiPoly.constant(chart.variables, 1)
+    # [I | A^T]: column c of a subset is the unit vector e_c for c > 0 and
+    # row -c of A for c < 0
+    minor = _Minors([[one if r == c else zero for c in range(m)] + [row[r] for row in A]
+                     for r in range(m)], zero)
     G = orb.basis
     live = G.variables if G.gens else tuple(v for v in chart.variables if v not in orb.removed_vars)
 
@@ -695,7 +660,7 @@ def plucker_chart(tau: Tableau, orb: OrbitalIdeal | None = None,
     minors = []
     subsets = []
     for subset in _minor_subsets(m):
-        poly = _minor_polynomial(subset, A, m, chart.variables)
+        poly = minor(tuple(range(m)), tuple(c - 1 if c > 0 else m - c - 1 for c in subset))
         reduced = to_live(_substitute_removed(poly, orb.removed_vars))
         if reduced is None:
             continue

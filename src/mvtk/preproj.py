@@ -18,7 +18,7 @@ from collections.abc import Mapping, ValuesView
 from fractions import Fraction
 from itertools import chain, repeat, product as iproduct
 
-from .exactalg.linalg import coords, mat_vec, null_space, rref
+from .exactalg.linalg import coords, mat_mul, mat_vec, null_space, rref
 from .exactalg.poly import MultiPoly
 from .measures import RatFunc, dbar_i
 from .roota import Weight, alpha_names, positive_roots, root_positions
@@ -74,43 +74,19 @@ class QuiverRep:
             return Fraction(v)
         return int(v) % self.field
 
-    def _matmul(self, a, b, rows, mid, cols):
-        if rows == 0 or cols == 0:
-            return tuple(tuple() for _ in range(rows))
-        out = []
-        for r in range(rows):
-            row = []
-            for c in range(cols):
-                s = sum((a[r][k] * b[k][c] for k in range(mid)), start=self._zero())
-                if self.field != "Q":
-                    s %= self.field
-                row.append(s)
-            out.append(tuple(row))
-        return tuple(out)
-
     def relation_holds(self):
+        """At each vertex v, the composite through v - 1 equals the one through v + 1."""
+        p = None if self.field == "Q" else self.field
         for v in range(1, self.m):
             dv = self.dims[v - 1]
-            acc = [[self._zero()] * dv for _ in range(dv)]
-            if v - 1 >= 1:
-                a = self._matmul(self.maps[(v - 1, v)], self.maps[(v, v - 1)],
-                                 dv, self.dims[v - 2], dv)
-                for r in range(dv):
-                    for c in range(dv):
-                        acc[r][c] += a[r][c]
-            if v + 1 <= self.m - 1:
-                b = self._matmul(self.maps[(v + 1, v)], self.maps[(v, v + 1)],
-                                 dv, self.dims[v], dv)
-                for r in range(dv):
-                    for c in range(dv):
-                        acc[r][c] -= b[r][c]
-            for r in range(dv):
-                for c in range(dv):
-                    x = acc[r][c]
-                    if self.field != "Q":
-                        x %= self.field
-                    if x != 0:
-                        return False
+            sides = []
+            for u in (v - 1, v + 1):
+                if 1 <= u < self.m and self.dims[u - 1]:
+                    sides.append(mat_mul(self.maps[(u, v)], self.maps[(v, u)], p))
+                else:
+                    sides.append([[0] * dv for _ in range(dv)])
+            if sides[0] != sides[1]:
+                return False
         return True
 
     def dim_vector(self) -> Weight:
@@ -627,10 +603,10 @@ def flag_data(rep: QuiverRep, primes=DEFAULT_PRIMES) -> dict:
     return chi
 
 
-def flag_function(rep: QuiverRep, primes=DEFAULT_PRIMES, method="auto") -> RatFunc:
+def flag_function(rep: QuiverRep, primes=DEFAULT_PRIMES, method="direct") -> RatFunc:
     """The rational function sum of chi(F_i) * Dbar_i over Seq(dim vector).
 
-    method "auto" (the default) and "direct" add the Dbar_i as RatFuncs;
+    method "direct" (the default) adds the Dbar_i as RatFuncs;
     "interpolate" reconstructs the sum from values on a grid, which is
     far slower at rank 5 and is kept as an independent route.
     """
@@ -638,8 +614,8 @@ def flag_function(rep: QuiverRep, primes=DEFAULT_PRIMES, method="auto") -> RatFu
     return flag_function_from_chi(rep.m, chi, method=method)
 
 
-def flag_function_from_chi(m: int, chi: dict, method="auto") -> RatFunc:
-    if method not in ("auto", "direct", "interpolate"):
+def flag_function_from_chi(m: int, chi: dict, method="direct") -> RatFunc:
+    if method not in ("direct", "interpolate"):
         raise ValueError(f"unknown flag-function method {method!r}")
     names = alpha_names(m)
     if not chi:
@@ -790,13 +766,12 @@ def _certify_flag(m: int, chi: dict, candidate: RatFunc, trials: int = 4) -> boo
 
 
 def flag_function_generic(builder, values=(Fraction(2), Fraction(3)),
-                          primes=None, method="auto") -> RatFunc:
+                          primes=None) -> RatFunc:
     """Flag function of a family: evaluate the parameter twice, require agreement.
 
     Equal composition-series data implies equal flag functions, so the
     assembly runs once when the two evaluations already agree at the
     counting level; otherwise both functions are built and compared.
-    `method` is passed to flag_function_from_chi, as in flag_function.
     """
     data = []
     for a in values:
@@ -805,9 +780,9 @@ def flag_function_generic(builder, values=(Fraction(2), Fraction(3)),
         data.append(flag_data(rep, primes=ps))
     if data[0] == data[1]:
         m = builder(Fraction(values[0])).m
-        return flag_function_from_chi(m, data[0], method=method)
+        return flag_function_from_chi(m, data[0])
     results = [
-        flag_function_from_chi(builder(Fraction(a)).m, chi, method=method)
+        flag_function_from_chi(builder(Fraction(a)).m, chi)
         for a, chi in zip(values, data)
     ]
     if results[0] != results[1]:

@@ -9,7 +9,9 @@ from sympy import GF, Matrix
 from sympy.polys.matrices import DomainMatrix
 
 from mvtk.exactalg import MultiPoly
-from mvtk.exactalg.linalg import coords, mat_vec, null_space, rref, solve
+from mvtk.exactalg.linalg import (
+    coords, identity, inverse, mat_mul, mat_vec, null_space, rref, solve,
+)
 from mvtk.orbital import _check_plucker_fixture
 
 FIELDS = (None, 2, 3, 5, 7)   # None is Q
@@ -118,6 +120,31 @@ def test_mat_vec_matches_sympy(system, data):
     vec = data.draw(st.lists(_entry(p), min_size=n, max_size=n))
     expect = tuple(_reduce(x, p) for x in (Matrix(mat) * Matrix(vec) if mat else []))
     assert mat_vec(mat, vec, p) == expect
+
+
+@_SETTINGS
+@given(_systems(), st.data())
+def test_mat_mul_matches_sympy(system, data):
+    p, mat, n = system
+    cols = data.draw(st.integers(1, 4))
+    other = data.draw(st.lists(st.lists(_entry(p), min_size=cols, max_size=cols),
+                               min_size=n, max_size=n))
+    expect = (Matrix(mat) * Matrix(other)).tolist() if mat else []
+    assert mat_mul(mat, other, p) == [[_reduce(x, p) for x in row] for row in expect]
+
+
+@_SETTINGS
+@given(st.sampled_from(FIELDS), st.data())
+def test_inverse_inverts_or_detects_a_singular_matrix(p, data):
+    n = data.draw(st.integers(1, 4))
+    mat = data.draw(st.lists(st.lists(_entry(p), min_size=n, max_size=n), min_size=n, max_size=n))
+    if len(_oracle_rref(mat, n, p)) < n:
+        with pytest.raises(ValueError, match="singular"):
+            inverse(mat, p)
+        return
+    inv = inverse(mat, p)
+    assert mat_mul(mat, inv, p) == identity(n, p)
+    assert mat_mul(inv, mat, p) == identity(n, p)
 
 
 @pytest.mark.parametrize("p", FIELDS)

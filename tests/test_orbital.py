@@ -5,6 +5,7 @@ import json
 import pytest
 
 from mvtk import orbital
+from mvtk.exactalg import MultiPoly, WeightAssignment, groebner, multidegree
 from mvtk.orbital import (
     Tableau,
     dbar_mv,
@@ -21,7 +22,7 @@ from mvtk.preproj import (
     flag_function,
     load_module_fixture,
 )
-from mvtk.roota import Weight
+from mvtk.roota import Weight, alpha_names
 
 FIXTURES = res.files("mvtk") / "fixtures"
 A4_TAU = [[1, 2], [3, 4], [5]]
@@ -157,3 +158,42 @@ def test_orbital_multidegree_has_the_chart_codimension(rows, codim):
     assert len(orb.chart.variables) - orb.dim == codim
     assert md.is_homogeneous()
     assert md.total_degree() == codim
+
+
+BORDERED_TAU = [[1, 1, 2, 2], [3, 3, 5], [4, 6]]
+
+
+def test_bordered_minor_branch(monkeypatch):
+    # a rank condition with more than the full-enumeration threshold of
+    # minors: its (R+1)-minors come from one R x R pivot block, bordered
+    calls = []
+    inner = orbital._bordered_minors
+
+    def counted(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        calls.append(out is not None)
+        return out
+
+    monkeypatch.setattr(orbital, "_bordered_minors", counted)
+    orb = orbital_ideal(Tableau(BORDERED_TAU, m=6))
+    assert calls == [True]
+    assert str(dbar_mv(orb)) == (
+        "(a1*a2 + a2^2 + 2*a1*a3 + 2*a2*a3 + a3^2 + 2*a1*a4 + 2*a2*a4 + 2*a3*a4"
+        " + a4^2 + a1*a5 + a2*a5 + a3*a5 + a4*a5) / ((a1)^2*(a1 + a2)^2"
+        "*(a1 + a2 + a3)*(a1 + a2 + a3 + a4)*(a1 + a2 + a3 + a4 + a5)*(a2 + a3 + a4)"
+        "*(a2 + a3 + a4 + a5)*(a3 + a4)*(a3 + a4 + a5)*(a4)*(a4 + a5))"
+    )
+    md = orbital_multidegree(orb)
+    assert (len(orb.chart.variables), orb.dim) == (18, 11)
+    assert md.is_homogeneous()
+    assert md.total_degree() == 7
+
+
+@pytest.mark.parametrize("rows, m", [([[1, 1], [2]], 2), ([[1], [2]], 3), ([[1, 1], [2, 2], [3]], 4)])
+def test_dbar_mv_of_an_empty_chart_ring_is_one(rows, m):
+    # every chart variable is forced to zero: nu = 0 and Z_tau is a point
+    orb = orbital_ideal(Tableau(rows, m=m))
+    assert len(orb.removed_vars) == len(orb.chart.variables)
+    assert dbar_mv(orb) == 1
+    empty = WeightAssignment((), {}, alpha_names(m))
+    assert multidegree(groebner([]), empty) == MultiPoly.constant(alpha_names(m), 1)

@@ -162,6 +162,18 @@ def test_relation_enforced():
     QuiverRep(3, (1, 1), {})
 
 
+@pytest.mark.parametrize("field, holds", [("Q", False), (5, False), (2, True)])
+def test_relation_is_checked_in_the_field(field, holds):
+    # both composites of the all-ones 2 x 2 maps are 2 * ones: zero only mod 2
+    ones = [[1, 1], [1, 1]]
+    maps = {(1, 2): ones, (2, 1): ones}
+    if holds:
+        assert QuiverRep(3, (2, 2), maps, field=field).relation_holds()
+    else:
+        with pytest.raises(ValueError, match="preprojective relation fails"):
+            QuiverRep(3, (2, 2), maps, field=field)
+
+
 def test_fixture_modules_satisfy_relation():
     assert a4_module().relation_holds()
     assert a5_module().relation_holds()
