@@ -383,7 +383,7 @@ def normal_form(f: MultiPoly, G: GroebnerBasis) -> MultiPoly:
     raw = {m: int(c) for m, c in part.terms.items()}
     remainder, scale = _normal_form_full(raw, G._kernel_entries(), G.order)
     factor = content / scale
-    return MultiPoly(f.variables, {m: c * factor for m, c in remainder.items()})
+    return MultiPoly._make(f.variables, {m: c * factor for m, c in remainder.items()})
 
 
 def in_ideal(f: MultiPoly, G: GroebnerBasis) -> bool:
@@ -513,7 +513,7 @@ def _exact_poly_division(g: MultiPoly, f: MultiPoly) -> MultiPoly:
                     work[mm] = v
                 else:
                     del work[mm]
-    return MultiPoly(g.variables, quo)
+    return MultiPoly._make(g.variables, quo)
 
 
 def homogenize(gens: Sequence[MultiPoly], hvar: str) -> GroebnerBasis:
@@ -535,5 +535,5 @@ def homogenize(gens: Sequence[MultiPoly], hvar: str) -> GroebnerBasis:
         terms = {}
         for m, c in g.terms.items():
             terms[m + (d - sum(m),)] = c
-        out.append(MultiPoly(new_vars, terms))
+        out.append(MultiPoly._make(new_vars, terms))
     return GroebnerBasis(new_vars, out, GREVLEX)

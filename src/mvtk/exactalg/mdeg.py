@@ -69,6 +69,8 @@ class WeightAssignment:
 
     def weight(self, entries):
         """The weight with the given entries."""
+        if not self.variables:
+            raise ValueError("weight assignment has no variables, so no weight type to build")
         return type(self.weights[self.variables[0]])(entries)
 
 
@@ -206,6 +208,8 @@ def multigraded_hilbert(gens: Sequence[MultiPoly] | GroebnerBasis | HilbertNumer
 
     Takes the ideal, or its `hilbert_numerator` under the same weights.
     """
+    if not w.variables:
+        raise ValueError("weight assignment has no variables, so no weight histogram")
     k = gens if isinstance(gens, HilbertNumerator) else hilbert_numerator(gens, w)
     if k.grades != w.grades():
         raise ValueError("numerator was graded by other weights")

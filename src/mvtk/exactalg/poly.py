@@ -2,7 +2,15 @@
 
 Coefficients are arbitrary-precision rationals (fractions.Fraction); no
 floating point enters anywhere.  Monomials are exponent tuples over a fixed
-ordered variable list.  The canonical text syntax is
+ordered variable list.
+
+Every MultiPoly keeps one invariant: `variables` is a tuple of n names and
+`terms` maps tuples of n exponents to nonzero Fractions.  `MultiPoly(...)`
+is the validating constructor for outside input: it coerces coefficients
+(rejecting floats), checks exponent lengths, merges and drops zeros.
+`MultiPoly._make` trusts its arguments to meet the invariant already and
+checks nothing; arithmetic and the ring maps build their results with it.
+The canonical text syntax is
 
     3*a1^2*a6 - 1/2*a2*a8 + a5
 
@@ -14,7 +22,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Mapping
 
 
@@ -85,6 +94,13 @@ _TOKEN = re.compile(
 )
 
 
+def _exact(c) -> Fraction:
+    """c as a Fraction; floats are refused, since they are not exact."""
+    if isinstance(c, float):
+        raise TypeError(f"float {c!r} in exact arithmetic; pass an int or a Fraction")
+    return Fraction(c)
+
+
 class MultiPoly:
     """Immutable multivariate polynomial with exact rational coefficients."""
 
@@ -96,7 +112,7 @@ class MultiPoly:
         if terms:
             n = len(self.variables)
             for mon, c in terms.items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c == 0:
                     continue
                 mon = tuple(mon)
@@ -109,13 +125,22 @@ class MultiPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _make(cls, variables: tuple, terms: dict) -> "MultiPoly":
+        """Trusted constructor: the arguments already meet the invariant."""
+        p = object.__new__(cls)
+        p.variables = variables
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, variables) -> "MultiPoly":
         return cls(variables, {})
 
     @classmethod
     def constant(cls, variables, c) -> "MultiPoly":
         variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): Fraction(c)})
+        c = _exact(c)
+        return cls._make(variables, {(0,) * len(variables): c} if c else {})
 
     @classmethod
     def var(cls, variables, name) -> "MultiPoly":
@@ -245,16 +270,20 @@ class MultiPoly:
         return MultiPoly.constant(self.variables, other)
 
     def __add__(self, other):
-        other = self._coerce(other)
         terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return MultiPoly(self.variables, terms)
+        for m, c in self._coerce(other).terms.items():
+            s = terms.get(m)
+            s = c if s is None else s + c
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
+        return MultiPoly._make(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.variables, {m: -c for m, c in self.terms.items()})
+        return MultiPoly._make(self.variables, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -262,19 +291,30 @@ class MultiPoly:
     def __rsub__(self, other):
         return self._coerce(other) - self
 
+    def _scale(self, c: Fraction) -> "MultiPoly":
+        if not c:
+            return MultiPoly._make(self.variables, {})
+        return MultiPoly._make(self.variables, {m: k * c for m, k in self.terms.items()})
+
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            c = Fraction(other)
-            return MultiPoly(
-                self.variables, {m: k * c for m, k in self.terms.items()}
-            )
-        other = self._coerce(other)
+            return self._scale(_exact(other))
+        a, b = self.terms, self._coerce(other).terms
+        # integer numerators over the lcm of each operand's denominators: the
+        # pair products and sums stay in ints, one Fraction per output term
+        da = lcm(*(c.denominator for c in a.values()))
+        db = lcm(*(c.denominator for c in b.values()))
+        ib = [(m, c.numerator * (db // c.denominator)) for m, c in b.items()]
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return MultiPoly(self.variables, out)
+        for m1, c1 in a.items():
+            c1 = c1.numerator * (da // c1.denominator)
+            for m2, c2 in ib:
+                m = tuple(map(add, m1, m2))
+                out[m] = out.get(m, 0) + c1 * c2
+        den = da * db
+        return MultiPoly._make(
+            self.variables, {m: Fraction(c, den) for m, c in out.items() if c}
+        )
 
     __rmul__ = __mul__
 
@@ -291,8 +331,7 @@ class MultiPoly:
         return result
 
     def __truediv__(self, other):
-        c = Fraction(other)
-        return self * Fraction(1, 1) * (1 / c)
+        return self._scale(1 / _exact(other))
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
@@ -351,7 +390,7 @@ class MultiPoly:
             for e, p in zip(m, pos):
                 mon[p] = e
             terms[tuple(mon)] = c
-        return MultiPoly(variables, terms)
+        return MultiPoly._make(variables, terms)
 
     def restrict(self, variables) -> "MultiPoly":
         """Drop unused variables; fails if a dropped variable occurs."""
@@ -363,7 +402,7 @@ class MultiPoly:
             if any(m[i] for i in dropset):
                 raise ValueError("polynomial involves a dropped variable")
             terms[tuple(m[i] for i in keep)] = c
-        return MultiPoly(variables, terms)
+        return MultiPoly._make(variables, terms)
 
     # -- integer normal forms ------------------------------------------
 
@@ -380,7 +419,7 @@ class MultiPoly:
         lead = self.terms[self.leading_monomial()]
         sign = -1 if lead < 0 else 1
         content = Fraction(sign * num, den)
-        part = MultiPoly(
+        part = MultiPoly._make(
             self.variables, {m: c / content for m, c in self.terms.items()}
         )
         return part, content
@@ -389,7 +428,7 @@ class MultiPoly:
         if not self.terms:
             return self
         lc = self.leading_coefficient(order)
-        return MultiPoly(self.variables, {m: c / lc for m, c in self.terms.items()})
+        return MultiPoly._make(self.variables, {m: c / lc for m, c in self.terms.items()})
 
     # -- printing -------------------------------------------------------
 

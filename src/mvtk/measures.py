@@ -169,7 +169,7 @@ class RatFunc:
                 scale *= content**mult
             clean[key] = clean.get(key, 0) + mult
         if scale != 1:
-            num = num * (1 / Fraction(scale))
+            num = num / scale
         self.num = num
         self.den = clean
         self._cancel()
@@ -233,15 +233,17 @@ class RatFunc:
         for key, mult in other.den.items():
             if mult > common.get(key, 0):
                 common[key] = mult
+        return self._lift(common), other._lift(common), common
+
+    def _lift(self, common: dict) -> MultiPoly:
+        """num over the denominator `common`: one product, by the forms den lacks."""
         variables = self.variables
-        a, b = self.num, other.num
+        missing = None
         for key, mult in common.items():
-            form = _form_poly(key, variables)
             for _ in range(mult - self.den.get(key, 0)):
-                a = a * form
-            for _ in range(mult - other.den.get(key, 0)):
-                b = b * form
-        return a, b, common
+                form = _form_poly(key, variables)
+                missing = form if missing is None else missing * form
+        return self.num if missing is None else self.num * missing
 
     def __add__(self, other):
         if not isinstance(other, RatFunc):
@@ -269,9 +271,7 @@ class RatFunc:
             for key, mult in other.den.items():
                 den[key] = den.get(key, 0) + mult
             return RatFunc(self.num * other.num, den)
-        if isinstance(other, MultiPoly):
-            return RatFunc(self.num * other, dict(self.den))
-        return RatFunc(self.num * Fraction(other), dict(self.den))
+        return RatFunc(self.num * other, dict(self.den))
 
     __rmul__ = __mul__
 

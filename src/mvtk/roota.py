@@ -45,7 +45,9 @@ class Weight:
         return cls(tuple(1 if k == i - 1 else 0 for k in range(m)))
 
     @classmethod
+    @lru_cache(maxsize=None)
     def alpha(cls, m: int, i: int) -> "Weight":
+        """The simple root alpha_i, built once per (m, i): weights are never mutated."""
         if not 1 <= i <= m - 1:
             raise ValueError(f"alpha_{i} undefined for rank {m - 1}")
         return cls.eps(m, i) - cls.eps(m, i + 1)

@@ -276,3 +276,13 @@ def test_hilbert_numerator_matches_enumeration_on_random_monomial_ideals():
         for n in range(5):
             assert multigraded_hilbert(gens, w, n) == hilbert_by_enumeration(mons, w, n)
         cases += 1
+
+
+def test_empty_weight_assignment_is_refused():
+    # a ring with no variables has no weight to take the type of
+    w = WeightAssignment((), {}, ("a1", "a2"))
+    no_variables = "weight assignment has no variables, so no weight"
+    with pytest.raises(ValueError, match=no_variables + " histogram"):
+        multigraded_hilbert(groebner([]), w, 2)
+    with pytest.raises(ValueError, match=no_variables + " type to build"):
+        w.weight((0, 0, 0))

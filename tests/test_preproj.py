@@ -1,3 +1,4 @@
+import hashlib
 import importlib.resources as res
 import tracemalloc
 from fractions import Fraction
@@ -524,3 +525,14 @@ def test_budget_guard():
     doubled = big.direct_sum(big)
     with pytest.raises(ValueError):
         count_points(doubled, ("submodules", (1, 1, 1, 1, 1)), 11, budget=1000)
+
+
+@pytest.mark.slow
+def test_a5_flag_function_text_is_pinned():
+    # the full 178-term direct assembly, pinned byte for byte: str() of a
+    # RatFunc is canonical, so any change in its value or its printing shows
+    a5 = load_module_fixture(str(FIXTURES / "a5_module.json"), params={"a": 2})
+    text = str(flag_function_from_chi(6, flag_data(a5, primes=(5, 7, 11, 13))))
+    assert len(text) == 899
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "aae964640fee27b152894590d36b69eb340b7203e580cd17cbe2bce9b41b4700")
