@@ -1,15 +1,23 @@
 """Buchberger engine and ideal operations.
 
 Deterministic by construction: normal pair selection (degree of the lcm,
-then term order on the lcm), Gebauer-Moeller pair elimination, and a fully
-reduced, monic output basis.  The hot loop works on primitive integer
-coefficient dictionaries; Fractions only appear at the API boundary.
+then term order on the lcm), the Gebauer-Moeller update (J. Symbolic
+Comput. 6, 1988; Becker-Weispfenning, Groebner Bases, sec. 5.5, UPDATE) and
+a fully reduced, monic output basis.  When g joins the basis, a pending pair
+(f, h) goes if lm(g) divides its lcm and that lcm differs from lcm(f, g) and
+lcm(h, g) (criterion B); the new pairs (f, g) are grouped by lcm (F); a class
+goes if another class's lcm strictly divides its own (M), or if one of its
+pairs has coprime leads and so reduces to zero (product criterion).  Any
+other class keeps its pair with the oldest f.  The hot loop works on
+primitive integer coefficient dictionaries; Fractions only appear at the
+API boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add, le, sub
 from typing import Callable, Iterable, Sequence
 
 from .poly import GREVLEX, MultiPoly, TermOrder
@@ -41,20 +49,21 @@ def _from_int_poly(p: IntPoly, variables) -> MultiPoly:
     return MultiPoly(variables, {m: Fraction(c) for m, c in p.items()})
 
 
+# map() over two tuples loops in C: these are the innermost calls of Buchberger
 def _mon_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _mon_divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _mon_div(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _mon_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _lead(p: IntPoly, key: Callable) -> tuple:
@@ -70,7 +79,7 @@ def _mon_mask(mon: tuple) -> int:
 
 
 def _normal_form_full(p: IntPoly, basis: Sequence[tuple], order) -> tuple:
-    """Full normal form of p against basis entries (lm, poly[, deg, mask]).
+    """Full normal form of p against basis entries (lm, poly, deg, mask).
 
     Fraction-free: rescalings applied to the working polynomial are mirrored
     on the remainder.  Returns (r, scale): r is content-free and equals
@@ -86,10 +95,6 @@ def _normal_form_full(p: IntPoly, basis: Sequence[tuple], order) -> tuple:
     heap = [(heap_key(m), m) for m in work]
     heapq.heapify(heap)
     steps = 0
-    enriched = [
-        e if len(e) == 4 else (e[0], e[1], sum(e[0]), _mon_mask(e[0]))
-        for e in basis
-    ]
     while heap:
         _, lm = heapq.heappop(heap)
         if lm not in work:
@@ -97,7 +102,7 @@ def _normal_form_full(p: IntPoly, basis: Sequence[tuple], order) -> tuple:
         dlm = sum(lm)
         mlm = _mon_mask(lm)
         hit = None
-        for entry in enriched:
+        for entry in basis:
             if entry[2] > dlm or (entry[3] & ~mlm):
                 continue
             if _mon_divides(entry[0], lm):
@@ -201,8 +206,11 @@ def _buchberger(gens: list, order) -> list:
 
     # insert cheap reducers first: most of a redundant generating set then
     # drops out during the insertion normal forms
-    gens = sorted(gens, key=lambda p: (sum(_lead(p, key)), len(p), key(_lead(p, key))))
-    for p in gens:
+    def rank(p):
+        lm = _lead(p, key)
+        return (sum(lm), len(p), key(lm))
+
+    for p in sorted(gens, key=rank):
         p, _ = _normal_form_full(p, basis, order)
         if p:
             basis.append(enrich(p))
@@ -216,24 +224,29 @@ def _buchberger(gens: list, order) -> list:
 
     def update(new_index: int):
         """Gebauer-Moeller update on arrival of basis[new_index]."""
-        lm_new = basis[new_index][0]
-        lcms = [_mon_lcm(basis[i][0], lm_new) for i in range(new_index)]
+        lm_new, _, _, mask_new = basis[new_index]
+        lcms = [_mon_lcm(e[0], lm_new) for e in basis[:new_index]]
         # criterion B: drop old pairs strictly refined by the new element
-        mask_new = basis[new_index][3]
         for (i, j), (l, ml) in list(live.items()):
             if mask_new & ~ml:
                 continue
             if _mon_divides(lm_new, l) and lcms[i] != l and lcms[j] != l:
                 del live[(i, j)]
-        # criterion F first: one representative per lcm value (first index)
+        # criterion F: one class per lcm value, [first index, mask, coprime];
+        # an lcm's support is the union of the two leads' supports
         by_lcm: dict = {}
-        for i in range(new_index):
-            by_lcm.setdefault(lcms[i], i)
-        # criterion M among distinct lcm values, smallest degrees first
-        distinct = sorted(by_lcm, key=lambda l: (sum(l), key(l)))
+        for i, l in enumerate(lcms):
+            mask_i = basis[i][3]
+            cls = by_lcm.get(l)
+            if cls is None:
+                by_lcm[l] = [i, mask_i | mask_new, not mask_i & mask_new]
+            elif not mask_i & mask_new:
+                cls[2] = True
+        # criterion M among the classes, smallest degrees first: equal-degree
+        # lcms cannot divide each other strictly, and the heap orders the pairs
         kept: list = []
-        for l in distinct:
-            ml = _mon_mask(l)
+        for l in sorted(by_lcm, key=sum):
+            i, ml, coprime = by_lcm[l]
             dl = sum(l)
             dominated = False
             for l2, m2, d2 in kept:
@@ -242,14 +255,13 @@ def _buchberger(gens: list, order) -> list:
                 if _mon_divides(l2, l):
                     dominated = True
                     break
-            if not dominated:
-                kept.append((l, ml, dl))
-        for l, ml, _ in kept:
-            i = by_lcm[l]
-            # product criterion: coprime leading terms reduce to zero
-            if l == _mon_mul(basis[i][0], lm_new):
+            if dominated:
                 continue
-            push(i, new_index, l, ml)
+            kept.append((l, ml, dl))
+            # product criterion: a coprime pair reduces to zero, and with it
+            # every pair of its class (Becker-Weispfenning, UPDATE)
+            if not coprime:
+                push(i, new_index, l, ml)
 
     for idx in range(len(basis)):
         update(idx)
@@ -270,24 +282,24 @@ def _buchberger(gens: list, order) -> list:
 def _interreduce(basis: list, order) -> list:
     """Minimal then fully reduced basis, sorted by leading monomial."""
     key = order.key
-    entries = [(e[0], e[1]) for e in basis]
     # minimality: drop members whose lead is divisible by another lead
     keep = []
-    for i, (lm, p) in enumerate(entries):
+    for i, entry in enumerate(basis):
+        lm = entry[0]
         dominated = False
-        for j, (lm2, _) in enumerate(entries):
+        for j, other in enumerate(basis):
+            lm2 = other[0]
             if i == j:
                 continue
             if _mon_divides(lm2, lm) and (lm2 != lm or j < i):
                 dominated = True
                 break
         if not dominated:
-            keep.append((lm, p))
-    keep.sort(key=lambda t: key(t[0]))
+            keep.append(entry)
+    keep.sort(key=lambda e: key(e[0]))
     reduced = []
-    for idx, (lm, p) in enumerate(keep):
-        others = [keep[k] for k in range(len(keep)) if k != idx]
-        r, _ = _normal_form_full(p, others, order)
+    for idx, entry in enumerate(keep):
+        r, _ = _normal_form_full(entry[1], keep[:idx] + keep[idx + 1:], order)
         if r:
             reduced.append((_lead(r, key), r))
     reduced.sort(key=lambda t: key(t[0]), reverse=True)

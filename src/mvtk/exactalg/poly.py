@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, neg
 from typing import Iterable, Mapping
 
 
@@ -48,7 +48,7 @@ class TermOrder:
 
     @staticmethod
     def _grevlex_key(mon: tuple) -> tuple:
-        return (sum(mon), tuple(-e for e in reversed(mon)))
+        return (sum(mon), tuple(map(neg, reversed(mon))))
 
     def key(self, mon: tuple) -> tuple:
         if self.kind == "grevlex":
@@ -63,7 +63,7 @@ class TermOrder:
         if self.kind == "grevlex":
             return (-sum(mon), tuple(reversed(mon)))
         if self.kind == "lex":
-            return tuple(-e for e in mon)
+            return tuple(map(neg, mon))
         k = self.block
         return (
             (-sum(mon[:k]), tuple(reversed(mon[:k]))),

@@ -147,10 +147,15 @@ def _off_hyperplane(residues, key: tuple) -> bool:
 class RatFunc:
     """num / prod of linear forms, kept factored and cancelled.
 
-    `den` maps primitive integer coefficient tuples to multiplicities (see
-    the module docstring).  The constructor also takes non-primitive tuples
-    and linear MultiPoly forms as keys, and moves their content into the
-    numerator.
+    Every RatFunc keeps one invariant: `den` maps primitive integer
+    coefficient tuples (see the module docstring) to positive
+    multiplicities, no key's form divides `num`, and a zero `num` has an
+    empty `den`.  `RatFunc(...)` is the validating constructor: it also
+    takes non-primitive tuples and linear MultiPoly forms as keys, moves
+    their content into the numerator and cancels.  `RatFunc._make` trusts
+    its arguments and checks nothing; sums and products, whose keys are
+    already primitive, build with it and then cancel, and negation and
+    nonzero scalar multiples, which keep a quotient cancelled, do not.
     """
 
     __slots__ = ("num", "den")
@@ -174,8 +179,16 @@ class RatFunc:
         self.den = clean
         self._cancel()
 
-    def _cancel(self):
-        """Divide out each denominator factor as often as it divides num.
+    @classmethod
+    def _make(cls, num: MultiPoly, den: dict) -> "RatFunc":
+        """A RatFunc from parts that already meet the invariant; den is not copied."""
+        self = object.__new__(cls)
+        self.num = num
+        self.den = den
+        return self
+
+    def _cancel(self) -> "RatFunc":
+        """Divide out each denominator factor as often as it divides num; returns self.
 
         A factor is divided only after num vanishes at the hyperplane test's
         point (see the module docstring); a nonzero value rejects it
@@ -184,9 +197,9 @@ class RatFunc:
         num = self.num
         if num.is_zero():
             self.den = {}
-            return
+            return self
         if num.is_constant() or not self.den:
-            return
+            return self
         variables = num.variables
         residues = _residues(num)
         for key, mult in list(self.den.items()):
@@ -204,6 +217,7 @@ class RatFunc:
             else:
                 del self.den[key]
         self.num = num
+        return self
 
     # -- constructors
 
@@ -253,12 +267,12 @@ class RatFunc:
         if self.is_zero():
             return other
         a, b, common = self._common_den(other)
-        return RatFunc(a + b, common)
+        return RatFunc._make(a + b, common)._cancel()
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, dict(self.den))
+        return RatFunc._make(-self.num, dict(self.den))
 
     def __sub__(self, other):
         if not isinstance(other, RatFunc):
@@ -270,8 +284,11 @@ class RatFunc:
             den = dict(self.den)
             for key, mult in other.den.items():
                 den[key] = den.get(key, 0) + mult
-            return RatFunc(self.num * other.num, den)
-        return RatFunc(self.num * other, dict(self.den))
+            return RatFunc._make(self.num * other.num, den)._cancel()
+        num = self.num * other
+        if isinstance(other, MultiPoly):
+            return RatFunc._make(num, dict(self.den))._cancel()
+        return RatFunc._make(num, {} if num.is_zero() else dict(self.den))
 
     __rmul__ = __mul__
 

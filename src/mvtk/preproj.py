@@ -17,6 +17,7 @@ import json
 from collections.abc import Mapping, ValuesView
 from fractions import Fraction
 from itertools import chain, repeat, product as iproduct
+from math import lcm, prod
 
 from .exactalg.linalg import coords, mat_mul, mat_vec, null_space, rref
 from .exactalg.poly import MultiPoly
@@ -531,36 +532,33 @@ def euler_interpolate(counts, degree_bound: int) -> int:
 
     Requires at least degree_bound + 1 distinct sample primes; any extra
     samples must lie exactly on the fitted polynomial, else the counts are
-    not polynomial in q and the method does not apply.
+    not polynomial in q and the method does not apply.  The interpolant P
+    through the first degree_bound + 1 points (x_i, y_i) is evaluated in
+    Lagrange form over the integers: with w_i = prod_{j != i} (x_i - x_j)
+    and D the lcm of the w_i, D * P(x) = sum_i y_i (D / w_i) prod_{j != i}
+    (x - x_j).
     """
     pts = sorted(dict(counts).items())
     if len(pts) < degree_bound + 1:
         raise ValueError("not enough sample points for the degree bound")
-    base = pts[: degree_bound + 1]
-    # Newton divided differences
-    xs = [Fraction(x) for x, _ in base]
-    coeffs = [Fraction(y) for _, y in base]
-    for level in range(1, len(base)):
-        for i in range(len(base) - 1, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
+    xs = [x for x, _ in pts[: degree_bound + 1]]
+    weights = [prod(xi - xj for xj in xs if xj != xi) for xi in xs]
+    den = lcm(*weights)
+    scaled = [y * (den // w) for (_, y), w in zip(pts, weights)]
 
-    def eval_at(x):
-        x = Fraction(x)
-        total = Fraction(0)
-        for i in range(len(base) - 1, -1, -1):
-            total = total * (x - xs[i]) + coeffs[i]
-        return total
+    def scaled_value(x):  # den * P(x)
+        return sum(c * prod(x - xj for xj in xs if xj != xi) for c, xi in zip(scaled, xs))
 
     for qx, y in pts[degree_bound + 1 :]:
-        if eval_at(qx) != y:
+        if scaled_value(qx) != y * den:
             raise ValueError(
                 f"counts are not polynomial of degree <= {degree_bound}: "
                 f"misfit at q={qx}"
             )
-    value = eval_at(1)
-    if value.denominator != 1:
+    value, rest = divmod(scaled_value(1), den)
+    if rest:
         raise ValueError("interpolated value at q=1 is not an integer")
-    return int(value)
+    return value
 
 
 DEFAULT_PRIMES = (2, 3, 5, 7)

@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -27,6 +29,7 @@ from mvtk.exactalg.groebner import (
     _extend_ring,
     _fresh_name,
 )
+from mvtk.orbital import Tableau, orbital_ideal, plucker_chart
 
 A10 = tuple(f"a{k}" for k in range(1, 11))
 
@@ -487,3 +490,58 @@ def test_ideals_equal_zero_and_unit_ideals():
     assert ideals_equal(empty, groebner([]))
     assert ideals_equal([one], [x + 1, x])
     assert not ideals_equal([], [x])
+
+
+# -- the Gebauer-Moeller pair update ---------------------------------------------
+
+
+@pytest.fixture
+def spoly_leads(monkeypatch):
+    # the exactalg package re-exports the function `groebner` under the
+    # submodule's name, so the module is looked up by its full name
+    module = importlib.import_module("mvtk.exactalg.groebner")
+    leads = []
+    inner = module._spoly
+
+    def counted(f, lm_f, g, lm_g):
+        leads.append((lm_f, lm_g))
+        return inner(f, lm_f, g, lm_g)
+
+    monkeypatch.setattr(module, "_spoly", counted)
+    return leads
+
+
+def test_a_coprime_pair_drops_its_whole_lcm_class(spoly_leads):
+    # The basis grows x^2*y, y + 2 (the insertion remainder of the second
+    # generator), then x^2 from their S-polynomial.  On the arrival of x^2
+    # both older leads have lcm x^2*y with it: the first member of that
+    # class shares x, the second (y) is coprime.  The coprime pair reduces
+    # to zero, and by criterion F with it every pair of the class, so the
+    # one S-polynomial formed is that of x^2*y and y + 2.
+    vs, (x, y) = poly_ring(["x", "y"])
+    gens = [2 * x**2 * y, 2 * x**2 * y**2 + y + 2]
+    G = groebner(gens)
+    assert spoly_leads == [((2, 1), (0, 1))]
+    assert set(G.gens) == _sympy_grevlex(gens, vs)
+    assert [str(g) for g in G] == ["x^2", "y + 2"]
+
+
+def _digest(basis) -> str:
+    return hashlib.sha256("\n".join(sorted(str(g) for g in basis)).encode()).hexdigest()
+
+
+def test_paper_example_bases_are_pinned(spoly_leads):
+    # reduced bases are unique, so a change to the pair bookkeeping must give
+    # these same strings.  The digests, and the bound of 872 S-polynomials
+    # for the A4 chart (orbital ideal, kernel elimination and saturation by
+    # u), are those of the update that tested only the first member of an
+    # lcm class for coprimality; the class-wide test forms 866.
+    chart = plucker_chart(Tableau([[1, 2], [3, 4], [5]]))
+    assert len(spoly_leads) <= 872
+    assert _digest(chart.kernel) == (
+        "d24ba6262bc5558a30f6757bb7ac542bc373787bc5d645bac4a327b6629243bd")
+    assert _digest(chart.homogeneous) == (
+        "c76f29d63f6b7847094d2bec1f0a0c93127834dc98f991a500db9150d7ea426e")
+    orb = orbital_ideal(Tableau([[1, 1, 1, 3], [2, 2, 5], [3, 4], [4, 6]]))
+    assert _digest(orb.basis) == (
+        "7c9b71d86009779361373dbb49dc1acf5258a1ecd79a084c07773ea85891d903")

@@ -270,6 +270,20 @@ def test_ratfunc_content_moves_into_numerator(x):
     assert RatFunc(n, {(-2, 0, 0): 1}) == rhs
 
 
+@_PROPERTY_SETTINGS
+@given(_EXPRS, _EXPRS, st.sampled_from([0, 1, -1, Fraction(-3, 2), 5]))
+def test_ratfunc_results_keep_the_invariant(x, y, c):
+    # results built by the trusted RatFunc._make: the validating constructor,
+    # which cancels, must leave each one as it is
+    a, b = _build(x), _build(y)
+    a1 = MultiPoly.var(a.variables, "a1")
+    for r in (a + b, a - b, a * b, -a, a * c, c * a, a * a1, a - a):
+        again = RatFunc(r.num, dict(r.den))
+        assert (r.num, r.den) == (again.num, again.den)
+        assert all(mult > 0 for mult in r.den.values())
+    assert (a * 0).den == {} and (a - a).den == {}
+
+
 # -- the hyperplane test of RatFunc._cancel -------------------------------------
 
 # primitive keys, first nonzero entry positive, as RatFunc.den holds them

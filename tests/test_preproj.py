@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations, product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvtk.exactalg import MultiPoly
 from mvtk.measures import RatFunc, dbar_i
@@ -310,6 +312,66 @@ def test_euler_interpolate():
         euler_interpolate([(2, 2), (3, 3), (5, 7)], 1)  # not on a line
     with pytest.raises(ValueError):
         euler_interpolate([(2, 3)], 1)  # not enough points
+
+
+def _newton_interpolate(counts, degree_bound: int) -> int:
+    """euler_interpolate by Newton divided differences in Fractions: the oracle."""
+    pts = sorted(dict(counts).items())
+    if len(pts) < degree_bound + 1:
+        raise ValueError("not enough sample points for the degree bound")
+    base = pts[: degree_bound + 1]
+    xs = [Fraction(x) for x, _ in base]
+    coeffs = [Fraction(y) for _, y in base]
+    for level in range(1, len(base)):
+        for i in range(len(base) - 1, level - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
+
+    def eval_at(x):
+        total = Fraction(0)
+        for i in range(len(base) - 1, -1, -1):
+            total = total * (x - xs[i]) + coeffs[i]
+        return total
+
+    for qx, y in pts[degree_bound + 1 :]:
+        if eval_at(qx) != y:
+            raise ValueError(
+                f"counts are not polynomial of degree <= {degree_bound}: "
+                f"misfit at q={qx}"
+            )
+    value = eval_at(1)
+    if value.denominator != 1:
+        raise ValueError("interpolated value at q=1 is not an integer")
+    return int(value)
+
+
+@st.composite
+def _interpolation_cases(draw):
+    """Counts on a polynomial (perhaps with one count moved off it) or arbitrary
+    counts; too few points, misfits and non-integer values at q = 1 all occur."""
+    degree_bound = draw(st.integers(0, 6))
+    xs = draw(st.lists(st.integers(2, 40), min_size=1, max_size=degree_bound + 3, unique=True))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=degree_bound + 1))
+        ys = [sum(c * x**k for k, c in enumerate(coeffs)) for x in xs]
+        if draw(st.booleans()):
+            ys[draw(st.integers(0, len(ys) - 1))] += draw(st.sampled_from([-1, 1, 7]))
+    else:
+        ys = draw(st.lists(st.integers(-1000, 1000), min_size=len(xs), max_size=len(xs)))
+    return list(zip(xs, ys)), degree_bound
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_interpolation_cases())
+def test_euler_interpolate_matches_the_newton_oracle(case):
+    def outcome(interpolate):
+        try:
+            value = interpolate(*case)
+        except ValueError as exc:
+            return "error", str(exc)
+        assert type(value) is int
+        return "value", value
+
+    assert outcome(euler_interpolate) == outcome(_newton_interpolate)
 
 
 def test_a4_euler_characteristics_table():
