@@ -206,17 +206,7 @@ def pairing_coefficients(m: int, f: CoordFunction) -> dict:
 
 def dbar_of_function(f: CoordFunction) -> RatFunc:
     """Expansion of x |-> f(n_x) as a linear combination of the D-bar terms."""
-    m = f.m
-    nu = f.weight
-    names = alpha_names(m)
-    coeffs = {}
-    for seq in sequences(m, nu):
-        c = pair_word(m, seq, f)
-        if c:
-            coeffs[seq] = c
-    if not coeffs:
-        return RatFunc.constant(names, 0)
-    return measure_from_coeffs(m, coeffs, nu, "dbar")
+    return measure_from_coeffs(f.m, pairing_coefficients(f.m, f), f.weight, "dbar")
 
 
 def dbar_direct(f: CoordFunction, x) -> Fraction:
@@ -248,14 +238,7 @@ def psi_eval(x, t):
 
 def ft_of_function(f: CoordFunction):
     """FT route: the exponential sum of f, via the word pairings."""
-    m = f.m
-    nu = f.weight
-    coeffs = {}
-    for seq in sequences(m, nu):
-        c = pair_word(m, seq, f)
-        if c:
-            coeffs[seq] = c
-    return measure_from_coeffs(m, coeffs, nu, "ft")
+    return measure_from_coeffs(f.m, pairing_coefficients(f.m, f), f.weight, "ft")
 
 
 # -- Weyl conjugation witness -------------------------------------------------------

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import comb, factorial
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from .groebner import GroebnerBasis, groebner
@@ -87,9 +89,7 @@ def _k_polynomial(gens: Sequence[tuple], grades: Sequence[tuple]) -> dict:
     """K-polynomial {grade: coefficient} of S/<gens>, x_i of degree grades[i]."""
     out: dict = {}
     nvars = len(grades)
-
-    def add(a, b, k=1):
-        return tuple(x + k * y for x, y in zip(a, b))
+    zero = tuple(0 for _ in grades[0]) if grades else ()
 
     def rec(gens, shift):
         gens = _minimalize(gens)
@@ -101,19 +101,22 @@ def _k_polynomial(gens: Sequence[tuple], grades: Sequence[tuple]) -> dict:
             # pairwise disjoint supports: K = prod (1 - t^{deg m})
             poly = {shift: 1}
             for m in gens:
-                d = tuple(0 for _ in shift)
+                d = zero
                 for e, g in zip(m, grades):
-                    d = add(d, g, e)
+                    if e:
+                        d = tuple(map(add, d, map(mul, repeat(e), g)))
                 for k, c in list(poly.items()):
-                    poly[add(k, d)] = poly.get(add(k, d), 0) - c
+                    key = tuple(map(add, k, d))
+                    poly[key] = poly.get(key, 0) - c
             for k, c in poly.items():
                 out[k] = out.get(k, 0) + c
             return
         unit = tuple(int(i == x) for i in range(nvars))
         rec([m for m in gens if not m[x]] + [unit], shift)
-        rec([m[:x] + (m[x] - 1,) + m[x + 1:] if m[x] else m for m in gens], add(shift, grades[x]))
+        rec([m[:x] + (m[x] - 1,) + m[x + 1:] if m[x] else m for m in gens],
+            tuple(map(add, shift, grades[x])))
 
-    rec(list(gens), tuple(0 for _ in grades[0]) if grades else ())
+    rec(list(gens), zero)
     return {k: c for k, c in out.items() if c}
 
 

@@ -322,11 +322,6 @@ class RatFunc:
             result /= v**mult
         return result
 
-    def as_poly(self) -> MultiPoly:
-        if self.den:
-            raise ValueError("rational function has a nontrivial denominator")
-        return self.num
-
     def __str__(self):
         if not self.den:
             return str(self.num)
@@ -470,23 +465,25 @@ def expsum_mul(a: ExpSum, b: ExpSum) -> ExpSum:
 def measure_from_coeffs(m: int, c: dict, nu: Weight, mode: str):
     """Assemble sum of c(i) * Dbar_i (mode 'dbar') or c(i) * FT(D_i) (mode 'ft').
 
-    The support of c must consist of sequences of weight nu.
+    This is the one sum over sequences: the flag side (chi of the
+    composition-series varieties) and the measure side (word pairings)
+    both assemble here, term by term in sorted sequence order.  Zero
+    coefficients are dropped first, so they cost no weight check; every
+    other sequence must have weight nu, else ValueError.
     """
-    names = alpha_names(m)
+    c = {seq: v for seq, v in c.items() if v}
     for seq in c:
         if seq_weight(m, seq) != nu:
             raise ValueError(f"sequence {seq} does not have weight {nu}")
     if mode == "dbar":
-        total = RatFunc.constant(names, 0)
+        total = RatFunc.constant(alpha_names(m), 0)
         for seq in sorted(c):
-            if c[seq]:
-                total = total + dbar_i(m, seq) * c[seq]
+            total = total + dbar_i(m, seq) * c[seq]
         return total
     if mode == "ft":
         total = ExpSum(m, {})
         for seq in sorted(c):
-            if c[seq]:
-                total = total + ft_i(m, seq).scale(c[seq])
+            total = total + ft_i(m, seq).scale(c[seq])
         return total
     raise ValueError(f"unknown mode {mode!r}")
 

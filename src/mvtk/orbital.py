@@ -90,7 +90,6 @@ class Tableau:
         for row in self.rows:
             k = sum(1 for x in row if x <= i)
             sh.append(k)
-        sh = [x for x in sh]
         while len(sh) < self.m:
             sh.append(0)
         return tuple(sh)
@@ -491,39 +490,29 @@ def _prune_zero_variables(basis, variables):
     The result is again a reduced basis: no other member contains a bare
     member's variable (that term would reduce by the bare member), so
     pruning only drops the bare members and shrinks the ring of the rest,
-    leaving them reduced, monic and in their order.
+    leaving them reduced, monic and in their order.  The removed variables
+    are listed in the order of their bare members.
     """
-    removed = []
-    current = list(basis)
-    names = tuple(variables)
-    while True:
-        bare = None
-        for g in current:
-            if len(g.terms) == 1:
-                (mon,) = g.terms
-                if sum(mon) == 1:
-                    idx = next(i for i, e in enumerate(mon) if e)
-                    bare = g.variables[idx]
-                    break
-        if bare is None:
-            break
-        removed.append(bare)
-        names = tuple(v for v in names if v != bare)
-        nxt = []
-        for g in current:
-            kept = {}
-            for mon, c in g.terms.items():
-                i = g.variables.index(bare)
-                if mon[i]:
-                    continue
-                kept[tuple(e for k, e in enumerate(mon) if k != i)] = c
-            p = MultiPoly(tuple(v for v in g.variables if v != bare), kept)
-            if not p.is_zero():
-                nxt.append(p)
-        current = nxt
-    if removed:
-        basis = GroebnerBasis(names, current, basis.order)
+    removed, rest = [], []
+    for g in basis:
+        mon = next(iter(g.terms))
+        if len(g.terms) == 1 and sum(mon) == 1:
+            removed.append(g.variables[mon.index(1)])
+        else:
+            rest.append(g)
+    if not removed:
+        return basis, tuple(variables), ()
+    names = tuple(v for v in variables if v not in removed)
+    basis = GroebnerBasis(names, [g.restrict(names) for g in rest], basis.order)
     return basis, names, tuple(removed)
+
+
+def _set_zero(p: MultiPoly, names) -> MultiPoly:
+    """p with the variables `names` set to zero, in the ring of its other variables."""
+    idx = [p.variables.index(v) for v in names]
+    kept = {mon: c for mon, c in p.terms.items() if not any(mon[i] for i in idx)}
+    return MultiPoly._make(p.variables, kept).restrict(
+        tuple(v for v in p.variables if v not in names))
 
 
 def orbital_ideal(tau: Tableau) -> OrbitalIdeal:
@@ -533,19 +522,11 @@ def orbital_ideal(tau: Tableau) -> OrbitalIdeal:
     target = tau.weight_nu().height()
     rc = rank_condition_ideal(tau, chart)
     current, live_names, removed = _prune_zero_variables(rc.basis, chart.variables)
-
-    def fit(poly):
-        """Re-express a full-ring polynomial in the current live ring (or None)."""
-        trimmed = _substitute_removed(poly, removed)
-        if trimmed.is_zero():
-            return None
-        return trimmed.restrict(live_names)
-
     for raw_w in rc.witnesses:
         if not current:
             break
-        w = fit(raw_w)
-        if w is None or w.is_constant():
+        w = _set_zero(raw_w, removed)
+        if w.is_constant():
             continue
         if normal_form(w, current).is_zero():
             continue
@@ -649,21 +630,12 @@ def plucker_chart(tau: Tableau, orb: OrbitalIdeal | None = None,
     minor = _Minors([[one if r == c else zero for c in range(m)] + [row[r] for row in A]
                      for r in range(m)], zero)
     G = orb.basis
-    live = G.variables if G.gens else tuple(v for v in chart.variables if v not in orb.removed_vars)
-
-    def to_live(p: MultiPoly) -> MultiPoly:
-        try:
-            return p.restrict(live)
-        except ValueError:
-            return None
-
+    live = orb.weight_assignment().variables
     minors = []
     subsets = []
     for subset in _minor_subsets(m):
         poly = minor(tuple(range(m)), tuple(c - 1 if c > 0 else m - c - 1 for c in subset))
-        reduced = to_live(_substitute_removed(poly, orb.removed_vars))
-        if reduced is None:
-            continue
+        reduced = _set_zero(poly, orb.removed_vars)
         nf = normal_form(reduced, G) if G.gens else reduced
         if nf.is_zero():
             continue
@@ -722,18 +694,6 @@ def plucker_chart(tau: Tableau, orb: OrbitalIdeal | None = None,
     )
     chart.numerator = hilbert_numerator(homogeneous, chart.weight_assignment())
     return chart
-
-
-def _substitute_removed(p: MultiPoly, removed) -> MultiPoly:
-    if not removed:
-        return p
-    keep = {}
-    removed_idx = [p.variables.index(v) for v in removed]
-    for mon, c in p.terms.items():
-        if any(mon[i] for i in removed_idx):
-            continue
-        keep[mon] = c
-    return MultiPoly(p.variables, keep)
 
 
 def _check_plucker_fixture(kernel, names, subsets, fixture):

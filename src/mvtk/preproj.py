@@ -16,13 +16,14 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping, ValuesView
 from fractions import Fraction
+from functools import cache
 from itertools import chain, repeat, product as iproduct
 from math import lcm, prod
 
-from .exactalg.linalg import coords, mat_mul, mat_vec, null_space, rref
+from .exactalg.linalg import coords, identity, mat_mul, mat_vec, null_space, rref
 from .exactalg.poly import MultiPoly
-from .measures import RatFunc, dbar_i
-from .roota import Weight, alpha_names, positive_roots, root_positions
+from .measures import RatFunc, measure_from_coeffs
+from .roota import Weight, alpha_names, multichains, positive_roots, root_positions, seq_weight
 
 
 # -- the representations ----------------------------------------------------------
@@ -93,9 +94,6 @@ class QuiverRep:
     def dim_vector(self) -> Weight:
         return Weight.from_alpha(self.m, self.dims)
 
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
     def direct_sum(self, other: "QuiverRep") -> "QuiverRep":
         if self.m != other.m or self.field != other.field:
             raise ValueError("incompatible summands")
@@ -155,13 +153,13 @@ class SubmoduleLattice:
     """All submodules of a nilpotent representation over F_p, with containment.
 
     The lattice is built top-down by a breadth-first search from the full
-    module.  The codimension-1 submodules of a submodule N are the N with
-    the space U_i at one vertex i replaced by a hyperplane of U_i that
-    contains the images of the arrows into i.  The search reaches every
-    submodule exactly when it reaches zero, i.e. when the module is
-    nilpotent; otherwise it raises ValueError.  Every module over the
-    preprojective algebra is nilpotent, but a QuiverRep built with
-    check=False need not be.
+    module, one `_children` step per node and vertex: the codimension-1
+    submodules of a submodule N are the N with the space U_i at one vertex
+    i replaced by a hyperplane of U_i that contains the images of the
+    arrows into i.  The search reaches every submodule exactly when it
+    reaches zero, i.e. when the module is nilpotent; otherwise it raises
+    ValueError.  Every module over the preprojective algebra is nilpotent,
+    but a QuiverRep built with check=False need not be.
 
     subs: the submodules as tuples of rref tuples, one per vertex, sorted
       by total dimension and then by the tuple; subs[0] is zero and the
@@ -177,7 +175,6 @@ class SubmoduleLattice:
         if rep.field == "Q":
             raise ValueError("enumerate over a prime field")
         self.rep = rep
-        self.p = rep.field
         self.subs, self.covers = self._search()
         self.dim_vectors = [
             tuple(len(u) for u in sub) for sub in self.subs
@@ -187,29 +184,15 @@ class SubmoduleLattice:
 
     def _search(self):
         rep = self.rep
-        p = self.p
         nv = rep.m - 1
-        full = tuple(
-            tuple(tuple(1 if a == b else 0 for a in range(d)) for b in range(d))
-            for d in rep.dims
-        )
         children = {}  # submodule -> [(codimension-1 submodule, letter)]
-        level = [full]
+        level = [_full_module(rep)]
         while level:
             lower = set()  # submodules one dimension down
             for sub in level:
                 kids = children[sub] = []
                 for i in range(1, nv + 1):
-                    incoming = []
-                    for v in (i - 1, i + 1):
-                        if 1 <= v <= nv:
-                            mat = rep.maps[(v, i)]
-                            for row in sub[v - 1]:
-                                img = mat_vec(mat, row, p)
-                                if any(img):
-                                    incoming.append(img)
-                    for h in _hyperplanes_containing(sub[i - 1], incoming, p):
-                        child = sub[: i - 1] + (h,) + sub[i:]
+                    for child in _children(rep, sub, i):
                         kids.append((child, i))
                         lower.add(child)
             level = lower
@@ -307,44 +290,22 @@ class SubmoduleLattice:
 
     def chain_counts_by_total(self, n: int) -> dict:
         """Chains 0 <= M^1 <= ... <= M^n <= M, bucketed by sum of dim M^k."""
-        ns = len(self.subs)
-        zero_total = (0,) * (self.rep.m - 1)
-        f = [dict() for _ in range(ns)]
-        for i in range(ns):
-            f[i] = {self.dim_vectors[i]: 1}
-        for _ in range(n - 1):
-            g = [dict() for _ in range(ns)]
-            for big in range(ns):
-                dbig = self.dim_vectors[big]
-                for small in self.below[big]:
-                    for acc, cnt in f[small].items():
-                        key = tuple(a + b for a, b in zip(acc, dbig))
-                        g[big][key] = g[big].get(key, 0) + cnt
-            f = g
         if n == 0:
-            return {zero_total: 1}
+            return {(0,) * (self.rep.m - 1): 1}
         total: dict = {}
-        for i in range(ns):
-            for acc, cnt in f[i].items():
-                total[acc] = total.get(acc, 0) + cnt
+        for table in multichains(self.below, self.dim_vectors, n):
+            for grade, cnt in table.items():
+                total[grade] = total.get(grade, 0) + cnt
         return total
 
     def chain_counts_by_last(self, n: int) -> dict:
         """Chains as above, bucketed by the dimension vector of M^n."""
-        ns = len(self.subs)
-        f = [1] * ns  # chains of length 1 ending at each submodule
-        for _ in range(n - 1):
-            g = [0] * ns
-            for big in range(ns):
-                for small in self.below[big]:
-                    g[big] += f[small]
-            f = g
-        out: dict = {}
         if n == 0:
             return {(0,) * (self.rep.m - 1): 1}
-        for i in range(ns):
-            key = self.dim_vectors[i]
-            out[key] = out.get(key, 0) + f[i]
+        out: dict = {}
+        tables = multichains(self.below, [()] * len(self.subs), n)  # empty grades: counts
+        for dv, table in zip(self.dim_vectors, tables):
+            out[dv] = out.get(dv, 0) + table[()]
         return out
 
 
@@ -456,62 +417,49 @@ def count_points(rep: QuiverRep, query, q: int, budget: int = 2_000_000) -> int:
 
 def _count_compseries_fixed(rep: QuiverRep, seq) -> int:
     """Composition series of one type, peeling simple quotients off the top."""
-    p = rep.field
-    m = rep.m
-    letters = [0] * (m - 1)
+    letters = [0] * (rep.m - 1)
     for i in seq:
         letters[i - 1] += 1
     if tuple(letters) != rep.dims:
         return 0
-    full = tuple(
-        tuple(tuple(1 if a == b else 0 for a in range(d)) for b in range(d))
-        for d in rep.dims
-    )
-    memo: dict = {}
 
-    def rec(state, k):
+    @cache
+    def rec(state, k):  # series of type seq[:k] up to the submodule `state`
         if k == 0:
             return 1
-        key = (state, k)
-        if key in memo:
-            return memo[key]
-        i = seq[k - 1]
-        u_i = state[i - 1]
-        # the hyperplane must contain the images of the incoming arrows
-        incoming = []
-        for v in (i - 1, i + 1):
-            if 1 <= v <= m - 1:
-                mat = rep.maps[(v, i)]
-                for row in state[v - 1]:
-                    img = mat_vec(mat, row, p)
-                    if any(img):
-                        incoming.append(img)
-        total = 0
-        for h in _hyperplanes_containing(u_i, incoming, p):
-            nxt = tuple(
-                h if v == i - 1 else state[v] for v in range(m - 1)
-            )
-            total += rec(nxt, k - 1)
-        memo[key] = total
-        return total
+        return sum(rec(child, k - 1) for child in _children(rep, state, seq[k - 1]))
 
-    return rec(full, len(seq))
+    return rec(_full_module(rep), len(seq))
 
 
-def _hyperplanes_containing(space_rows, must_contain, p):
-    """Hyperplanes of the span of `space_rows` (rref) containing `must_contain`.
+def _full_module(rep: QuiverRep) -> tuple:
+    """The full module as a submodule: the identity rref at every vertex."""
+    return tuple(tuple(map(tuple, identity(d, rep.field))) for d in rep.dims)
 
-    In coordinates on the space, a hyperplane containing the vectors is the
-    kernel of a functional that vanishes on them: one per projective point
-    of their annihilator.  Each is yielded as an ambient rref tuple.
+
+def _children(rep: QuiverRep, sub, i: int):
+    """The codimension-1 submodules of `sub` with quotient the simple at vertex i.
+
+    `sub` holds one rref tuple per vertex.  A child replaces the space U_i
+    by a hyperplane of U_i that contains the images of the arrows into i.
+    In coordinates on U_i such a hyperplane is the kernel of a functional
+    that vanishes on those images: one per projective point of their
+    annihilator.  Each child is yielded whole, as `sub` with U_i replaced.
     """
+    p = rep.field
+    space = sub[i - 1]
     w_rows = []
-    for vec in must_contain:
-        c = coords(vec, space_rows, p)
-        if c is None:
-            return  # an image leaves the space: no invariant hyperplane
-        w_rows.append(c)
-    ann = null_space(w_rows, len(space_rows), p)
+    for v in (i - 1, i + 1):
+        if 1 <= v < rep.m:
+            mat = rep.maps[(v, i)]
+            for row in sub[v - 1]:
+                img = mat_vec(mat, row, p)
+                if any(img):
+                    c = coords(img, space, p)
+                    if c is None:
+                        return  # an image leaves U_i: no invariant hyperplane
+                    w_rows.append(c)
+    ann = null_space(w_rows, len(space), p)
     ann_cols = tuple(zip(*ann))
     for point in iproduct(range(p), repeat=len(ann)):
         if next((c for c in point if c), 0) != 1:
@@ -520,8 +468,8 @@ def _hyperplanes_containing(space_rows, must_contain, p):
         # rref of the rows (phi_j | space row j): the first row holds the
         # pivot in column 0, and the rest, less that column, are the rref
         # of the kernel of phi on the space
-        reduced = rref([(f,) + row for f, row in zip(phi, space_rows)], p)
-        yield tuple(row[1:] for row in reduced[1:])
+        reduced = rref([(f,) + row for f, row in zip(phi, space)], p)
+        yield sub[: i - 1] + (tuple(row[1:] for row in reduced[1:]),) + sub[i:]
 
 
 # -- Euler characteristics by interpolation ----------------------------------------
@@ -615,16 +563,12 @@ def flag_function(rep: QuiverRep, primes=DEFAULT_PRIMES, method="direct") -> Rat
 def flag_function_from_chi(m: int, chi: dict, method="direct") -> RatFunc:
     if method not in ("direct", "interpolate"):
         raise ValueError(f"unknown flag-function method {method!r}")
-    names = alpha_names(m)
     if not chi:
         # every chi vanished (the zero module has chi {(): 1}): an empty sum
-        return RatFunc.constant(names, 0)
+        return RatFunc.constant(alpha_names(m), 0)
     if method == "interpolate":
         return _flag_function_interpolated(m, chi)
-    total = RatFunc.constant(names, 0)
-    for seq in sorted(chi):
-        total = total + dbar_i(m, seq) * chi[seq]
-    return total
+    return measure_from_coeffs(m, chi, seq_weight(m, next(iter(chi))), "dbar")
 
 
 def _flag_function_interpolated(m: int, chi: dict) -> RatFunc:

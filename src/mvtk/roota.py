@@ -11,7 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial
+from math import factorial
+from operator import add
 
 from .exactalg.poly import MultiPoly
 
@@ -333,43 +334,52 @@ def minuscule_chains(m: int, i: int, gamma, n: int):
     gamma = tuple(sorted(gamma))
     if len(gamma) != i or any(not 1 <= c <= m for c in gamma) or len(set(gamma)) != i:
         raise ValueError("gamma is not an i-subset of {1..m}")
+    if n == 0:
+        return 1, {Weight.zero(m): 1}
 
-    omega = tuple(range(1, i + 1))
     interval = [
         s
         for s in _orbit_subsets(m, i)
         if all(s[k] <= gamma[k] for k in range(i))
     ]
     # all s automatically dominate omega (s_k >= k+1)
-    index = {s: t for t, s in enumerate(interval)}
-    leq = [
-        [all(a[k] <= b[k] for k in range(i)) for b in interval] for a in interval
+    below = [
+        [t for t, a in enumerate(interval) if all(x <= y for x, y in zip(a, b))]
+        for b in interval
     ]
-    omega_w = subset_weight(m, omega)
-    return _minuscule_chains_dp(interval, leq, index[gamma], omega_w, m, n)
-
-
-def _minuscule_chains_dp(interval, leq, gamma_idx, omega_w, m, n):
-    # f[t] maps the accumulated weight of (tau_1, ..., tau_k ending at t)
-    # to the number of such multichains
-    f = [dict() for _ in interval]
-    for t, s in enumerate(interval):
-        f[t] = {omega_w - subset_weight(m, s): 1}
-    for _ in range(n - 1):
-        g = [dict() for _ in interval]
-        for t2, s2 in enumerate(interval):
-            contrib = omega_w - subset_weight(m, s2)
-            for t in range(len(interval)):
-                if leq[t][t2]:
-                    for acc, cnt in f[t].items():
-                        key = acc + contrib
-                        g[t2][key] = g[t2].get(key, 0) + cnt
-        f = g
+    omega_w = subset_weight(m, tuple(range(1, i + 1)))
+    grades = [(omega_w - subset_weight(m, s)).entries for s in interval]
+    tables = multichains(below, grades, n)
     histogram: dict = {}
-    if n == 0:
-        return 1, {Weight.zero(m): 1}
-    for t in range(len(interval)):
-        if leq[t][gamma_idx]:
-            for acc, cnt in f[t].items():
-                histogram[acc] = histogram.get(acc, 0) + cnt
+    for t in below[interval.index(gamma)]:
+        for grade, cnt in tables[t].items():
+            w = Weight(grade)
+            histogram[w] = histogram.get(w, 0) + cnt
     return sum(histogram.values()), histogram
+
+
+def multichains(below, grades, n: int) -> list:
+    """Multichains t_1 <= ... <= t_n in a finite poset, counted by total grade.
+
+    The elements are 0, ..., len(below) - 1, and below[t] lists the
+    elements <= t in ascending order, t itself included.  grades[t] is a
+    tuple of ints.  Returns one dict per element t: the total grade
+    grades[t_1] + ... + grades[t_n] (entrywise) of each multichain with
+    t_n = t, mapped to the number of such multichains.  Summed over all t,
+    the counts are the poset's zeta polynomial at n + 1 (Stanley, EC1,
+    sec. 3.12).
+    """
+    if n < 1:
+        raise ValueError("multichains need n >= 1")
+    tables = [{grade: 1} for grade in grades]
+    for _ in range(n - 1):
+        nxt = []
+        for top, grade in enumerate(grades):
+            acc: dict = {}
+            for t in below[top]:
+                for total, cnt in tables[t].items():
+                    key = tuple(map(add, total, grade))
+                    acc[key] = acc.get(key, 0) + cnt
+            nxt.append(acc)
+        tables = nxt
+    return tables

@@ -437,6 +437,13 @@ def test_flag_function_of_vanishing_chi_is_zero():
     assert flag_data(QuiverRep(3, (0, 0), {})) == {(): 1}
 
 
+def test_flag_function_from_chi_rejects_mixed_weights():
+    # chi of one module lives on one weight; a zero coefficient is no term at all
+    with pytest.raises(ValueError, match="does not have weight"):
+        flag_function_from_chi(3, {(1,): 1, (2,): 1})
+    assert flag_function_from_chi(3, {(1,): 1, (2,): 0}) == dbar_i(3, (1,))
+
+
 def test_a4_flag_pattern_and_identity():
     M = a4_module()
     chi = flag_data(M, primes=(2, 3, 5))

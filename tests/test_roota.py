@@ -4,12 +4,15 @@ from itertools import product
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvtk.exactalg import MultiPoly
 from mvtk.roota import (
     Weight,
     alpha_names,
     minuscule_chains,
+    multichains,
     p_mu,
     partial_sums,
     positive_roots,
@@ -160,6 +163,39 @@ def test_minuscule_chain_histogram():
     # omega - tau lies in Q_+ for tau above omega in the interval order
     count, hist = minuscule_chains(2, 1, (2,), 1)
     assert hist == {Weight.zero(2): 1, Weight.alpha(2, 1): 1}
+
+
+@st.composite
+def _graded_posets(draw):
+    """(below, grades): the transitive closure of a random DAG on 0..k-1, edges ascending."""
+    k = draw(st.integers(1, 6))
+    pairs = [(a, b) for b in range(k) for a in range(b)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    leq = [[a == b for b in range(k)] for a in range(k)]
+    for a, b in edges:
+        leq[a][b] = True
+    for mid in range(k):
+        for a in range(k):
+            for b in range(k):
+                leq[a][b] = leq[a][b] or (leq[a][mid] and leq[mid][b])
+    below = [[a for a in range(k) if leq[a][b]] for b in range(k)]
+    grades = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                           min_size=k, max_size=k))
+    return below, grades
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_graded_posets(), st.integers(1, 4))
+def test_multichains_match_brute_force(poset, n):
+    below, grades = poset
+    expected = [Counter() for _ in below]
+    for chain in product(range(len(below)), repeat=n):
+        if all(a in below[b] for a, b in zip(chain, chain[1:])):
+            total = tuple(map(sum, zip(*(grades[t] for t in chain))))
+            expected[chain[-1]][total] += 1
+    assert multichains(below, grades, n) == [dict(c) for c in expected]
+    with pytest.raises(ValueError):
+        multichains(below, grades, 0)
 
 
 def test_minuscule_rejects_bad_gamma():
