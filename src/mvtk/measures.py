@@ -462,6 +462,15 @@ def expsum_mul(a: ExpSum, b: ExpSum) -> ExpSum:
     return a * b
 
 
+def _nonzero_of_weight(m: int, c: dict, nu: Weight) -> dict:
+    """The nonzero entries of c; ValueError unless each of their sequences has weight nu."""
+    c = {seq: v for seq, v in c.items() if v}
+    for seq in c:
+        if seq_weight(m, seq) != nu:
+            raise ValueError(f"sequence {seq} does not have weight {nu}")
+    return c
+
+
 def measure_from_coeffs(m: int, c: dict, nu: Weight, mode: str):
     """Assemble sum of c(i) * Dbar_i (mode 'dbar') or c(i) * FT(D_i) (mode 'ft').
 
@@ -469,12 +478,9 @@ def measure_from_coeffs(m: int, c: dict, nu: Weight, mode: str):
     composition-series varieties) and the measure side (word pairings)
     both assemble here, term by term in sorted sequence order.  Zero
     coefficients are dropped first, so they cost no weight check; every
-    other sequence must have weight nu, else ValueError.
+    other sequence must have weight nu, else ValueError (_nonzero_of_weight).
     """
-    c = {seq: v for seq, v in c.items() if v}
-    for seq in c:
-        if seq_weight(m, seq) != nu:
-            raise ValueError(f"sequence {seq} does not have weight {nu}")
+    c = _nonzero_of_weight(m, c, nu)
     if mode == "dbar":
         total = RatFunc.constant(alpha_names(m), 0)
         for seq in sorted(c):

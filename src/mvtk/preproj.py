@@ -14,6 +14,7 @@ is a hard error, never a warning.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Mapping, ValuesView
 from fractions import Fraction
 from functools import cache
@@ -22,7 +23,7 @@ from math import lcm, prod
 
 from .exactalg.linalg import coords, identity, mat_mul, mat_vec, null_space, rref
 from .exactalg.poly import MultiPoly
-from .measures import RatFunc, measure_from_coeffs
+from .measures import RatFunc, _nonzero_of_weight, measure_from_coeffs
 from .roota import Weight, alpha_names, multichains, positive_roots, root_positions, seq_weight
 
 
@@ -156,10 +157,12 @@ class SubmoduleLattice:
     module, one `_children` step per node and vertex: the codimension-1
     submodules of a submodule N are the N with the space U_i at one vertex
     i replaced by a hyperplane of U_i that contains the images of the
-    arrows into i.  The search reaches every submodule exactly when it
-    reaches zero, i.e. when the module is nilpotent; otherwise it raises
-    ValueError.  Every module over the preprojective algebra is nilpotent,
-    but a QuiverRep built with check=False need not be.
+    arrows into i; the step depends only on the spaces at i - 1, i and i + 1,
+    and the search memoises it on them (see `_children`).  The search
+    reaches every submodule exactly when it reaches zero, i.e. when the
+    module is nilpotent; otherwise it raises ValueError.  Every module over
+    the preprojective algebra is nilpotent, but a QuiverRep built with
+    check=False need not be.
 
     subs: the submodules as tuples of rref tuples, one per vertex, sorted
       by total dimension and then by the tuple; subs[0] is zero and the
@@ -186,13 +189,14 @@ class SubmoduleLattice:
         rep = self.rep
         nv = rep.m - 1
         children = {}  # submodule -> [(codimension-1 submodule, letter)]
+        memo: dict = {}  # the step's hyperplanes, for this search only
         level = [_full_module(rep)]
         while level:
             lower = set()  # submodules one dimension down
             for sub in level:
                 kids = children[sub] = []
                 for i in range(1, nv + 1):
-                    for child in _children(rep, sub, i):
+                    for child in _children(rep, sub, i, memo):
                         kids.append((child, i))
                         lower.add(child)
             level = lower
@@ -217,7 +221,8 @@ class SubmoduleLattice:
             for j, _ in cov:
                 b |= bits[j]
             bits.append(b)
-        return [[k for k, c in enumerate(reversed(bin(b))) if c == "1"] for b in bits]
+        # the set bits, found by the regex scanner: one Python step per bit set
+        return [[m.start() for m in re.finditer("1", bin(b)[:1:-1])] for b in bits]
 
     # -- counting queries
 
@@ -423,11 +428,13 @@ def _count_compseries_fixed(rep: QuiverRep, seq) -> int:
     if tuple(letters) != rep.dims:
         return 0
 
+    memo: dict = {}  # the step's hyperplanes, for this count only
+
     @cache
     def rec(state, k):  # series of type seq[:k] up to the submodule `state`
         if k == 0:
             return 1
-        return sum(rec(child, k - 1) for child in _children(rep, state, seq[k - 1]))
+        return sum(rec(child, k - 1) for child in _children(rep, state, seq[k - 1], memo))
 
     return rec(_full_module(rep), len(seq))
 
@@ -437,39 +444,56 @@ def _full_module(rep: QuiverRep) -> tuple:
     return tuple(tuple(map(tuple, identity(d, rep.field))) for d in rep.dims)
 
 
-def _children(rep: QuiverRep, sub, i: int):
+def _children(rep: QuiverRep, sub, i: int, memo: dict):
     """The codimension-1 submodules of `sub` with quotient the simple at vertex i.
 
     `sub` holds one rref tuple per vertex.  A child replaces the space U_i
     by a hyperplane of U_i that contains the images of the arrows into i.
     In coordinates on U_i such a hyperplane is the kernel of a functional
-    that vanishes on those images: one per projective point of their
+    phi that vanishes on those images: one per projective point of their
     annihilator.  Each child is yielded whole, as `sub` with U_i replaced.
+
+    The arrows into i come from i +- 1, so the hyperplanes depend only on
+    U_{i-1}, U_i and U_{i+1}; `memo`, one dict per walk, keeps them under
+    that key.  With t the last index where phi_t != 0, the rows row_j -
+    (phi_j / phi_t) row_t (j != t) are already the rref of ker phi: row_t
+    is zero left of its pivot and at the other pivots, and phi_j = 0 for j > t.
     """
-    p = rep.field
-    space = sub[i - 1]
-    w_rows = []
-    for v in (i - 1, i + 1):
-        if 1 <= v < rep.m:
-            mat = rep.maps[(v, i)]
-            for row in sub[v - 1]:
-                img = mat_vec(mat, row, p)
-                if any(img):
-                    c = coords(img, space, p)
-                    if c is None:
-                        return  # an image leaves U_i: no invariant hyperplane
-                    w_rows.append(c)
-    ann = null_space(w_rows, len(space), p)
-    ann_cols = tuple(zip(*ann))
-    for point in iproduct(range(p), repeat=len(ann)):
-        if next((c for c in point if c), 0) != 1:
-            continue  # one representative per projective point
-        phi = mat_vec(ann_cols, point, p)
-        # rref of the rows (phi_j | space row j): the first row holds the
-        # pivot in column 0, and the rest, less that column, are the rref
-        # of the kernel of phi on the space
-        reduced = rref([(f,) + row for f, row in zip(phi, space)], p)
-        yield sub[: i - 1] + (tuple(row[1:] for row in reduced[1:]),) + sub[i:]
+    key = (i,) + sub[max(i - 2, 0) : i + 1]
+    if key not in memo:
+        memo[key] = hyperplanes = []
+        p = rep.field
+        space = sub[i - 1]
+        w_rows = []
+        for v in (i - 1, i + 1):
+            if 1 <= v < rep.m:
+                mat = rep.maps[(v, i)]
+                for row in sub[v - 1]:
+                    img = mat_vec(mat, row, p)
+                    if any(img):
+                        c = coords(img, space, p)
+                        if c is None:
+                            return  # an image leaves U_i: no invariant hyperplane
+                        w_rows.append(c)
+        ann = null_space(w_rows, len(space), p)
+        ann_cols = tuple(zip(*ann))
+        for lead in reversed(range(len(ann))):  # projective points, first nonzero 1
+            for rest in iproduct(range(p), repeat=len(ann) - lead - 1):
+                point = (0,) * lead + (1,) + rest
+                hyperplanes.append(_kernel_rref(space, mat_vec(ann_cols, point, p), p))
+    head, tail = sub[: i - 1], sub[i:]
+    for h in memo[key]:
+        yield head + (h,) + tail
+
+
+def _kernel_rref(space, phi, p: int) -> tuple:
+    """The rref of the kernel of phi != 0 on the rref rows `space`, as in `_children`."""
+    t = max(j for j, f in enumerate(phi) if f)
+    pivot, inv = space[t], pow(phi[t], -1, p)
+    return tuple(
+        tuple([(a - c * b) % p for a, b in zip(row, pivot)]) if (c := f * inv) else row
+        for row, f in zip(space[:t], phi)
+    ) + space[t + 1 :]
 
 
 # -- Euler characteristics by interpolation ----------------------------------------
@@ -563,12 +587,13 @@ def flag_function(rep: QuiverRep, primes=DEFAULT_PRIMES, method="direct") -> Rat
 def flag_function_from_chi(m: int, chi: dict, method="direct") -> RatFunc:
     if method not in ("direct", "interpolate"):
         raise ValueError(f"unknown flag-function method {method!r}")
-    if not chi:
+    nu = next((seq_weight(m, seq) for seq, c in chi.items() if c), None)
+    if nu is None:
         # every chi vanished (the zero module has chi {(): 1}): an empty sum
         return RatFunc.constant(alpha_names(m), 0)
     if method == "interpolate":
-        return _flag_function_interpolated(m, chi)
-    return measure_from_coeffs(m, chi, seq_weight(m, next(iter(chi))), "dbar")
+        return _flag_function_interpolated(m, _nonzero_of_weight(m, chi, nu))
+    return measure_from_coeffs(m, chi, nu, "dbar")
 
 
 def _flag_function_interpolated(m: int, chi: dict) -> RatFunc:
@@ -773,9 +798,7 @@ def injective_module(m: int, i: int) -> QuiverRep:
     cells = [(r, c) for r in range(1, height + 1) for c in range(1, width + 1)]
     vertex = {cell: cell[1] - cell[0] + height for cell in cells}
     basis = {v: [cell for cell in cells if vertex[cell] == v] for v in range(1, m)}
-    index = {
-        cell: basis[vertex[cell]].index(cell) for cell in cells
-    }
+    index = {cell: basis[vertex[cell]].index(cell) for cell in cells}
     dims = tuple(len(basis[v]) for v in range(1, m))
     expected = tuple(min(i, v, m - i, m - v) for v in range(1, m))
     if dims != expected:
@@ -813,10 +836,7 @@ def brick_module(m: int, i: int, j: int) -> QuiverRep:
     if not 1 <= i < j <= m:
         raise ValueError("need a positive root eps_i - eps_j")
     dims = tuple(1 if i <= v <= j - 1 else 0 for v in range(1, m))
-    maps = {}
-    for v in range(i, j - 1):
-        maps[(v + 1, v)] = [[1]]
-    return QuiverRep(m, dims, maps, "Q")
+    return QuiverRep(m, dims, {(v + 1, v): [[1]] for v in range(i, j - 1)}, "Q")
 
 
 # -- submodule polytope support -------------------------------------------------------
@@ -830,10 +850,7 @@ def pol_M(rep: QuiverRep, primes=(2, 3)) -> set:
         sets.append(lat.submodule_dim_vectors())
     if sets[0] != sets[1]:
         raise ValueError("submodule dimension set is unstable across primes")
-    out = set()
-    for dims in sets[0]:
-        out.add(-Weight.from_alpha(rep.m, dims))
-    return out
+    return {-Weight.from_alpha(rep.m, dims) for dims in sets[0]}
 
 
 # -- Harder-Narasimhan certificates ----------------------------------------------------
@@ -865,10 +882,7 @@ def hn_verify(rep: QuiverRep, cert: FiltrationCertificate):
     order = root_positions(m)
     rank = {pos: k for k, pos in enumerate(order)}
     datum = [0] * len(order)
-    prev = [
-        rref([tuple(1 if a == b else 0 for a in range(d)) for b in range(d)])
-        for d in rep.dims
-    ]
+    prev = list(_full_module(rep))
     last_rank = -1
     for layer_no, (root, mult, span) in enumerate(cert.layers):
         if root not in rank:

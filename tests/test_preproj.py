@@ -1,5 +1,6 @@
 import hashlib
 import importlib.resources as res
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product as iproduct
@@ -9,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvtk.exactalg import MultiPoly
+from mvtk.exactalg.linalg import rref
 from mvtk.measures import RatFunc, dbar_i
 from mvtk.preproj import (
     QuiverRep,
     SubmoduleLattice,
     _count_compseries_fixed,
+    _kernel_rref,
     brick_module,
     count_points,
     euler_interpolate,
@@ -293,6 +296,41 @@ def test_injective_pair_lattice_at_scale(q, nodes, pairs, covers, series):
     assert (len(table), sum(table.values())) == series
 
 
+def test_peel_matches_the_table_at_scale():
+    # the peel, with its own walk memo, against the lattice DP on 12 sampled keys
+    rep = injective_pair(6, 2, 4).reduce_mod(3)
+    table = SubmoduleLattice(rep).composition_series_counts()
+    picks = set(random.Random(0).sample(range(len(table)), 12))
+    seqs = [seq for k, seq in enumerate(table) if k in picks]
+    assert len(seqs) == 12
+    for seq in seqs:
+        assert _count_compseries_fixed(rep, seq) == table[seq], seq
+
+
+@st.composite
+def _kernel_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 7))
+    entry = st.integers(0, p - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=5))
+    space = rref(rows, p)
+    if not space:
+        space = ((1,) + (0,) * (n - 1),)
+    phi = draw(st.lists(entry, min_size=len(space), max_size=len(space)))
+    if not any(phi):
+        phi[draw(st.integers(0, len(phi) - 1))] = draw(st.integers(1, p - 1))
+    return p, space, tuple(phi)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_kernel_cases())
+def test_kernel_rref_matches_the_rref_oracle(case):
+    # the rows (phi_j | row_j) reduce to the pivot row of column 0, then ker phi
+    p, space, phi = case
+    oracle = rref([(f,) + row for f, row in zip(phi, space)], p)
+    assert _kernel_rref(space, phi, p) == tuple(row[1:] for row in oracle[1:])
+
+
 def test_composition_series_counts_memory_at_scale():
     # the join stays factored: no table of the 652,510 sequences is built
     lat = SubmoduleLattice(injective_pair(6, 2, 4).reduce_mod(2))
@@ -437,11 +475,14 @@ def test_flag_function_of_vanishing_chi_is_zero():
     assert flag_data(QuiverRep(3, (0, 0), {})) == {(): 1}
 
 
-def test_flag_function_from_chi_rejects_mixed_weights():
+@pytest.mark.parametrize("method", ["direct", "interpolate"])
+@pytest.mark.parametrize("chi", [{(1,): 1, (2,): 1}, {(1,): 1, (1, 2): 1}],
+                         ids=["two-letters", "two-lengths"])
+def test_flag_function_from_chi_rejects_mixed_weights(method, chi):
     # chi of one module lives on one weight; a zero coefficient is no term at all
     with pytest.raises(ValueError, match="does not have weight"):
-        flag_function_from_chi(3, {(1,): 1, (2,): 1})
-    assert flag_function_from_chi(3, {(1,): 1, (2,): 0}) == dbar_i(3, (1,))
+        flag_function_from_chi(3, chi, method=method)
+    assert flag_function_from_chi(3, {(2,): 0, (1,): 1}, method=method) == dbar_i(3, (1,))
 
 
 def test_a4_flag_pattern_and_identity():
