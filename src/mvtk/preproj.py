@@ -17,7 +17,7 @@ import json
 import re
 from collections.abc import Mapping, ValuesView
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain, repeat, product as iproduct
 from math import lcm, prod
 
@@ -171,7 +171,8 @@ class SubmoduleLattice:
     covers[i]: the pairs (j, letter), ascending in j, with subs[j] of
       codimension 1 in subs[i] and quotient the simple at vertex letter.
     below[i]: the ascending indices of all submodules of subs[i], itself
-      included; the reflexive-transitive closure of covers.
+      included; the reflexive-transitive closure of covers.  Built on first
+      read: only the chain counts need it, and it dwarfs covers.
     """
 
     def __init__(self, rep: QuiverRep):
@@ -182,7 +183,6 @@ class SubmoduleLattice:
         self.dim_vectors = [
             tuple(len(u) for u in sub) for sub in self.subs
         ]
-        self.below = self._closure()
         self.index = {sub: i for i, sub in enumerate(self.subs)}
 
     def _search(self):
@@ -213,7 +213,8 @@ class SubmoduleLattice:
         ]
         return subs, covers
 
-    def _closure(self):
+    @cached_property
+    def below(self):
         # one bitset per node; covers point to lower indices, so one pass
         bits = []
         for i, cov in enumerate(self.covers):
@@ -240,58 +241,39 @@ class SubmoduleLattice:
         chain passes through exactly one node of the middle rank r = rank // 2
         (rank = total dimension), so the count of a sequence p + s, with p of
         length r, is the sum over the rank-r nodes N of (chains from 0 to N
-        of type p) * (chains from N to the full module of type s).  Prefix
-        tables are built up to rank r along covers, suffix tables down to
-        rank r along the reversed covers.  Prefixes with the same vector of
-        counts over the rank-r nodes form one class, and so do suffixes; a
-        prefix class and a suffix class of the same dimension vector give
-        every p + s the dot product of their two vectors.  The walks only
-        build words of up to half the length, and the result keeps the join
-        factored (see CompositionSeriesTable): no full-length sequence is
-        built until a caller iterates over the keys.
+        of type p) * (chains from N to the full module of type s).  One walk
+        (`_word_classes`) goes up from 0 to rank r along the reversed covers
+        and one goes down from the full module to rank r along the covers;
+        each carries its words in classes, the words with the same vector of
+        counts over the current rank's nodes, and merges classes whose
+        vectors meet as it goes.  A prefix class and a suffix class of the
+        same dimension vector give every p + s the dot product of their two
+        vectors.  The walks only build words of up to half the length, and
+        the result keeps the join factored (see CompositionSeriesTable): no
+        full-length sequence is built until a caller iterates over the keys,
+        and iteration follows the order of the classes the walks produce.
         """
-        ranks = [sum(d) for d in self.dim_vectors]
-        r = ranks[-1] // 2
+        rank = sum(self.dim_vectors[-1])
+        r = rank // 2
         ups = [[] for _ in self.subs]
         for i, cov in enumerate(self.covers):
             for j, letter in cov:
                 ups[j].append((i, letter))
-        low = [i for i, k in enumerate(ranks) if k <= r]
-        high = [i for i, k in enumerate(ranks) if k >= r][::-1]
-        middle = [i for i in low if ranks[i] == r]
-        prefixes = self._classes(_path_tables(low, self.covers), middle)
-        # the downward walk spells each suffix from the top, so reverse it
-        suffixes = self._classes(_path_tables(high, ups), middle, reverse=True)
+        prefixes = _word_classes(0, ups, r)
+        suffixes = _word_classes(len(self.subs) - 1, self.covers, rank - r, prepend=True)
+        dims = self.dim_vectors
+        suffix_dims = [dims[next(iter(svec))] for svec, _ in suffixes]
         values = {}
-        for i, (dv, pvec, _) in enumerate(prefixes):
-            for j, (sdv, svec, _) in enumerate(suffixes):
-                if sdv == dv:
+        for i, (pvec, _) in enumerate(prefixes):
+            dv = dims[next(iter(pvec))]
+            for j, (svec, _) in enumerate(suffixes):
+                if suffix_dims[j] == dv:
                     value = sum(c * svec.get(node, 0) for node, c in pvec.items())
                     if value:
                         values[i, j] = value
         return CompositionSeriesTable(
-            r, [w for _, _, w in prefixes], [w for _, _, w in suffixes], values
+            r, [w for _, w in prefixes], [w for _, w in suffixes], values
         )
-
-    def _classes(self, tables, middle, reverse=False):
-        """Words grouped by their count vectors over the middle nodes.
-
-        Returns [(dimension vector, {node: count}, [word, ...]), ...], the
-        classes of one dimension vector together, in the order the vectors
-        first occur; all nodes in the support of one vector share the
-        dimension vector.
-        """
-        vectors: dict = {}
-        for node in middle:
-            for word, cnt in tables[node].items():
-                vectors.setdefault(word[::-1] if reverse else word, {})[node] = cnt
-        by_vector: dict = {}
-        for word, vec in vectors.items():
-            by_vector.setdefault(tuple(vec.items()), []).append(word)
-        by_dim: dict = {}
-        for vec, words in by_vector.items():
-            by_dim.setdefault(self.dim_vectors[vec[0][0]], []).append((dict(vec), words))
-        return [(dv, vec, words) for dv, group in by_dim.items() for vec, words in group]
 
     def chain_counts_by_total(self, n: int) -> dict:
         """Chains 0 <= M^1 <= ... <= M^n <= M, bucketed by sum of dim M^k."""
@@ -320,14 +302,17 @@ class CompositionSeriesTable(Mapping):
     The join of SubmoduleLattice.composition_series_counts stays factored:
     the split length r, one word -> class-index dict each for the prefixes
     (length r) and the suffixes, and the count of every prefix-class x
-    suffix-class pair whose count is nonzero.  Storage is linear in the
-    number of half-length words, not in the number of sequences.
+    suffix-class pair whose count is nonzero.  The classes are the ones its
+    walks merge as they go, in the order the walks produce them.  Storage is
+    linear in the number of half-length words, not in the number of
+    sequences.
 
     Costs: `table[seq]` (and `get`, `in`) slices seq at r and makes three
     dict lookups; a missing sequence, a zero count, a wrong-length tuple or a
     non-tuple raises KeyError.  `len` is computed once.  Iteration builds
     each key p + s on the fly, in the order prefix class, suffix class,
-    prefix word, suffix word.  `values()` repeats each pair's count once per
+    prefix word, suffix word, so it follows the walks' class order; sort the
+    keys for a fixed order.  `values()` repeats each pair's count once per
     sequence without building keys, so `sum(table.values())` runs at C
     speed.  `items()` and `==` come from Mapping and look each key up;
     `dict(table)` materialises the whole table.
@@ -370,21 +355,38 @@ class _CountsView(ValuesView):
         )
 
 
-def _path_tables(order, edges):
-    """Words along `edges` from order[0] to each node of `order`, with counts.
+def _word_classes(start, steps, length, prepend=False):
+    """The words of `length` letters along `steps` from `start`, in classes.
 
-    edges[i] lists the pairs (j, letter) by which node i is reached from an
-    earlier node j of `order`; a word is the letters in walking order.
+    steps[i] lists the pairs (j, letter) of the edges out of node i, all
+    one rank up or all one rank down.  Returns [({node: count}, [word, ...]),
+    ...]: a word's walks to each node of the rank reached, the words with
+    equal count vectors in one class.  The walk goes one rank at a time: a
+    class grows by a letter by pushing its vector along that letter's edges,
+    and classes whose new vectors are equal merge, their word lists
+    concatenated.  This is exact (equal vectors stay equal at every later
+    rank) and does the count arithmetic once per class, not per word.  A
+    word spells its letters in walking order, or reversed with prepend=True.
     """
-    tables = {order[0]: {(): 1}}
-    for i in order[1:]:
-        acc: dict = {}
-        for j, letter in edges[i]:
-            for word, cnt in tables[j].items():
-                key = word + (letter,)
-                acc[key] = acc.get(key, 0) + cnt
-        tables[i] = acc
-    return tables
+    classes = [({start: 1}, [()])]
+    for _ in range(length):
+        merged: dict = {}
+        for vec, words in classes:
+            moves: dict = {}
+            for node, cnt in vec.items():
+                for nxt, letter in steps[node]:
+                    acc = moves.setdefault(letter, {})
+                    acc[nxt] = acc.get(nxt, 0) + cnt
+            for letter, new in moves.items():
+                a = (letter,)
+                grown = [a + w for w in words] if prepend else [w + a for w in words]
+                key = frozenset(new.items())
+                if key in merged:
+                    merged[key][1].extend(grown)
+                else:
+                    merged[key] = (new, grown)
+        classes = list(merged.values())
+    return classes
 
 
 def count_points(rep: QuiverRep, query, q: int, budget: int = 2_000_000) -> int:

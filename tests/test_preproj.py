@@ -282,6 +282,55 @@ def test_composition_series_counts_small_modules(rep, expect):
         assert _count_compseries_fixed(rep, seq) == cnt
 
 
+def _assert_table_matches_the_oracle(lat):
+    table = lat.composition_series_counts()
+    oracle = _ref_composition_series_counts(lat)
+    assert dict(table) == oracle
+    assert len(table) == len(oracle)
+    assert sum(table.values()) == sum(oracle.values())
+
+
+@st.composite
+def _brick_sums(draw):
+    m = draw(st.sampled_from([4, 5]))
+    roots = [(i, j) for i in range(1, m) for j in range(i + 1, m + 1)]
+    bricks = draw(st.lists(st.sampled_from(roots), min_size=1, max_size=3))
+    rep = brick_module(m, *bricks[0])
+    for root in bricks[1:]:
+        rep = rep.direct_sum(brick_module(m, *root))
+    return rep.reduce_mod(draw(st.sampled_from([2, 3])))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_brick_sums())
+def test_composition_series_counts_on_brick_sums(rep):
+    # the classes merged during the walks against sequences carried through every node
+    _assert_table_matches_the_oracle(SubmoduleLattice(rep))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("build", [
+    lambda: injective_module(5, 2).direct_sum(simple_module(5, 1)),
+    lambda: injective_pair(4, 1, 2),
+], ids=["i52_s51", "i41_i42"])
+def test_composition_series_counts_odd_rank(build, q):
+    # prefixes of length 3 and suffixes of length 4, and a middle rank that
+    # carries several dimension vectors
+    lat = SubmoduleLattice(build().reduce_mod(q))
+    rank = sum(lat.dim_vectors[-1])
+    assert rank == 7
+    assert len({dv for dv in lat.dim_vectors if sum(dv) == rank // 2}) > 1
+    _assert_table_matches_the_oracle(lat)
+
+
+def test_composition_series_counts_build_no_containment_relation():
+    rep = a4_module().reduce_mod(2)
+    lat = SubmoduleLattice(rep)
+    lat.composition_series_counts()
+    assert "below" not in vars(lat)
+    assert lat.below == _ref_lattice(rep)[1]
+
+
 @pytest.mark.parametrize("q, nodes, pairs, covers, series", [
     (2, 347, 20_096, 970, (652_510, 7_018_070)),
     (3, 487, 32_093, 1_400, (652_510, 15_933_952)),
