@@ -10,6 +10,8 @@ is the validating constructor for outside input: it coerces coefficients
 (rejecting floats), checks exponent lengths, merges and drops zeros.
 `MultiPoly._make` trusts its arguments to meet the invariant already and
 checks nothing; arithmetic and the ring maps build their results with it.
+`evaluate` scales the point by the lcm of its denominators, sums the terms
+in ints and makes one Fraction; like coefficients, points refuse floats.
 The canonical text syntax is
 
     3*a1^2*a6 - 1/2*a2*a8 + a5
@@ -99,6 +101,13 @@ def _exact(c) -> Fraction:
     if isinstance(c, float):
         raise TypeError(f"float {c!r} in exact arithmetic; pass an int or a Fraction")
     return Fraction(c)
+
+
+def _scaled_point(values: Mapping, names) -> tuple[int, list]:
+    """(d, xs) with the values at `names` equal to xs / d, d the lcm of their denominators."""
+    point = [_exact(values[v]) for v in names]
+    d = lcm(*(x.denominator for x in point))
+    return d, [x.numerator * (d // x.denominator) for x in point]
 
 
 class MultiPoly:
@@ -349,15 +358,21 @@ class MultiPoly:
     # -- substitution and ring maps ------------------------------------
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
-        total = Fraction(0)
-        vals = [Fraction(values[v]) for v in self.variables]
+        """The value at a point given by name, in ints and one Fraction; floats are refused."""
+        return Fraction(*self._eval_scaled(*_scaled_point(values, self.variables)))
+
+    def _eval_scaled(self, d: int, xs: list) -> tuple[int, int]:
+        """(N, D) in ints, N / D the value at xs / d: each term is padded by d to the top degree."""
+        cden = lcm(*(c.denominator for c in self.terms.values()))
+        deg = max(map(sum, self.terms), default=0)
+        total = 0
         for m, c in self.terms.items():
-            prod = c
-            for e, x in zip(m, vals):
+            v = c.numerator * (cden // c.denominator) * d ** (deg - sum(m))
+            for e, x in zip(m, xs):
                 if e:
-                    prod *= x**e
-            total += prod
-        return total
+                    v *= x**e
+            total += v
+        return total, cden * d**deg
 
     def substitute(self, images: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Ring map sending each variable to a polynomial (all in one target ring)."""

@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm
 
 from .exactalg.groebner import _exact_poly_division
-from .exactalg.poly import MultiPoly
+from .exactalg.poly import MultiPoly, _exact, _scaled_point
 from .roota import Weight, alpha_names, partial_sums, seq_weight
 
 
@@ -313,14 +313,15 @@ class RatFunc:
         return hash((self.num, frozenset(self.den.items())))
 
     def evaluate(self, values) -> Fraction:
-        result = self.num.evaluate(values)
-        point = [Fraction(values[v]) for v in self.variables]
+        """The value at a point in ints and one Fraction: at xs / d a form k is (k . xs) / d."""
+        d, xs = _scaled_point(values, self.variables)
+        num, den = self.num._eval_scaled(d, xs)
         for key, mult in self.den.items():
-            v = sum(c * x for c, x in zip(key, point) if c)
+            v = sum(c * x for c, x in zip(key, xs) if c)
             if v == 0:
                 raise ZeroDivisionError("denominator vanishes at the point")
-            result /= v**mult
-        return result
+            den *= v**mult
+        return Fraction(num * d ** sum(self.den.values()), den)
 
     def __str__(self):
         if not self.den:
@@ -344,15 +345,18 @@ def _simplex_term(names, coords, j: int) -> RatFunc:
     """1 / prod over k != j of (beta_k - beta_j), from the alpha coordinates.
 
     For k > j the key is beta_k - beta_j, and for k < j it is beta_j - beta_k,
-    which contributes a sign: both have nonnegative coordinates.
+    which contributes a sign: both have nonnegative coordinates.  The keys'
+    contents go into the constant numerator, so RatFunc._make can build it.
     """
     bj = coords[j]
     den: dict = {}
+    content = 1
     for k, bk in enumerate(coords):
         if k != j:
-            key = tuple(abs(a - b) for a, b in zip(bk, bj))
+            key, g = _form_key(tuple(abs(a - b) for a, b in zip(bk, bj)), len(bj))
+            content *= g
             den[key] = den.get(key, 0) + 1
-    return RatFunc(MultiPoly.constant(names, (-1) ** j), den)
+    return RatFunc._make(MultiPoly.constant(names, Fraction((-1) ** j) / content), den)
 
 
 def dbar_i(m: int, seq) -> RatFunc:
@@ -430,16 +434,17 @@ class ExpSum:
         """Evaluate at a regular point x (trace-zero tuple) and torus point t.
 
         e^{-beta} evaluates to prod t_i^{-beta_i} using the sum-zero
-        integer representative of beta.
+        integer representative of beta.  Floats in x or t are refused.
         """
-        values = {n: Fraction(v) for n, v in zip(alpha_names(self.m), _alpha_values(x))}
+        values = dict(zip(alpha_names(self.m), _alpha_values(x)))
+        t = [_exact(ti) for ti in t]
         total = Fraction(0)
         for b, c in self.coeffs.items():
             shift = sum(b.entries) // b.m
             exps = [e - shift for e in b.entries]
             tpow = Fraction(1)
             for e, ti in zip(exps, t):
-                tpow *= Fraction(ti) ** (-e)
+                tpow *= ti ** (-e)
             total += tpow * c.evaluate(values)
         return total
 
@@ -455,7 +460,7 @@ class ExpSum:
 
 
 def _alpha_values(x):
-    return [Fraction(a) - Fraction(b) for a, b in zip(x, x[1:])]
+    return [_exact(a) - _exact(b) for a, b in zip(x, x[1:])]
 
 
 def expsum_mul(a: ExpSum, b: ExpSum) -> ExpSum:

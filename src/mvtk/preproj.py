@@ -14,6 +14,7 @@ is a hard error, never a warning.
 from __future__ import annotations
 
 import json
+import random
 import re
 from collections.abc import Mapping, ValuesView
 from fractions import Fraction
@@ -22,7 +23,7 @@ from itertools import chain, repeat, product as iproduct
 from math import lcm, prod
 
 from .exactalg.linalg import coords, identity, mat_mul, mat_vec, null_space, rref
-from .exactalg.poly import MultiPoly
+from .exactalg.poly import MultiPoly, _scaled_point
 from .measures import RatFunc, _nonzero_of_weight, measure_from_coeffs
 from .roota import Weight, alpha_names, multichains, positive_roots, root_positions, seq_weight
 
@@ -620,16 +621,17 @@ def _flag_function_interpolated(m: int, chi: dict) -> RatFunc:
         candidate = RatFunc(num, {r.alpha_coords(): mult for r in roots})
         if _certify_flag(m, chi, candidate):
             return candidate
-    raise ArithmeticError("flag function does not clear against the root product")
+    raise ArithmeticError("flag function does not clear against the root product "
+                          f"(certificate: {_CERTIFY_TRIALS} random points, seed {_CERTIFY_SEED})")
 
 
 def _flag_eval(m: int, chi: dict, alpha_values: dict) -> Fraction:
-    """Sum of chi_i * Dbar_i at a point given by its alpha values."""
-    point = [alpha_values[n] for n in alpha_names(m)]
+    """Sum of chi_i * Dbar_i at a point of alpha values, in ints and one Fraction per sequence."""
+    d, point = _scaled_point(alpha_values, alpha_names(m))
     tail_cache: dict = {}
 
-    def tail_value(tail: tuple) -> Fraction:
-        # beta_k - beta_p = -(alpha coordinates of the letters after k)
+    def tail_value(tail: tuple) -> int:
+        # beta_k - beta_p = -(alpha coordinates of the letters after k), times d at xs / d
         if tail not in tail_cache:
             tail_cache[tail] = -sum(c * x for c, x in zip(tail, point) if c)
         return tail_cache[tail]
@@ -637,23 +639,22 @@ def _flag_eval(m: int, chi: dict, alpha_values: dict) -> Fraction:
     total = Fraction(0)
     for seq, c in chi.items():
         tail = [0] * (m - 1)
-        prod = Fraction(1)
+        den = 1
         for i in reversed(seq):
             tail[i - 1] += 1
             v = tail_value(tuple(tail))
             if v == 0:
                 raise ZeroDivisionError("grid point hits a pole")
-            prod /= v
-        total += c * prod
+            den *= v
+        total += Fraction(c * d ** len(seq), den)
     return total
 
 
 def _roots_eval(m: int, alpha_values: dict) -> Fraction:
-    point = [alpha_values[n] for n in alpha_names(m)]
-    prod = Fraction(1)
-    for r in positive_roots(m):
-        prod *= sum(c * x for c, x in zip(r.alpha_coords(), point) if c)
-    return prod
+    """Product of the positive roots alpha_i + ... + alpha_{j-1} at a point, in ints."""
+    d, point = _scaled_point(alpha_values, alpha_names(m))
+    num = prod(sum(point[i:j]) for i in range(m - 1) for j in range(i + 1, m))
+    return Fraction(num, d ** (m * (m - 1) // 2))
 
 
 def _interpolate_homogeneous(names, deg, value_fn) -> MultiPoly:
@@ -716,22 +717,16 @@ def _interpolate_homogeneous(names, deg, value_fn) -> MultiPoly:
     return MultiPoly(tuple(names), terms)
 
 
-def _certify_flag(m: int, chi: dict, candidate: RatFunc, trials: int = 4) -> bool:
-    names = alpha_names(m)
-    import random
+_CERTIFY_SEED, _CERTIFY_TRIALS = 20240817, 4
 
-    rng = random.Random(20240817)
-    for _ in range(trials):
-        while True:
-            point = {n: Fraction(rng.randint(101, 997)) for n in names}
-            try:
-                direct = _flag_eval(m, chi, point)
-                break
-            except ZeroDivisionError:
-                continue
-        if candidate.evaluate(point) != direct:
-            return False
-    return True
+
+def _certify_flag(m: int, chi: dict, candidate: RatFunc) -> bool:
+    """candidate == the sequence sum at _CERTIFY_TRIALS random points drawn with _CERTIFY_SEED.
+
+    Every alpha value is positive there, so no root and no tail of a sequence vanishes."""
+    rng = random.Random(_CERTIFY_SEED)
+    points = ({n: rng.randint(101, 997) for n in alpha_names(m)} for _ in range(_CERTIFY_TRIALS))
+    return all(candidate.evaluate(pt) == _flag_eval(m, chi, pt) for pt in points)
 
 
 def flag_function_generic(builder, values=(Fraction(2), Fraction(3)),

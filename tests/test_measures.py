@@ -20,6 +20,7 @@ from mvtk.measures import (
 from mvtk.roota import (
     Weight,
     alpha_names,
+    partial_sums,
     seq_weight,
     sequences,
     shuffle_permutations,
@@ -36,6 +37,26 @@ def test_dbar_definitional_values():
     assert dbar_i(3, (1, 2)) == RatFunc(
         MultiPoly.constant(names, 1), {a1 + a2: 1, a2: 1}
     )
+    # beta_0 - beta_2 = -2*a1: the key's content 2 goes into the numerator
+    assert dbar_i(3, (1, 1)) == RatFunc(MultiPoly.constant(names, Fraction(1, 2)), {a1: 2})
+
+
+def test_simplex_terms_match_the_validating_constructor():
+    # _simplex_term builds with RatFunc._make; from the raw keys
+    # |beta_k - beta_j| and the sign, RatFunc(...) must build the same pair
+    m = 4
+    names = alpha_names(m)
+    for w in (w for n in range(1, 5) for w in product(range(1, m), repeat=n)):
+        coords = [b.alpha_coords() for b in partial_sums(m, w)]
+        for j, bj in enumerate(coords):
+            raw: dict = {}
+            for k, bk in enumerate(coords):
+                if k != j:
+                    key = tuple(abs(a - b) for a, b in zip(bk, bj))
+                    raw[key] = raw.get(key, 0) + 1
+            ref = RatFunc(MultiPoly.constant(names, (-1) ** j), raw)
+            got = measures._simplex_term(names, coords, j)
+            assert (got.num, got.den) == (ref.num, ref.den)
 
 
 def test_dbar_shuffle_identity():
@@ -323,3 +344,69 @@ def test_hyperplane_test_changes_no_sum(monkeypatch):
     monkeypatch.setattr(measures, "_off_hyperplane", lambda residues, key: False)
     off = _sums_of_all_short_words(4)
     assert [(r.num, r.den) for r in on] == [(r.num, r.den) for r in off]
+
+
+# -- integer evaluation against the Fraction loops it replaced ------------------
+
+
+def _ref_poly_evaluate(p, values):
+    """MultiPoly.evaluate term by term in Fractions, as it was: the oracle."""
+    total = Fraction(0)
+    vals = [Fraction(values[v]) for v in p.variables]
+    for m, c in p.terms.items():
+        prod = c
+        for e, x in zip(m, vals):
+            if e:
+                prod *= x**e
+        total += prod
+    return total
+
+
+def _ref_ratfunc_evaluate(r, values):
+    """RatFunc.evaluate with one Fraction division per factor, as it was: the oracle."""
+    result = _ref_poly_evaluate(r.num, values)
+    point = [Fraction(values[v]) for v in r.variables]
+    for key, mult in r.den.items():
+        v = sum(c * x for c, x in zip(key, point) if c)
+        if v == 0:
+            raise ZeroDivisionError("denominator vanishes at the point")
+        result /= v**mult
+    return result
+
+
+def _outcome(evaluate, f, point):
+    try:
+        value = evaluate(f, point)
+    except ZeroDivisionError as exc:
+        return "ZeroDivisionError", str(exc)
+    assert type(value) is Fraction
+    return value
+
+
+# coordinates of both signs, most of them with a denominator other than 1
+_COORDS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+_FRACTION_POINTS = st.tuples(_COORDS, _COORDS, _COORDS).map(
+    lambda xs: dict(zip(alpha_names(4), xs))
+)
+
+
+@_PROPERTY_SETTINGS
+@given(_EXPRS, _QUOTIENTS, _KEYS, _FRACTION_POINTS)
+def test_integer_evaluation_matches_the_fraction_oracle(x, q, key, point):
+    # q is not homogeneous and has fractional coefficients; the Dbar expression
+    # and q over a key of either sign can have a pole at the point
+    a = _build(x)
+    for r in (a, RatFunc(q, {key: 1}), RatFunc(q * a.num, {key: 2}), RatFunc.from_poly(q)):
+        assert _outcome(RatFunc.evaluate, r, point) == _outcome(_ref_ratfunc_evaluate, r, point)
+    for p in (q, a.num, q * a.num):
+        assert _outcome(MultiPoly.evaluate, p, point) == _outcome(_ref_poly_evaluate, p, point)
+
+
+def test_integer_evaluation_of_zero_and_at_a_pole():
+    names = alpha_names(4)
+    point = {"a1": Fraction(1, 3), "a2": Fraction(-1, 3), "a3": Fraction(2, 5)}
+    for zero in (MultiPoly.zero(names), RatFunc.constant(names, 0)):
+        assert zero.evaluate(point) == 0 == _ref_poly_evaluate(MultiPoly.zero(names), point)
+    r = dbar_i(4, (1, 2))  # 1 / ((a1 + a2) * a2), and a1 + a2 vanishes at the point
+    assert _outcome(RatFunc.evaluate, r, point) == _outcome(_ref_ratfunc_evaluate, r, point) == (
+        "ZeroDivisionError", "denominator vanishes at the point")

@@ -16,7 +16,8 @@ from mvtk.exactalg import (
     poly_ring,
 )
 from mvtk.exactalg.groebner import _exact_poly_division
-from mvtk.measures import RatFunc
+from mvtk.measures import ExpSum, RatFunc, dbar_i, ft_i
+from mvtk.preproj import _flag_eval
 
 
 def test_parse_roundtrip():
@@ -95,10 +96,19 @@ def test_floats_are_refused():
         lambda: x + 0.5,
         lambda: r * 0.5,
         lambda: 0.5 * r,
+        # and so are float points, where evaluation would read 0.1 as its binary expansion
+        lambda: x.evaluate({"x": 0.1, "y": 2}),
+        lambda: r.evaluate({"x": 1, "y": 0.5}),
+        lambda: dbar_i(3, (1, 2)).evaluate({"a1": 0.1, "a2": 2}),
+        lambda: ft_i(3, (1,)).evaluate((0.5, 0, Fraction(-1, 2)), (1, 2, 3)),
+        lambda: ft_i(3, (1,)).evaluate((1, 0, -1), (1, 0.5, 3)),
+        lambda: ExpSum(3, {}).evaluate((1, 0, -1), (1, 0.5, 3)),
+        lambda: _flag_eval(3, {(1, 2): 1}, {"a1": 0.1, "a2": 2}),
     ):
         with pytest.raises(TypeError, match="float"):
             make()
     assert MultiPoly(vs, {(1, 0): Fraction(1, 10)}) * 10 == x
+    assert dbar_i(3, (1, 2)).evaluate({"a1": Fraction(1, 10), "a2": 2}) == Fraction(5, 21)
 
 
 # -- the arithmetic kernel against sympy ----------------------------------------

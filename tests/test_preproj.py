@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvtk import preproj
 from mvtk.exactalg import MultiPoly
 from mvtk.exactalg.linalg import rref
 from mvtk.measures import RatFunc, dbar_i
@@ -35,6 +36,7 @@ from mvtk.roota import (
     Weight,
     alpha_names,
     p_mu,
+    positive_roots,
     sequences,
     shuffle_multiplicity,
     shuffles,
@@ -549,6 +551,62 @@ def test_a4_flag_pattern_and_identity():
     assert ff * p_mu(5, (1,) * 5) == RatFunc.from_poly(expected)
     # the two evaluation routes agree
     assert flag_function_from_chi(5, chi, method="interpolate") == ff
+
+
+def _ref_flag_eval(m, chi, point):
+    """_flag_eval with one Fraction division per tail, as it was: the oracle."""
+    xs = [Fraction(point[n]) for n in alpha_names(m)]
+    total = Fraction(0)
+    for seq, c in chi.items():
+        tail = [0] * (m - 1)
+        value = Fraction(c)
+        for i in reversed(seq):
+            tail[i - 1] += 1
+            value /= -sum(t * x for t, x in zip(tail, xs))
+        total += value
+    return total
+
+
+def _ref_roots_eval(m, point):
+    """_roots_eval as a Fraction product over positive_roots, as it was: the oracle."""
+    xs = [Fraction(point[n]) for n in alpha_names(m)]
+    value = Fraction(1)
+    for r in positive_roots(m):
+        value *= sum(c * x for c, x in zip(r.alpha_coords(), xs))
+    return value
+
+
+# the point check: a Schwartz-Zippel test of the sequence sum against the assembled
+# RatFunc, at _POINT_CHECK_TRIALS points drawn with _POINT_CHECK_SEED
+_POINT_CHECK_SEED, _POINT_CHECK_TRIALS = 20261019, 8
+
+
+@pytest.mark.parametrize("case", ["a4", "a5-prefix"])
+def test_flag_eval_matches_the_assembled_flag_function(case):
+    if case == "a4":
+        m, chi = 5, flag_data(a4_module(), primes=(2, 3, 5))
+    else:
+        m, full = 6, flag_data(a5_module(2), primes=(5, 7, 11, 13))
+        chi = {seq: full[seq] for seq in sorted(full)[:35]}
+    assert len(chi) == {"a4": 18, "a5-prefix": 35}[case]
+    flag = flag_function_from_chi(m, chi)
+    rng = random.Random(_POINT_CHECK_SEED)
+    for _ in range(_POINT_CHECK_TRIALS):
+        # positive alpha values, so no tail and no root vanishes; denominators up to 30
+        point = {n: Fraction(rng.randint(1, 10**6), rng.randint(1, 30)) for n in alpha_names(m)}
+        assert preproj._flag_eval(m, chi, point) == flag.evaluate(point) == _ref_flag_eval(m, chi, point)
+        assert preproj._roots_eval(m, point) == _ref_roots_eval(m, point)
+
+
+def test_interpolated_flag_function_names_its_certificate(monkeypatch):
+    chi = {(1,): 1}
+    assert preproj._certify_flag(3, chi, dbar_i(3, (1,)))
+    assert not preproj._certify_flag(3, chi, dbar_i(3, (2,)))
+    monkeypatch.setattr(preproj, "_certify_flag", lambda m, chi, candidate: False)
+    with pytest.raises(ArithmeticError, match=(
+            r"^flag function does not clear against the root product "
+            r"\(certificate: 4 random points, seed 20240817\)$")):
+        flag_function_from_chi(3, chi, method="interpolate")
 
 
 def test_multiplicativity_small():
