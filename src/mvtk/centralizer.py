@@ -8,16 +8,28 @@ pairing of a word (i_1, ..., i_p) with f in C[N] is the coefficient of
 t_1...t_p in f(exp(t_1 e_{i_1}) ... exp(t_p e_{i_p})).  The rank-2
 calibration (the action of e_2 as d/dy + x d/dz on C[x, y, z]) pins the
 order and sign choices.
+
+The pairing is the U(n)-action at the identity.  With L_i f(n) =
+d/dt f((1 + t e_i) n) and R_i f(n) = d/dt f(n (1 + t e_i)) at t = 0 (row
+i+1 of n added to row i, column i to column i+1, a diagonal entry being 1),
+<(i, ...), f> = <(...), L_i f> and <(..., i), f> = <(...), R_i f>.  So both
+measures of f of weight nu are recursions, memoised on the polynomial:
+D-bar(f) = -(1/nu) sum_i D-bar(L_i f), D-bar(c) = c, as the first factor of
+Dbar_(i_1, ..., i_p) is 1/(beta_0 - nu) = -1/nu and the rest is Dbar_(i_2, ..., i_p);
+FT(f) = (sum_i FT(R_i f) - sum_i e^{-alpha_i} FT(L_i f)) / nu, FT(c) = c * delta_0,
+as FT(D_i) is (-1)^p times the divided difference of e^{-x} at the nodes
+beta_0 = 0, ..., beta_p = nu.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .exactalg.linalg import identity, inverse, mat_mul, solve
-from .exactalg.poly import MultiPoly
-from .measures import RatFunc, measure_from_coeffs
-from .roota import Weight, alpha_names, sequences
+from .exactalg.poly import MultiPoly, _exact
+from .measures import ExpSum, RatFunc, _alpha_values
+from .roota import Weight, alpha_names
 
 
 # -- coordinate functions on N ---------------------------------------------------
@@ -87,7 +99,7 @@ class CoordFunction:
 
 def check_regular(x) -> None:
     m = len(x)
-    vals = [Fraction(v) for v in x]
+    vals = [_exact(v) for v in x]
     if sum(vals) != 0:
         raise ValueError("diagonal point must have trace zero")
     for i in range(m):
@@ -99,7 +111,7 @@ def check_regular(x) -> None:
 def is_admissible(x, height: int) -> bool:
     """No nonzero beta in Q_+ of height <= `height` pairs to zero with x."""
     m = len(x)
-    vals = [Fraction(v) for v in x]
+    vals = [_exact(v) for v in x]
 
     def rec(coords, idx):
         if idx == m - 1:
@@ -131,7 +143,7 @@ def solve_nx(m: int, x):
     """
     if x == "symbolic":
         return _solve_nx_symbolic(m)
-    vals = [Fraction(v) for v in x]
+    vals = [_exact(v) for v in x]
     check_regular(vals)
     n = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
     for span in range(1, m):
@@ -159,7 +171,7 @@ def _solve_nx_symbolic(m: int):
 
 def verify_nx(m: int, x, n) -> bool:
     """Check n diag(x) - (diag(x) + E) n == 0 exactly."""
-    vals = [Fraction(v) for v in x]
+    vals = [_exact(v) for v in x]
     lhs = [[n[i][j] * vals[j] for j in range(m)] for i in range(m)]
     rhs = [[vals[i] * n[i][j] + (n[i + 1][j] if i + 1 < m else Fraction(0)) for j in range(m)] for i in range(m)]
     return lhs == rhs
@@ -168,45 +180,48 @@ def verify_nx(m: int, x, n) -> bool:
 # -- the word pairing -------------------------------------------------------------
 
 
-def pair_word(m: int, seq, f: CoordFunction) -> Fraction:
-    """Coefficient of t_1...t_p in f(exp(t_1 e_{i_1}) ... exp(t_p e_{i_p}))."""
-    seq = tuple(seq)
-    p = len(seq)
-    if p == 0:
-        return f.poly.constant_term()
-    tnames = tuple(f"t{k}" for k in range(1, p + 1))
-    one = MultiPoly.constant(tnames, 1)
-    zero = MultiPoly.zero(tnames)
-    mat = [[one if i == j else zero for j in range(m)] for i in range(m)]
-    for k, i in enumerate(seq):
-        # right-multiplying by 1 + t_k e_i adds t_k * (column i) to column i+1
-        tk = MultiPoly.var(tnames, tnames[k])
-        for row in mat:
-            if not row[i - 1].is_zero():
-                row[i] = row[i] + row[i - 1] * tk
-    target = (1,) * p
-    total = Fraction(0)
+def _derivatives(m: int, f: MultiPoly, left: bool):
+    """Yield (i, L_i f) if left, else (i, R_i f), for each i where it is nonzero.
+
+    d/dn_ij times n_{i+1,j} goes to L_i, and d/dn_ij times n_{i,j-1} to R_{j-1}.
+    """
     positions = entry_positions(m)
-    for mon, c in f.poly.terms.items():
-        prod = one
-        for e, (i, j) in zip(mon, positions):
+    index = {pos: v for v, pos in enumerate(positions)}
+    out: dict = {}
+    for mon, c in f.terms.items():
+        for v, e in enumerate(mon):
             if e:
-                prod = prod * mat[i - 1][j - 1] ** e
-        total += c * prod.coefficient(target)
-    return total
-
-
-def pairing_coefficients(m: int, f: CoordFunction) -> dict:
-    """All word pairings on Seq(weight of f)."""
-    return {seq: pair_word(m, seq, f) for seq in sequences(m, f.weight)}
+                i, j = positions[v]
+                letter, image = (i, (i + 1, j)) if left else (j - 1, (i, j - 1))
+                new = list(mon)
+                new[v] -= 1
+                if image in index:  # else a diagonal entry, which is 1
+                    new[index[image]] += 1
+                new = tuple(new)
+                terms = out.setdefault(letter, {})
+                terms[new] = terms.get(new, 0) + c * e
+    for i in sorted(out):
+        terms = {mon: c for mon, c in out[i].items() if c}
+        if terms:
+            yield i, MultiPoly._make(f.variables, terms)
 
 
 # -- Dbar two ways ----------------------------------------------------------------
 
 
 def dbar_of_function(f: CoordFunction) -> RatFunc:
-    """Expansion of x |-> f(n_x) as a linear combination of the D-bar terms."""
-    return measure_from_coeffs(f.m, pairing_coefficients(f.m, f), f.weight, "dbar")
+    """Expansion of x |-> f(n_x) in the D-bar terms, by the recursion over L_i f."""
+    m = f.m
+    zero = RatFunc.constant(alpha_names(m), 0)
+
+    @cache  # per call: one entry per polynomial of the U(n)-module that f generates
+    def dbar(g: MultiPoly, nu: Weight) -> RatFunc:
+        if nu.is_zero():
+            return zero + g.constant_term()
+        total = sum((dbar(h, nu - Weight.alpha(m, i)) for i, h in _derivatives(m, g, True)), zero)
+        return (-total).divide_by_form(nu.alpha_coords())
+
+    return dbar(f.poly, f.weight)
 
 
 def dbar_direct(f: CoordFunction, x) -> Fraction:
@@ -215,10 +230,7 @@ def dbar_direct(f: CoordFunction, x) -> Fraction:
 
 
 def eval_ratfunc_at_x(r: RatFunc, x) -> Fraction:
-    m = len(x)
-    vals = [Fraction(v) for v in x]
-    alpha_vals = {n: vals[i] - vals[i + 1] for i, n in enumerate(alpha_names(m))}
-    return r.evaluate(alpha_vals)
+    return r.evaluate(dict(zip(alpha_names(len(x)), _alpha_values(x))))
 
 
 # -- psi and the Fourier side ------------------------------------------------------
@@ -228,7 +240,7 @@ def psi_eval(x, t):
     """The product t^{-1} n_x t n_x^{-1} for regular x and diagonal t."""
     m = len(x)
     check_regular(x)
-    tvals = [Fraction(v) for v in t]
+    tvals = [_exact(v) for v in t]
     if any(v == 0 for v in tvals):
         raise ValueError("torus point must be invertible")
     n = solve_nx(m, x)
@@ -236,9 +248,23 @@ def psi_eval(x, t):
     return mat_mul(tinv_n_t, inverse(n))
 
 
-def ft_of_function(f: CoordFunction):
-    """FT route: the exponential sum of f, via the word pairings."""
-    return measure_from_coeffs(f.m, pairing_coefficients(f.m, f), f.weight, "ft")
+def ft_of_function(f: CoordFunction) -> ExpSum:
+    """FT route: the exponential sum of f, by the recursion over R_i f and L_i f."""
+    m = f.m
+
+    @cache  # per call, as in dbar_of_function
+    def ft(g: MultiPoly, nu: Weight) -> ExpSum:
+        if nu.is_zero():
+            return ExpSum.point_mass(m).scale(g.constant_term())
+        total = ExpSum(m, {})
+        for i, h in _derivatives(m, g, False):
+            total = total + ft(h, nu - Weight.alpha(m, i))
+        for i, h in _derivatives(m, g, True):
+            a = Weight.alpha(m, i)
+            total = total - ExpSum(m, {b + a: c for b, c in ft(h, nu - a).coeffs.items()})
+        return ExpSum(m, {b: c.divide_by_form(nu.alpha_coords()) for b, c in total.coeffs.items()})
+
+    return ft(f.poly, f.weight)
 
 
 # -- Weyl conjugation witness -------------------------------------------------------
@@ -261,7 +287,7 @@ def weyl_witness(x, i: int):
     guaranteed for regular x with s_i x regular.
     """
     m = len(x)
-    vals = [Fraction(v) for v in x]
+    vals = [_exact(v) for v in x]
     check_regular(vals)
     sx = list(vals)
     sx[i - 1], sx[i] = sx[i], sx[i - 1]

@@ -30,7 +30,7 @@ from math import factorial, gcd, lcm
 
 from .exactalg.groebner import _exact_poly_division
 from .exactalg.poly import MultiPoly, _exact, _scaled_point
-from .roota import Weight, alpha_names, partial_sums, seq_weight
+from .roota import Weight, alpha_names, partial_sums
 
 
 def _form_key(form, n: int):
@@ -465,38 +465,6 @@ def _alpha_values(x):
 
 def expsum_mul(a: ExpSum, b: ExpSum) -> ExpSum:
     return a * b
-
-
-def _nonzero_of_weight(m: int, c: dict, nu: Weight) -> dict:
-    """The nonzero entries of c; ValueError unless each of their sequences has weight nu."""
-    c = {seq: v for seq, v in c.items() if v}
-    for seq in c:
-        if seq_weight(m, seq) != nu:
-            raise ValueError(f"sequence {seq} does not have weight {nu}")
-    return c
-
-
-def measure_from_coeffs(m: int, c: dict, nu: Weight, mode: str):
-    """Assemble sum of c(i) * Dbar_i (mode 'dbar') or c(i) * FT(D_i) (mode 'ft').
-
-    This is the one sum over sequences: the flag side (chi of the
-    composition-series varieties) and the measure side (word pairings)
-    both assemble here, term by term in sorted sequence order.  Zero
-    coefficients are dropped first, so they cost no weight check; every
-    other sequence must have weight nu, else ValueError (_nonzero_of_weight).
-    """
-    c = _nonzero_of_weight(m, c, nu)
-    if mode == "dbar":
-        total = RatFunc.constant(alpha_names(m), 0)
-        for seq in sorted(c):
-            total = total + dbar_i(m, seq) * c[seq]
-        return total
-    if mode == "ft":
-        total = ExpSum(m, {})
-        for seq in sorted(c):
-            total = total + ft_i(m, seq).scale(c[seq])
-        return total
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def ft_total_mass(e: ExpSum, p: int, direction=None) -> Fraction:

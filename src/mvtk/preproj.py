@@ -24,7 +24,7 @@ from math import lcm, prod
 
 from .exactalg.linalg import coords, identity, mat_mul, mat_vec, null_space, rref
 from .exactalg.poly import MultiPoly, _scaled_point
-from .measures import RatFunc, _nonzero_of_weight, measure_from_coeffs
+from .measures import RatFunc, dbar_i
 from .roota import Weight, alpha_names, multichains, positive_roots, root_positions, seq_weight
 
 
@@ -588,15 +588,21 @@ def flag_function(rep: QuiverRep, primes=DEFAULT_PRIMES, method="direct") -> Rat
 
 
 def flag_function_from_chi(m: int, chi: dict, method="direct") -> RatFunc:
+    """Sum of chi[i] * Dbar_i, in sorted sequence order ("direct") or on a grid.
+
+    The sequences with nonzero chi must share one weight, else ValueError.
+    """
     if method not in ("direct", "interpolate"):
         raise ValueError(f"unknown flag-function method {method!r}")
-    nu = next((seq_weight(m, seq) for seq, c in chi.items() if c), None)
-    if nu is None:
-        # every chi vanished (the zero module has chi {(): 1}): an empty sum
-        return RatFunc.constant(alpha_names(m), 0)
-    if method == "interpolate":
-        return _flag_function_interpolated(m, _nonzero_of_weight(m, chi, nu))
-    return measure_from_coeffs(m, chi, nu, "dbar")
+    chi = {seq: c for seq, c in chi.items() if c}
+    nu = next((seq_weight(m, seq) for seq in chi), None)
+    for seq in chi:
+        if seq_weight(m, seq) != nu:
+            raise ValueError(f"sequence {seq} does not have weight {nu}")
+    if method == "interpolate" and chi:
+        return _flag_function_interpolated(m, chi)
+    # an empty chi (every chi vanished; the zero module has chi {(): 1}) sums to 0
+    return sum((dbar_i(m, seq) * chi[seq] for seq in sorted(chi)), RatFunc.constant(alpha_names(m), 0))
 
 
 def _flag_function_interpolated(m: int, chi: dict) -> RatFunc:

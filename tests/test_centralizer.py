@@ -1,19 +1,19 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from mvtk.centralizer import (
     CoordFunction,
+    _derivatives,
     dbar_direct,
     dbar_of_function,
+    entry_names,
     entry_positions,
     eval_ratfunc_at_x,
     ft_of_function,
     is_admissible,
-    pair_word,
-    pairing_coefficients,
     psi_eval,
     sbar,
     solve_nx,
@@ -22,8 +22,8 @@ from mvtk.centralizer import (
 )
 from mvtk.exactalg import MultiPoly
 from mvtk.exactalg.linalg import identity, inverse, mat_mul
-from mvtk.measures import dbar_i
-from mvtk.roota import Weight, sequences, shuffles
+from mvtk.measures import ExpSum, RatFunc, dbar_i, ft_i
+from mvtk.roota import Weight, alpha_names, sequences, shuffles
 
 
 def random_regular_x(rng, m, height=6):
@@ -65,18 +65,6 @@ def test_solve_nx_symbolic_matches_points():
             assert got == numeric[i][j]
 
 
-def test_pairing_calibration_rank2():
-    # C[N] = C[x, y, z] with x = n12, y = n23, z = n13
-    f_x = CoordFunction.entry(3, 1, 2)
-    f_z = CoordFunction.entry(3, 1, 3)
-    assert pair_word(3, (1,), f_x) == 1
-    assert pair_word(3, (2,), f_x) == 0
-    assert pair_word(3, (1, 2), f_z) == 1
-    assert pair_word(3, (2, 1), f_z) == 0
-    one = CoordFunction.parse(3, "1")
-    assert pair_word(3, (), one) == 1
-
-
 def _poly_mat_mul(a, b):
     """The product of two square MultiPoly matrices, entry by entry."""
     n = len(a)
@@ -85,7 +73,7 @@ def _poly_mat_mul(a, b):
 
 
 def _ref_pair_word(m, seq, f):
-    """pair_word by full matrix products, one elementary matrix per letter."""
+    """The pairing <seq, f> by full matrix products, one elementary matrix per letter."""
     p = len(seq)
     if p == 0:
         return f.poly.constant_term()
@@ -107,15 +95,43 @@ def _ref_pair_word(m, seq, f):
     return total
 
 
-@pytest.mark.parametrize("m, text", [
+_PAIR_WORD_CASES = [
     (3, "n12"), (3, "n13"), (3, "n12*n23 - 2*n13"), (3, "n12^2*n23"),
     (4, "n14"), (4, "n14 + n12*n24"), (4, "n13*n24 - n14*n23"), (4, "3*n23^2*n12 - n13*n23"),
-])
+]
+
+
+def _pair_by_derivatives(m, seq, f, left):
+    """<seq, f> as the constant term of L_{i_p}...L_{i_1} f (left) or R_{i_1}...R_{i_p} f."""
+    g = f.poly
+    for i in seq if left else reversed(seq):
+        g = dict(_derivatives(m, g, left)).get(i)
+        if g is None:
+            return 0
+    return g.constant_term()
+
+
+def test_pairing_calibration_rank2():
+    # C[N] = C[x, y, z] with x = n12, y = n23, z = n13
+    f_x = CoordFunction.entry(3, 1, 2)
+    f_z = CoordFunction.entry(3, 1, 3)
+    assert _ref_pair_word(3, (1,), f_x) == 1
+    assert _ref_pair_word(3, (2,), f_x) == 0
+    assert _ref_pair_word(3, (1, 2), f_z) == 1
+    assert _ref_pair_word(3, (2, 1), f_z) == 0
+    one = CoordFunction.parse(3, "1")
+    assert _ref_pair_word(3, (), one) == 1
+
+
+@pytest.mark.parametrize("m, text", _PAIR_WORD_CASES)
 def test_pair_word_matches_full_product(m, text):
+    # the derivative convention of the recursions, on every word, of any weight
     f = CoordFunction.parse(m, text)
     for p in range(4):
         for seq in product(range(1, m), repeat=p):
-            assert pair_word(m, seq, f) == _ref_pair_word(m, seq, f), seq
+            ref = _ref_pair_word(m, seq, f)
+            assert _pair_by_derivatives(m, seq, f, True) == ref, seq
+            assert _pair_by_derivatives(m, seq, f, False) == ref, seq
 
 
 def test_pairing_matches_differential_operators():
@@ -128,7 +144,7 @@ def test_pairing_matches_differential_operators():
         f = CoordFunction.parse(3, text)
         nu = f.weight
         for seq in sequences(3, nu):
-            val = pair_word(3, seq, f)
+            val = _ref_pair_word(3, seq, f)
             oracle = _apply_word_operators(seq, (a, b, c))
             assert val == oracle, (text, seq)
 
@@ -170,27 +186,103 @@ def test_dbar_examples():
     assert dbar_direct(f13, x) == eval_ratfunc_at_x(dbar_of_function(f13), x)
 
 
-def test_expansion_agreement_all_small_monomials():
-    # f(n_x) = sum of pairings times Dbar terms, for all monomials of height <= 4
-    rng = random.Random(23)
+def _small_monomials():
+    """(m, text) of every monomial of height 1..4 with exponents <= 2, at m = 2, 3, 4."""
+    out = []
     for m in (2, 3, 4):
         positions = entry_positions(m)
-        monomials = []
         for expo in product(range(3), repeat=len(positions)):
             height = sum(
                 e * Weight.root(m, i, j).height() for e, (i, j) in zip(expo, positions)
             )
             if 0 < height <= 4:
-                monomials.append(expo)
-        xs = [random_regular_x(rng, m) for _ in range(3)]
-        for expo in monomials:
-            text = "*".join(
-                f"n{i}{j}^{e}" for e, (i, j) in zip(expo, positions) if e
-            )
-            f = CoordFunction.parse(m, text)
-            r = dbar_of_function(f)
-            for x in xs:
-                assert dbar_direct(f, x) == eval_ratfunc_at_x(r, x), (m, text)
+                out.append((m, "*".join(f"n{i}{j}^{e}" for e, (i, j) in zip(expo, positions) if e)))
+    return out
+
+
+def test_expansion_agreement_all_small_monomials():
+    # f(n_x) = sum of pairings times Dbar terms, for all monomials of height <= 4
+    rng = random.Random(23)
+    xs = {}
+    for m, text in _small_monomials():
+        if m not in xs:
+            xs[m] = [random_regular_x(rng, m) for _ in range(3)]
+        f = CoordFunction.parse(m, text)
+        r = dbar_of_function(f)
+        for x in xs[m]:
+            assert dbar_direct(f, x) == eval_ratfunc_at_x(r, x), (m, text)
+
+
+def _flag_minor(m, cols):
+    """The minor of n on rows 1..k and the columns cols, as a determinant of MultiPolys."""
+    names = entry_names(m)
+
+    def entry(i, j):
+        if i < j:
+            return MultiPoly.var(names, f"n{i}{j}")
+        return MultiPoly.constant(names, int(i == j))
+
+    total = MultiPoly.zero(names)
+    for perm in permutations(range(len(cols))):
+        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        term = MultiPoly.constant(names, sign)
+        for row, c in enumerate(perm, start=1):
+            term = term * entry(row, cols[c])
+        total = total + term
+    return CoordFunction(m, total)
+
+
+def _flag_minors(m):
+    """Every nonconstant flag minor Delta_{[1..k], J} at m: 11, 26 and 57 at m = 4, 5, 6."""
+    return [(cols, _flag_minor(m, cols)) for k in range(1, m)
+            for cols in combinations(range(1, m + 1), k) if cols != tuple(range(1, k + 1))]
+
+
+_ALGEBRA_PAIRS = ((3, "n12*n23 + n13", "n13"), (3, "n12", "n23"),
+                  (4, "n12*n34", "n23"), (4, "n13", "n24"))
+_ORACLE_CASES = (
+    [(f"{m}-{text}", CoordFunction.parse(m, text)) for m, text in _small_monomials()]
+    + [(f"{m}-({a})*({b})", CoordFunction.parse(m, a) * CoordFunction.parse(m, b))
+       for m, a, b in _ALGEBRA_PAIRS]
+    + [(f"{m}-minor{cols}", f) for m in (3, 4, 5) for cols, f in _flag_minors(m)]
+    + [(f"{m}-{text}", CoordFunction.parse(m, text)) for m, text in _PAIR_WORD_CASES]
+    + [("3-zero", CoordFunction.parse(3, "0")), ("3-constant", CoordFunction.parse(3, "7/2"))]
+)
+
+
+@pytest.mark.parametrize("f", [f for _, f in _ORACLE_CASES], ids=[i for i, _ in _ORACLE_CASES])
+def test_recursions_match_the_sequence_sum(f):
+    # the oracle: sum over Seq(nu) of <i, f> * Dbar_i and <i, f> * FT(D_i),
+    # with each pairing by full matrix products; both sides print canonically
+    m = f.m
+    dbar = RatFunc.constant(alpha_names(m), 0)
+    ft = ExpSum(m, {})
+    for seq in sequences(m, f.weight):
+        c = _ref_pair_word(m, seq, f)
+        if c:
+            dbar = dbar + dbar_i(m, seq) * c
+            ft = ft + ft_i(m, seq).scale(c)
+    assert str(dbar_of_function(f)) == str(dbar)
+    assert ft_of_function(f).serialize() == ft.serialize()
+
+
+def test_dbar_of_every_flag_minor_at_m6():
+    # m = 6 is beyond the sequence-sum oracle's reach (Delta_{123,456} has height 9),
+    # so check against the evaluation route.  The points have alpha values drawn
+    # from 1..30 with seed 20261019: every nonzero beta in Q_+ pairs positively
+    # with them, so they are admissible at every height
+    rng = random.Random(20261019)
+    xs = []
+    for _ in range(3):
+        alphas = [rng.randint(1, 30) for _ in range(5)]
+        x = [sum(alphas[i:]) for i in range(6)]
+        xs.append(tuple(v - Fraction(sum(x), 6) for v in x))
+    minors = _flag_minors(6)
+    assert len(minors) == 57
+    for cols, f in minors:
+        r = dbar_of_function(f)
+        for x in xs:
+            assert dbar_direct(f, x) == eval_ratfunc_at_x(r, x), cols
 
 
 def test_dbar_is_algebra_map():
@@ -210,14 +302,14 @@ def test_pairing_shuffle_compatibility():
     g = CoordFunction.parse(m, "n13")
     fg = f * g
     nu = fg.weight
-    coeffs_f = pairing_coefficients(m, f)
-    coeffs_g = pairing_coefficients(m, g)
+    coeffs_f = {j: _ref_pair_word(m, j, f) for j in sequences(m, f.weight)}
+    coeffs_g = {k: _ref_pair_word(m, k, g) for k in sequences(m, g.weight)}
     for seq in sequences(m, nu):
         total = Fraction(0)
         for j, cf in coeffs_f.items():
             for k, cg in coeffs_g.items():
                 total += cf * cg * shuffles(j, k).count(seq)
-        assert total == pair_word(m, seq, fg)
+        assert total == _ref_pair_word(m, seq, fg)
 
 
 def test_psi_identity_cases():
@@ -242,6 +334,13 @@ def test_geometric_transform_identity():
             for (i, j) in entry_positions(m):
                 f = CoordFunction.entry(m, i, j)
                 assert f.evaluate_matrix(psi_eval(x, t)) == ft_of_function(f).evaluate(x, t)
+    for m in (3, 4, 5):
+        minors = _flag_minors(m)
+        for _ in range(2):
+            x = random_regular_x(rng, m)
+            t = tuple(Fraction(rng.randint(1, 9)) for _ in range(m))
+            for cols, f in minors:
+                assert f.evaluate_matrix(psi_eval(x, t)) == ft_of_function(f).evaluate(x, t), cols
 
 
 def test_weyl_witness_examples():

@@ -15,8 +15,8 @@ from mvtk.measures import (
     expsum_mul,
     ft_i,
     ft_total_mass,
-    measure_from_coeffs,
 )
+from mvtk.preproj import flag_function_from_chi
 from mvtk.roota import (
     Weight,
     alpha_names,
@@ -190,31 +190,36 @@ def test_rational_function_identity_numeric():
 
 
 def test_measure_from_coeffs():
+    # a D-bar coefficient vector assembles to its measure, on a single weight
     names = alpha_names(3)
-    one = measure_from_coeffs(3, {(): 1}, Weight.zero(3), "dbar")
-    assert one == RatFunc.constant(names, 1)
-    r = measure_from_coeffs(3, {(1,): 1}, Weight.alpha(3, 1), "dbar")
-    assert r == dbar_i(3, (1,))
+    assert flag_function_from_chi(3, {(): 1}) == RatFunc.constant(names, 1)
+    assert flag_function_from_chi(3, {(1,): 1}) == dbar_i(3, (1,))
     with pytest.raises(ValueError):
-        measure_from_coeffs(3, {(1,): 1}, Weight.alpha(3, 2), "dbar")
+        flag_function_from_chi(3, {(1,): 1, (2,): 1})
 
 
-def test_measure_from_coeffs_shuffle_compatibility():
+def _ft_sum(m, coeffs):
+    """The sum of c * FT(D_i) over the sequences i of coeffs."""
+    total = ExpSum(m, {})
+    for seq, c in coeffs.items():
+        total = total + ft_i(m, seq).scale(c)
+    return total
+
+
+def test_ft_sum_shuffle_compatibility():
     # coefficient vector of a shuffle product equals the product of transforms
     m = 3
     j, k = (1,), (2, 1)
     coeffs = {}
     for s in shuffles(j, k):
         coeffs[s] = coeffs.get(s, 0) + 1
-    nu = seq_weight(m, j) + seq_weight(m, k)
-    assembled = measure_from_coeffs(m, coeffs, nu, "ft")
-    assert assembled == expsum_mul(ft_i(m, j), ft_i(m, k))
+    assert _ft_sum(m, coeffs) == expsum_mul(ft_i(m, j), ft_i(m, k))
 
 
 def test_exponent_support_window():
     m = 3
     nu = Weight.from_alpha(m, (1, 1))
-    e = measure_from_coeffs(m, {(1, 2): 2, (2, 1): 1}, nu, "ft")
+    e = _ft_sum(m, {(1, 2): 2, (2, 1): 1})
     for beta in e.support():
         assert beta.in_Q_plus()
         assert (nu - beta).in_Q_plus()

@@ -5,6 +5,17 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvtk.centralizer import (
+    CoordFunction,
+    check_regular,
+    dbar_direct,
+    eval_ratfunc_at_x,
+    is_admissible,
+    psi_eval,
+    solve_nx,
+    verify_nx,
+    weyl_witness,
+)
 from mvtk.exactalg import (
     GREVLEX,
     LEX,
@@ -16,6 +27,7 @@ from mvtk.exactalg import (
     poly_ring,
 )
 from mvtk.exactalg.groebner import _exact_poly_division
+from mvtk.exactalg.linalg import identity
 from mvtk.measures import ExpSum, RatFunc, dbar_i, ft_i
 from mvtk.preproj import _flag_eval
 
@@ -104,6 +116,16 @@ def test_floats_are_refused():
         lambda: ft_i(3, (1,)).evaluate((1, 0, -1), (1, 0.5, 3)),
         lambda: ExpSum(3, {}).evaluate((1, 0, -1), (1, 0.5, 3)),
         lambda: _flag_eval(3, {(1, 2): 1}, {"a1": 0.1, "a2": 2}),
+        # the points of the centralizer's n_x, psi and Weyl witness
+        lambda: eval_ratfunc_at_x(dbar_i(3, (1, 2)), (0.1, 0, -0.1)),
+        lambda: psi_eval((0.5, 0, -0.5), (1, 2, 3)),
+        lambda: psi_eval((1, 0, -1), (1, 0.5, 3)),
+        lambda: check_regular((0.5, 0, -0.5)),
+        lambda: is_admissible((0.5, 0, -0.5), 2),
+        lambda: solve_nx(3, (0.5, 0, -0.5)),
+        lambda: verify_nx(3, (0.5, 0, -0.5), identity(3)),
+        lambda: dbar_direct(CoordFunction.parse(3, "n12"), (0.1, 0, -0.1)),
+        lambda: weyl_witness((0.5, -0.5), 1),
     ):
         with pytest.raises(TypeError, match="float"):
             make()

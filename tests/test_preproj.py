@@ -516,6 +516,8 @@ def test_flag_function_trivial_cases():
     assert flag_function(z) == RatFunc.constant(alpha_names(3), 1)
     s1 = simple_module(3, 1)
     assert flag_function(s1) == dbar_i(3, (1,))
+    assert flag_function_from_chi(3, {(): 1}) == RatFunc.constant(alpha_names(3), 1)
+    assert flag_function_from_chi(3, {(1,): 1}) == dbar_i(3, (1,))
     with pytest.raises(ValueError, match="unknown flag-function method"):
         flag_function(s1, method="grid")
 
