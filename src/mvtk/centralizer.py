@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from .exactalg.linalg import identity, inverse, mat_mul, solve
 from .exactalg.poly import MultiPoly, _exact
@@ -109,25 +110,23 @@ def check_regular(x) -> None:
 
 
 def is_admissible(x, height: int) -> bool:
-    """No nonzero beta in Q_+ of height <= `height` pairs to zero with x."""
-    m = len(x)
-    vals = [_exact(v) for v in x]
+    """No nonzero beta in Q_+ of height <= `height` pairs to zero with x.
 
-    def rec(coords, idx):
-        if idx == m - 1:
-            if any(coords):
-                w = Weight.from_alpha(m, coords)
-                if w.pair(vals) == 0:
-                    return False
-            return True
-        for c in range(height + 1):
-            if sum(coords) + c > height:
-                break
-            if not rec(coords + [c], idx + 1):
-                return False
-        return True
-
-    return rec([], 0)
+    x is a point of the trace-zero Cartan, so beta = sum c_i alpha_i pairs
+    to sum c_i alpha_i(x).  The values of all beta of height k are built
+    from those of height k - 1, in ints over the lcm of the denominators.
+    """
+    if sum(_exact(v) for v in x) != 0:
+        raise ValueError("diagonal point must have trace zero")
+    alphas = _alpha_values(x)
+    d = lcm(*(a.denominator for a in alphas))
+    alphas = {a.numerator * (d // a.denominator) for a in alphas}
+    values = {0}
+    for _ in range(height):
+        values = {v + a for v in values for a in alphas}
+        if 0 in values:
+            return False
+    return True
 
 
 # -- n_x -------------------------------------------------------------------------

@@ -482,52 +482,6 @@ def saturate(gens: Sequence[MultiPoly], f: MultiPoly) -> GroebnerBasis:
     return eliminate(lifted, (aux,))
 
 
-def _exact_poly_division(g: MultiPoly, f: MultiPoly) -> MultiPoly:
-    """g / f when the division is exact; raises ArithmeticError otherwise.
-
-    The working terms sit behind a lazy max-heap, as in _normal_form_full:
-    each step pops the running lead instead of rescanning, and only terms
-    new to the working polynomial are pushed.  The division fails as soon
-    as the lead is not divisible by lm(f).
-    """
-    import heapq
-
-    if g.is_zero():
-        return g
-    heap_key = GREVLEX.heap_key
-    lm_f = f.leading_monomial(GREVLEX)
-    lc_f = f.terms[lm_f]
-    # the lead of f cancels the running lead exactly, so only its tail is applied
-    tail = [(m, c) for m, c in f.terms.items() if m != lm_f]
-    work = dict(g.terms)
-    heap = [(heap_key(m), m) for m in work]
-    heapq.heapify(heap)
-    quo: dict = {}
-    while heap:
-        lm = heapq.heappop(heap)[1]
-        c = work.pop(lm, None)
-        if c is None:  # cancelled after it was pushed
-            continue
-        if not _mon_divides(lm_f, lm):
-            raise ArithmeticError("inexact polynomial division")
-        shift = _mon_div(lm, lm_f)
-        c /= lc_f
-        quo[shift] = c
-        for m, cf in tail:
-            mm = _mon_mul(m, shift)
-            old = work.get(mm)
-            if old is None:
-                work[mm] = -c * cf
-                heapq.heappush(heap, (heap_key(mm), mm))
-            else:
-                v = old - c * cf
-                if v:
-                    work[mm] = v
-                else:
-                    del work[mm]
-    return MultiPoly._make(g.variables, quo)
-
-
 def homogenize(gens: Sequence[MultiPoly], hvar: str) -> GroebnerBasis:
     """Reduced grevlex basis of the homogenization (in total degree) of the ideal.
 

@@ -110,6 +110,25 @@ def _scaled_point(values: Mapping, names) -> tuple[int, list]:
     return d, [x.numerator * (d // x.denominator) for x in point]
 
 
+def _integer_terms(terms: Mapping) -> tuple[int, dict]:
+    """(D, D * terms) with D the lcm of the coefficients' denominators, as {monomial: int}."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    if d == 1:
+        return 1, {m: c.numerator for m, c in terms.items()}
+    return d, {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
+
+
+def _int_product(a: dict, b: dict) -> dict:
+    """The product of two {monomial: int} polynomials; terms that cancel stay, as 0."""
+    ib = list(b.items())
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in ib:
+            m = tuple(map(add, m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
 class MultiPoly:
     """Immutable multivariate polynomial with exact rational coefficients."""
 
@@ -140,6 +159,11 @@ class MultiPoly:
         p.variables = variables
         p.terms = terms
         return p
+
+    @classmethod
+    def _from_ints(cls, variables: tuple, d: int, terms: dict) -> "MultiPoly":
+        """terms / d from {monomial: int}: one Fraction per nonzero term."""
+        return cls._make(variables, {m: Fraction(c, d) for m, c in terms.items() if c})
 
     @classmethod
     def zero(cls, variables) -> "MultiPoly":
@@ -308,22 +332,11 @@ class MultiPoly:
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             return self._scale(_exact(other))
-        a, b = self.terms, self._coerce(other).terms
         # integer numerators over the lcm of each operand's denominators: the
         # pair products and sums stay in ints, one Fraction per output term
-        da = lcm(*(c.denominator for c in a.values()))
-        db = lcm(*(c.denominator for c in b.values()))
-        ib = [(m, c.numerator * (db // c.denominator)) for m, c in b.items()]
-        out: dict = {}
-        for m1, c1 in a.items():
-            c1 = c1.numerator * (da // c1.denominator)
-            for m2, c2 in ib:
-                m = tuple(map(add, m1, m2))
-                out[m] = out.get(m, 0) + c1 * c2
-        den = da * db
-        return MultiPoly._make(
-            self.variables, {m: Fraction(c, den) for m, c in out.items() if c}
-        )
+        da, a = _integer_terms(self.terms)
+        db, b = _integer_terms(self._coerce(other).terms)
+        return MultiPoly._from_ints(self.variables, da * db, _int_product(a, b))
 
     __rmul__ = __mul__
 

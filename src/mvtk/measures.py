@@ -3,18 +3,25 @@
 A RatFunc is a polynomial numerator over a product of linear forms.  Every
 denominator of the sequence calculus is a product of root-lattice weights
 beta_k - beta_j, so `den` keys each factor by an integer coefficient tuple,
-for a weight its `alpha_coords()`: a primitive tuple (coprime entries, the
+for a weight its alpha coordinates: a primitive tuple (coprime entries, the
 first nonzero one positive) mapped to its multiplicity.  The content of a
 factor (its gcd, signed like its first nonzero coefficient) is divided out
 of the numerator once, when the factor enters; forms in other variables,
-such as the x_j - x_i of the symbolic n_x, are keyed the same way.  The
-numerator is kept cancelled against the denominator, never by a general
-multivariate gcd: a factor f is divided out by exact division, tried only
-when the numerator vanishes at a fixed point of the hyperplane f = 0 over
-F_P.  A nonzero value there proves that f does not divide it: if num = f*q
-and D is the lcm of num's coefficient denominators, D*q is integral by
-Gauss's lemma (f is primitive), so num vanishes mod P wherever f does as
-long as P does not divide D.  Each rational function thus has exactly one
+such as the x_j - x_i of the symbolic n_x, are keyed the same way.
+
+Arithmetic runs on one integer numerator: with D the lcm of num's
+coefficient denominators, D*num has integer coefficients.  A sum lifts both
+sides by the forms each lacks and adds them over lcm(D_a, D_b), a product
+multiplies D_a*num_a by D_b*num_b, and a Fraction is made once per term of
+the result.  The numerator is kept cancelled against the denominator, never
+by a general multivariate gcd: a factor f is divided out of D*num by exact
+integer division, tried only when D*num vanishes at a fixed point of the
+hyperplane f = 0 over F_P.  A nonzero value there proves that f does not
+divide num: if num = f*q, then D*num = f*(D*q) with D*q integral by Gauss's
+lemma (f is primitive), so D*num vanishes mod P wherever f does, whatever
+P divides.  No prime is skipped.  By the same lemma the quotient is
+integral, so the division stops at the first coefficient that f's leading
+entry does not divide.  Each rational function thus has exactly one
 (num, den), and equality compares the two.
 
 An ExpSum is a finite weight-indexed family of RatFunc coefficients, the
@@ -27,17 +34,18 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
+from operator import sub
 
-from .exactalg.groebner import _exact_poly_division
-from .exactalg.poly import MultiPoly, _exact, _scaled_point
-from .roota import Weight, alpha_names, partial_sums
+from .exactalg.poly import MultiPoly, _exact, _int_product, _integer_terms, _scaled_point
+from .roota import Weight, alpha_names
 
 
 def _form_key(form, n: int):
     """(key, content) with form == content * key, key as in RatFunc.den.
 
     The form is a linear MultiPoly or a tuple of integer coefficients over
-    n variables.
+    n variables; the content is an int unless the form has fractional
+    coefficients.
     """
     denom = 1
     if isinstance(form, MultiPoly):
@@ -60,7 +68,7 @@ def _form_key(form, n: int):
         g = -g
     if g == 1 and denom == 1:
         return form, 1
-    return tuple(c // g for c in form), Fraction(g, denom)
+    return tuple(c // g for c in form), (g if denom == 1 else Fraction(g, denom))
 
 
 @lru_cache(maxsize=4096)
@@ -70,6 +78,61 @@ def _form_poly(key: tuple, variables: tuple) -> MultiPoly:
     return MultiPoly(variables, {
         tuple(int(i == k) for i in range(n)): c for k, c in enumerate(key) if c
     })
+
+
+def _times_form(terms: dict, key: tuple) -> dict:
+    """An integer polynomial times the linear form key; terms that cancel stay, as 0."""
+    out: dict = {}
+    for k, ck in enumerate(key):
+        if ck:
+            for mon, c in terms.items():
+                m = mon[:k] + (mon[k] + 1,) + mon[k + 1:]
+                out[m] = out.get(m, 0) + ck * c
+    return out
+
+
+def _times_missing(terms: dict, scale: int, den: dict, common: dict) -> dict:
+    """scale * terms times each form of `common` as often as den lacks it: num over common."""
+    if scale != 1:
+        terms = {m: c * scale for m, c in terms.items()}
+    for key, mult in common.items():
+        for _ in range(mult - den.get(key, 0)):
+            terms = _times_form(terms, key)
+    return terms
+
+
+def _divide_by_form(terms: dict, key: tuple):
+    """The quotient of an integer polynomial by the primitive form key; None if inexact.
+
+    With j the first nonzero entry, key = key[j]*x_j + r.  From the top
+    power of x_j down, each term c*x_j^e*u gives the quotient term
+    (c / key[j])*x_j^(e-1)*u, and r times it is subtracted at power e - 1.
+    The quotient is integral (Gauss's lemma), so the first c that key[j]
+    does not divide, or a term left at power 0, proves the division inexact.
+    """
+    j = next(k for k, c in enumerate(key) if c)
+    lead = key[j]
+    rest = [(k, c) for k, c in enumerate(key) if c and k != j]
+    levels: dict = {}
+    for mon, c in terms.items():
+        levels.setdefault(mon[j], {})[mon] = c
+    quo = {}
+    for e in range(max(levels, default=0), 0, -1):
+        below = levels.setdefault(e - 1, {})
+        for mon, c in levels.get(e, {}).items():
+            if not c:
+                continue
+            q, r = divmod(c, lead)
+            if r:
+                return None
+            qmon = mon[:j] + (e - 1,) + mon[j + 1:]
+            quo[qmon] = q
+            for k, ck in rest:
+                m = qmon[:k] + (qmon[k] + 1,) + qmon[k + 1:]
+                below[m] = below.get(m, 0) - q * ck
+    if any(levels.get(0, {}).values()):
+        return None
+    return quo
 
 
 # The hyperplane test of RatFunc._cancel runs over F_P at a fixed point; the
@@ -84,31 +147,27 @@ def _base_point(n: int) -> tuple:
     return tuple(pow(0x9E3779B97F4A7C15, k + 1, _P) for k in range(n))
 
 
-def _residues(num: MultiPoly):
-    """(terms, degree) of num at the base point mod _P; None if _P divides a denominator.
+def _residues(terms: dict) -> list:
+    """An integer polynomial's terms at the base point mod _P, summed by exponent.
 
-    Each term is (monomial, value of the term at the base point).
+    Entry j lists, for each e, the sum of the values of the terms with x_j^e.
     """
-    deg = num.total_degree()
+    deg = max(map(sum, terms))
     pw = []
-    for x in _base_point(len(num.variables)):
+    for x in _base_point(len(next(iter(terms)))):
         powers = [1]
         for _ in range(deg):
             powers.append(powers[-1] * x % _P)
         pw.append(powers)
-    terms = []
-    for mon, c in num.terms.items():
-        d = c.denominator
-        if d % _P == 0:
-            return None
-        r = c.numerator
-        if d != 1:
-            r *= pow(d, -1, _P)
+    sums = [[0] * (deg + 1) for _ in pw]
+    for mon, r in terms.items():
         for e, p in zip(mon, pw):
             if e:
                 r *= p[e]
-        terms.append((mon, r % _P))
-    return terms, deg
+        r %= _P
+        for e, by_exponent in zip(mon, sums):
+            by_exponent[e] += r
+    return sums
 
 
 @lru_cache(maxsize=4096)
@@ -127,21 +186,48 @@ def _off_hyperplane(residues, key: tuple) -> bool:
     """True when num, given by its residues, is nonzero at a point of key = 0 mod _P.
 
     At the point of _hyperplane_point each term's value at the base point
-    is rescaled by (x_j / b_j)^e_j.  The test is skipped (False) when _P
-    divides key[j].
+    is rescaled by (x_j / b_j)^e_j, so the value is a polynomial in that
+    ratio with the sums by exponent of x_j as coefficients.  The test is
+    skipped (False) when _P divides key[j].
     """
     point = _hyperplane_point(key)
     if point is None:
         return False
     j, ratio = point
-    terms, deg = residues
-    by_exponent = [0] * (deg + 1)
-    for mon, r in terms:
-        by_exponent[mon[j]] += r
     total = 0
-    for s in reversed(by_exponent):
+    for s in reversed(residues[j]):
         total = (total * ratio + s) % _P
     return total != 0
+
+
+def _divide_out(terms: dict, den: dict) -> dict:
+    """terms divided by each key of den as often as it divides (terms itself if none does).
+
+    den's multiplicities are lowered in place.  A key is divided only after
+    terms vanishes at the hyperplane test's point (see the module
+    docstring); neither the point nor _P decides a result.
+    """
+    if len(terms) == 1 and not any(next(iter(terms))):  # a nonzero constant
+        return terms
+    residues = None
+    for key, mult in list(den.items()):
+        left = mult
+        while left:
+            if residues is None:
+                residues = _residues(terms)
+            if _off_hyperplane(residues, key):
+                break
+            quo = _divide_by_form(terms, key)
+            if quo is None:
+                break
+            terms, residues = quo, None
+            left -= 1
+        if left != mult:
+            if left:
+                den[key] = left
+            else:
+                del den[key]
+    return terms
 
 
 class RatFunc:
@@ -150,12 +236,15 @@ class RatFunc:
     Every RatFunc keeps one invariant: `den` maps primitive integer
     coefficient tuples (see the module docstring) to positive
     multiplicities, no key's form divides `num`, and a zero `num` has an
-    empty `den`.  `RatFunc(...)` is the validating constructor: it also
-    takes non-primitive tuples and linear MultiPoly forms as keys, moves
-    their content into the numerator and cancels.  `RatFunc._make` trusts
-    its arguments and checks nothing; sums and products, whose keys are
-    already primitive, build with it and then cancel, and negation and
-    nonzero scalar multiples, which keep a quotient cancelled, do not.
+    empty `den`.  `num` is a MultiPoly; sums, products and divisions work
+    on it as D*num in ints and make its Fractions once, at the end.
+    `RatFunc(...)` is the validating constructor: it also takes
+    non-primitive tuples and linear MultiPoly forms as keys, moves their
+    content into the numerator and cancels.  `RatFunc._make` trusts its
+    arguments and checks nothing; sums and products, whose keys are already
+    primitive, build with it after cancelling, `divide_by_form` tests only
+    the new key, and negation and nonzero scalar multiples, which keep a
+    quotient cancelled, test none.
     """
 
     __slots__ = ("num", "den")
@@ -187,36 +276,24 @@ class RatFunc:
         self.den = den
         return self
 
-    def _cancel(self) -> "RatFunc":
-        """Divide out each denominator factor as often as it divides num; returns self.
+    @classmethod
+    def _from_ints(cls, variables: tuple, d: int, terms: dict, den: dict) -> "RatFunc":
+        """(terms / d) / den, cancelled, for an integer polynomial terms; den is not copied."""
+        terms = {m: c for m, c in terms.items() if c}
+        if not terms:
+            return cls._make(MultiPoly._make(variables, {}), {})
+        return cls._make(MultiPoly._from_ints(variables, d, _divide_out(terms, den)), den)
 
-        A factor is divided only after num vanishes at the hyperplane test's
-        point (see the module docstring); a nonzero value rejects it
-        without a division.  Neither the point nor _P decides a result.
-        """
+    def _cancel(self) -> "RatFunc":
+        """Divide out each denominator factor as often as it divides num; returns self."""
         num = self.num
         if num.is_zero():
             self.den = {}
-            return self
-        if num.is_constant() or not self.den:
-            return self
-        variables = num.variables
-        residues = _residues(num)
-        for key, mult in list(self.den.items()):
-            while mult:
-                if residues is not None and _off_hyperplane(residues, key):
-                    break
-                try:
-                    num = _exact_poly_division(num, _form_poly(key, variables))
-                except ArithmeticError:
-                    break
-                residues = _residues(num)
-                mult -= 1
-            if mult:
-                self.den[key] = mult
-            else:
-                del self.den[key]
-        self.num = num
+        elif self.den:
+            d, terms = _integer_terms(num.terms)
+            quo = _divide_out(terms, self.den)
+            if quo is not terms:
+                self.num = MultiPoly._from_ints(num.variables, d, quo)
         return self
 
     # -- constructors
@@ -242,23 +319,6 @@ class RatFunc:
 
     # -- arithmetic
 
-    def _common_den(self, other: "RatFunc"):
-        common = dict(self.den)
-        for key, mult in other.den.items():
-            if mult > common.get(key, 0):
-                common[key] = mult
-        return self._lift(common), other._lift(common), common
-
-    def _lift(self, common: dict) -> MultiPoly:
-        """num over the denominator `common`: one product, by the forms den lacks."""
-        variables = self.variables
-        missing = None
-        for key, mult in common.items():
-            for _ in range(mult - self.den.get(key, 0)):
-                form = _form_poly(key, variables)
-                missing = form if missing is None else missing * form
-        return self.num if missing is None else self.num * missing
-
     def __add__(self, other):
         if not isinstance(other, RatFunc):
             other = RatFunc.constant(self.variables, other)
@@ -266,8 +326,19 @@ class RatFunc:
             return self
         if self.is_zero():
             return other
-        a, b, common = self._common_den(other)
-        return RatFunc._make(a + b, common)._cancel()
+        if other.variables != self.variables:
+            raise ValueError("variable sets differ")
+        da, a = _integer_terms(self.num.terms)
+        db, b = _integer_terms(other.num.terms)
+        d = lcm(da, db)
+        common = dict(self.den)
+        for key, mult in other.den.items():
+            if mult > common.get(key, 0):
+                common[key] = mult
+        a = _times_missing(a, d // da, self.den, common)
+        for m, c in _times_missing(b, d // db, other.den, common).items():
+            a[m] = a.get(m, 0) + c
+        return RatFunc._from_ints(self.variables, d, a, common)
 
     __radd__ = __add__
 
@@ -280,23 +351,43 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other):
+        den = dict(self.den)
         if isinstance(other, RatFunc):
-            den = dict(self.den)
             for key, mult in other.den.items():
                 den[key] = den.get(key, 0) + mult
-            return RatFunc._make(self.num * other.num, den)._cancel()
-        num = self.num * other
-        if isinstance(other, MultiPoly):
-            return RatFunc._make(num, dict(self.den))._cancel()
-        return RatFunc._make(num, {} if num.is_zero() else dict(self.den))
+            other = other.num
+        elif not isinstance(other, MultiPoly):
+            num = self.num * other
+            return RatFunc._make(num, den if not num.is_zero() else {})
+        da, a = _integer_terms(self.num.terms)
+        db, b = _integer_terms(self.num._coerce(other).terms)
+        return RatFunc._from_ints(self.variables, da * db, _int_product(a, b), den)
 
     __rmul__ = __mul__
 
     def divide_by_form(self, form) -> "RatFunc":
-        """self / form, for a linear MultiPoly form or a coefficient tuple."""
+        """self / form, for a linear MultiPoly form or a coefficient tuple.
+
+        By the invariant no key of den divides num, so only the new form's
+        key is tested, and only when it is not in den already.
+        """
+        key, content = _form_key(form, len(self.variables))
+        num = self.num
+        if num.is_zero():
+            return self
+        if content != 1:
+            num = num / content
         den = dict(self.den)
-        den[form] = den.get(form, 0) + 1
-        return RatFunc(self.num, den)
+        if key in den:
+            den[key] += 1
+            return RatFunc._make(num, den)
+        d, terms = _integer_terms(num.terms)
+        new = {key: 1}
+        quo = _divide_out(terms, new)
+        den.update(new)
+        if quo is not terms:
+            num = MultiPoly._from_ints(num.variables, d, quo)
+        return RatFunc._make(num, den)
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
@@ -341,42 +432,58 @@ class RatFunc:
 # -- the sequence calculus -----------------------------------------------------
 
 
-def _simplex_term(names, coords, j: int) -> RatFunc:
-    """1 / prod over k != j of (beta_k - beta_j), from the alpha coordinates.
+def _partial_coords(m: int, seq) -> list:
+    """Alpha coordinates of the partial sums beta_0 = 0, ..., beta_p: running letter counts."""
+    counts = [0] * (m - 1)
+    coords = [tuple(counts)]
+    for i in seq:
+        if not 0 < i < m:
+            raise ValueError(f"letter {i} of a sequence is not in 1..{m - 1}")
+        counts[i - 1] += 1
+        coords.append(tuple(counts))
+    return coords
 
-    For k > j the key is beta_k - beta_j, and for k < j it is beta_j - beta_k,
-    which contributes a sign: both have nonnegative coordinates.  The keys'
-    contents go into the constant numerator, so RatFunc._make can build it.
+
+def _simplex_term(names, factors, sign: int) -> RatFunc:
+    """sign / prod of the factors, each the (key, content) of a difference of partial sums.
+
+    The term of beta_j has the factors beta_k - beta_j for k > j and
+    beta_j - beta_k for k < j, all with nonnegative alpha coordinates; the j
+    of the second kind make its sign (-1)^j.  The keys' contents go into the
+    constant numerator, so RatFunc._make can build it.
     """
-    bj = coords[j]
     den: dict = {}
     content = 1
-    for k, bk in enumerate(coords):
-        if k != j:
-            key, g = _form_key(tuple(abs(a - b) for a, b in zip(bk, bj)), len(bj))
-            content *= g
-            den[key] = den.get(key, 0) + 1
-    return RatFunc._make(MultiPoly.constant(names, Fraction((-1) ** j) / content), den)
+    for key, g in factors:
+        content *= g
+        den[key] = den.get(key, 0) + 1
+    return RatFunc._make(MultiPoly._make(names, {(0,) * len(names): Fraction(sign, content)}), den)
 
 
 def dbar_i(m: int, seq) -> RatFunc:
     """Product over k < p of 1/(beta_k - beta_p) for the sequence's partial sums."""
-    coords = [b.alpha_coords() for b in partial_sums(m, seq)]
-    return _simplex_term(alpha_names(m), coords, len(coords) - 1)
+    coords = _partial_coords(m, seq)
+    top = coords[-1]
+    factors = [_form_key(tuple(map(sub, top, c)), m - 1) for c in coords[:-1]]
+    return _simplex_term(alpha_names(m), factors, (-1) ** len(factors))
 
 
 def ft_i(m: int, seq) -> "ExpSum":
     """Fourier transform of the simplex measure of a sequence.
 
-    Sum over j of e^{-beta_j} / prod_{k != j} (beta_k - beta_j); the partial
-    sums are pairwise distinct in type A, which the construction checks.
+    Sum over j of e^{-beta_j} / prod_{k != j} (beta_k - beta_j).  The
+    partial sums are pairwise distinct, as each letter adds 1 to the height.
     """
     names = alpha_names(m)
-    sums = partial_sums(m, seq)
-    if len(set(sums)) != len(sums):
-        raise ValueError("repeated partial sums; transform undefined")
-    coords = [b.alpha_coords() for b in sums]
-    return ExpSum(m, {bj: _simplex_term(names, coords, j) for j, bj in enumerate(sums)})
+    coords = _partial_coords(m, seq)
+    diffs = {(j, k): _form_key(tuple(map(sub, ck, cj)), m - 1)
+             for j, cj in enumerate(coords) for k, ck in enumerate(coords) if k > j}
+    out = {}
+    for j, c in enumerate(coords):
+        factors = [diffs[(k, j) if k < j else (j, k)] for k in range(len(coords)) if k != j]
+        # the weight's eps coordinates are the differences of its alpha coordinates
+        out[Weight(map(sub, c + (0,), (0,) + c))] = _simplex_term(names, factors, (-1) ** j)
+    return ExpSum(m, out)
 
 
 class ExpSum:

@@ -34,6 +34,50 @@ def random_regular_x(rng, m, height=6):
             return tuple(vals)
 
 
+def _ref_is_admissible(x, height):
+    """is_admissible as it was, one Weight per alpha-coordinate vector: the oracle."""
+    m = len(x)
+    vals = [Fraction(v) for v in x]
+
+    def rec(coords, idx):
+        if idx == m - 1:
+            if any(coords):
+                w = Weight.from_alpha(m, coords)
+                if w.pair(vals) == 0:
+                    return False
+            return True
+        for c in range(height + 1):
+            if sum(coords) + c > height:
+                break
+            if not rec(coords + [c], idx + 1):
+                return False
+        return True
+
+    return rec([], 0)
+
+
+def test_is_admissible_matches_the_weight_loop():
+    # small alpha values of both signs, some fractional, so that low-height
+    # combinations vanish often; trace-zero points as the callers pass
+    rng = random.Random(20261019)
+    outcomes = set()
+    for _ in range(300):
+        m = rng.randint(2, 5)
+        alphas = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(m - 1)]
+        x = [Fraction(0)]
+        for a in reversed(alphas):
+            x.insert(0, x[0] + a)
+        shift = sum(x) / m
+        x = tuple(v - shift for v in x)
+        for h in range(7):
+            got = is_admissible(x, h)
+            assert got == _ref_is_admissible(x, h), (x, h)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+    with pytest.raises(ValueError, match="trace zero"):
+        is_admissible((1, 0, 0), 2)
+
+
 def test_solve_nx_m2():
     n = solve_nx(2, (Fraction(1), Fraction(-1)))
     assert n[0][1] == Fraction(-1, 2)  # 1/(x2 - x1)

@@ -2,7 +2,6 @@ import hashlib
 import importlib
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 import sympy
@@ -25,10 +24,11 @@ from mvtk.exactalg import (
 )
 from mvtk.exactalg.groebner import (
     _check_same_ring,
-    _exact_poly_division,
     _extend_ring,
     _fresh_name,
 )
+from mvtk.exactalg.poly import _integer_terms
+from mvtk.measures import _divide_by_form, _form_key, _form_poly
 from mvtk.orbital import Tableau, orbital_ideal, plucker_chart
 
 A10 = tuple(f"a{k}" for k in range(1, 11))
@@ -118,7 +118,7 @@ def ideal_quotient(gens, f):
     out = []
     for g in inter:
         g = g.restrict(variables) if g.variables != variables else g
-        out.append(_exact_poly_division(g, f))
+        out.append(_ref_exact_poly_division(g, f))
     return out
 
 
@@ -210,8 +210,10 @@ def test_random_membership_consistency():
 
 
 # -- exact division -----------------------------------------------------------
-# The kernel pops the running lead from a heap; this oracle rescans for it at
-# every step, shares no code with it and is called only by the tests.
+# RatFunc divides its integer numerator D * g by primitive linear forms only,
+# with measures._divide_by_form.  This oracle divides over Q by any
+# polynomial, rescanning for the lead at every step; it shares no code with
+# the kernel and is called only by the tests (also by ideal_quotient above).
 
 
 def _ref_exact_poly_division(g, f):
@@ -239,6 +241,13 @@ def _ref_exact_poly_division(g, f):
     return MultiPoly(g.variables, quo)
 
 
+def _divide_by_key(g, key):
+    """g / key by the integer kernel on D * g, back over Q; None if inexact."""
+    d, terms = _integer_terms(g.terms)
+    quo = _divide_by_form(terms, key)
+    return None if quo is None else MultiPoly._from_ints(g.variables, d, quo)
+
+
 XYZ = ("x", "y", "z")
 _DIV_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 _COEFFS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -246,40 +255,28 @@ _POLYS = st.dictionaries(
     st.tuples(*[st.integers(0, 2)] * 3), _COEFFS, max_size=6
 ).map(lambda terms: MultiPoly(XYZ, terms))
 _NONZERO_POLYS = _POLYS.filter(lambda p: not p.is_zero())
-
-
-@st.composite
-def _primitive_linear(draw):
-    coeffs = draw(st.tuples(*[st.integers(-4, 4)] * 3).filter(any))
-    g = gcd(*coeffs)
-    return MultiPoly(XYZ, {
-        tuple(int(i == k) for i in range(3)): Fraction(c // g)
-        for k, c in enumerate(coeffs) if c
-    })
-
-
-_DIVISORS = st.one_of(_primitive_linear(), _NONZERO_POLYS)
+# primitive keys as RatFunc.den holds them: the first nonzero entry is
+# positive and may exceed 1, later entries have either sign
+_KEYS = st.tuples(*[st.integers(-4, 4)] * 3).filter(any).map(lambda t: _form_key(t, 3)[0])
 
 
 @_DIV_SETTINGS
-@given(_DIVISORS, _POLYS)
-def test_exact_division_recovers_the_quotient(f, q):
-    g = f * q
-    assert _exact_poly_division(g, f) == q
-    assert _ref_exact_poly_division(g, f) == q
+@given(_KEYS, _POLYS)
+def test_exact_division_recovers_the_quotient(key, q):
+    g = _form_poly(key, XYZ) * q
+    assert _divide_by_key(g, key) == q
+    assert _ref_exact_poly_division(g, _form_poly(key, XYZ)) == q
 
 
 @_DIV_SETTINGS
-@given(_DIVISORS, _POLYS, _NONZERO_POLYS)
-def test_exact_division_fails_exactly_when_the_oracle_does(f, q, r):
-    g = f * q + r
+@given(_KEYS, _POLYS, _NONZERO_POLYS)
+def test_exact_division_fails_exactly_when_the_oracle_does(key, q, r):
+    g = _form_poly(key, XYZ) * q + r
     try:
-        expected = _ref_exact_poly_division(g, f)
+        expected = _ref_exact_poly_division(g, _form_poly(key, XYZ))
     except ArithmeticError:
-        with pytest.raises(ArithmeticError):
-            _exact_poly_division(g, f)
-    else:
-        assert _exact_poly_division(g, f) == expected
+        expected = None
+    assert _divide_by_key(g, key) == expected
 
 
 # -- bases as values ----------------------------------------------------------

@@ -3,11 +3,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvtk import measures
 from mvtk.exactalg import MultiPoly
+from mvtk.exactalg.poly import _integer_terms
 from mvtk.measures import (
     ExpSum,
     RatFunc,
@@ -42,12 +44,15 @@ def test_dbar_definitional_values():
 
 
 def test_simplex_terms_match_the_validating_constructor():
-    # _simplex_term builds with RatFunc._make; from the raw keys
-    # |beta_k - beta_j| and the sign, RatFunc(...) must build the same pair
+    # dbar_i and ft_i build with RatFunc._make; from the raw keys
+    # |beta_k - beta_j| and the sign, RatFunc(...) must build the same pairs
     m = 4
     names = alpha_names(m)
-    for w in (w for n in range(1, 5) for w in product(range(1, m), repeat=n)):
-        coords = [b.alpha_coords() for b in partial_sums(m, w)]
+    for w in (w for n in range(5) for w in product(range(1, m), repeat=n)):
+        sums = partial_sums(m, w)
+        coords = [b.alpha_coords() for b in sums]
+        ft = ft_i(m, w)
+        assert set(ft.coeffs) == set(sums)
         for j, bj in enumerate(coords):
             raw: dict = {}
             for k, bk in enumerate(coords):
@@ -55,8 +60,17 @@ def test_simplex_terms_match_the_validating_constructor():
                     key = tuple(abs(a - b) for a, b in zip(bk, bj))
                     raw[key] = raw.get(key, 0) + 1
             ref = RatFunc(MultiPoly.constant(names, (-1) ** j), raw)
-            got = measures._simplex_term(names, coords, j)
+            got = ft.coeffs[sums[j]]
             assert (got.num, got.den) == (ref.num, ref.den)
+        got = dbar_i(m, w)  # the term of the last partial sum
+        assert (got.num, got.den) == (ref.num, ref.den)
+
+
+@pytest.mark.parametrize("letter", [0, 4, -1])
+def test_letters_outside_the_rank_are_refused(letter):
+    for build in (dbar_i, ft_i):
+        with pytest.raises(ValueError, match=rf"letter {letter} of a sequence is not in 1\.\.3"):
+            build(4, (1, letter, 2))
 
 
 def test_dbar_shuffle_identity():
@@ -81,6 +95,13 @@ def test_ratfunc_equality_cross_multiplication():
     r1 = RatFunc(a1, {a1 * 2: 1})  # a1 / (2 a1) = 1/2
     assert r1 == RatFunc.constant(names, Fraction(1, 2))
     assert RatFunc(a1 + a2, {a1: 1}) != RatFunc.constant(names, 1)
+
+
+def test_ratfunc_arithmetic_refuses_other_variables():
+    a, b = dbar_i(3, (1, 2)), dbar_i(4, (1, 2))
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a * b.num):
+        with pytest.raises(ValueError, match="variable sets differ"):
+            op()
 
 
 def test_ft_examples():
@@ -326,9 +347,13 @@ _QUOTIENTS = st.dictionaries(
 @_PROPERTY_SETTINGS
 @given(_KEYS, _QUOTIENTS, st.integers(1, 2))
 def test_hyperplane_test_never_rejects_a_multiple(key, q, k):
+    # q has fractional coefficients: the test reads D * num, D the lcm of
+    # their denominators, which vanishes on key = 0 mod _P by Gauss's lemma
     form = measures._form_poly(key, q.variables)
     num = form**k * q
-    assert not measures._off_hyperplane(measures._residues(num), key)
+    if not num.is_zero():
+        _, terms = _integer_terms(num.terms)
+        assert not measures._off_hyperplane(measures._residues(terms), key)
     assert RatFunc(num, {key: k}) == RatFunc.from_poly(q)
 
 
@@ -349,6 +374,52 @@ def test_hyperplane_test_changes_no_sum(monkeypatch):
     monkeypatch.setattr(measures, "_off_hyperplane", lambda residues, key: False)
     off = _sums_of_all_short_words(4)
     assert [(r.num, r.den) for r in on] == [(r.num, r.den) for r in off]
+
+
+# -- the integer arithmetic against sympy.cancel --------------------------------
+
+
+def _to_sympy(r):
+    """(numerator, denominator) of a RatFunc as sympy expressions."""
+    syms = sympy.symbols(r.variables)
+    num = sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                      * sympy.Mul(*[x**e for x, e in zip(syms, mon)])
+                      for mon, c in r.num.terms.items()])
+    den = sympy.Mul(*[sympy.Add(*[k * x for k, x in zip(key, syms)])**mult
+                      for key, mult in r.den.items()])
+    return num, den
+
+
+def _assert_cancelled_like_sympy(r, expr):
+    # equal as rational functions, and sympy's reduced denominator has the
+    # degree of r's: no common factor is left in r
+    p, q = sympy.fraction(sympy.cancel(expr))
+    num, den = _to_sympy(r)
+    assert sympy.expand(num * q - p * den) == 0
+    assert sympy.Poly(q, *sympy.symbols(r.variables)).total_degree() == sum(r.den.values())
+
+
+# raw forms: non-primitive, of either sign, some of them already keys of a D-bar term
+_FORMS = st.one_of(
+    st.sampled_from([(1, 0, 0), (0, 1, 0), (1, 1, 0), (-2, -2, 0), (0, 3, 3)]),
+    st.tuples(*[st.integers(-3, 3)] * 3).filter(any),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(_WORDS, _WORDS, _WORDS, _QUOTIENTS, _KEYS, _FORMS)
+def test_integer_arithmetic_matches_sympy_cancel(u, v, w, q, key, form):
+    # a sum of two D-bar terms, and q over a key times a third: numerators
+    # with fractional coefficients whose factors meet the keys
+    a = dbar_i(4, u) + dbar_i(4, v)
+    b = RatFunc(q, {key: 1}) * dbar_i(4, w)
+    ea, eb = (n / d for n, d in (_to_sympy(a), _to_sympy(b)))
+    _assert_cancelled_like_sympy(a + b, ea + eb)
+    _assert_cancelled_like_sympy(a * b, ea * eb)
+    syms = sympy.symbols(a.variables)
+    for r, e in ((a, ea), (b, eb)):
+        _assert_cancelled_like_sympy(
+            r.divide_by_form(form), e / sympy.Add(*[k * s for k, s in zip(form, syms)]))
 
 
 # -- integer evaluation against the Fraction loops it replaced ------------------

@@ -26,7 +26,6 @@ from mvtk.exactalg import (
     normal_form,
     poly_ring,
 )
-from mvtk.exactalg.groebner import _exact_poly_division
 from mvtk.exactalg.linalg import identity
 from mvtk.measures import ExpSum, RatFunc, dbar_i, ft_i
 from mvtk.preproj import _flag_eval
@@ -201,9 +200,7 @@ def test_arithmetic_results_keep_the_invariant(pair, c, k):
     results += [wide.restrict(p.variables)]
     _assert_invariant(wide, n + 1)
     if not q.is_zero():
-        quo = _exact_poly_division(p * q, q)
-        assert quo == p
-        results += [quo, normal_form(p, groebner([q]))]
+        results += [normal_form(p, groebner([q]))]
         for g in homogenize([q], "z").gens:
             _assert_invariant(g, n + 1)
     for got in results:
