@@ -211,12 +211,13 @@ def _derivatives(m: int, f: MultiPoly, left: bool):
 def dbar_of_function(f: CoordFunction) -> RatFunc:
     """Expansion of x |-> f(n_x) in the D-bar terms, by the recursion over L_i f."""
     m = f.m
-    zero = RatFunc.constant(alpha_names(m), 0)
+    names = alpha_names(m)
+    zero = RatFunc._make(MultiPoly._make(names, {}), {})
 
     @cache  # per call: one entry per polynomial of the U(n)-module that f generates
     def dbar(g: MultiPoly, nu: Weight) -> RatFunc:
         if nu.is_zero():
-            return zero + g.constant_term()
+            return RatFunc._make(MultiPoly.constant(names, g.constant_term()), {})
         total = sum((dbar(h, nu - Weight.alpha(m, i)) for i, h in _derivatives(m, g, True)), zero)
         return (-total).divide_by_form(nu.alpha_coords())
 

@@ -9,20 +9,133 @@ lcm(h, g) (criterion B); the new pairs (f, g) are grouped by lcm (F); a class
 goes if another class's lcm strictly divides its own (M), or if one of its
 pairs has coprime leads and so reduces to zero (product criterion).  Any
 other class keeps its pair with the oldest f.  The hot loop works on
-primitive integer coefficient dictionaries; Fractions only appear at the
-API boundary.
+integer coefficient dictionaries; Fractions only appear at the API
+boundary.
+
+Inside the kernel a monomial is one int K whose integer order is the term
+order (packed monomials, as in Monagan-Pearce, J. Symbolic Comput. 46,
+2011).  The variables fall into blocks: one for grevlex, the eliminated
+and the kept variables for a block order, one per variable for lex.  A
+block of b variables holds, in F-bit fields, the prefix sums s_1 <= ... <=
+s_b of its exponents with the block degree s_b in its top field, and
+earlier blocks sit above later ones; comparing s_b, s_(b-1), ... in turn
+is grevlex on the block.  K is additive: a product is a sum of keys and
+the cofactor of a divisor a difference.  As prefix sums never decrease,
+K - ((K << F) & diff), diff masking every field but the lowest of each
+block, is the exponent vector E in the same fields, with no borrow.  Each
+field keeps its top bit clear as a guard, so a divides b exactly when
+((E_b | guard) - E_a) & guard == guard, an lcm is a field-at-a-time
+(SWAR) max built from the same borrows, and two leads are coprime when
+their lcm is their product.  Fields start at 16 bits.  Packing refuses a
+total degree that reaches the guard bit, and a sum made in the kernel a
+block degree that does, by raising `_Overflow`; `groebner` and
+`normal_form` then start again with fields twice as wide.
+
+A basis already in hand enters Buchberger as it stands: its members are
+never paired with each other, and only the new generators run the update.
+A reduced grevlex basis G stays a reduced Groebner basis of the ideal it
+generates when carried into a ring with more variables, under an order
+that restricts to grevlex on G's variables: grevlex itself, or the block
+order of `eliminate` when G's variables lie in one block in their own
+order.  The leading terms do not change, and each S-polynomial of two
+members reduces to zero by the same steps as before, so Buchberger's
+criterion still holds, and no tail term meets a lead.  A GroebnerBasis
+standing first among the generators of `groebner`, `eliminate` or
+`saturate` enters this way wherever that holds (`_carry`), and otherwise
+counts as plain generators.  `eliminate` carries it into its block ring
+itself, and `saturate` hands it on to `eliminate`: 1 - y*f and the
+eliminated variables sit outside the basis's ring.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from math import gcd
-from operator import add, le, sub
-from typing import Callable, Iterable, Sequence
+from operator import mul
+from typing import Iterable, Sequence
 
-from .poly import GREVLEX, MultiPoly, TermOrder
+from .poly import GREVLEX, MultiPoly, TermOrder, _integer_terms
 
-IntPoly = dict  # monomial tuple -> int coefficient, content-free
+IntPoly = dict  # monomial -> int: packed keys in the kernel, exponent tuples before packing
+
+
+class _Overflow(Exception):
+    """A block degree reached the guard bit of its field."""
+
+
+class _Packing:
+    """Packed monomials of one ring and term order, `bits` bits a field.
+
+    `weights` pack an exponent tuple in one dot product and `shifts` place
+    each exponent in E; `blocks` holds (shift, mask, ones) per block,
+    `tops` the shifts of the block-degree fields, `top` their guard bits,
+    `guard` the guard bits of every field and `diff` the mask above.
+    """
+
+    __slots__ = ("bits", "weights", "shifts", "blocks", "tops", "top", "guard", "diff")
+
+    def __init__(self, order: TermOrder, n: int, bits: int):
+        # block [a, b) of the variables takes the fields n - b .. n - a - 1
+        cuts = sorted({0, n, min(order.block, n)} | set(range(n) if order.kind == "lex" else ()))
+        self.bits, self.blocks, self.tops, self.shifts, self.weights = bits, [], [], [], []
+        self.diff = 0
+        for a, b in zip(cuts, cuts[1:]):
+            low, size = bits * (n - b), b - a
+            ones = sum(1 << bits * j for j in range(size))
+            self.blocks.append((low, (1 << bits * size) - 1, ones))
+            self.tops.append(low + bits * (size - 1))
+            for j in range(size):
+                self.shifts.append(low + bits * j)
+                self.weights.append(sum(1 << low + bits * i for i in range(j, size)))
+            self.diff |= ((1 << bits * (size - 1)) - 1) << low + bits  # all but the lowest field
+        self.guard = sum(1 << s + bits - 1 for s in self.shifts)
+        self.top = sum(1 << t + bits - 1 for t in self.tops)
+
+    def pack_poly(self, p: IntPoly) -> IntPoly:
+        # a field past its width would carry into the next one, so the total
+        # degree, which bounds every block degree, is tested before packing
+        if max(map(sum, p), default=0) >> self.bits - 1:
+            raise _Overflow
+        weights = self.weights
+        return {sum(map(mul, m, weights)): c for m, c in p.items()}
+
+    def exps(self, k: int) -> int:
+        return k - ((k << self.bits) & self.diff)
+
+    def key(self, e: int) -> int:
+        """The packed key of the exponent vector e: prefix sums per block."""
+        k = 0
+        for s, mask, ones in self.blocks:
+            k |= ((e >> s & mask) * ones & mask) << s
+        return k
+
+    def lcm(self, a: int, b: int) -> int:
+        """Field-wise max of two exponent vectors."""
+        ge = ((a | self.guard) - b) & self.guard  # guards of the fields where a >= b
+        ge -= ge >> self.bits - 1
+        return b ^ ((a ^ b) & ge)
+
+    def degree(self, k: int) -> int:
+        field = (1 << self.bits) - 1
+        return sum([k >> t & field for t in self.tops])
+
+    def entry(self, p: IntPoly) -> tuple:
+        """Kernel entry (lm, its exponents, lead coefficient, [(m, c) of the tail])."""
+        lm = max(p)
+        return lm, self.exps(lm), p[lm], [(m, c) for m, c in p.items() if m != lm]
+
+    def monomial(self, k: int) -> tuple:
+        """The exponent tuple of a packed monomial."""
+        e = self.exps(k)
+        field = (1 << self.bits) - 1
+        return tuple([e >> s & field for s in self.shifts])
+
+    def to_poly(self, entry: tuple, variables: tuple) -> MultiPoly:
+        """The monic MultiPoly of an entry."""
+        lm, _, lc, tail = entry
+        return MultiPoly._make(variables, {self.monomial(m): Fraction(c, lc)
+                                           for m, c in [(lm, lc)] + tail})
 
 
 # -- raw integer polynomial helpers -----------------------------------------
@@ -40,82 +153,37 @@ def _content_normalize(p: IntPoly) -> IntPoly:
     return p
 
 
-def _to_int_poly(f: MultiPoly) -> IntPoly:
-    part, _ = f.primitive()
-    return {m: int(c) for m, c in part.terms.items()}
-
-
-def _from_int_poly(p: IntPoly, variables) -> MultiPoly:
-    return MultiPoly(variables, {m: Fraction(c) for m, c in p.items()})
-
-
-# map() over two tuples loops in C: these are the innermost calls of Buchberger
-def _mon_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(map(add, a, b))
-
-
-def _mon_divides(a: tuple, b: tuple) -> bool:
-    return all(map(le, a, b))
-
-
-def _mon_div(a: tuple, b: tuple) -> tuple:
-    return tuple(map(sub, a, b))
-
-
-def _mon_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(map(max, a, b))
-
-
-def _lead(p: IntPoly, key: Callable) -> tuple:
-    return max(p, key=key)
-
-
-def _mon_mask(mon: tuple) -> int:
-    mask = 0
-    for i, e in enumerate(mon):
-        if e:
-            mask |= 1 << i
-    return mask
-
-
-def _normal_form_full(p: IntPoly, basis: Sequence[tuple], order) -> tuple:
-    """Full normal form of p against basis entries (lm, poly, deg, mask).
+def _normal_form_full(p: IntPoly, basis: Sequence[tuple], pk: _Packing) -> tuple:
+    """Full normal form of p against kernel entries (lm, exponents, lc, tail).
 
     Fraction-free: rescalings applied to the working polynomial are mirrored
     on the remainder.  Returns (r, scale): r is content-free and equals
     scale * (the normal form of p), scale a Fraction.  The working terms sit
-    behind a lazy max-heap so the running lead is found without rescanning.
+    behind a lazy max-heap of negated keys, so the running lead is found
+    without rescanning.
     """
-    import heapq
-
-    heap_key = order.heap_key
+    bits, diff, guard, top = pk.bits, pk.diff, pk.guard, pk.top
+    divisors = [entry[1] for entry in basis]
     remainder: IntPoly = {}
     work = dict(p)
     num = den = 1  # the scale applied so far, num / den in lowest terms
-    heap = [(heap_key(m), m) for m in work]
+    heap = [-m for m in work]
     heapq.heapify(heap)
     steps = 0
     while heap:
-        _, lm = heapq.heappop(heap)
-        if lm not in work:
+        lm = -heapq.heappop(heap)
+        cp = work.pop(lm, None)
+        if cp is None:
             continue
-        dlm = sum(lm)
-        mlm = _mon_mask(lm)
-        hit = None
-        for entry in basis:
-            if entry[2] > dlm or (entry[3] & ~mlm):
-                continue
-            if _mon_divides(entry[0], lm):
-                hit = entry
+        e = (lm - ((lm << bits) & diff)) | guard
+        for k, d in enumerate(divisors):
+            if (e - d) & guard == guard:
                 break
-        if hit is None:
-            remainder[lm] = work.pop(lm)
+        else:
+            remainder[lm] = cp
             continue
-        lm_g, g = hit[0], hit[1]
-        shift = _mon_div(lm, lm_g)
-        trivial_shift = not any(shift)
-        cp = work[lm]
-        cg = g[lm_g]
+        lm_g, _, cg, tail = basis[k]
+        shift = lm - lm_g
         s = gcd(cp, cg)
         cp //= s
         cg //= s
@@ -127,17 +195,19 @@ def _normal_form_full(p: IntPoly, basis: Sequence[tuple], order) -> tuple:
                 remainder[m] *= cg
             for m in work:
                 work[m] *= cg
-        for m, c in g.items():
-            mm = m if trivial_shift else _mon_mul(m, shift)
+        # tail terms of g sit below lm_g, so their products sit below lm
+        for m, c in tail:
+            mm = m + shift
             old = work.get(mm)
-            v = (old or 0) - cp * c
-            if v:
-                work[mm] = v
-                if old is None and mm != lm:
-                    heapq.heappush(heap, (heap_key(mm), mm))
+            if old is None:
+                if mm & top:
+                    raise _Overflow
+                work[mm] = -cp * c
+                heapq.heappush(heap, -mm)
+            elif old != cp * c:
+                work[mm] = old - cp * c
             else:
-                work.pop(mm, None)
-        work.pop(lm, None)
+                del work[mm]
         steps += 1
         if steps % 8 == 0 or not work:
             gg = 0
@@ -168,141 +238,125 @@ def _normal_form_full(p: IntPoly, basis: Sequence[tuple], order) -> tuple:
     return remainder, Fraction(num, den)
 
 
-def _spoly(f: IntPoly, lm_f: tuple, g: IntPoly, lm_g: tuple) -> IntPoly:
-    l = _mon_lcm(lm_f, lm_g)
-    cf = f[lm_f]
-    cg = g[lm_g]
+def _spoly(f: tuple, g: tuple, lcm: int, pk: _Packing) -> IntPoly:
+    """S-polynomial of two kernel entries whose leads have the packed lcm `lcm`."""
+    lm_f, _, cf, tail_f = f
+    lm_g, _, cg, tail_g = g
     s = gcd(cf, cg)
     cf //= s
     cg //= s
-    sf = _mon_div(l, lm_f)
-    sg = _mon_div(l, lm_g)
-    out: IntPoly = {}
-    for m, c in f.items():
-        out[_mon_mul(m, sf)] = c * cg
-    for m, c in g.items():
-        mm = _mon_mul(m, sg)
+    sf = lcm - lm_f
+    sg = lcm - lm_g
+    out = {m + sf: c * cg for m, c in tail_f}
+    for m, c in tail_g:
+        mm = m + sg
         v = out.get(mm, 0) - c * cf
         if v:
             out[mm] = v
         else:
             out.pop(mm, None)
+    if any(m & pk.top for m in out):
+        raise _Overflow
     return _content_normalize(out)
 
 
 # -- Buchberger with Gebauer-Moeller pruning ---------------------------------
 
 
-def _buchberger(gens: list, order) -> list:
-    import heapq
-
-    key = order.key
-
-    basis: list = []  # entries (lm, poly, deg, mask)
-
-    def enrich(p):
-        lm = _lead(p, key)
-        return (lm, p, sum(lm), _mon_mask(lm))
+def _buchberger(known: list, gens: list, pk: _Packing) -> list:
+    """Kernel entries of a Groebner basis of `known` (entries of a basis) and `gens`."""
+    guard, lcm = pk.guard, pk.lcm
+    basis = list(known)
 
     # insert cheap reducers first: most of a redundant generating set then
     # drops out during the insertion normal forms
     def rank(p):
-        lm = _lead(p, key)
-        return (sum(lm), len(p), key(lm))
+        lm = max(p)
+        return (pk.degree(lm), len(p), lm)
 
     for p in sorted(gens, key=rank):
-        p, _ = _normal_form_full(p, basis, order)
+        p, _ = _normal_form_full(p, basis, pk)
         if p:
-            basis.append(enrich(p))
+            basis.append(pk.entry(p))
 
-    heap: list = []  # (deg lcm, key(lcm), i, j); lcm cached in `live`
-    live: dict = {}  # (i, j) -> (lcm, its mask), for pairs still pending
-
-    def push(i, j, l, ml):
-        live[(i, j)] = (l, ml)
-        heapq.heappush(heap, (sum(l), key(l), i, j))
+    heap: list = []  # (deg lcm, lcm, i, j)
+    live: dict = {}  # (i, j) -> exponents of the lcm, for pairs still pending
 
     def update(new_index: int):
         """Gebauer-Moeller update on arrival of basis[new_index]."""
-        lm_new, _, _, mask_new = basis[new_index]
-        lcms = [_mon_lcm(e[0], lm_new) for e in basis[:new_index]]
+        e_new = basis[new_index][1]
+        lcms = [lcm(entry[1], e_new) for entry in basis[:new_index]]
         # criterion B: drop old pairs strictly refined by the new element
-        for (i, j), (l, ml) in list(live.items()):
-            if mask_new & ~ml:
-                continue
-            if _mon_divides(lm_new, l) and lcms[i] != l and lcms[j] != l:
+        for (i, j), l in list(live.items()):
+            if ((l | guard) - e_new) & guard == guard and lcms[i] != l and lcms[j] != l:
                 del live[(i, j)]
-        # criterion F: one class per lcm value, [first index, mask, coprime];
-        # an lcm's support is the union of the two leads' supports
+        # criterion F: one class per lcm value, [first index, coprime]
         by_lcm: dict = {}
         for i, l in enumerate(lcms):
-            mask_i = basis[i][3]
+            coprime = l == basis[i][1] + e_new  # no field holds both exponents
             cls = by_lcm.get(l)
             if cls is None:
-                by_lcm[l] = [i, mask_i | mask_new, not mask_i & mask_new]
-            elif not mask_i & mask_new:
-                cls[2] = True
-        # criterion M among the classes, smallest degrees first: equal-degree
-        # lcms cannot divide each other strictly, and the heap orders the pairs
+                by_lcm[l] = [i, coprime]
+            elif coprime:
+                cls[1] = True
+        # criterion M among the classes: a strict divisor of an lcm is a
+        # smaller int in the same fields, so ascending ints meet it first
         kept: list = []
-        for l in sorted(by_lcm, key=sum):
-            i, ml, coprime = by_lcm[l]
-            dl = sum(l)
-            dominated = False
-            for l2, m2, d2 in kept:
-                if d2 >= dl or (m2 & ~ml):
-                    continue
-                if _mon_divides(l2, l):
-                    dominated = True
+        for l in sorted(by_lcm):
+            gl = l | guard
+            for l2 in kept:
+                if (gl - l2) & guard == guard:
                     break
-            if dominated:
-                continue
-            kept.append((l, ml, dl))
-            # product criterion: a coprime pair reduces to zero, and with it
-            # every pair of its class (Becker-Weispfenning, UPDATE)
-            if not coprime:
-                push(i, new_index, l, ml)
+            else:
+                kept.append(l)
+                # product criterion: a coprime pair reduces to zero, and with
+                # it every pair of its class (Becker-Weispfenning, UPDATE)
+                i, coprime = by_lcm[l]
+                if not coprime:
+                    k = pk.key(l)
+                    if k & pk.top:
+                        raise _Overflow
+                    live[(i, new_index)] = l
+                    heapq.heappush(heap, (pk.degree(k), k, i, new_index))
 
-    for idx in range(len(basis)):
+    for idx in range(len(known), len(basis)):
         update(idx)
 
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, k, i, j = heapq.heappop(heap)
         if (i, j) not in live:
             continue
         del live[(i, j)]
-        s = _spoly(basis[i][1], basis[i][0], basis[j][1], basis[j][0])
-        s, _ = _normal_form_full(s, basis, order)
+        s = _spoly(basis[i], basis[j], k, pk)
+        s, _ = _normal_form_full(s, basis, pk)
         if s:
-            basis.append(enrich(s))
+            basis.append(pk.entry(s))
             update(len(basis) - 1)
     return basis
 
 
-def _interreduce(basis: list, order) -> list:
-    """Minimal then fully reduced basis, sorted by leading monomial."""
-    key = order.key
-    # minimality: drop members whose lead is divisible by another lead
+def _interreduce(basis: list, pk: _Packing) -> list:
+    """Minimal then fully reduced basis, sorted by leading monomial, largest first."""
+    # minimality: drop members whose lead is divisible by another lead, of
+    # equal leads all but the first
+    guard = pk.guard
     keep = []
     for i, entry in enumerate(basis):
-        lm = entry[0]
-        dominated = False
+        lm, e = entry[0], entry[1] | guard
         for j, other in enumerate(basis):
-            lm2 = other[0]
-            if i == j:
-                continue
-            if _mon_divides(lm2, lm) and (lm2 != lm or j < i):
-                dominated = True
+            if (e - other[1]) & guard == guard and j != i and (other[0] != lm or j < i):
                 break
-        if not dominated:
+        else:
             keep.append(entry)
-    keep.sort(key=lambda e: key(e[0]))
+    keep.sort()
     reduced = []
-    for idx, entry in enumerate(keep):
-        r, _ = _normal_form_full(entry[1], keep[:idx] + keep[idx + 1:], order)
+    for idx, (lm, _, lc, tail) in enumerate(keep):
+        p = dict(tail)
+        p[lm] = lc
+        r, _ = _normal_form_full(p, keep[:idx] + keep[idx + 1:], pk)
         if r:
-            reduced.append((_lead(r, key), r))
-    reduced.sort(key=lambda t: key(t[0]), reverse=True)
+            reduced.append(pk.entry(r))
+    reduced.sort(reverse=True)
     return reduced
 
 
@@ -317,22 +371,23 @@ class GroebnerBasis:
     that take generators accept it without running Buchberger again.
     """
 
-    __slots__ = ("order", "gens", "variables", "_entries")
+    __slots__ = ("order", "gens", "variables", "_kernel")
 
     def __init__(self, variables, gens: Sequence[MultiPoly], order: TermOrder):
         self.variables = tuple(variables)
         self.gens = tuple(gens)
         self.order = order
-        self._entries = None
+        self._kernel = None
 
-    def _kernel_entries(self) -> list:
-        """The members as normal-form kernel entries (lm, IntPoly, deg, mask), built once."""
-        if self._entries is None:
-            self._entries = []
-            for g in self.gens:
-                lm = g.leading_monomial(self.order)
-                self._entries.append((lm, _to_int_poly(g), sum(lm), _mon_mask(lm)))
-        return self._entries
+    def _entries(self, bits: int) -> tuple:
+        """(packing, the members as kernel entries) at `bits` bits a field, kept for reuse."""
+        if self._kernel is None or self._kernel[0].bits != bits:
+            pk = _Packing(self.order, len(self.variables), bits)
+            self._kernel = (pk, [pk.entry(pk.pack_poly(_integer_terms(g.terms)[1])) for g in self.gens])
+        return self._kernel
+
+    def _bits(self) -> int:
+        return self._kernel[0].bits if self._kernel is not None else 16
 
     def leading_monomials(self) -> list:
         return [g.leading_monomial(self.order) for g in self.gens]
@@ -365,25 +420,83 @@ def _check_same_ring(gens: Sequence[MultiPoly]):
     return vars0
 
 
-def groebner(gens: Sequence[MultiPoly], order: TermOrder = GREVLEX) -> GroebnerBasis:
+def _carry(G: GroebnerBasis, variables: tuple, order: TermOrder) -> GroebnerBasis | None:
+    """G in the ring `variables` as a reduced basis for `order`, or None where
+    it need not stay one (see the module docstring)."""
+    if G.variables == variables and G.order == order:
+        return G
+    if G.order != GREVLEX or order.kind == "lex":
+        return None
+    pos = [variables.index(v) for v in G.variables]
+    k = order.block
+    if pos != sorted(pos) or (k and pos and pos[0] < k <= pos[-1]):
+        return None
+    return GroebnerBasis(variables, [g.rename(variables) for g in G.gens], order)
+
+
+def _split(gens) -> tuple:
+    """(basis, polys, ring) of generators given as a GroebnerBasis, or as a
+    list whose first entry may be one: the basis if it is nonempty, the
+    nonzero MultiPoly generators, and their ring (the basis's if there are
+    none, None if there is nothing).  The basis may live in a ring of some
+    of the variables of the others."""
+    gens = [gens] if isinstance(gens, GroebnerBasis) else list(gens)
+    known = None
+    if gens and isinstance(gens[0], GroebnerBasis):
+        known, *gens = gens
+    polys = [g for g in gens if not g.is_zero()]
+    ring = _check_same_ring(polys)
+    if known is None or not known.gens:
+        return None, polys, ring
+    ring = ring or known.variables
+    if not set(known.variables) <= set(ring):
+        raise ValueError("generators live in different rings")
+    return known, polys, ring
+
+
+def groebner(gens: Sequence[MultiPoly] | GroebnerBasis,
+             order: TermOrder = GREVLEX) -> GroebnerBasis:
+    """Reduced basis for `order` of the ideal the generators generate.
+
+    A GroebnerBasis may stand first among the generators, in a ring of some
+    of their variables.  Where it stays a basis for `order` in their ring
+    (`_carry`) it enters Buchberger as a basis in hand, its members never
+    paired with each other; otherwise its members count as plain generators.
+    """
     if isinstance(gens, GroebnerBasis) and gens.order == order:
         return gens
-    gens = [g for g in gens if not g.is_zero()]
-    variables = _check_same_ring(gens)
+    known, polys, variables = _split(gens)
     if variables is None:
         return GroebnerBasis((), (), order)
-    raw = [_to_int_poly(g) for g in gens]
-    basis = _buchberger(raw, order)
-    basis = _interreduce(basis, order)
-    out = [_from_int_poly(p, variables).monic(order) for _, p in basis]
-    return GroebnerBasis(variables, out, order)
+    if known is not None:
+        carried = _carry(known, variables, order)
+        if carried is None:
+            polys += [g.rename(variables) for g in known.gens]
+        elif not polys:
+            return carried
+        known = carried
+    raw = [_integer_terms(g.terms)[1] for g in polys]
+    bits = known._bits() if known else 16
+    while True:
+        pk = _Packing(order, len(variables), bits)
+        try:
+            start = known._entries(bits)[1] if known else []
+            basis = _buchberger(start, [pk.pack_poly(p) for p in raw], pk)
+            basis = _interreduce(basis, pk)
+            break
+        except _Overflow:
+            bits *= 2
+    G = GroebnerBasis(variables, [pk.to_poly(e, variables) for e in basis], order)
+    G._kernel = (pk, basis)
+    return G
 
 
 def normal_form(f: MultiPoly, G: GroebnerBasis) -> MultiPoly:
     """Remainder of f modulo the reduced basis; zero iff f lies in the ideal.
 
-    The heap kernel reduces f's primitive integer part; the content and the
-    scale the kernel reports turn its output back into the exact remainder.
+    The heap kernel reduces d * f in integers, d the lcm of f's
+    denominators; d and the scale the kernel reports turn its output back
+    into the exact remainder.
     """
     if not G.gens:
         return f
@@ -391,11 +504,17 @@ def normal_form(f: MultiPoly, G: GroebnerBasis) -> MultiPoly:
         raise ValueError("polynomial and basis live in different rings")
     if f.is_zero():
         return f
-    part, content = f.primitive()
-    raw = {m: int(c) for m, c in part.terms.items()}
-    remainder, scale = _normal_form_full(raw, G._kernel_entries(), G.order)
-    factor = content / scale
-    return MultiPoly._make(f.variables, {m: c * factor for m, c in remainder.items()})
+    d, raw = _integer_terms(f.terms)
+    bits = G._bits()
+    while True:
+        try:
+            pk, entries = G._entries(bits)
+            remainder, scale = _normal_form_full(pk.pack_poly(raw), entries, pk)
+            break
+        except _Overflow:
+            bits *= 2
+    factor = 1 / (d * scale)
+    return MultiPoly._make(f.variables, {pk.monomial(m): c * factor for m, c in remainder.items()})
 
 
 def in_ideal(f: MultiPoly, G: GroebnerBasis) -> bool:
@@ -427,14 +546,7 @@ def _fresh_name(variables, stem: str) -> str:
     return name
 
 
-def _extend_ring(gens: Sequence[MultiPoly], extra: str, front: bool):
-    """Re-embed generators into a ring with one extra variable."""
-    variables = gens[0].variables
-    new_vars = (extra,) + variables if front else variables + (extra,)
-    return new_vars, [g.rename(new_vars) for g in gens]
-
-
-def eliminate(gens: Sequence[MultiPoly], drop: Iterable[str]) -> GroebnerBasis:
+def eliminate(gens: Sequence[MultiPoly] | GroebnerBasis, drop: Iterable[str]) -> GroebnerBasis:
     """Reduced grevlex basis of the ideal intersected with the subring without `drop`.
 
     The block order compares the `drop` variables first and breaks ties by
@@ -442,10 +554,12 @@ def eliminate(gens: Sequence[MultiPoly], drop: Iterable[str]) -> GroebnerBasis:
     Ideals, Varieties, and Algorithms, ch. 3, sec. 1) the members of its
     reduced basis free of `drop` form a Groebner basis of the elimination
     ideal for grevlex.  Restricting them to the kept variables changes no
-    term, so they stay monic and reduced, in the same order.
+    term, so they stay monic and reduced, in the same order.  A grevlex
+    GroebnerBasis, alone or first among the generators and in a ring of
+    some of their variables, enters the block order as a basis when its
+    variables lie in one block in their order.
     """
-    gens = [g for g in gens if not g.is_zero()]
-    variables = _check_same_ring(gens)
+    known, polys, variables = _split(gens)
     drop = tuple(drop)
     if variables is None:
         return groebner(())
@@ -453,33 +567,46 @@ def eliminate(gens: Sequence[MultiPoly], drop: Iterable[str]) -> GroebnerBasis:
         if v not in variables:
             raise ValueError(f"cannot drop unknown variable {v!r}")
     keep = tuple(v for v in variables if v not in drop)
-    reordered = [g.rename(drop + keep) for g in gens]
-    G = groebner(reordered, TermOrder("block", len(drop)))
-    dropped = set(drop)
-    out = [g.restrict(keep) for g in G.gens if not g.support_variables() & dropped]
+    ring = drop + keep
+    order = TermOrder("block", len(drop))
+    reordered = [g.rename(ring) for g in polys]
+    if known is not None:
+        # carried here, so that the ring is the block ring even with no polys
+        carried = _carry(known, ring, order)
+        if carried is None:
+            reordered += [g.rename(ring) for g in known.gens]
+        else:
+            reordered.insert(0, carried)
+    G = groebner(reordered, order)
+    k = len(drop)
+    out = []
+    for g in G.gens:
+        if not any(any(m[:k]) for m in g.terms):
+            out.append(MultiPoly._make(keep, {m[k:]: c for m, c in g.terms.items()}))
     return GroebnerBasis(keep, out, GREVLEX)
 
 
-def saturate(gens: Sequence[MultiPoly], f: MultiPoly) -> GroebnerBasis:
+def saturate(gens: Sequence[MultiPoly] | GroebnerBasis, f: MultiPoly) -> GroebnerBasis:
     """Reduced grevlex basis of (I : f^infinity), by the extra-variable method.
 
     (I : f^infinity) = (I + (1 - y*f)) cap k[x]; the auxiliary y goes in
     front of the ring, so `eliminate` returns the basis in the ring of I.
+    A grevlex basis of I enters as a basis: no two of its members are paired.
     """
     if f.is_zero():
         raise ValueError("cannot saturate by zero")
-    gens = [g for g in gens if not g.is_zero()]
-    variables = _check_same_ring(gens) or f.variables
+    known, polys, variables = _split(gens)
+    variables = variables or f.variables
     if f.variables != variables:
         raise ValueError("saturating element lives in a different ring")
-    if not gens:
+    if known is None and not polys:
         return GroebnerBasis(variables, (), GREVLEX)
     aux = _fresh_name(variables, "zsat")
-    new_vars, lifted = _extend_ring(gens, aux, front=True)
-    f_l = f.rename(new_vars)
+    new_vars = (aux,) + variables
+    lifted = [g.rename(new_vars) for g in polys]
     y = MultiPoly.var(new_vars, aux)
-    lifted.append(y * f_l - MultiPoly.constant(new_vars, 1))
-    return eliminate(lifted, (aux,))
+    lifted.append(y * f.rename(new_vars) - MultiPoly.constant(new_vars, 1))
+    return eliminate(lifted if known is None else [known, *lifted], (aux,))
 
 
 def homogenize(gens: Sequence[MultiPoly], hvar: str) -> GroebnerBasis:

@@ -60,18 +60,6 @@ class TermOrder:
         k = self.block
         return (self._grevlex_key(mon[:k]), self._grevlex_key(mon[k:]))
 
-    def heap_key(self, mon: tuple) -> tuple:
-        """Key that sorts ascending exactly when the monomial descends."""
-        if self.kind == "grevlex":
-            return (-sum(mon), tuple(reversed(mon)))
-        if self.kind == "lex":
-            return tuple(map(neg, mon))
-        k = self.block
-        return (
-            (-sum(mon[:k]), tuple(reversed(mon[:k]))),
-            (-sum(mon[k:]), tuple(reversed(mon[k:]))),
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, TermOrder)

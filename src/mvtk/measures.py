@@ -522,17 +522,14 @@ class ExpSum:
         return ExpSum(self.m, out)
 
     def __eq__(self, other):
+        # no coefficient is zero, so equal sums have equal coefficient dicts
         if not isinstance(other, ExpSum):
             return NotImplemented
-        keys = set(self.coeffs) | set(other.coeffs)
-        names = alpha_names(self.m)
-        zero = RatFunc.constant(names, 0)
-        return all(
-            self.coeffs.get(b, zero) == other.coeffs.get(b, zero) for b in keys
-        )
+        return self.m == other.m and self.coeffs == other.coeffs
 
     def coefficient(self, beta: Weight) -> RatFunc:
-        return self.coeffs.get(beta, RatFunc.constant(alpha_names(self.m), 0))
+        c = self.coeffs.get(beta)
+        return c if c is not None else RatFunc._make(MultiPoly._make(alpha_names(self.m), {}), {})
 
     def support(self):
         return set(self.coeffs)

@@ -373,9 +373,12 @@ def rank_condition_ideal(tau: Tableau, chart: TmuChart | None = None) -> RankCon
         return normal_form(e.rename(basis.variables), basis).rename(chart.variables)
 
     def refresh_basis():
-        nonlocal basis
-        if gens:
-            basis = groebner(gens)
+        # the basis in hand enters Buchberger as a basis, with the new generators
+        nonlocal basis, gens
+        fresh_gens = _dedupe_polys(gens)
+        gens = []
+        if fresh_gens:
+            basis = groebner(fresh_gens if basis is None else [basis, *fresh_gens])
 
     for i in range(1, m + 1):
         n_i = chart.offsets[i]
@@ -420,11 +423,7 @@ def rank_condition_ideal(tau: Tableau, chart: TmuChart | None = None) -> RankCon
             power = [[reduce_entry(e) for e in row] for row in power]
             r += 1
         if fresh:
-            gens = _dedupe_polys(gens)
             refresh_basis()
-            if basis is not None:
-                gens = list(basis.gens)
-                gens = [g.rename(chart.variables) for g in gens]
     wuniq = []
     wseen = set()
     for w in witnesses:
@@ -667,11 +666,10 @@ def plucker_chart(tau: Tableau, orb: OrbitalIdeal | None = None,
     u_w = weights["u"]
     weights = {name: w - u_w for name, w in weights.items()}
 
-    # kernel: eliminate the chart variables from (b - minor) + I
+    # kernel: eliminate the chart variables from (b - minor) + I; the
+    # orbital basis, in the chart variables only, enters as a basis
     big_vars = live + tuple(n for n in names if n != "u")
-    lifted = []
-    for g in G.gens:  # the orbital relations
-        lifted.append(g.rename(big_vars))
+    lifted = [G]
     for name, minor in zip(names, minors):
         if name == "u":
             continue  # the identity minor is 1 on the chart

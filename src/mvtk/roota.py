@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
-from operator import add
+from operator import add, neg
 
 from .exactalg.poly import MultiPoly
 
@@ -36,6 +36,14 @@ class Weight:
         self.m = len(entries)
 
     # -- constructors
+
+    @classmethod
+    def _make(cls, entries: tuple) -> "Weight":
+        """Trusted constructor: int entries already canonical (last entry 0)."""
+        w = object.__new__(cls)
+        w.entries = entries
+        w.m = len(entries)
+        return w
 
     @classmethod
     def zero(cls, m: int) -> "Weight":
@@ -66,21 +74,21 @@ class Weight:
                 w = w + cls.alpha(m, i) * c
         return w
 
-    # -- arithmetic
+    # -- arithmetic: canonical operands give canonical results
 
     def __add__(self, other: "Weight") -> "Weight":
         if self.m != other.m:
             raise ValueError("rank mismatch")
-        return Weight(tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return Weight._make(tuple(map(add, self.entries, other.entries)))
 
     def __sub__(self, other: "Weight") -> "Weight":
         return self + (-other)
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.entries))
+        return Weight._make(tuple(map(neg, self.entries)))
 
     def __mul__(self, k: int) -> "Weight":
-        return Weight(tuple(a * k for a in self.entries))
+        return Weight._make(tuple([a * k for a in self.entries]))
 
     __rmul__ = __mul__
 

@@ -129,6 +129,18 @@ def test_expsum_unit():
     assert expsum_mul(ExpSum.point_mass(3), x) == x
 
 
+def test_expsum_equality_compares_every_coefficient():
+    x = ft_i(3, (1, 2))
+    names = alpha_names(3)
+    assert x == ExpSum(3, dict(x.coeffs)) == x + ExpSum(3, {})
+    assert x != x.scale(2) and x != ExpSum.point_mass(3) and x != ft_i(4, (1, 2))
+    beta = next(iter(x.coeffs))
+    assert x != ExpSum(3, {b: c for b, c in x.coeffs.items() if b != beta})
+    assert x.coefficient(Weight([5, 0, 0])) == RatFunc.constant(names, 0)
+    # a zero coefficient is dropped, so it does not tell two sums apart
+    assert ExpSum(3, {**x.coeffs, Weight([5, 0, 0]): RatFunc.constant(names, 0)}) == x
+
+
 def test_ft_shuffle_identity_small():
     lhs = expsum_mul(ft_i(3, (1,)), ft_i(3, (2,)))
     rhs = ft_i(3, (1, 2)) + ft_i(3, (2, 1))

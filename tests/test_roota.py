@@ -32,6 +32,21 @@ def test_weight_canonical_form():
     assert Weight.alpha(4, 2) == Weight.eps(4, 2) - Weight.eps(4, 3)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(1, 5).flatmap(lambda m: st.tuples(*[st.lists(st.integers(-9, 9), min_size=m,
+                                                                max_size=m)] * 2)),
+       st.integers(-4, 4))
+def test_weight_arithmetic_matches_the_validating_constructor(pair, k):
+    # sums, negatives and multiples build with the trusted constructor
+    a, b = Weight(pair[0]), Weight(pair[1])
+    for got, raw in [(a + b, map(int.__add__, pair[0], pair[1])),
+                     (a - b, map(int.__sub__, pair[0], pair[1])),
+                     (-a, [-x for x in pair[0]]), (a * k, [x * k for x in pair[0]])]:
+        expected = Weight(list(raw))
+        assert got.entries == expected.entries and got.m == expected.m
+        assert got == expected and hash(got) == hash(expected)
+
+
 def test_alpha_coords_and_linear_form():
     m = 4
     for i in range(1, m):
