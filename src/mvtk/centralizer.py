@@ -212,12 +212,13 @@ def dbar_of_function(f: CoordFunction) -> RatFunc:
     """Expansion of x |-> f(n_x) in the D-bar terms, by the recursion over L_i f."""
     m = f.m
     names = alpha_names(m)
-    zero = RatFunc._make(MultiPoly._make(names, {}), {})
+    zero = RatFunc._make(names, 1, {}, {})
 
     @cache  # per call: one entry per polynomial of the U(n)-module that f generates
     def dbar(g: MultiPoly, nu: Weight) -> RatFunc:
         if nu.is_zero():
-            return RatFunc._make(MultiPoly.constant(names, g.constant_term()), {})
+            c = g.constant_term()
+            return RatFunc._make(names, c.denominator, {(0,) * len(names): c.numerator} if c else {}, {})
         total = sum((dbar(h, nu - Weight.alpha(m, i)) for i, h in _derivatives(m, g, True)), zero)
         return (-total).divide_by_form(nu.alpha_coords())
 

@@ -9,20 +9,21 @@ factor (its gcd, signed like its first nonzero coefficient) is divided out
 of the numerator once, when the factor enters; forms in other variables,
 such as the x_j - x_i of the symbolic n_x, are keyed the same way.
 
-Arithmetic runs on one integer numerator: with D the lcm of num's
-coefficient denominators, D*num has integer coefficients.  A sum lifts both
-sides by the forms each lacks and adds them over lcm(D_a, D_b), a product
-multiplies D_a*num_a by D_b*num_b, and a Fraction is made once per term of
-the result.  The numerator is kept cancelled against the denominator, never
-by a general multivariate gcd: a factor f is divided out of D*num by exact
-integer division, tried only when D*num vanishes at a fixed point of the
-hyperplane f = 0 over F_P.  A nonzero value there proves that f does not
-divide num: if num = f*q, then D*num = f*(D*q) with D*q integral by Gauss's
-lemma (f is primitive), so D*num vanishes mod P wherever f does, whatever
-P divides.  No prime is skipped.  By the same lemma the quotient is
-integral, so the division stops at the first coefficient that f's leading
-entry does not divide.  Each rational function thus has exactly one
-(num, den), and equality compares the two.
+The numerator is stored in integers, as num = terms / d with `terms` a
+{monomial: nonzero int} and d > 0 coprime to every coefficient.  A sum
+lifts both sides by the forms each lacks and adds them over lcm(d_a, d_b),
+a product multiplies the integer polynomials over d_a*d_b, and one gcd
+brings the result to lowest terms; no Fraction is made, and the MultiPoly
+`num` is built only when it is read.  The numerator is kept cancelled
+against the denominator, never by a general multivariate gcd: a factor f is
+divided out of terms by exact integer division, tried only when terms
+vanishes at a fixed point of the hyperplane f = 0 over F_P.  A nonzero
+value there proves that f does not divide num: if num = f*q, then
+terms = f*(d*q) with d*q integral by Gauss's lemma (f is primitive), so
+terms vanishes mod P wherever f does, whatever P divides.  No prime is
+skipped.  By the same lemma the quotient is integral, so the division stops
+at the first coefficient that f's leading entry does not divide.  So each
+rational function has one (d, terms, den), and equality compares them.
 
 An ExpSum is a finite weight-indexed family of RatFunc coefficients, the
 Fourier-transform picture of a simplex measure: the product is convolution
@@ -33,8 +34,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
-from operator import sub
+from math import factorial, gcd, lcm, prod
+from operator import mul, sub
 
 from .exactalg.poly import MultiPoly, _exact, _int_product, _integer_terms, _scaled_point
 from .roota import Weight, alpha_names
@@ -135,7 +136,7 @@ def _divide_by_form(terms: dict, key: tuple):
     return quo
 
 
-# The hyperplane test of RatFunc._cancel runs over F_P at a fixed point; the
+# The hyperplane test of _divide_out runs over F_P at a fixed point; the
 # point and the prime affect only how often it must fall back to division.
 _P = (1 << 61) - 1
 
@@ -230,71 +231,69 @@ def _divide_out(terms: dict, den: dict) -> dict:
     return terms
 
 
+def _lowest(d: int, terms: dict) -> tuple[int, dict]:
+    """(d, terms) divided by gcd(d, every coefficient), for d > 0."""
+    g = gcd(d, *terms.values()) if d != 1 else 1
+    return (d, terms) if g == 1 else (d // g, {m: c // g for m, c in terms.items()})
+
+
+def _scaled(d: int, terms: dict, c: Fraction) -> tuple[int, dict]:
+    """The reduced (d', terms') with terms' / d' = c * terms / d, for c != 0."""
+    return _lowest(d * c.denominator, {m: v * c.numerator for m, v in terms.items()})
+
+
 class RatFunc:
     """num / prod of linear forms, kept factored and cancelled.
 
-    Every RatFunc keeps one invariant: `den` maps primitive integer
-    coefficient tuples (see the module docstring) to positive
-    multiplicities, no key's form divides `num`, and a zero `num` has an
-    empty `den`.  `num` is a MultiPoly; sums, products and divisions work
-    on it as D*num in ints and make its Fractions once, at the end.
-    `RatFunc(...)` is the validating constructor: it also takes
-    non-primitive tuples and linear MultiPoly forms as keys, moves their
-    content into the numerator and cancels.  `RatFunc._make` trusts its
-    arguments and checks nothing; sums and products, whose keys are already
-    primitive, build with it after cancelling, `divide_by_form` tests only
-    the new key, and negation and nonzero scalar multiples, which keep a
-    quotient cancelled, test none.
+    A RatFunc stores `variables`, `d`, `terms` and `den`: num = terms / d
+    with `terms` a {monomial: nonzero int}, d > 0 and gcd(d, every
+    coefficient) = 1; `den` maps primitive integer coefficient tuples (see
+    the module docstring) to positive multiplicities, and no key's form
+    divides num.  Zero is d = 1 with empty `terms` and `den`.  The MultiPoly
+    `num` is built from (d, terms) each time it is read.  `RatFunc(num, den)`
+    is the validating constructor and the one place a MultiPoly numerator
+    is converted: it also takes non-primitive tuples and linear MultiPoly
+    forms as keys, moves their content into the numerator and cancels.
+    `RatFunc._make` trusts its arguments and checks nothing; sums and
+    products build with `_from_ints`, which cancels and reduces,
+    `divide_by_form` tests only the new key, and negation and nonzero
+    scalar multiples, which keep a quotient cancelled, test none.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("variables", "d", "terms", "den")
 
     def __init__(self, num: MultiPoly, den=None):
-        n = len(num.variables)
         clean: dict = {}
-        scale = 1
+        scale = Fraction(1)
         for form, mult in (den or {}).items():
             if mult == 0:
                 continue
             if mult < 0:
                 raise ValueError("negative denominator multiplicity")
-            key, content = _form_key(form, n)
+            key, content = _form_key(form, len(num.variables))
             if content != 1:
                 scale *= content**mult
             clean[key] = clean.get(key, 0) + mult
+        d, terms = _integer_terms(num.terms)
         if scale != 1:
-            num = num / scale
-        self.num = num
-        self.den = clean
-        self._cancel()
+            d, terms = _scaled(d, terms, 1 / scale)
+        r = RatFunc._from_ints(num.variables, d, terms, clean)
+        self.variables, self.d, self.terms, self.den = r.variables, r.d, r.terms, r.den
 
     @classmethod
-    def _make(cls, num: MultiPoly, den: dict) -> "RatFunc":
-        """A RatFunc from parts that already meet the invariant; den is not copied."""
+    def _make(cls, variables: tuple, d: int, terms: dict, den: dict) -> "RatFunc":
+        """A RatFunc from parts that already meet the invariant; nothing is copied."""
         self = object.__new__(cls)
-        self.num = num
-        self.den = den
+        self.variables, self.d, self.terms, self.den = variables, d, terms, den
         return self
 
     @classmethod
     def _from_ints(cls, variables: tuple, d: int, terms: dict, den: dict) -> "RatFunc":
-        """(terms / d) / den, cancelled, for an integer polynomial terms; den is not copied."""
+        """(terms / d) / den, cancelled and reduced, for integer terms and d > 0; den is not copied."""
         terms = {m: c for m, c in terms.items() if c}
         if not terms:
-            return cls._make(MultiPoly._make(variables, {}), {})
-        return cls._make(MultiPoly._from_ints(variables, d, _divide_out(terms, den)), den)
-
-    def _cancel(self) -> "RatFunc":
-        """Divide out each denominator factor as often as it divides num; returns self."""
-        num = self.num
-        if num.is_zero():
-            self.den = {}
-        elif self.den:
-            d, terms = _integer_terms(num.terms)
-            quo = _divide_out(terms, self.den)
-            if quo is not terms:
-                self.num = MultiPoly._from_ints(num.variables, d, quo)
-        return self
+            return cls._make(variables, 1, {}, {})
+        return cls._make(variables, *_lowest(d, _divide_out(terms, den)), den)
 
     # -- constructors
 
@@ -307,61 +306,64 @@ class RatFunc:
         return cls(MultiPoly.constant(variables, c), {})
 
     @property
-    def variables(self):
-        return self.num.variables
+    def num(self) -> MultiPoly:
+        """The numerator terms / d as a MultiPoly, built on each read."""
+        return MultiPoly._from_ints(self.variables, self.d, self.terms)
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def degree(self) -> int:
-        """Degree as a rational function (numerator minus denominator)."""
-        return self.num.total_degree() - sum(self.den.values())
+        return not self.terms
 
     # -- arithmetic
 
-    def __add__(self, other):
-        if not isinstance(other, RatFunc):
-            other = RatFunc.constant(self.variables, other)
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
+    def _coerce(self, other) -> "RatFunc":
+        """other as a RatFunc over self's variables: a RatFunc, a MultiPoly or a constant."""
+        if isinstance(other, MultiPoly):
+            other = RatFunc.from_poly(other)
+        elif not isinstance(other, RatFunc):
+            return RatFunc.constant(self.variables, other)
         if other.variables != self.variables:
             raise ValueError("variable sets differ")
-        da, a = _integer_terms(self.num.terms)
-        db, b = _integer_terms(other.num.terms)
-        d = lcm(da, db)
+        return other
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        d = lcm(self.d, other.d)
         common = dict(self.den)
         for key, mult in other.den.items():
             if mult > common.get(key, 0):
                 common[key] = mult
-        a = _times_missing(a, d // da, self.den, common)
-        for m, c in _times_missing(b, d // db, other.den, common).items():
+        a = _times_missing(self.terms, d // self.d, self.den, common)
+        if a is self.terms:
+            a = dict(a)
+        for m, c in _times_missing(other.terms, d // other.d, other.den, common).items():
             a[m] = a.get(m, 0) + c
         return RatFunc._from_ints(self.variables, d, a, common)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc._make(-self.num, dict(self.den))
+        return RatFunc._make(self.variables, self.d, {m: -c for m, c in self.terms.items()},
+                             dict(self.den))
 
     def __sub__(self, other):
-        if not isinstance(other, RatFunc):
-            other = RatFunc.constant(self.variables, other)
-        return self + (-other)
+        return self + (-self._coerce(other))
 
     def __mul__(self, other):
+        if not isinstance(other, (RatFunc, MultiPoly)):
+            c = _exact(other)
+            if not c or not self.terms:
+                return RatFunc._make(self.variables, 1, {}, {})
+            return RatFunc._make(self.variables, *_scaled(self.d, self.terms, c), dict(self.den))
+        other = self._coerce(other)
         den = dict(self.den)
-        if isinstance(other, RatFunc):
-            for key, mult in other.den.items():
-                den[key] = den.get(key, 0) + mult
-            other = other.num
-        elif not isinstance(other, MultiPoly):
-            num = self.num * other
-            return RatFunc._make(num, den if not num.is_zero() else {})
-        da, a = _integer_terms(self.num.terms)
-        db, b = _integer_terms(self.num._coerce(other).terms)
-        return RatFunc._from_ints(self.variables, da * db, _int_product(a, b), den)
+        for key, mult in other.den.items():
+            den[key] = den.get(key, 0) + mult
+        return RatFunc._from_ints(self.variables, self.d * other.d,
+                                  _int_product(self.terms, other.terms), den)
 
     __rmul__ = __mul__
 
@@ -369,61 +371,57 @@ class RatFunc:
         """self / form, for a linear MultiPoly form or a coefficient tuple.
 
         By the invariant no key of den divides num, so only the new form's
-        key is tested, and only when it is not in den already.
+        key is tested, and only when it is not in den already.  A quotient
+        by a primitive form keeps the content of terms, so stays reduced.
         """
         key, content = _form_key(form, len(self.variables))
-        num = self.num
-        if num.is_zero():
+        if not self.terms:
             return self
+        d, terms = self.d, self.terms
         if content != 1:
-            num = num / content
+            d, terms = _scaled(d, terms, 1 / Fraction(content))
         den = dict(self.den)
         if key in den:
             den[key] += 1
-            return RatFunc._make(num, den)
-        d, terms = _integer_terms(num.terms)
-        new = {key: 1}
-        quo = _divide_out(terms, new)
-        den.update(new)
-        if quo is not terms:
-            num = MultiPoly._from_ints(num.variables, d, quo)
-        return RatFunc._make(num, den)
+        else:
+            new = {key: 1}
+            terms = _divide_out(terms, new)
+            den.update(new)
+        return RatFunc._make(self.variables, d, terms, den)
 
     def __eq__(self, other):
-        if isinstance(other, MultiPoly):
-            other = RatFunc.from_poly(other)
-        elif not isinstance(other, RatFunc):
-            try:
-                other = RatFunc.constant(self.variables, other)
-            except (TypeError, ValueError):
-                return NotImplemented
-        # both sides are cancelled with canonical keys, so the pair is unique
-        return self.den == other.den and self.num == other.num
+        try:
+            other = self._coerce(other)
+        except (TypeError, ValueError):
+            return NotImplemented
+        # both sides are cancelled and reduced with canonical keys, so the triple is unique
+        return self.d == other.d and self.terms == other.terms and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, frozenset(self.den.items())))
+        return hash((self.d, frozenset(self.terms.items()), frozenset(self.den.items())))
 
     def evaluate(self, values) -> Fraction:
-        """The value at a point in ints and one Fraction: at xs / d a form k is (k . xs) / d."""
-        d, xs = _scaled_point(values, self.variables)
-        num, den = self.num._eval_scaled(d, xs)
+        """The value at a point xs / e in ints and one Fraction; a form k is (k . xs) / e."""
+        e, xs = _scaled_point(values, self.variables)
+        deg = max(map(sum, self.terms), default=0)
+        num, den = 0, self.d * e**deg
+        for mon, c in self.terms.items():  # each term padded by e to the top degree
+            for k, x in zip(mon, xs):
+                c *= x**k
+            num += c * e ** (deg - sum(mon))
         for key, mult in self.den.items():
             v = sum(c * x for c, x in zip(key, xs) if c)
             if v == 0:
                 raise ZeroDivisionError("denominator vanishes at the point")
             den *= v**mult
-        return Fraction(num * d ** sum(self.den.values()), den)
+        return Fraction(num * e ** sum(self.den.values()), den)
 
     def __str__(self):
         if not self.den:
             return str(self.num)
-        variables = self.variables
-        factors = []
-        for form, mult in sorted(
-            (str(_form_poly(key, variables)), mult) for key, mult in self.den.items()
-        ):
-            factors.append(f"({form})" + (f"^{mult}" if mult > 1 else ""))
-        return f"({self.num}) / ({'*'.join(factors)})"
+        factors = sorted((str(_form_poly(key, self.variables)), mult) for key, mult in self.den.items())
+        den = "*".join(f"({form})" + (f"^{mult}" if mult > 1 else "") for form, mult in factors)
+        return f"({self.num}) / ({den})"
 
     def __repr__(self):
         return f"RatFunc({str(self)})"
@@ -449,15 +447,15 @@ def _simplex_term(names, factors, sign: int) -> RatFunc:
 
     The term of beta_j has the factors beta_k - beta_j for k > j and
     beta_j - beta_k for k < j, all with nonnegative alpha coordinates; the j
-    of the second kind make its sign (-1)^j.  The keys' contents go into the
-    constant numerator, so RatFunc._make can build it.
+    of the second kind make its sign (-1)^j.  The keys' contents are
+    positive, and their product is the d of the constant numerator.
     """
     den: dict = {}
     content = 1
     for key, g in factors:
         content *= g
         den[key] = den.get(key, 0) + 1
-    return RatFunc._make(MultiPoly._make(names, {(0,) * len(names): Fraction(sign, content)}), den)
+    return RatFunc._make(names, content, {(0,) * len(names): sign}, den)
 
 
 def dbar_i(m: int, seq) -> RatFunc:
@@ -481,8 +479,10 @@ def ft_i(m: int, seq) -> "ExpSum":
     out = {}
     for j, c in enumerate(coords):
         factors = [diffs[(k, j) if k < j else (j, k)] for k in range(len(coords)) if k != j]
-        # the weight's eps coordinates are the differences of its alpha coordinates
-        out[Weight(map(sub, c + (0,), (0,) + c))] = _simplex_term(names, factors, (-1) ** j)
+        # eps coordinates c_k - c_{k-1}, shifted by c_{m-1} so that the last is 0
+        prev = (0,) + c
+        key = Weight._make(tuple([b - a + prev[-1] for a, b in zip(prev, c + (0,))]))
+        out[key] = _simplex_term(names, factors, (-1) ** j)
     return ExpSum(m, out)
 
 
@@ -498,9 +498,11 @@ class ExpSum:
     @classmethod
     def point_mass(cls, m: int) -> "ExpSum":
         names = alpha_names(m)
-        return cls(m, {Weight.zero(m): RatFunc.constant(names, 1)})
+        return cls(m, {Weight.zero(m): RatFunc._make(names, 1, {(0,) * len(names): 1}, {})})
 
     def __add__(self, other: "ExpSum") -> "ExpSum":
+        if other.m != self.m:
+            raise ValueError("rank mismatch")
         out = dict(self.coeffs)
         for b, c in other.coeffs.items():
             out[b] = out[b] + c if b in out else c
@@ -529,7 +531,7 @@ class ExpSum:
 
     def coefficient(self, beta: Weight) -> RatFunc:
         c = self.coeffs.get(beta)
-        return c if c is not None else RatFunc._make(MultiPoly._make(alpha_names(self.m), {}), {})
+        return c if c is not None else RatFunc._make(alpha_names(self.m), 1, {}, {})
 
     def support(self):
         return set(self.coeffs)
@@ -553,10 +555,8 @@ class ExpSum:
         return total
 
     def serialize(self) -> list:
-        out = []
-        for b in sorted(self.coeffs, key=lambda w: w.entries):
-            out.append({"exponent": str(b), "coeff": str(self.coeffs[b])})
-        return out
+        return [{"exponent": str(b), "coeff": str(self.coeffs[b])}
+                for b in sorted(self.coeffs, key=lambda w: w.entries)]
 
     def __repr__(self):
         parts = [f"e^-{b} * {c}" for b, c in sorted(self.coeffs.items(), key=lambda kv: kv[0].entries)]
@@ -585,17 +585,16 @@ def ft_total_mass(e: ExpSum, p: int, direction=None) -> Fraction:
     # evaluate sum_j exp(-b_j t)/prod(c_k - c_j) * t^{-p}: collect t^p coefficient
     total = Fraction(0)
     for b, coeff in e.coeffs.items():
-        # along the ray the coefficient is cnum / (prod of form values * t^p);
+        # along the ray the coefficient is (cnum / d) / (prod of form values * t^p);
         # the t^p coefficient of exp(-bval * t) is (-bval)^p / p!
-        if not coeff.num.is_constant():
+        cnum = coeff.terms.get((0,) * (m - 1))
+        if cnum is None or len(coeff.terms) != 1:
             raise ValueError("total-mass check expects simplex transforms")
-        forms_val = Fraction(1)
-        for key, mult in coeff.den.items():
-            forms_val *= sum(c * d for c, d in zip(key, direction)) ** mult
+        forms_val = prod(sum(map(mul, key, direction)) ** mult for key, mult in coeff.den.items())
         if sum(coeff.den.values()) != p:
             raise ValueError("coefficient is not a pure degree -p term")
         bval = b.pair(_ray_point(m, direction))
-        total += coeff.num.constant_term() * Fraction((-bval) ** p, factorial(p)) / forms_val
+        total += Fraction(cnum * (-bval) ** p, coeff.d * factorial(p)) / forms_val
     return total
 
 

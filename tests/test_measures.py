@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 import sympy
@@ -99,8 +100,24 @@ def test_ratfunc_equality_cross_multiplication():
 
 def test_ratfunc_arithmetic_refuses_other_variables():
     a, b = dbar_i(3, (1, 2)), dbar_i(4, (1, 2))
-    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a * b.num):
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a * b.num,
+               lambda: a + b.num, lambda: a - b.num):
         with pytest.raises(ValueError, match="variable sets differ"):
+            op()
+
+
+def test_ratfunc_adds_a_polynomial_over_its_variables():
+    a = dbar_i(3, (1, 2))  # 1 / ((a1 + a2) * a2)
+    a1 = MultiPoly.var(a.variables, "a1")
+    p = a1 * Fraction(1, 2) - 3
+    assert a + p == a + RatFunc.from_poly(p)
+    assert a - p == a + RatFunc.from_poly(-p)
+    assert (a + p) - p == a
+
+
+def test_expsum_sums_refuse_another_rank():
+    for op in (lambda: ft_i(3, (1,)) + ft_i(4, (1,)), lambda: ft_i(3, (1,)) - ft_i(4, (1,))):
+        with pytest.raises(ValueError, match="rank mismatch"):
             op()
 
 
@@ -336,14 +353,19 @@ def test_ratfunc_results_keep_the_invariant(x, y, c):
     # which cancels, must leave each one as it is
     a, b = _build(x), _build(y)
     a1 = MultiPoly.var(a.variables, "a1")
-    for r in (a + b, a - b, a * b, -a, a * c, c * a, a * a1, a - a):
+    for r in (a + b, a - b, a * b, -a, a * c, c * a, a * a1, a - a, a + a1, a - a1,
+              a.divide_by_form((2, -2, 0))):
         again = RatFunc(r.num, dict(r.den))
-        assert (r.num, r.den) == (again.num, again.den)
+        assert (r.d, r.terms, r.den) == (again.d, again.terms, again.den)
         assert all(mult > 0 for mult in r.den.values())
+        # the stored numerator is canonical: terms / d in lowest terms, no zero term
+        assert r.d > 0
+        assert gcd(r.d, *r.terms.values()) == 1
+        assert all(r.terms.values())
     assert (a * 0).den == {} and (a - a).den == {}
 
 
-# -- the hyperplane test of RatFunc._cancel -------------------------------------
+# -- the hyperplane test of _divide_out -----------------------------------------
 
 # primitive keys, first nonzero entry positive, as RatFunc.den holds them
 _KEYS = st.tuples(*[st.integers(-4, 4)] * 3).filter(any).map(
@@ -381,7 +403,7 @@ def _sums_of_all_short_words(m):
 
 
 def test_hyperplane_test_changes_no_sum(monkeypatch):
-    # with the test off, _cancel tries every division: the results must not change
+    # with the test off, _divide_out tries every division: the results must not change
     on = _sums_of_all_short_words(4)
     monkeypatch.setattr(measures, "_off_hyperplane", lambda residues, key: False)
     off = _sums_of_all_short_words(4)

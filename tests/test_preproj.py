@@ -746,7 +746,6 @@ def test_budget_guard():
         count_points(doubled, ("submodules", (1, 1, 1, 1, 1)), 11, budget=1000)
 
 
-@pytest.mark.slow
 def test_a5_flag_function_text_is_pinned():
     # the full 178-term direct assembly, pinned byte for byte: str() of a
     # RatFunc is canonical, so any change in its value or its printing shows
