@@ -5,12 +5,23 @@ K-polynomial of S/J, the numerator of H(S/J; t) = K(t) / prod_i (1 - t^{g_i})
 when x_i has degree g_i.  `_k_polynomial` computes it with integer
 coefficients by Bigatti's pivot algorithm (Bigatti 1997, *Computation of
 Hilbert-Poincare series*, JPAA 119; Miller-Sturmfels, *Combinatorial
-Commutative Algebra*, ch. 1-2):
+Commutative Algebra*, ch. 1-2).  With x the variable in most generators,
 
-    K(J) = K(J + <x>) + t^{g(x)} K(J : x),
+    K(J) = (1 - t^{g(x)}) K(J without its x-generators) + t^{g(x)} K(J : x),
 
 down to generators with pairwise disjoint supports, where K is the product
-of the factors (1 - t^{deg m}).  Variables are graded by (1, weight):
+of the factors (1 - t^{deg m}).  Each node adds its two children's
+polynomials and drops zero coefficients, so terms cancel at every node.
+
+Both keys are ints.  A monomial packs its exponents into fields of
+max-exponent bits plus a guard bit, so g divides p exactly when
+((p | guard) - g) keeps every guard bit, and a proper divisor is a smaller
+int.  A grade c packs to sum_j c_j 2^{F j}: the map is additive, so a shift
+or a leaf factor is one int addition, and it is injective on coordinates
+below 2^{F-1} in size.  Every grade of K is the degree of the lcm of some
+generators (Taylor's resolution), so |c_j| <= sum_i maxexp_i max_j |g_ij|,
+which fixes F; grades are decoded once, at return.  Variables are graded
+by (1, weight):
 
 - the codimension c of J is the order of vanishing of K at t = 1, read on
   the total-degree projection;
@@ -26,9 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import comb, factorial
-from operator import add, mul
 from typing import Mapping, Sequence
 
 from .groebner import GroebnerBasis, groebner
@@ -76,48 +85,66 @@ class WeightAssignment:
         return type(self.weights[self.variables[0]])(entries)
 
 
-def _minimalize(mons) -> list:
-    mons = sorted(set(mons), key=lambda m: (sum(m), m))
-    out = []
-    for m in mons:
-        if not any(all(x <= y for x, y in zip(g, m)) for g in out):
-            out.append(m)
-    return out
-
-
 def _k_polynomial(gens: Sequence[tuple], grades: Sequence[tuple]) -> dict:
     """K-polynomial {grade: coefficient} of S/<gens>, x_i of degree grades[i]."""
-    out: dict = {}
-    nvars = len(grades)
-    zero = tuple(0 for _ in grades[0]) if grades else ()
+    nvars, dims = len(grades), len(grades[0]) if grades else 0
+    maxexp = [max((m[i] for m in gens), default=0) for i in range(nvars)]
+    width = max(maxexp, default=0).bit_length() + 1  # exponent bits, then a guard bit
+    low = (1 << width - 1) - 1
+    fields = [low << width * i for i in range(nvars)]
+    guard = sum(1 << width * i + width - 1 for i in range(nvars))
+    bound = sum(e * max(map(abs, g), default=0) for e, g in zip(maxexp, grades))
+    span = bound.bit_length() + 1  # |every coordinate of K| <= bound < 2^(span - 1)
+    keys = [sum(c << span * j for j, c in enumerate(g)) for g in grades]
 
-    def rec(gens, shift):
-        gens = _minimalize(gens)
-        if gens and not any(gens[0]):
-            return  # the unit ideal: K = 0
-        counts = [sum(1 for m in gens if m[i]) for i in range(nvars)]
-        x = max(range(nvars), key=counts.__getitem__, default=None)
-        if x is None or counts[x] <= 1:
+    def combine(poly, shift, step):
+        """poly + t^shift (step - poly), updating poly; zero coefficients are dropped."""
+        for k, c in poly.items():
+            step[k] = step.get(k, 0) - c
+        for k, c in step.items():
+            c += poly.get(k + shift, 0)
+            if c:
+                poly[k + shift] = c
+            else:
+                poly.pop(k + shift, None)
+        return poly
+
+    def rec(gens):
+        mins = []
+        for m in sorted(set(gens)):  # a proper divisor is a smaller int
+            p = m | guard
+            if all((p - g) & guard != guard for g in mins):
+                mins.append(m)
+        if not mins:
+            return {0: 1}
+        if not mins[0]:
+            return {}  # the unit ideal
+        counts = [sum(1 for m in mins if m & f) for f in fields]
+        x = max(range(nvars), key=counts.__getitem__)
+        if counts[x] <= 1:
             # pairwise disjoint supports: K = prod (1 - t^{deg m})
-            poly = {shift: 1}
-            for m in gens:
-                d = zero
-                for e, g in zip(m, grades):
-                    if e:
-                        d = tuple(map(add, d, map(mul, repeat(e), g)))
-                for k, c in list(poly.items()):
-                    key = tuple(map(add, k, d))
-                    poly[key] = poly.get(key, 0) - c
-            for k, c in poly.items():
-                out[k] = out.get(k, 0) + c
-            return
-        unit = tuple(int(i == x) for i in range(nvars))
-        rec([m for m in gens if not m[x]] + [unit], shift)
-        rec([m[:x] + (m[x] - 1,) + m[x + 1:] if m[x] else m for m in gens],
-            tuple(map(add, shift, grades[x])))
+            poly = {0: 1}
+            for m in mins:
+                d = 0
+                for k in keys:
+                    d += (m & low) * k
+                    m >>= width
+                combine(poly, d, {})
+            return poly
+        f, unit = fields[x], 1 << width * x
+        # K(J) = (1 - t^g) K(J without its x-generators) + t^g K(J : x)
+        return combine(rec([m for m in mins if not m & f]), keys[x],
+                       rec([m - unit if m & f else m for m in mins]))
 
-    rec(list(gens), zero)
-    return {k: c for k, c in out.items() if c}
+    packed = [sum(e << width * i for i, e in enumerate(m)) for m in gens]
+    half, out = 1 << span - 1, {}
+    for k, c in rec(packed).items():
+        grade = []
+        for _ in range(dims):
+            grade.append(((k + half) & (2 * half - 1)) - half)
+            k = (k - grade[-1]) >> span
+        out[tuple(grade)] = c
+    return out
 
 
 def _codim(k_poly: dict) -> int:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 from operator import add, neg
 from typing import Iterable, Mapping
 
@@ -284,15 +285,22 @@ class MultiPoly:
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other):
+        """other as a MultiPoly over self's variables; NotImplemented, so that a
+        reflected operator (RatFunc's) runs, if it is not a number."""
         if isinstance(other, MultiPoly):
             if other.variables != self.variables:
                 raise ValueError("variable sets differ")
             return other
-        return MultiPoly.constant(self.variables, other)
+        if isinstance(other, (Rational, float)):
+            return MultiPoly.constant(self.variables, other)
+        return NotImplemented
 
     def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         terms = dict(self.terms)
-        for m, c in self._coerce(other).terms.items():
+        for m, c in other.terms.items():
             s = terms.get(m)
             s = c if s is None else s + c
             if s:
@@ -307,10 +315,12 @@ class MultiPoly:
         return MultiPoly._make(self.variables, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        return other if other is NotImplemented else other - self
 
     def _scale(self, c: Fraction) -> "MultiPoly":
         if not c:
@@ -319,6 +329,8 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
+            if not isinstance(other, (Rational, float)):
+                return NotImplemented
             return self._scale(_exact(other))
         # integer numerators over the lcm of each operand's denominators: the
         # pair products and sums stay in ints, one Fraction per output term

@@ -352,6 +352,9 @@ class RatFunc:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
+
     def __mul__(self, other):
         if not isinstance(other, (RatFunc, MultiPoly)):
             c = _exact(other)

@@ -16,6 +16,7 @@ from mvtk.exactalg import (
     multigraded_hilbert,
     poly_ring,
 )
+from mvtk.exactalg.mdeg import _k_polynomial
 from mvtk.roota import Weight, alpha_names
 
 
@@ -168,6 +169,45 @@ def multidegree_monomial_recursive(lead_monomials, w):
     return rec(list(lead_monomials))
 
 
+def k_polynomial_top_down(gens, grades):
+    """Oracle route: Bigatti's pivot recursion on exponent tuples, top down.
+
+    K(J) = K(J + <x>) + t^{g(x)} K(J : x), the shift pushed down to the
+    leaves, where generators with pairwise disjoint supports expand
+    prod (1 - t^{deg m}) into one dict of grade tuples.  Same pivot as the
+    library: the first variable in the most generators.
+    """
+    out = {}
+    nvars = len(grades)
+    zero = tuple(0 for _ in grades[0]) if grades else ()
+
+    def rec(gens, shift):
+        gens = _minimalize(gens)
+        if gens and not any(gens[0]):
+            return  # the unit ideal: K = 0
+        counts = [sum(1 for m in gens if m[i]) for i in range(nvars)]
+        x = max(range(nvars), key=counts.__getitem__, default=None)
+        if x is None or counts[x] <= 1:
+            poly = {shift: 1}
+            for m in gens:
+                d = zero
+                for e, g in zip(m, grades):
+                    d = tuple(a + e * b for a, b in zip(d, g))
+                for k, c in list(poly.items()):
+                    key = tuple(a + b for a, b in zip(k, d))
+                    poly[key] = poly.get(key, 0) - c
+            for k, c in poly.items():
+                out[k] = out.get(k, 0) + c
+            return
+        unit = tuple(int(i == x) for i in range(nvars))
+        rec([m for m in gens if not m[x]] + [unit], shift)
+        rec([m[:x] + (m[x] - 1,) + m[x + 1:] if m[x] else m for m in gens],
+            tuple(a + b for a, b in zip(shift, grades[x])))
+
+    rec(list(gens), zero)
+    return {k: c for k, c in out.items() if c}
+
+
 def _degree_n_monomials(nvars, n):
     """Exponent tuples of total degree n."""
     if nvars == 0:
@@ -286,3 +326,51 @@ def test_empty_weight_assignment_is_refused():
         multigraded_hilbert(groebner([]), w, 2)
     with pytest.raises(ValueError, match=no_variables + " type to build"):
         w.weight((0, 0, 0))
+
+
+# -- the K-polynomial kernel against the top-down oracle -------------------------
+
+
+def test_k_polynomial_matches_top_down_on_random_monomial_ideals():
+    # seed 20261019, 40 ideals in 1..6 variables with exponents up to 4 and
+    # grades of 1..4 coordinates in -3..3, zero grades included
+    rng = random.Random(20261019)
+    for _ in range(40):
+        nvars, dims = rng.randint(1, 6), rng.randint(1, 4)
+        grades = [tuple(rng.randint(-3, 3) for _ in range(dims)) for _ in range(nvars)]
+        gens = [tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(rng.randint(0, 7))]
+        assert _k_polynomial(gens, grades) == k_polynomial_top_down(gens, grades)
+
+
+@pytest.mark.parametrize("gens, grades", [
+    # an exponent of 300 needs a 10-bit field
+    ([(300, 1), (1, 3)], [(1, 2), (1, -1)]),
+    ([(300, 1, 0), (0, 2, 257), (5, 0, 5)], [(1, 0), (1, 1), (1, -2)]),
+    # grade coordinates of size 10^6
+    ([(2, 1, 0), (0, 1, 1), (1, 0, 3)], [(1, 10**6, -(10**6)), (1, -(10**6), 1), (1, 0, 10**6)]),
+    # a weight-zero variable, as the homogenizing u
+    ([(1, 1, 0), (0, 2, 1), (1, 0, 2)], [(1, 1, 0), (1, 0, 1), (1, 0, 0)]),
+    ([], [(1, 1), (1, 2)]),  # no generators: K = 1
+    ([(0, 0), (1, 1)], [(1, 1), (1, 2)]),  # the unit ideal: K = 0
+    ([], []),
+    ([()], []),
+    # the 1-dimensional grades of `dimension`
+    ([(2, 1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 3), (0, 0, 2, 2)], [(1,)] * 4),
+])
+def test_k_polynomial_packing_edges(gens, grades):
+    assert _k_polynomial(gens, grades) == k_polynomial_top_down(gens, grades)
+
+
+def test_k_polynomial_edge_values():
+    assert _k_polynomial([], [(1, 1), (1, 2)]) == {(0, 0): 1}
+    assert _k_polynomial([(0, 0), (1, 1)], [(1, 1), (1, 2)]) == {}
+    assert _k_polynomial([(300, 1)], [(1, 2), (1, -1)]) == {(0, 0): 1, (301, 599): -1}
+
+
+def test_hilbert_with_a_wide_exponent_matches_enumeration():
+    names = ("x", "y")
+    w = wa_for(names, 3, [(1, 2), (2, 3)])
+    mons = [(300, 1), (1, 3)]
+    gens = [MultiPoly(names, {mon: Fraction(1)}) for mon in mons]
+    for n in (2, 3, 299, 300, 301, 302, 303):
+        assert multigraded_hilbert(gens, w, n) == hilbert_by_enumeration(mons, w, n)

@@ -115,6 +115,20 @@ def test_ratfunc_adds_a_polynomial_over_its_variables():
     assert (a + p) - p == a
 
 
+def test_polynomial_left_of_a_ratfunc_runs_the_reflected_operator():
+    r = dbar_i(3, (1, 2))  # 1 / ((a1 + a2) * a2)
+    a1 = MultiPoly.var(r.variables, "a1")
+    for p in (a1 * Fraction(1, 2) - 3, MultiPoly.zero(r.variables), a1 * a1):
+        assert p + r == r + p
+        assert p - r == -(r - p)
+        assert p * r == r * p
+        assert all(isinstance(v, RatFunc) for v in (p + r, p - r, p * r))
+    other = dbar_i(4, (1, 2)).num
+    for op in (lambda: other + r, lambda: other - r, lambda: other * r):
+        with pytest.raises(ValueError, match="variable sets differ"):
+            op()
+
+
 def test_expsum_sums_refuse_another_rank():
     for op in (lambda: ft_i(3, (1,)) + ft_i(4, (1,)), lambda: ft_i(3, (1,)) - ft_i(4, (1,))):
         with pytest.raises(ValueError, match="rank mismatch"):

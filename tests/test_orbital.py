@@ -23,6 +23,7 @@ from mvtk.preproj import (
     load_module_fixture,
 )
 from mvtk.roota import Weight, alpha_names
+from test_mdeg import k_polynomial_top_down
 
 FIXTURES = res.files("mvtk") / "fixtures"
 A4_TAU = [[1, 2], [3, 4], [5]]
@@ -128,6 +129,17 @@ def test_plucker_sections_reuse_the_chart_numerator(a4_plucker, monkeypatch):
         plucker_sections(Tableau(A4_TAU), n, chart=a4_plucker, calibrated=False)
     assert runs == []
     assert a4_plucker.numerator is numerator
+
+
+def test_a4_chart_numerator_matches_the_top_down_oracle(a4_plucker):
+    # the largest K-polynomial of the examples: 55 lead monomials in 17
+    # variables, 6-coordinate grades, 1,039 terms
+    lead = a4_plucker.homogeneous.leading_monomials()
+    grades = a4_plucker.weight_assignment().grades()
+    expected = k_polynomial_top_down(lead, grades)
+    assert len(lead) == 55 and len(expected) == 1039
+    assert a4_plucker.numerator.terms == expected
+    assert importlib.import_module("mvtk.exactalg.mdeg")._k_polynomial(lead, grades) == expected
 
 
 def test_orbital_ideal_carries_its_basis(buchberger_runs):
