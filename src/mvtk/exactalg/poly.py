@@ -274,14 +274,6 @@ class MultiPoly:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.variables), Fraction(0))
 
-    def support_variables(self) -> set:
-        used = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(self.variables[i])
-        return used
-
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other):
@@ -353,6 +345,8 @@ class MultiPoly:
         return result
 
     def __truediv__(self, other):
+        if not isinstance(other, (Rational, float)):
+            return NotImplemented
         return self._scale(1 / _exact(other))
 
     def __eq__(self, other):

@@ -337,12 +337,6 @@ def _bordered_minors(minor, R, vanishes=None):
     return [d for d in out if not d.is_zero()], pivot_det
 
 
-@dataclass
-class RankConditions:
-    basis: GroebnerBasis  # reduced grevlex basis of the closure equations
-    witnesses: list  # ordered candidate polynomials, preferred first
-
-
 # Past FULL_MINOR_THRESHOLD minors a rank condition borders one pivot block;
 # enumerating all minors of a condition stops at MINOR_CAP, and the witness
 # search tries the first WITNESS_BLOCKS blocks.
@@ -351,9 +345,11 @@ MINOR_CAP = 60000
 WITNESS_BLOCKS = 4000
 
 
-def rank_condition_ideal(tau: Tableau, chart: TmuChart | None = None) -> RankConditions:
+def rank_condition_ideal(tau: Tableau, chart: TmuChart | None = None) -> tuple:
     """Closure equations and openness witnesses from the Jordan-type chain.
 
+    Returns (basis, witnesses): the reduced grevlex basis of the closure
+    equations and the primitive nonconstant witnesses, preferred first.
     Conditions are generated per restriction step and per power, with the
     matrix entries reduced modulo the ideal found so far: congruent entries
     give congruent minors, so the accumulated ideal is unchanged while the
@@ -370,7 +366,7 @@ def rank_condition_ideal(tau: Tableau, chart: TmuChart | None = None) -> RankCon
     def reduce_entry(e):
         if basis is None or e.is_zero():
             return e
-        return normal_form(e.rename(basis.variables), basis).rename(chart.variables)
+        return normal_form(e, basis)
 
     def refresh_basis():
         # the basis in hand enters Buchberger as a basis, with the new generators
@@ -424,14 +420,8 @@ def rank_condition_ideal(tau: Tableau, chart: TmuChart | None = None) -> RankCon
             r += 1
         if fresh:
             refresh_basis()
-    wuniq = []
-    wseen = set()
-    for w in witnesses:
-        wp, _ = w.primitive()
-        if wp not in wseen and not wp.is_constant():
-            wseen.add(wp)
-            wuniq.append(wp)
-    return RankConditions(basis if basis is not None else groebner([]), wuniq)
+    witnesses = [w for w in _dedupe_polys(witnesses) if not w.is_constant()]
+    return basis if basis is not None else groebner([]), witnesses
 
 
 def _dedupe_polys(polys):
@@ -469,18 +459,11 @@ class OrbitalIdeal:
     tableau: Tableau
     removed_vars: tuple = ()  # variables forced to zero, pruned from the ring
 
-    @property
-    def gens(self) -> tuple:
-        return self.basis.gens
-
     def weight_assignment(self) -> WeightAssignment:
         live = [v for v in self.chart.variables if v not in self.removed_vars]
         return WeightAssignment(
             live, {v: self.chart.weights[v] for v in live}, alpha_names(self.chart.m)
         )
-
-    def groebner_basis(self) -> GroebnerBasis:
-        return self.basis
 
 
 def _prune_zero_variables(basis, variables):
@@ -519,9 +502,9 @@ def orbital_ideal(tau: Tableau) -> OrbitalIdeal:
     m = tau.m
     chart = TmuChart(m, tau.content())
     target = tau.weight_nu().height()
-    rc = rank_condition_ideal(tau, chart)
-    current, live_names, removed = _prune_zero_variables(rc.basis, chart.variables)
-    for raw_w in rc.witnesses:
+    basis, witnesses = rank_condition_ideal(tau, chart)
+    current, live_names, removed = _prune_zero_variables(basis, chart.variables)
+    for raw_w in witnesses:
         if not current:
             break
         w = _set_zero(raw_w, removed)
@@ -542,7 +525,7 @@ def orbital_ideal(tau: Tableau) -> OrbitalIdeal:
     if dim_final != target:
         raise ValueError(
             f"component extraction failed: dim {dim_final} != {target}; "
-            f"witnesses tried: {[str(w) for w in rc.witnesses]}"
+            f"witnesses tried: {[str(w) for w in witnesses]}"
         )
     return OrbitalIdeal(
         chart=chart,
@@ -586,7 +569,7 @@ class PluckerChart:
     variables: tuple      # u first, then b1.., aligned with subsets
     weights: dict         # variable -> Weight
     kernel: GroebnerBasis       # the affine kernel ideal in the b ring
-    homogeneous: GroebnerBasis  # its homogenization, saturated by u, in (b..., u)
+    homogeneous: GroebnerBasis  # its homogenization, in (b..., u); saturated by u
     numerator: HilbertNumerator  # K-polynomial of its initial ideal, by (degree, weight)
 
     def weight_assignment(self) -> WeightAssignment:
@@ -608,8 +591,8 @@ def plucker_chart(tau: Tableau, orb: OrbitalIdeal | None = None,
     Requires the two-step window: mu = (1,...,1) and at most two columns.
     The kernel comes from eliminating the chart variables; when a fixture
     is supplied its generators must generate the same ideal.  The
-    homogenized kernel is saturated by u once here, and the saturated
-    basis is stored with the K-polynomial of its initial ideal, so the
+    homogenized kernel basis is already saturated by u (see `homogenize`),
+    and it is stored with the K-polynomial of its initial ideal, so the
     section counts run no Buchberger and no pivot recursion.
     """
     m = tau.m
@@ -649,9 +632,11 @@ def plucker_chart(tau: Tableau, orb: OrbitalIdeal | None = None,
     # the later one is a graded isomorphism onto a coordinate subspace
     kept_subsets = []
     kept_minors = []
+    seen = set()
     for subset, nf in zip(subsets, minors):
-        if any(nf == old or nf == -old for old in kept_minors):
+        if nf in seen:
             continue
+        seen.update((nf, -nf))
         kept_subsets.append(subset)
         kept_minors.append(nf)
     subsets, minors = kept_subsets, kept_minors
@@ -677,10 +662,7 @@ def plucker_chart(tau: Tableau, orb: OrbitalIdeal | None = None,
     kernel = eliminate(lifted, live)
     if fixture is not None:
         _check_plucker_fixture(kernel, names, subsets, fixture)
-    # homogenizing a grevlex basis already gives an ideal saturated by u;
-    # the saturation is computed, not assumed, and its basis is the one kept
-    hom = homogenize(kernel, "u")
-    homogeneous = saturate(hom, MultiPoly.var(hom.variables, "u"))
+    homogeneous = homogenize(kernel, "u")
     chart = PluckerChart(
         m=m,
         subsets=tuple(subsets),
@@ -714,19 +696,11 @@ def _check_plucker_fixture(kernel, names, subsets, fixture):
     bn = tuple(n for n in names if n != "u")
     labels = tuple(fixture["minors"].keys())
     parsed = [MultiPoly.parse(text, labels) for text in fixture["generators"]]
-    kernel = groebner(kernel)  # returns the chart's basis as it is
+    images = {label: MultiPoly.constant(bn, 1) if target == "u" else MultiPoly.var(bn, target)
+              for label, target in rename.items()}
 
     def substituted(poly, flips):
-        images = {}
-        for label, target in rename.items():
-            if target == "u":
-                img = MultiPoly.constant(bn, 1)
-            else:
-                img = MultiPoly.var(bn, target)
-            if label in flips:
-                img = -img
-            images[label] = img
-        return poly.substitute(images)
+        return poly.substitute({l: -img if l in flips else img for l, img in images.items()})
 
     # Solve for the sign flips over GF(2): per generator, exactly one
     # relative sign pattern of its terms lies in the kernel.
@@ -766,18 +740,14 @@ def _check_plucker_fixture(kernel, names, subsets, fixture):
     return flip_set
 
 
-def plucker_sections(tau: Tableau, n: int, chart: PluckerChart | None = None,
-                     calibrated: bool = True) -> dict:
+def plucker_sections(tau: Tableau, n: int, chart: PluckerChart | None = None) -> dict:
     """Weight histogram of the degree-n sections of the projective closure.
 
-    With calibrated=True the raw torus weights W are converted to module
-    dimension-vector weights via nu = n*lambda - W (the frozen one-time
-    normalization); otherwise the raw weights are returned.
+    The raw torus weights W are converted to module dimension-vector
+    weights via nu = n*lambda - W (the frozen one-time normalization).
     """
     chart = chart or plucker_chart(tau)
     raw = multigraded_hilbert(chart.numerator, chart.weight_assignment(), n)
-    if not calibrated:
-        return raw
     lam = tau.weight_lambda()
     out = {}
     for w, count in raw.items():

@@ -735,56 +735,6 @@ def _certify_flag(m: int, chi: dict, candidate: RatFunc) -> bool:
     return all(candidate.evaluate(pt) == _flag_eval(m, chi, pt) for pt in points)
 
 
-def flag_function_generic(builder, values=(Fraction(2), Fraction(3)),
-                          primes=None) -> RatFunc:
-    """Flag function of a family: evaluate the parameter twice, require agreement.
-
-    Equal composition-series data implies equal flag functions, so the
-    assembly runs once when the two evaluations already agree at the
-    counting level; otherwise both functions are built and compared.
-    """
-    data = []
-    for a in values:
-        rep = builder(Fraction(a))
-        ps = primes or _primes_avoiding(a)
-        data.append(flag_data(rep, primes=ps))
-    if data[0] == data[1]:
-        m = builder(Fraction(values[0])).m
-        return flag_function_from_chi(m, data[0])
-    results = [
-        flag_function_from_chi(builder(Fraction(a)).m, chi)
-        for a, chi in zip(values, data)
-    ]
-    if results[0] != results[1]:
-        raise ValueError(
-            "generic-parameter disagreement: "
-            + " vs ".join(str(r) for r in results)
-        )
-    return results[0]
-
-
-def _primes_avoiding(a, count=4):
-    """Primes where the parameter stays away from 0, 1, -1."""
-    a = Fraction(a)
-    out = []
-    p = 2
-    while len(out) < count:
-        if a.denominator % p:
-            residue = (a.numerator * pow(a.denominator, p - 2, p)) % p if p > 2 else a.numerator % p
-            if residue not in (0, 1 % p, (p - 1) % p):
-                out.append(p)
-        p = _next_prime(p)
-    return tuple(out)
-
-
-def _next_prime(p):
-    candidate = p + 1
-    while True:
-        if all(candidate % d for d in range(2, int(candidate**0.5) + 1)):
-            return candidate
-        candidate += 1
-
-
 # -- distinguished modules -----------------------------------------------------------
 
 

@@ -129,9 +129,6 @@ class Weight:
         """Sum of the alpha coordinates (the pairing with rho-check)."""
         return sum(self.alpha_coords())
 
-    def dominates(self, other: "Weight") -> bool:
-        return (self - other).in_Q_plus()
-
     # -- linear form in the alpha variables
 
     def linear_form(self, names=None) -> MultiPoly:

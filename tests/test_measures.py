@@ -129,6 +129,16 @@ def test_polynomial_left_of_a_ratfunc_runs_the_reflected_operator():
             op()
 
 
+def test_polynomial_and_ratfunc_do_not_divide():
+    # neither type defines division by the other: both orders raise Python's
+    # own TypeError, not one from inside Fraction
+    r = dbar_i(3, (1, 2))
+    a1 = MultiPoly.var(r.variables, "a1")
+    for op in (lambda: a1 / r, lambda: r / a1):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op()
+
+
 def test_expsum_sums_refuse_another_rank():
     for op in (lambda: ft_i(3, (1,)) + ft_i(4, (1,)), lambda: ft_i(3, (1,)) - ft_i(4, (1,))):
         with pytest.raises(ValueError, match="rank mismatch"):

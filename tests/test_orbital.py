@@ -5,7 +5,7 @@ import json
 import pytest
 
 from mvtk import orbital
-from mvtk.exactalg import MultiPoly, WeightAssignment, groebner, multidegree
+from mvtk.exactalg import MultiPoly, WeightAssignment, groebner, multidegree, saturate
 from mvtk.orbital import (
     Tableau,
     dbar_mv,
@@ -112,8 +112,8 @@ def test_plucker_sections_run_no_buchberger(a4_plucker, buchberger_runs, n):
 
 
 def test_plucker_sections_reuse_the_chart_numerator(a4_plucker, monkeypatch):
-    # the K-polynomial is built once, in plucker_chart; every later count,
-    # calibrated or raw, runs only the DP over the variables
+    # the K-polynomial is built once, in plucker_chart; every later count
+    # runs only the DP over the variables
     module = importlib.import_module("mvtk.exactalg.mdeg")
     runs = []
     inner = module._k_polynomial
@@ -126,7 +126,6 @@ def test_plucker_sections_reuse_the_chart_numerator(a4_plucker, monkeypatch):
     numerator = a4_plucker.numerator
     for n in (1, 2, 3, 2):
         plucker_sections(Tableau(A4_TAU), n, chart=a4_plucker)
-        plucker_sections(Tableau(A4_TAU), n, chart=a4_plucker, calibrated=False)
     assert runs == []
     assert a4_plucker.numerator is numerator
 
@@ -142,12 +141,19 @@ def test_a4_chart_numerator_matches_the_top_down_oracle(a4_plucker):
     assert importlib.import_module("mvtk.exactalg.mdeg")._k_polynomial(lead, grades) == expected
 
 
+def test_a4_homogeneous_kernel_is_saturated_by_u(a4_plucker):
+    # plucker_chart keeps the homogenized kernel basis unsaturated, on the
+    # strength of Cox-Little-O'Shea ch. 8 sec. 4 Thm 4; the saturation by u
+    # must give the same reduced basis back
+    hom = a4_plucker.homogeneous
+    assert saturate(hom, MultiPoly.var(hom.variables, "u")) == hom
+
+
 def test_orbital_ideal_carries_its_basis(buchberger_runs):
     # one run per rank-condition refresh and each saturation; none on a
     # basis already in hand, the last rank-condition basis included
     orb = orbital_ideal(Tableau(A5_TAU))
     assert len(buchberger_runs) <= 29
-    assert orb.groebner_basis() is orb.basis
 
 
 def test_lusztig_datum_of_a5_tableau_matches_fixture():
@@ -173,6 +179,12 @@ def test_orbital_multidegree_has_the_chart_codimension(rows, codim):
 
 
 BORDERED_TAU = [[1, 1, 2, 2], [3, 3, 5], [4, 6]]
+BORDERED_DBAR = (
+    "(a1*a2 + a2^2 + 2*a1*a3 + 2*a2*a3 + a3^2 + 2*a1*a4 + 2*a2*a4 + 2*a3*a4"
+    " + a4^2 + a1*a5 + a2*a5 + a3*a5 + a4*a5) / ((a1)^2*(a1 + a2)^2"
+    "*(a1 + a2 + a3)*(a1 + a2 + a3 + a4)*(a1 + a2 + a3 + a4 + a5)*(a2 + a3 + a4)"
+    "*(a2 + a3 + a4 + a5)*(a3 + a4)*(a3 + a4 + a5)*(a4)*(a4 + a5))"
+)
 
 
 def test_bordered_minor_branch(monkeypatch):
@@ -189,16 +201,31 @@ def test_bordered_minor_branch(monkeypatch):
     monkeypatch.setattr(orbital, "_bordered_minors", counted)
     orb = orbital_ideal(Tableau(BORDERED_TAU, m=6))
     assert calls == [True]
-    assert str(dbar_mv(orb)) == (
-        "(a1*a2 + a2^2 + 2*a1*a3 + 2*a2*a3 + a3^2 + 2*a1*a4 + 2*a2*a4 + 2*a3*a4"
-        " + a4^2 + a1*a5 + a2*a5 + a3*a5 + a4*a5) / ((a1)^2*(a1 + a2)^2"
-        "*(a1 + a2 + a3)*(a1 + a2 + a3 + a4)*(a1 + a2 + a3 + a4 + a5)*(a2 + a3 + a4)"
-        "*(a2 + a3 + a4 + a5)*(a3 + a4)*(a3 + a4 + a5)*(a4)*(a4 + a5))"
-    )
+    assert str(dbar_mv(orb)) == BORDERED_DBAR
     md = orbital_multidegree(orb)
     assert (len(orb.chart.variables), orb.dim) == (18, 11)
     assert md.is_homogeneous()
     assert md.total_degree() == 7
+    # with every rank condition enumerating all its minors (no bordering
+    # call) the value is the same
+    monkeypatch.setattr(orbital, "FULL_MINOR_THRESHOLD", 10**9)
+    assert str(dbar_mv(Tableau(BORDERED_TAU, m=6))) == BORDERED_DBAR
+    assert calls == [True]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the witness order decides the component (ROADMAP item 1)")
+@pytest.mark.parametrize("rows", [[[1, 1, 1, 2], [2, 3, 3, 4], [4, 5], [5]],
+                                  [[1, 1, 1, 3], [2, 2, 2, 4], [3, 4, 5], [5]]])
+def test_dbar_mv_does_not_depend_on_the_minor_strategy(monkeypatch, rows):
+    # the bordered branch puts its pivot determinant first among the
+    # witnesses, the all-minors branch adds none, and on these tableaux the
+    # two witness lists saturate onto different components.  Item 1's
+    # exact-rank saturation sides with the all-minors value on the first
+    # and with the bordered value on the second
+    bordered = dbar_mv(Tableau(rows, m=5))
+    monkeypatch.setattr(orbital, "FULL_MINOR_THRESHOLD", 10**9)
+    assert dbar_mv(Tableau(rows, m=5)) == bordered
 
 
 @pytest.mark.parametrize("rows, m", [([[1, 1], [2]], 2), ([[1], [2]], 3), ([[1, 1], [2, 2], [3]], 4)])
