@@ -157,12 +157,11 @@ def _solve_nx_symbolic(m: int):
     names = tuple(f"x{i}" for i in range(1, m + 1))
     one = RatFunc.constant(names, 1)
     zero = RatFunc.constant(names, 0)
-    xv = [MultiPoly.var(names, nm) for nm in names]
     n = [[one if i == j else zero for j in range(m)] for i in range(m)]
     for span in range(1, m):
         for i0 in range(m - span):
             i, j = i0, i0 + span
-            form = xv[j] - xv[i]
+            form = tuple((k == j) - (k == i) for k in range(m))  # x_j - x_i
             upstream = one if span == 1 else n[i + 1][j]
             n[i][j] = upstream.divide_by_form(form)
     return n

@@ -66,9 +66,6 @@ class WeightAssignment:
             if v not in self.weights:
                 raise ValueError(f"no weight for variable {v!r}")
 
-    def form(self, var: str) -> MultiPoly:
-        return self.weights[var].linear_form(self.alpha_names)
-
     def check_nonzero(self):
         for v in self.variables:
             if self.weights[v].is_zero():

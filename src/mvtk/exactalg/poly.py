@@ -265,9 +265,6 @@ class MultiPoly:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=order.key)
 
-    def leading_coefficient(self, order: TermOrder = GREVLEX) -> Fraction:
-        return self.terms[self.leading_monomial(order)]
-
     def coefficient(self, mon: tuple) -> Fraction:
         return self.terms.get(tuple(mon), Fraction(0))
 
@@ -445,12 +442,6 @@ class MultiPoly:
             self.variables, {m: c / content for m, c in self.terms.items()}
         )
         return part, content
-
-    def monic(self, order: TermOrder = GREVLEX) -> "MultiPoly":
-        if not self.terms:
-            return self
-        lc = self.leading_coefficient(order)
-        return MultiPoly._make(self.variables, {m: c / lc for m, c in self.terms.items()})
 
     # -- printing -------------------------------------------------------
 

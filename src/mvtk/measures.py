@@ -6,8 +6,9 @@ beta_k - beta_j, so `den` keys each factor by an integer coefficient tuple,
 for a weight its alpha coordinates: a primitive tuple (coprime entries, the
 first nonzero one positive) mapped to its multiplicity.  The content of a
 factor (its gcd, signed like its first nonzero coefficient) is divided out
-of the numerator once, when the factor enters; forms in other variables,
-such as the x_j - x_i of the symbolic n_x, are keyed the same way.
+of the numerator once, when the factor enters.  Forms in other variables,
+such as the x_j - x_i of the symbolic n_x, are keyed the same way.  Every
+key a caller passes is such a tuple; any other raises ValueError.
 
 The numerator is stored in integers, as num = terms / d with `terms` a
 {monomial: nonzero int} and d > 0 coprime to every coefficient.  A sum
@@ -44,22 +45,14 @@ from .roota import Weight, alpha_names
 def _form_key(form, n: int):
     """(key, content) with form == content * key, key as in RatFunc.den.
 
-    The form is a linear MultiPoly or a tuple of integer coefficients over
-    n variables; the content is an int unless the form has fractional
-    coefficients.
+    The form is a tuple of n integer coefficients; the content is an int.
     """
-    denom = 1
-    if isinstance(form, MultiPoly):
-        coeffs = [Fraction(0)] * len(form.variables)
-        for mon, c in form.terms.items():
-            if sum(mon) != 1:
-                raise ValueError("denominator factors must be homogeneous linear forms")
-            coeffs[mon.index(1)] = c
-        denom = lcm(*(c.denominator for c in coeffs))
-        form = tuple(int(c * denom) for c in coeffs)
-    if len(form) != n:
-        raise ValueError("denominator form and numerator have different variables")
-    g = gcd(*form)
+    try:
+        g = gcd(*form) if type(form) is tuple and len(form) == n else None
+    except TypeError:
+        g = None
+    if g is None:
+        raise ValueError(f"a denominator form is a tuple of {n} integer coefficients, not {form!r}")
     if g == 0:
         raise ValueError("denominator factors must be nonzero linear forms")
     for c in form:
@@ -67,9 +60,9 @@ def _form_key(form, n: int):
             break
     if c < 0:
         g = -g
-    if g == 1 and denom == 1:
+    if g == 1:
         return form, 1
-    return tuple(c // g for c in form), (g if denom == 1 else Fraction(g, denom))
+    return tuple(c // g for c in form), g
 
 
 @lru_cache(maxsize=4096)
@@ -252,8 +245,8 @@ class RatFunc:
     divides num.  Zero is d = 1 with empty `terms` and `den`.  The MultiPoly
     `num` is built from (d, terms) each time it is read.  `RatFunc(num, den)`
     is the validating constructor and the one place a MultiPoly numerator
-    is converted: it also takes non-primitive tuples and linear MultiPoly
-    forms as keys, moves their content into the numerator and cancels.
+    is converted: its keys are integer coefficient tuples, and it moves the
+    content of a non-primitive one into the numerator and cancels.
     `RatFunc._make` trusts its arguments and checks nothing; sums and
     products build with `_from_ints`, which cancels and reduces,
     `divide_by_form` tests only the new key, and negation and nonzero
@@ -264,7 +257,7 @@ class RatFunc:
 
     def __init__(self, num: MultiPoly, den=None):
         clean: dict = {}
-        scale = Fraction(1)
+        scale = 1
         for form, mult in (den or {}).items():
             if mult == 0:
                 continue
@@ -276,7 +269,7 @@ class RatFunc:
             clean[key] = clean.get(key, 0) + mult
         d, terms = _integer_terms(num.terms)
         if scale != 1:
-            d, terms = _scaled(d, terms, 1 / scale)
+            d, terms = _scaled(d, terms, Fraction(1, scale))
         r = RatFunc._from_ints(num.variables, d, terms, clean)
         self.variables, self.d, self.terms, self.den = r.variables, r.d, r.terms, r.den
 
@@ -371,7 +364,7 @@ class RatFunc:
     __rmul__ = __mul__
 
     def divide_by_form(self, form) -> "RatFunc":
-        """self / form, for a linear MultiPoly form or a coefficient tuple.
+        """self / form, for a tuple of integer coefficients.
 
         By the invariant no key of den divides num, so only the new form's
         key is tested, and only when it is not in den already.  A quotient
@@ -382,7 +375,7 @@ class RatFunc:
             return self
         d, terms = self.d, self.terms
         if content != 1:
-            d, terms = _scaled(d, terms, 1 / Fraction(content))
+            d, terms = _scaled(d, terms, Fraction(1, content))
         den = dict(self.den)
         if key in den:
             den[key] += 1
@@ -535,9 +528,6 @@ class ExpSum:
     def coefficient(self, beta: Weight) -> RatFunc:
         c = self.coeffs.get(beta)
         return c if c is not None else RatFunc._make(alpha_names(self.m), 1, {}, {})
-
-    def support(self):
-        return set(self.coeffs)
 
     def evaluate(self, x, t) -> Fraction:
         """Evaluate at a regular point x (trace-zero tuple) and torus point t.

@@ -73,9 +73,6 @@ class Tableau:
     def shape(self) -> tuple:
         return tuple(len(r) for r in self.rows)
 
-    def size(self) -> int:
-        return sum(len(r) for r in self.rows)
-
     def content(self) -> tuple:
         """Number of boxes with each entry 1..m (the chart type mu)."""
         mu = [0] * self.m

@@ -167,8 +167,8 @@ class SubmoduleLattice:
 
     subs: the submodules as tuples of rref tuples, one per vertex, sorted
       by total dimension and then by the tuple; subs[0] is zero and the
-      last is the full module.  index maps a submodule to its position and
-      dim_vectors[i] is the dimension vector of subs[i].
+      last is the full module; dim_vectors[i] is the dimension vector of
+      subs[i].
     covers[i]: the pairs (j, letter), ascending in j, with subs[j] of
       codimension 1 in subs[i] and quotient the simple at vertex letter.
     below[i]: the ascending indices of all submodules of subs[i], itself
@@ -184,7 +184,6 @@ class SubmoduleLattice:
         self.dim_vectors = [
             tuple(len(u) for u in sub) for sub in self.subs
         ]
-        self.index = {sub: i for i, sub in enumerate(self.subs)}
 
     def _search(self):
         rep = self.rep
@@ -227,13 +226,6 @@ class SubmoduleLattice:
         return [[m.start() for m in re.finditer("1", bin(b)[:1:-1])] for b in bits]
 
     # -- counting queries
-
-    def count_submodules(self, dimvec) -> int:
-        dimvec = tuple(dimvec)
-        return sum(1 for d in self.dim_vectors if d == dimvec)
-
-    def submodule_dim_vectors(self) -> set:
-        return set(self.dim_vectors)
 
     def composition_series_counts(self) -> "CompositionSeriesTable":
         """Counts of complete simple-quotient chains, per type sequence.
@@ -390,41 +382,21 @@ def _word_classes(start, steps, length, prepend=False):
     return classes
 
 
-def count_points(rep: QuiverRep, query, q: int, budget: int = 2_000_000) -> int:
-    """Exact F_q point count of a named variety attached to `rep`.
+def count_points(rep: QuiverRep, query, q: int) -> int:
+    """Composition series of `rep` over F_q of one type: query is ("compseries", seq).
 
-    query is ('submodules', dimvec), ('chains', n, dimvec-total), or
-    ('compseries', sequence).  `rep` may be over Q (it is reduced mod q).
-    Composition series of one fixed type are counted by top-quotient
-    peeling, which stays feasible on modules whose full submodule lattice
-    would not; the other queries build the lattice within budget.
-
-    The budget estimate counts tuples of subspaces, one per vertex, each
-    Grassmannian by its largest cell q^(k(d-k)).  Submodules are such
-    tuples, so the estimate sizes the lattice from above (to leading order
-    in q); it does not bound the work of the chain counts over it.
+    seq lists the simple quotients from the bottom up.  `rep` is over Q (it
+    is reduced mod q) or over F_q.  The series are counted by peeling simple
+    quotients off the top, memoised on the submodule reached, so the count
+    stays feasible on modules whose full submodule lattice would not.
     """
-    base = rep.reduce_mod(q) if rep.field == "Q" else rep
-    kind = query[0]
-    if kind == "compseries":
-        return _count_compseries_fixed(base, tuple(query[1]))
-    estimate = 1
-    for d in base.dims:
-        per = sum(q ** max(k * (d - k), 0) for k in range(d + 1))
-        estimate *= per
-    if estimate > budget:
-        raise ValueError(f"enumeration budget exceeded ({estimate} > {budget})")
-    lat = SubmoduleLattice(base)
-    if kind == "submodules":
-        return lat.count_submodules(query[1])
-    if kind == "chains":
-        _, n, mu = query
-        return lat.chain_counts_by_total(n).get(tuple(mu), 0)
-    raise ValueError(f"unknown query {query!r}")
-
-
-def _count_compseries_fixed(rep: QuiverRep, seq) -> int:
-    """Composition series of one type, peeling simple quotients off the top."""
+    if not (isinstance(query, tuple) and len(query) == 2 and query[0] == "compseries"):
+        raise ValueError(f"count_points answers the query ('compseries', seq) only, not {query!r}")
+    if rep.field == "Q":
+        rep = rep.reduce_mod(q)
+    elif rep.field != q:
+        raise ValueError(f"rep is over F_{rep.field}, so it has no points over F_{q}")
+    seq = tuple(query[1])
     letters = [0] * (rep.m - 1)
     for i in seq:
         letters[i - 1] += 1
@@ -795,12 +767,12 @@ def brick_module(m: int, i: int, j: int) -> QuiverRep:
 # -- submodule polytope support -------------------------------------------------------
 
 
-def pol_M(rep: QuiverRep, primes=(2, 3)) -> set:
-    """Negated dimension vectors of the F_q-submodules, checked across primes."""
+def pol_M(rep: QuiverRep) -> set:
+    """Negated dimension vectors of the submodules; over Q, checked to agree over F_2 and F_3."""
     sets = []
-    for p in primes[:2]:
+    for p in (2, 3):
         lat = SubmoduleLattice(rep.reduce_mod(p) if rep.field == "Q" else rep)
-        sets.append(lat.submodule_dim_vectors())
+        sets.append(set(lat.dim_vectors))
     if sets[0] != sets[1]:
         raise ValueError("submodule dimension set is unstable across primes")
     return {-Weight.from_alpha(rep.m, dims) for dims in sets[0]}

@@ -275,14 +275,6 @@ def shuffle_permutations(p: int, q: int):
         yield tuple(sigma_inv)
 
 
-def partial_sums(m: int, seq) -> list:
-    """Weights beta_0 = 0, beta_1, ..., beta_p of a sequence."""
-    sums = [Weight.zero(m)]
-    for i in seq:
-        sums.append(sums[-1] + Weight.alpha(m, i))
-    return sums
-
-
 # -- the chart weight product ---------------------------------------------------
 
 

@@ -49,7 +49,7 @@ def test_summary_fields():
     vs, (x0, x1, x2) = poly_ring(["x0", "x1", "x2"])
     w = wa_for(vs, 4, [(1, 2), (2, 3), (3, 4)])
     assert dimension([x0 * x1, x0 * x2]) == 2
-    assert multidegree([x0 * x1, x0 * x2], w) == w.form("x0")
+    assert multidegree([x0 * x1, x0 * x2], w) == w.weights["x0"].linear_form(w.alpha_names)
     # the oracle below sees both components
     assert minimal_primes([(1, 1, 0), (1, 0, 1)]) == [frozenset([0]), frozenset([1, 2])]
 
@@ -140,7 +140,7 @@ def multidegree_monomial_recursive(lead_monomials, w):
             term = MultiPoly.constant(alpha, 1)
             for g in gens:
                 i = next(j for j, e in enumerate(g) if e)
-                term = term * w.form(w.variables[i])
+                term = term * w.weights[w.variables[i]].linear_form(alpha)
             return term
         c = codim_by_minimal_primes(gens)
         # deterministic pivot: first variable occurring in a non-linear generator

@@ -16,7 +16,6 @@ from mvtk.measures import RatFunc, dbar_i
 from mvtk.preproj import (
     QuiverRep,
     SubmoduleLattice,
-    _count_compseries_fixed,
     _kernel_rref,
     brick_module,
     count_points,
@@ -191,19 +190,20 @@ def test_submodule_counts_simple_cases():
     m = simple_module(4, 1)
     two = m.direct_sum(m)
     for q in (2, 3, 5):
-        assert count_points(two, ("submodules", (1, 0, 0)), q) == q + 1
-    assert count_points(simple_module(2, 1), ("chains", 1, (0,)), 7) == 1
+        assert SubmoduleLattice(two.reduce_mod(q)).dim_vectors.count((1, 0, 0)) == q + 1
+    lat = SubmoduleLattice(simple_module(2, 1).reduce_mod(7))
+    assert lat.chain_counts_by_total(1) == {(0,): 1, (1,): 1}
 
 
 def test_a4_submodule_table_row():
     M = a4_module()
     for q in (2, 3, 5):
-        assert count_points(M, ("submodules", (0, 1, 1, 0)), q) == q + 1
+        assert SubmoduleLattice(M.reduce_mod(q)).dim_vectors.count((0, 1, 1, 0)) == q + 1
 
 
 def test_a4_submodule_dim_vectors_match_table():
     lat = SubmoduleLattice(a4_module().reduce_mod(3))
-    assert lat.submodule_dim_vectors() == set(TABLE_ROWS)
+    assert set(lat.dim_vectors) == set(TABLE_ROWS)
 
 
 @pytest.mark.parametrize("name, q", [
@@ -220,7 +220,6 @@ def test_lattice_matches_bottom_up_reference(name, q):
     assert lat.subs == subs
     assert lat.below == below
     assert lat.dim_vectors == dims
-    assert lat.index == {s: i for i, s in enumerate(subs)}
     nv = rep.m - 1
     edges = []
     for i, cov in enumerate(lat.covers):
@@ -267,7 +266,7 @@ def test_composition_series_counts_match_oracles(name, q):
     else:
         seqs = sequences(rep.m, rep.dim_vector())  # the zero counts too
     for seq in seqs:
-        assert _count_compseries_fixed(rep, seq) == table.get(seq, 0), seq
+        assert count_points(rep, ("compseries", seq), q) == table.get(seq, 0), seq
 
 
 @pytest.mark.parametrize("rep, expect", [
@@ -280,7 +279,7 @@ def test_composition_series_counts_small_modules(rep, expect):
     assert lat.composition_series_counts() == expect
     assert _ref_composition_series_counts(lat) == expect
     for seq, cnt in expect.items():
-        assert _count_compseries_fixed(rep, seq) == cnt
+        assert count_points(rep, ("compseries", seq), rep.field) == cnt
 
 
 def _assert_table_matches_the_oracle(lat):
@@ -354,7 +353,22 @@ def test_peel_matches_the_table_at_scale():
     seqs = [seq for k, seq in enumerate(table) if k in picks]
     assert len(seqs) == 12
     for seq in seqs:
-        assert _count_compseries_fixed(rep, seq) == table[seq], seq
+        assert count_points(rep, ("compseries", seq), 3) == table[seq], seq
+
+
+@pytest.mark.parametrize("query", [
+    ("submodules", (1, 0, 0)), ("chains", 1, (1, 0, 0)), ("sequences", (1,)), ("compseries",),
+])
+def test_count_points_answers_only_compseries(query):
+    with pytest.raises(ValueError, match=r"\('compseries', seq\) only"):
+        count_points(simple_module(4, 1), query, 3)
+
+
+def test_count_points_refuses_a_rep_over_another_field():
+    rep = simple_module(4, 1).reduce_mod(5)
+    assert count_points(rep, ("compseries", (1,)), 5) == 1
+    with pytest.raises(ValueError, match="over F_5, so it has no points over F_3"):
+        count_points(rep, ("compseries", (1,)), 3)
 
 
 @st.composite
@@ -465,7 +479,7 @@ def test_euler_interpolate_matches_the_newton_oracle(case):
 def test_a4_euler_characteristics_table():
     M = a4_module()
     for nu, f in TABLE_ROWS.items():
-        samples = [(q, count_points(M, ("submodules", nu), q)) for q in (2, 3, 5)]
+        samples = [(q, SubmoduleLattice(M.reduce_mod(q)).dim_vectors.count(nu)) for q in (2, 3, 5)]
         assert euler_interpolate(samples, 1) == f(1), nu
 
 
@@ -729,13 +743,6 @@ def test_generic_parameter_agreement():
     chi2 = flag_data(a5_module(2), primes=(5, 7, 11))
     chi3 = flag_data(a5_module(3), primes=(5, 7, 11))
     assert chi2 == chi3
-
-
-def test_budget_guard():
-    big = injective_module(6, 3)
-    doubled = big.direct_sum(big)
-    with pytest.raises(ValueError):
-        count_points(doubled, ("submodules", (1, 1, 1, 1, 1)), 11, budget=1000)
 
 
 def test_a5_flag_function_text_is_pinned():

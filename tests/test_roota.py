@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvtk.exactalg import MultiPoly
+from mvtk.measures import ft_i
 from mvtk.roota import (
     Weight,
     alpha_names,
     minuscule_chains,
     multichains,
     p_mu,
-    partial_sums,
     positive_roots,
     seq_weight,
     sequence_count,
@@ -118,19 +118,11 @@ def test_shuffle_weight_constant():
         assert seq_weight(3, s) == target
 
 
-def test_partial_sums():
-    m = 3
-    assert partial_sums(m, (1,)) == [Weight.zero(m), Weight.alpha(m, 1)]
-    a1, a2 = Weight.alpha(m, 1), Weight.alpha(m, 2)
-    assert partial_sums(m, (1, 2, 1)) == [Weight.zero(m), a1, a1 + a2, a1 * 2 + a2]
-    assert partial_sums(m, (2, 1, 1)) == [Weight.zero(m), a2, a1 + a2, a1 * 2 + a2]
-
-
 def test_partial_sums_strictly_increase():
+    # each letter adds a simple root, so the len(seq) + 1 partial sums are
+    # distinct: ft_i has one exponent per partial sum
     for seq in sequences(4, Weight.from_alpha(4, [1, 2, 1])):
-        sums = partial_sums(4, seq)
-        for a, b, letter in zip(sums, sums[1:], seq):
-            assert (b - a) == Weight.alpha(4, letter)
+        assert len(ft_i(4, seq).coeffs) == len(seq) + 1
 
 
 def test_p_mu_small():
