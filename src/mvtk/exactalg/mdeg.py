@@ -41,7 +41,7 @@ from math import comb, factorial
 from typing import Mapping, Sequence
 
 from .groebner import GroebnerBasis, groebner
-from .poly import GREVLEX, MultiPoly, TermOrder
+from .poly import GREVLEX, MultiPoly, TermOrder, _times_form
 
 
 class WeightAssignment:
@@ -176,17 +176,13 @@ def multidegree(gens: Sequence[MultiPoly] | GroebnerBasis, w: WeightAssignment,
         by_weight[tuple(beta)] = by_weight.get(tuple(beta), 0) + coef
     total: dict = {}
     for beta, coef in by_weight.items():
-        form = w.weight(beta).linear_form(w.alpha_names).terms
-        # alpha_j -> its coefficient, a plain int on the root lattice
-        form = {m.index(1): f.numerator if f.denominator == 1 else f for m, f in form.items()}
-        power = {(0,) * len(w.alpha_names): coef}
+        # the coefficient of each alpha_j, a plain int on the root lattice
+        coords = [0] * len(w.alpha_names)
+        for m, f in w.weight(beta).linear_form(w.alpha_names).terms.items():
+            coords[m.index(1)] = f.numerator if f.denominator == 1 else f
+        power = {(0,) * len(coords): coef}
         for _ in range(c):
-            nxt: dict = {}
-            for mon, v in power.items():
-                for j, f in form.items():
-                    key = mon[:j] + (mon[j] + 1,) + mon[j + 1:]
-                    nxt[key] = nxt.get(key, 0) + v * f
-            power = nxt
+            power = _times_form(power, tuple(coords))
         for mon, v in power.items():
             total[mon] = total.get(mon, 0) + v
     scale = Fraction((-1) ** c, factorial(c))

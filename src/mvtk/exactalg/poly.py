@@ -107,6 +107,30 @@ def _integer_terms(terms: Mapping) -> tuple[int, dict]:
     return d, {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
 
 
+def _int_value(terms: Mapping, d: int, xs) -> tuple[int, int]:
+    """(N, deg) in ints, N / d**deg the value of {monomial: int} terms at xs / d:
+    each term is padded by d to the top degree deg."""
+    deg = max(map(sum, terms), default=0)
+    total = 0
+    for m, c in terms.items():
+        for e, x in zip(m, xs):
+            if e:
+                c *= x**e
+        total += c * d ** (deg - sum(m))
+    return total, deg
+
+
+def _times_form(terms: dict, key: tuple) -> dict:
+    """{monomial: int} terms times the linear form sum_k key[k]*x_k; terms that cancel stay, as 0."""
+    out: dict = {}
+    for k, ck in enumerate(key):
+        if ck:
+            for mon, c in terms.items():
+                m = mon[:k] + (mon[k] + 1,) + mon[k + 1:]
+                out[m] = out.get(m, 0) + ck * c
+    return out
+
+
 def _int_product(a: dict, b: dict) -> dict:
     """The product of two {monomial: int} polynomials; terms that cancel stay, as 0."""
     ib = list(b.items())
@@ -363,20 +387,10 @@ class MultiPoly:
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
         """The value at a point given by name, in ints and one Fraction; floats are refused."""
-        return Fraction(*self._eval_scaled(*_scaled_point(values, self.variables)))
-
-    def _eval_scaled(self, d: int, xs: list) -> tuple[int, int]:
-        """(N, D) in ints, N / D the value at xs / d: each term is padded by d to the top degree."""
-        cden = lcm(*(c.denominator for c in self.terms.values()))
-        deg = max(map(sum, self.terms), default=0)
-        total = 0
-        for m, c in self.terms.items():
-            v = c.numerator * (cden // c.denominator) * d ** (deg - sum(m))
-            for e, x in zip(m, xs):
-                if e:
-                    v *= x**e
-            total += v
-        return total, cden * d**deg
+        d, xs = _scaled_point(values, self.variables)
+        cden, ints = _integer_terms(self.terms)
+        num, deg = _int_value(ints, d, xs)
+        return Fraction(num, cden * d**deg)
 
     def substitute(self, images: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Ring map sending each variable to a polynomial (all in one target ring)."""
@@ -429,19 +443,12 @@ class MultiPoly:
         """Return (primitive integer part, content) with content * part == self."""
         if not self.terms:
             return self, Fraction(1)
-        den = 1
-        for c in self.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        num = 0
-        for c in self.terms.values():
-            num = gcd(num, c.numerator * (den // c.denominator))
-        lead = self.terms[self.leading_monomial()]
-        sign = -1 if lead < 0 else 1
-        content = Fraction(sign * num, den)
-        part = MultiPoly._make(
-            self.variables, {m: c / content for m, c in self.terms.items()}
-        )
-        return part, content
+        den, ints = _integer_terms(self.terms)
+        g = gcd(*ints.values())
+        if ints[self.leading_monomial()] < 0:
+            g = -g
+        part = MultiPoly._from_ints(self.variables, 1, {m: c // g for m, c in ints.items()})
+        return part, Fraction(g, den)
 
     # -- printing -------------------------------------------------------
 

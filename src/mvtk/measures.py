@@ -38,7 +38,8 @@ from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 from operator import mul, sub
 
-from .exactalg.poly import MultiPoly, _exact, _int_product, _integer_terms, _scaled_point
+from .exactalg.poly import (MultiPoly, _exact, _int_product, _int_value, _integer_terms,
+                            _scaled_point, _times_form)
 from .roota import Weight, alpha_names
 
 
@@ -72,17 +73,6 @@ def _form_poly(key: tuple, variables: tuple) -> MultiPoly:
     return MultiPoly(variables, {
         tuple(int(i == k) for i in range(n)): c for k, c in enumerate(key) if c
     })
-
-
-def _times_form(terms: dict, key: tuple) -> dict:
-    """An integer polynomial times the linear form key; terms that cancel stay, as 0."""
-    out: dict = {}
-    for k, ck in enumerate(key):
-        if ck:
-            for mon, c in terms.items():
-                m = mon[:k] + (mon[k] + 1,) + mon[k + 1:]
-                out[m] = out.get(m, 0) + ck * c
-    return out
 
 
 def _times_missing(terms: dict, scale: int, den: dict, common: dict) -> dict:
@@ -399,12 +389,8 @@ class RatFunc:
     def evaluate(self, values) -> Fraction:
         """The value at a point xs / e in ints and one Fraction; a form k is (k . xs) / e."""
         e, xs = _scaled_point(values, self.variables)
-        deg = max(map(sum, self.terms), default=0)
-        num, den = 0, self.d * e**deg
-        for mon, c in self.terms.items():  # each term padded by e to the top degree
-            for k, x in zip(mon, xs):
-                c *= x**k
-            num += c * e ** (deg - sum(mon))
+        num, deg = _int_value(self.terms, e, xs)
+        den = self.d * e**deg
         for key, mult in self.den.items():
             v = sum(c * x for c, x in zip(key, xs) if c)
             if v == 0:
@@ -475,10 +461,7 @@ def ft_i(m: int, seq) -> "ExpSum":
     out = {}
     for j, c in enumerate(coords):
         factors = [diffs[(k, j) if k < j else (j, k)] for k in range(len(coords)) if k != j]
-        # eps coordinates c_k - c_{k-1}, shifted by c_{m-1} so that the last is 0
-        prev = (0,) + c
-        key = Weight._make(tuple([b - a + prev[-1] for a, b in zip(prev, c + (0,))]))
-        out[key] = _simplex_term(names, factors, (-1) ** j)
+        out[Weight.from_alpha(m, c)] = _simplex_term(names, factors, (-1) ** j)
     return ExpSum(m, out)
 
 

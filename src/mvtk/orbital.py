@@ -14,7 +14,6 @@ counts, bucketed by torus weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, islice
 from math import comb
 
@@ -36,7 +35,7 @@ from .exactalg import (
 )
 from .exactalg.linalg import solve
 from .measures import RatFunc
-from .roota import Weight, alpha_names, root_positions
+from .roota import Weight, alpha_names, root_positions, subset_weight
 
 
 # -- tableaux ---------------------------------------------------------------------
@@ -263,7 +262,7 @@ def _pivot_reduce(mat, zero):
         r0, c0, val = pivot
         for r in range(len(mat)):
             if r != r0 and not mat[r][c0].is_zero():
-                factor = mat[r][c0] * Fraction(1, 1) / val
+                factor = mat[r][c0] / val
                 mat[r] = [a - factor * b for a, b in zip(mat[r], mat[r0])]
         mat = [row[:c0] + row[c0 + 1 :] for r, row in enumerate(mat) if r != r0]
         pivots += 1
@@ -380,16 +379,8 @@ def rank_condition_ideal(tau: Tableau, chart: TmuChart | None = None) -> tuple:
         sh = tau.restricted_shape(i)
         power = [row[:] for row in block]
         r = 1
-        fresh = 0
         while True:
             R = sum(max(s - r, 0) for s in sh)
-            if R == 0:
-                for row in power:
-                    for e in row:
-                        if not e.is_zero():
-                            gens.append(e)
-                            fresh += 1
-                break
             reduced, k = _pivot_reduce(power, zero)
             if k > R:
                 raise ValueError(
@@ -410,12 +401,13 @@ def rank_condition_ideal(tau: Tableau, chart: TmuChart | None = None) -> tuple:
                 got, pivot_det = bordered
                 witnesses.insert(0, pivot_det)
             gens.extend(got)
-            fresh += len(got)
+            if R == 0:
+                break
             witnesses.extend(_witness_candidates(minor, R - k))
             power = _poly_matmul(power, block, zero)
             power = [[reduce_entry(e) for e in row] for row in power]
             r += 1
-        if fresh:
+        if gens:
             refresh_basis()
     witnesses = [w for w in _dedupe_polys(witnesses) if not w.is_constant()]
     return basis if basis is not None else groebner([]), witnesses
@@ -638,12 +630,7 @@ def plucker_chart(tau: Tableau, orb: OrbitalIdeal | None = None,
         kept_minors.append(nf)
     subsets, minors = kept_subsets, kept_minors
     names = ("u",) + tuple(f"b{k}" for k in range(1, len(subsets)))
-    weights = {}
-    for name, subset in zip(names, subsets):
-        w = Weight.zero(m)
-        for c in subset:
-            w = w + Weight.eps(m, abs(c))
-        weights[name] = w
+    weights = {name: subset_weight(m, map(abs, subset)) for name, subset in zip(names, subsets)}
     # the identity coordinate has weight 0 in the projective weight lattice
     u_w = weights["u"]
     weights = {name: w - u_w for name, w in weights.items()}

@@ -511,45 +511,40 @@ def euler_interpolate(counts, degree_bound: int) -> int:
 DEFAULT_PRIMES = (2, 3, 5, 7)
 
 
-def good_primes(rep: QuiverRep, primes) -> tuple:
-    """Filter out primes dividing an entry denominator."""
-    out = []
-    for p in primes:
-        try:
-            if rep.field == "Q":
-                rep.reduce_mod(p)
-        except ValueError:
-            continue
-        out.append(p)
-    return tuple(out)
-
-
 # -- flag functions -----------------------------------------------------------------
 
 
 def flag_data(rep: QuiverRep, primes=DEFAULT_PRIMES) -> dict:
-    """Euler characteristics of the composition-series varieties, per sequence."""
-    primes = good_primes(rep, primes)
-    if len(primes) < 3:
-        raise ValueError("need at least three usable primes")
-    per_prime = {}
+    """Euler characteristics of the composition-series varieties, per sequence.
+
+    `rep` is over Q; its counts over F_p, at each of `primes` that reduces
+    it, are interpolated to q = 1.
+    """
+    if rep.field != "Q":
+        raise ValueError(f"flag data needs the module over Q, not over F_{rep.field}")
+    reduced = {}
     for p in primes:
-        lat = SubmoduleLattice(rep.reduce_mod(p) if rep.field == "Q" else rep)
-        per_prime[p] = lat.composition_series_counts()
+        try:
+            reduced[p] = rep.reduce_mod(p)
+        except ValueError:
+            continue
+    if len(reduced) < 3:
+        raise ValueError("need at least three usable primes")
+    per_prime = {p: SubmoduleLattice(r).composition_series_counts() for p, r in reduced.items()}
     seqs = set()
     for d in per_prime.values():
         seqs.update(d)
     chi = {}
     for seq in sorted(seqs):
-        samples = [(p, per_prime[p].get(seq, 0)) for p in primes]
-        value = euler_interpolate(samples, len(primes) - 2)
+        samples = [(p, counts.get(seq, 0)) for p, counts in per_prime.items()]
+        value = euler_interpolate(samples, len(per_prime) - 2)
         if value:
             chi[seq] = value
     return chi
 
 
 def flag_function(rep: QuiverRep, primes=DEFAULT_PRIMES, method="direct") -> RatFunc:
-    """The rational function sum of chi(F_i) * Dbar_i over Seq(dim vector).
+    """The rational function sum of chi(F_i) * Dbar_i over Seq(dim vector), for `rep` over Q.
 
     method "direct" (the default) adds the Dbar_i as RatFuncs;
     "interpolate" reconstructs the sum from values on a grid, which is
@@ -769,11 +764,9 @@ def brick_module(m: int, i: int, j: int) -> QuiverRep:
 
 def pol_M(rep: QuiverRep) -> set:
     """Negated dimension vectors of the submodules; over Q, checked to agree over F_2 and F_3."""
-    sets = []
-    for p in (2, 3):
-        lat = SubmoduleLattice(rep.reduce_mod(p) if rep.field == "Q" else rep)
-        sets.append(set(lat.dim_vectors))
-    if sets[0] != sets[1]:
+    reps = [rep.reduce_mod(p) for p in (2, 3)] if rep.field == "Q" else [rep]
+    sets = [set(SubmoduleLattice(r).dim_vectors) for r in reps]
+    if any(s != sets[0] for s in sets):
         raise ValueError("submodule dimension set is unstable across primes")
     return {-Weight.from_alpha(rep.m, dims) for dims in sets[0]}
 

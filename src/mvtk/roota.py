@@ -68,11 +68,13 @@ class Weight:
 
     @classmethod
     def from_alpha(cls, m: int, coeffs) -> "Weight":
-        w = cls.zero(m)
-        for i, c in enumerate(coeffs, start=1):
-            if c:
-                w = w + cls.alpha(m, i) * c
-        return w
+        """sum_i c_i alpha_i for m - 1 integers c_i: the eps-entries c_k - c_{k-1}
+        (c_0 = c_m = 0), shifted by c_{m-1} so that the last is 0."""
+        c = tuple(coeffs)
+        if len(c) != m - 1 or not all(isinstance(x, int) for x in c):
+            raise ValueError(f"rank {m - 1} takes {m - 1} integer alpha coordinates, not {c}")
+        prev = (0,) + c
+        return cls._make(tuple([b - a + prev[-1] for a, b in zip(prev, c + (0,))]))
 
     # -- arithmetic: canonical operands give canonical results
 

@@ -1,0 +1,38 @@
+"""Import hygiene: every name a library module imports is used in it.
+
+The project has no linter among its dependencies, so an import left behind
+by a deletion would otherwise go unseen.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mvtk"
+MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(tree):
+    """(line, name) of each imported name that never occurs as an ast.Name."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_every_imported_name_is_used(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_an_unused_import_is_reported():
+    tree = ast.parse("import os.path\nfrom fractions import Fraction\nfrom math import comb as c\n"
+                     "x = c(3, 1)\n")
+    assert _unused_imports(tree) == [(1, "os"), (2, "Fraction")]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -181,11 +182,22 @@ def _results(p, q, c, k):
 
 
 @_ARITH_SETTINGS
-@given(_poly_pairs(), _SCALARS, st.integers(0, 3))
-def test_arithmetic_matches_sympy(pair, c, k):
+@given(_poly_pairs(), _SCALARS, st.integers(0, 3), st.lists(_SCALARS, min_size=4, max_size=4))
+def test_arithmetic_matches_sympy(pair, c, k, point):
     p, q = pair
     for got, want in _results(p, q, c, k):
         assert got.terms == _sympy_terms(want, p.variables)
+    values = dict(zip(p.variables, point))
+    value = _to_sympy(p).subs({sympy.Symbol(v): sympy.Rational(x.numerator, x.denominator)
+                               for v, x in values.items()})
+    assert p.evaluate(values) == Fraction(int(value.p), int(value.q))
+    # the content splits off an integer part with coprime coefficients and a positive lead
+    part, content = p.primitive()
+    assert part * content == p
+    if not p.is_zero():
+        assert all(a.denominator == 1 for a in part.terms.values())
+        assert gcd(*(a.numerator for a in part.terms.values())) == 1
+        assert part.terms[part.leading_monomial()] > 0
 
 
 @_ARITH_SETTINGS

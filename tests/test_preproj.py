@@ -541,6 +541,15 @@ def test_flag_function_of_vanishing_chi_is_zero():
     assert flag_data(QuiverRep(3, (0, 0), {})) == {(): 1}
 
 
+def test_flag_data_refuses_a_module_over_a_prime_field():
+    # one F_5 module counts the same at every prime, so the fit through its
+    # counts would return F_5 point counts (A4: sum 53) as chi (sum 25 over Q)
+    over_f5 = a4_module().reduce_mod(5)
+    for compute in (flag_data, flag_function):
+        with pytest.raises(ValueError, match="module over Q, not over F_5"):
+            compute(over_f5)
+
+
 @pytest.mark.parametrize("method", ["direct", "interpolate"])
 @pytest.mark.parametrize("chi", [{(1,): 1, (2,): 1}, {(1,): 1, (1, 2): 1}],
                          ids=["two-letters", "two-lengths"])
@@ -691,6 +700,21 @@ def test_pol_m_examples():
     rhombus = pol_M(s1.direct_sum(simple_module(m, 2)))
     a1, a2 = Weight.alpha(m, 1), Weight.alpha(m, 2)
     assert rhombus == {Weight.zero(m), -a1, -a2, -(a1 + a2)}
+
+
+def test_pol_m_builds_one_lattice_over_a_prime_field(monkeypatch):
+    # over Q the set is compared over F_2 and F_3; over F_p there is one set to take
+    built = []
+    lattice = preproj.SubmoduleLattice
+
+    def counted(rep):
+        built.append(rep.field)
+        return lattice(rep)
+
+    monkeypatch.setattr(preproj, "SubmoduleLattice", counted)
+    s1 = simple_module(3, 1)
+    assert pol_M(s1.reduce_mod(5)) == pol_M(s1)
+    assert built == [5, 2, 3]
 
 
 def test_pol_m_a4_table():

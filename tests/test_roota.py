@@ -47,6 +47,29 @@ def test_weight_arithmetic_matches_the_validating_constructor(pair, k):
         assert got == expected and hash(got) == hash(expected)
 
 
+def _ref_from_alpha(m, coeffs):
+    """Weight.from_alpha as it was, one c_i * alpha_i at a time: the oracle."""
+    w = Weight.zero(m)
+    for i, c in enumerate(coeffs, start=1):
+        if c:
+            w = w + Weight.alpha(m, i) * c
+    return w
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(2, 6).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(st.integers(-3, 3), min_size=m - 1, max_size=m - 1))))
+def test_from_alpha_matches_the_sum_of_simple_roots(case):
+    m, coeffs = case
+    w = Weight.from_alpha(m, coeffs)
+    assert w == _ref_from_alpha(m, coeffs)
+    assert w.entries == Weight(w.entries).entries and all(type(e) is int for e in w.entries)
+    assert w.alpha_coords() == tuple(coeffs)
+    for bad in (coeffs[:-1], coeffs + [0], coeffs[:-1] + [Fraction(1, 2)]):
+        with pytest.raises(ValueError, match=f"rank {m - 1} takes {m - 1} integer alpha"):
+            Weight.from_alpha(m, bad)
+
+
 def test_alpha_coords_and_linear_form():
     m = 4
     for i in range(1, m):
