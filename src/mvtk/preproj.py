@@ -19,7 +19,7 @@ import re
 from collections.abc import Mapping, ValuesView
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, repeat, product as iproduct
+from itertools import chain, islice, repeat, product as iproduct
 from math import lcm, prod
 
 from .exactalg.linalg import coords, identity, mat_mul, mat_vec, null_space, rref
@@ -514,6 +514,15 @@ DEFAULT_PRIMES = (2, 3, 5, 7)
 # -- flag functions -----------------------------------------------------------------
 
 
+def _reductions(rep: QuiverRep, primes):
+    """(p, rep mod p) for each of `primes` that divides no entry denominator of `rep`."""
+    for p in primes:
+        try:
+            yield p, rep.reduce_mod(p)
+        except ValueError:
+            continue
+
+
 def flag_data(rep: QuiverRep, primes=DEFAULT_PRIMES) -> dict:
     """Euler characteristics of the composition-series varieties, per sequence.
 
@@ -522,12 +531,7 @@ def flag_data(rep: QuiverRep, primes=DEFAULT_PRIMES) -> dict:
     """
     if rep.field != "Q":
         raise ValueError(f"flag data needs the module over Q, not over F_{rep.field}")
-    reduced = {}
-    for p in primes:
-        try:
-            reduced[p] = rep.reduce_mod(p)
-        except ValueError:
-            continue
+    reduced = dict(_reductions(rep, primes))
     if len(reduced) < 3:
         raise ValueError("need at least three usable primes")
     per_prime = {p: SubmoduleLattice(r).composition_series_counts() for p, r in reduced.items()}
@@ -763,8 +767,12 @@ def brick_module(m: int, i: int, j: int) -> QuiverRep:
 
 
 def pol_M(rep: QuiverRep) -> set:
-    """Negated dimension vectors of the submodules; over Q, checked to agree over F_2 and F_3."""
-    reps = [rep.reduce_mod(p) for p in (2, 3)] if rep.field == "Q" else [rep]
+    """Negated dimension vectors of the submodules; over Q, checked to agree at two primes."""
+    reps = [rep]
+    if rep.field == "Q":
+        reps = [r for _, r in islice(_reductions(rep, DEFAULT_PRIMES), 2)]
+        if len(reps) < 2:
+            raise ValueError(f"fewer than two of the primes {DEFAULT_PRIMES} reduce the module")
     sets = [set(SubmoduleLattice(r).dim_vectors) for r in reps]
     if any(s != sets[0] for s in sets):
         raise ValueError("submodule dimension set is unstable across primes")

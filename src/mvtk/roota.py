@@ -23,16 +23,18 @@ def alpha_names(m: int) -> tuple:
 
 
 class Weight:
-    """Element of Z^m / Z(1,...,1), canonical form has last entry 0."""
+    """Element of Z^m / Z(1,...,1), canonical form has last entry 0.  `Weight(entries)`
+    refuses a non-int entry and shifts the last to 0; `_make` trusts canonical int entries;
+    `eps`, `root` and `from_alpha` check their arguments and compute in closed form."""
 
     __slots__ = ("m", "entries")
 
     def __init__(self, entries):
-        entries = tuple(int(e) for e in entries)
-        if not entries:
-            raise ValueError("empty weight")
+        entries = tuple(entries)
+        if not entries or not all(isinstance(e, int) for e in entries):
+            raise ValueError(f"a weight takes one or more integer entries, not {entries}")
         last = entries[-1]
-        self.entries = tuple(e - last for e in entries)
+        self.entries = tuple([e - last for e in entries])
         self.m = len(entries)
 
     # -- constructors
@@ -51,20 +53,28 @@ class Weight:
 
     @classmethod
     def eps(cls, m: int, i: int) -> "Weight":
-        return cls(tuple(1 if k == i - 1 else 0 for k in range(m)))
+        """eps_i, 1 <= i <= m: the unit vector for i < m, and eps_m is (-1, ..., -1, 0)."""
+        if not 1 <= i <= m:
+            raise ValueError(f"eps_{i} undefined for m = {m}")
+        entries = [-1 if i == m else 0] * m
+        entries[i - 1] += 1
+        return cls._make(tuple(entries))
 
     @classmethod
     @lru_cache(maxsize=None)
     def alpha(cls, m: int, i: int) -> "Weight":
         """The simple root alpha_i, built once per (m, i): weights are never mutated."""
-        if not 1 <= i <= m - 1:
-            raise ValueError(f"alpha_{i} undefined for rank {m - 1}")
-        return cls.eps(m, i) - cls.eps(m, i + 1)
+        return cls.root(m, i, i + 1)
 
     @classmethod
     def root(cls, m: int, i: int, j: int) -> "Weight":
-        """eps_i - eps_j."""
-        return cls.eps(m, i) - cls.eps(m, j)
+        """The positive root eps_i - eps_j, 1 <= i < j <= m, shifted up by 1 when j = m."""
+        if not 1 <= i < j <= m:
+            raise ValueError(f"eps_{i} - eps_{j} is not a positive root for m = {m}")
+        entries = [1 if j == m else 0] * m
+        entries[i - 1] += 1
+        entries[j - 1] -= 1
+        return cls._make(tuple(entries))
 
     @classmethod
     def from_alpha(cls, m: int, coeffs) -> "Weight":

@@ -702,8 +702,9 @@ def test_pol_m_examples():
     assert rhombus == {Weight.zero(m), -a1, -a2, -(a1 + a2)}
 
 
-def test_pol_m_builds_one_lattice_over_a_prime_field(monkeypatch):
-    # over Q the set is compared over F_2 and F_3; over F_p there is one set to take
+@pytest.fixture
+def lattice_fields(monkeypatch):
+    """The field of each SubmoduleLattice that preproj builds, in order."""
     built = []
     lattice = preproj.SubmoduleLattice
 
@@ -712,9 +713,27 @@ def test_pol_m_builds_one_lattice_over_a_prime_field(monkeypatch):
         return lattice(rep)
 
     monkeypatch.setattr(preproj, "SubmoduleLattice", counted)
+    return built
+
+
+def test_pol_m_builds_one_lattice_over_a_prime_field(lattice_fields):
+    # over Q the set is compared over F_2 and F_3; over F_p there is one set to take
     s1 = simple_module(3, 1)
     assert pol_M(s1.reduce_mod(5)) == pol_M(s1)
-    assert built == [5, 2, 3]
+    assert lattice_fields == [5, 2, 3]
+
+
+def test_pol_m_skips_a_prime_that_does_not_reduce_the_module(lattice_fields):
+    # 1/2 is not reducible mod 2: the set is compared over F_3 and F_5, the first two
+    # of DEFAULT_PRIMES that flag_data would use as well
+    half = QuiverRep(3, (1, 1), {(1, 2): ((Fraction(1, 2),),)})
+    a1, a2 = Weight.alpha(3, 1), Weight.alpha(3, 2)
+    assert pol_M(half) == {Weight.zero(3), -a2, -(a1 + a2)}
+    assert lattice_fields == [3, 5]
+    assert flag_data(half) == {(2, 1): 1}
+    only_7 = QuiverRep(3, (1, 1), {(1, 2): ((Fraction(1, 210),),)})
+    with pytest.raises(ValueError, match=r"fewer than two of the primes \(2, 3, 5, 7\)"):
+        pol_M(only_7)
 
 
 def test_pol_m_a4_table():

@@ -30,6 +30,34 @@ def test_weight_canonical_form():
     assert w.entries == (1, -1, 0)
     assert Weight([1, 1, 1]).is_zero()
     assert Weight.alpha(4, 2) == Weight.eps(4, 2) - Weight.eps(4, 3)
+    # a non-integer entry is refused, not truncated to (1, 0, 0) or (0, 0)
+    for bad in ([1.5, 0, 0], [Fraction(1, 2), 0], []):
+        with pytest.raises(ValueError, match="one or more integer entries"):
+            Weight(bad)
+
+
+def _unit(m, i):
+    return [1 if k == i else 0 for k in range(1, m + 1)]
+
+
+def test_eps_and_root_closed_forms_match_the_validating_constructor():
+    for m in range(1, 9):
+        for i in range(1, m + 1):
+            e = Weight.eps(m, i)
+            assert e.entries == Weight(_unit(m, i)).entries and e.m == m
+            for j in range(i + 1, m + 1):
+                r = Weight.root(m, i, j)
+                expected = Weight(list(map(int.__sub__, _unit(m, i), _unit(m, j))))
+                assert r.entries == expected.entries and r.m == m
+                assert all(type(x) is int for x in r.entries)
+                assert r.height() == j - i
+
+
+@pytest.mark.parametrize("name, args", [("eps", (3, 0)), ("eps", (3, 7)), ("root", (3, 2, 2)),
+                                        ("root", (3, 3, 1)), ("alpha", (3, 3))])
+def test_eps_and_root_refuse_indices_out_of_range(name, args):
+    with pytest.raises(ValueError, match="undefined for m = 3|not a positive root for m = 3"):
+        getattr(Weight, name)(*args)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
