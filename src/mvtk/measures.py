@@ -26,6 +26,14 @@ skipped.  By the same lemma the quotient is integral, so the division stops
 at the first coefficient that f's leading entry does not divide.  So each
 rational function has one (d, terms, den), and equality compares them.
 
+Only a key that can divide the result is tested.  Z[x] is a UFD, and
+distinct keys are non-associate primes, none dividing either operand's
+numerator.  So a sum tests only the keys both operands carry equally often:
+a key that one side carries less often divides that side's numerator once
+lifted to the common denominator, and not the other's, so not the sum.  A
+product tests every key, as a key of one factor can divide the other's
+numerator, and divide_by_form only the new key.
+
 An ExpSum is a finite weight-indexed family of RatFunc coefficients, the
 Fourier-transform picture of a simplex measure: the product is convolution
 on exponents.
@@ -36,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm, prod
-from operator import mul, sub
+from operator import mul
 
 from .exactalg.poly import (MultiPoly, _exact, _int_product, _int_value, _integer_terms,
                             _scaled_point, _times_form)
@@ -131,18 +139,19 @@ def _base_point(n: int) -> tuple:
     return tuple(pow(0x9E3779B97F4A7C15, k + 1, _P) for k in range(n))
 
 
+@lru_cache(maxsize=64)
+def _powers(n: int, deg: int) -> tuple:
+    """Powers 0..deg of each base-point coordinate mod _P."""
+    return tuple(tuple(pow(x, e, _P) for e in range(deg + 1)) for x in _base_point(n))
+
+
 def _residues(terms: dict) -> list:
     """An integer polynomial's terms at the base point mod _P, summed by exponent.
 
     Entry j lists, for each e, the sum of the values of the terms with x_j^e.
     """
     deg = max(map(sum, terms))
-    pw = []
-    for x in _base_point(len(next(iter(terms)))):
-        powers = [1]
-        for _ in range(deg):
-            powers.append(powers[-1] * x % _P)
-        pw.append(powers)
+    pw = _powers(len(next(iter(terms))), deg)
     sums = [[0] * (deg + 1) for _ in pw]
     for mon, r in terms.items():
         for e, p in zip(mon, pw):
@@ -184,18 +193,19 @@ def _off_hyperplane(residues, key: tuple) -> bool:
     return total != 0
 
 
-def _divide_out(terms: dict, den: dict) -> dict:
-    """terms divided by each key of den as often as it divides (terms itself if none does).
+def _divide_out(terms: dict, den: dict, keys) -> dict:
+    """terms divided by each of `keys` as often as it divides (terms itself if none does).
 
-    den's multiplicities are lowered in place.  A key is divided only after
-    terms vanishes at the hyperplane test's point (see the module
-    docstring); neither the point nor _P decides a result.
+    `keys` holds every key of den that can divide terms (see the module
+    docstring), and den's multiplicities are lowered in place.  A key is
+    divided only after terms vanishes at the hyperplane test's point;
+    neither the point nor _P decides a result.
     """
-    if len(terms) == 1 and not any(next(iter(terms))):  # a nonzero constant
+    if not keys or len(terms) == 1 and not any(next(iter(terms))):  # no key, or a constant
         return terms
     residues = None
-    for key, mult in list(den.items()):
-        left = mult
+    for key in keys:
+        mult = left = den[key]
         while left:
             if residues is None:
                 residues = _residues(terms)
@@ -206,11 +216,10 @@ def _divide_out(terms: dict, den: dict) -> dict:
                 break
             terms, residues = quo, None
             left -= 1
-        if left != mult:
-            if left:
-                den[key] = left
-            else:
-                del den[key]
+        if not left:
+            del den[key]
+        elif left != mult:
+            den[key] = left
     return terms
 
 
@@ -260,7 +269,7 @@ class RatFunc:
         d, terms = _integer_terms(num.terms)
         if scale != 1:
             d, terms = _scaled(d, terms, Fraction(1, scale))
-        r = RatFunc._from_ints(num.variables, d, terms, clean)
+        r = RatFunc._from_ints(num.variables, d, terms, clean, tuple(clean))
         self.variables, self.d, self.terms, self.den = r.variables, r.d, r.terms, r.den
 
     @classmethod
@@ -271,12 +280,12 @@ class RatFunc:
         return self
 
     @classmethod
-    def _from_ints(cls, variables: tuple, d: int, terms: dict, den: dict) -> "RatFunc":
-        """(terms / d) / den, cancelled and reduced, for integer terms and d > 0; den is not copied."""
+    def _from_ints(cls, variables: tuple, d: int, terms: dict, den: dict, keys) -> "RatFunc":
+        """(terms / d) / den, reduced, cancelled by the keys of den that can divide it."""
         terms = {m: c for m, c in terms.items() if c}
         if not terms:
             return cls._make(variables, 1, {}, {})
-        return cls._make(variables, *_lowest(d, _divide_out(terms, den)), den)
+        return cls._make(variables, *_lowest(d, _divide_out(terms, den, keys)), den)
 
     # -- constructors
 
@@ -316,15 +325,19 @@ class RatFunc:
             return other
         d = lcm(self.d, other.d)
         common = dict(self.den)
+        equal = []   # the keys both sides carry equally often: the only ones that can cancel
         for key, mult in other.den.items():
-            if mult > common.get(key, 0):
+            have = common.get(key, 0)
+            if mult > have:
                 common[key] = mult
+            elif mult == have:
+                equal.append(key)
         a = _times_missing(self.terms, d // self.d, self.den, common)
         if a is self.terms:
             a = dict(a)
         for m, c in _times_missing(other.terms, d // other.d, other.den, common).items():
             a[m] = a.get(m, 0) + c
-        return RatFunc._from_ints(self.variables, d, a, common)
+        return RatFunc._from_ints(self.variables, d, a, common, equal)
 
     __radd__ = __add__
 
@@ -349,7 +362,7 @@ class RatFunc:
         for key, mult in other.den.items():
             den[key] = den.get(key, 0) + mult
         return RatFunc._from_ints(self.variables, self.d * other.d,
-                                  _int_product(self.terms, other.terms), den)
+                                  _int_product(self.terms, other.terms), den, tuple(den))
 
     __rmul__ = __mul__
 
@@ -370,9 +383,8 @@ class RatFunc:
         if key in den:
             den[key] += 1
         else:
-            new = {key: 1}
-            terms = _divide_out(terms, new)
-            den.update(new)
+            den[key] = 1
+            terms = _divide_out(terms, den, (key,))
         return RatFunc._make(self.variables, d, terms, den)
 
     def __eq__(self, other):
@@ -412,40 +424,33 @@ class RatFunc:
 # -- the sequence calculus -----------------------------------------------------
 
 
-def _partial_coords(m: int, seq) -> list:
-    """Alpha coordinates of the partial sums beta_0 = 0, ..., beta_p: running letter counts."""
-    counts = [0] * (m - 1)
-    coords = [tuple(counts)]
+def _simplex_terms(m: int, seq: tuple, first: int):
+    """The terms (-1)^j / prod_{k != j} |beta_k - beta_j| for j = first..p of a sequence's
+    partial sums.  |beta_k - beta_j| is the letter count of seq[j:k] or seq[k:j], run up
+    from j; the keys' contents (gcds) are positive, and their product is the d."""
     for i in seq:
         if not 0 < i < m:
             raise ValueError(f"letter {i} of a sequence is not in 1..{m - 1}")
-        counts[i - 1] += 1
-        coords.append(tuple(counts))
-    return coords
-
-
-def _simplex_term(names, factors, sign: int) -> RatFunc:
-    """sign / prod of the factors, each the (key, content) of a difference of partial sums.
-
-    The term of beta_j has the factors beta_k - beta_j for k > j and
-    beta_j - beta_k for k < j, all with nonnegative alpha coordinates; the j
-    of the second kind make its sign (-1)^j.  The keys' contents are
-    positive, and their product is the d of the constant numerator.
-    """
-    den: dict = {}
-    content = 1
-    for key, g in factors:
-        content *= g
-        den[key] = den.get(key, 0) + 1
-    return RatFunc._make(names, content, {(0,) * len(names): sign}, den)
+    names = alpha_names(m)
+    const = (0,) * (m - 1)
+    for j in range(first, len(seq) + 1):
+        den: dict = {}
+        content = 1
+        for run in (seq[j:], reversed(seq[:j])):
+            counts = [0] * (m - 1)
+            for i in run:
+                counts[i - 1] += 1
+                g = gcd(*counts)
+                key = tuple(counts) if g == 1 else tuple([c // g for c in counts])
+                content *= g
+                den[key] = den.get(key, 0) + 1
+        yield RatFunc._make(names, content, {const: -1 if j % 2 else 1}, den)
 
 
 def dbar_i(m: int, seq) -> RatFunc:
     """Product over k < p of 1/(beta_k - beta_p) for the sequence's partial sums."""
-    coords = _partial_coords(m, seq)
-    top = coords[-1]
-    factors = [_form_key(tuple(map(sub, top, c)), m - 1) for c in coords[:-1]]
-    return _simplex_term(alpha_names(m), factors, (-1) ** len(factors))
+    seq = tuple(seq)
+    return next(_simplex_terms(m, seq, len(seq)))
 
 
 def ft_i(m: int, seq) -> "ExpSum":
@@ -454,15 +459,14 @@ def ft_i(m: int, seq) -> "ExpSum":
     Sum over j of e^{-beta_j} / prod_{k != j} (beta_k - beta_j).  The
     partial sums are pairwise distinct, as each letter adds 1 to the height.
     """
-    names = alpha_names(m)
-    coords = _partial_coords(m, seq)
-    diffs = {(j, k): _form_key(tuple(map(sub, ck, cj)), m - 1)
-             for j, cj in enumerate(coords) for k, ck in enumerate(coords) if k > j}
+    seq = tuple(seq)
     out = {}
-    for j, c in enumerate(coords):
-        factors = [diffs[(k, j) if k < j else (j, k)] for k in range(len(coords)) if k != j]
-        out[Weight.from_alpha(m, c)] = _simplex_term(names, factors, (-1) ** j)
-    return ExpSum(m, out)
+    beta = Weight.zero(m)
+    for j, term in enumerate(_simplex_terms(m, seq, 0)):
+        if j:
+            beta = beta + Weight.alpha(m, seq[j - 1])
+        out[beta] = term
+    return ExpSum._make(m, out)
 
 
 class ExpSum:
@@ -475,6 +479,13 @@ class ExpSum:
         self.coeffs = {b: c for b, c in coeffs.items() if not c.is_zero()}
 
     @classmethod
+    def _make(cls, m: int, coeffs: dict) -> "ExpSum":
+        """An ExpSum from nonzero coefficients; nothing is copied."""
+        self = object.__new__(cls)
+        self.m, self.coeffs = m, coeffs
+        return self
+
+    @classmethod
     def point_mass(cls, m: int) -> "ExpSum":
         names = alpha_names(m)
         return cls(m, {Weight.zero(m): RatFunc._make(names, 1, {(0,) * len(names): 1}, {})})
@@ -484,8 +495,12 @@ class ExpSum:
             raise ValueError("rank mismatch")
         out = dict(self.coeffs)
         for b, c in other.coeffs.items():
-            out[b] = out[b] + c if b in out else c
-        return ExpSum(self.m, out)
+            c = out[b] + c if b in out else c
+            if c.terms:
+                out[b] = c
+            else:   # only a coefficient added here can vanish
+                del out[b]
+        return ExpSum._make(self.m, out)
 
     def __sub__(self, other: "ExpSum") -> "ExpSum":
         return self + other.scale(-1)
@@ -494,6 +509,8 @@ class ExpSum:
         return ExpSum(self.m, {b: c * k for b, c in self.coeffs.items()})
 
     def __mul__(self, other: "ExpSum") -> "ExpSum":
+        if other.m != self.m:
+            raise ValueError("rank mismatch")
         out: dict = {}
         for b1, c1 in self.coeffs.items():
             for b2, c2 in other.coeffs.items():

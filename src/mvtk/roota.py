@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import factorial
 from operator import add, neg
 
@@ -126,20 +126,17 @@ class Weight:
         if not self.in_root_lattice():
             raise ValueError(f"{self} is not in the root lattice")
         shift = sum(self.entries) // self.m
-        sum_zero = [e - shift for e in self.entries]
-        coords = []
-        acc = 0
-        for e in sum_zero[:-1]:
-            acc += e
-            coords.append(acc)
-        return tuple(coords)
+        return tuple(accumulate([e - shift for e in self.entries[:-1]]))
 
     def in_Q_plus(self) -> bool:
         return self.in_root_lattice() and all(c >= 0 for c in self.alpha_coords())
 
     def height(self) -> int:
-        """Sum of the alpha coordinates (the pairing with rho-check)."""
-        return sum(self.alpha_coords())
+        """Sum of the alpha coordinates: sum_{i<m} (m - i) e_i - (m - 1) sum(e) / 2."""
+        m, total = self.m, sum(self.entries)
+        if total % m:
+            raise ValueError(f"{self} is not in the root lattice")
+        return sum([(m - i) * e for i, e in enumerate(self.entries, 1)]) - (m - 1) * total // 2
 
     # -- linear form in the alpha variables
 

@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
+from operator import sub
 
 import pytest
 import sympy
@@ -63,6 +64,60 @@ def test_simplex_terms_match_the_validating_constructor():
             assert (got.num, got.den) == (ref.num, ref.den)
         got = dbar_i(m, w)  # the term of the last partial sum
         assert (got.num, got.den) == (ref.num, ref.den)
+
+
+def _ref_partial_coords(m, seq):
+    counts = [0] * (m - 1)
+    coords = [tuple(counts)]
+    for i in seq:
+        if not 0 < i < m:
+            raise ValueError(f"letter {i} of a sequence is not in 1..{m - 1}")
+        counts[i - 1] += 1
+        coords.append(tuple(counts))
+    return coords
+
+
+def _ref_simplex_term(names, factors, sign):
+    den: dict = {}
+    content = 1
+    for key, g in factors:
+        content *= g
+        den[key] = den.get(key, 0) + 1
+    return RatFunc._make(names, content, {(0,) * len(names): sign}, den)
+
+
+def _ref_dbar_i(m, seq):
+    """dbar_i as it was, from the partial sums' coordinates and _form_key: the oracle."""
+    coords = _ref_partial_coords(m, seq)
+    top = coords[-1]
+    factors = [measures._form_key(tuple(map(sub, top, c)), m - 1) for c in coords[:-1]]
+    return _ref_simplex_term(alpha_names(m), factors, (-1) ** len(factors))
+
+
+def _ref_ft_i(m, seq):
+    """ft_i as it was, its exponents built by Weight.from_alpha: the oracle."""
+    names = alpha_names(m)
+    coords = _ref_partial_coords(m, seq)
+    diffs = {(j, k): measures._form_key(tuple(map(sub, ck, cj)), m - 1)
+             for j, cj in enumerate(coords) for k, ck in enumerate(coords) if k > j}
+    out = {}
+    for j, c in enumerate(coords):
+        factors = [diffs[(k, j) if k < j else (j, k)] for k in range(len(coords)) if k != j]
+        out[Weight.from_alpha(m, c)] = _ref_simplex_term(names, factors, (-1) ** j)
+    return out
+
+
+def test_one_pass_simplex_terms_match_the_oracle():
+    # every word of length <= 5 at m <= 5: the same (d, terms, den) and exponents
+    def parts(r):
+        return r.d, r.terms, r.den
+
+    for m in range(2, 6):
+        for w in (w for n in range(6) for w in product(range(1, m), repeat=n)):
+            got, ref = ft_i(m, w).coeffs, _ref_ft_i(m, w)
+            assert [b.entries for b in got] == [b.entries for b in ref]
+            assert [parts(r) for r in got.values()] == [parts(r) for r in ref.values()]
+            assert parts(dbar_i(m, w)) == parts(_ref_dbar_i(m, w))
 
 
 @pytest.mark.parametrize("letter", [0, 4, -1])
@@ -149,7 +204,10 @@ def test_polynomial_and_ratfunc_do_not_divide():
 
 
 def test_expsum_sums_refuse_another_rank():
-    for op in (lambda: ft_i(3, (1,)) + ft_i(4, (1,)), lambda: ft_i(3, (1,)) - ft_i(4, (1,))):
+    # products too: they used to return a sum of the left operand's rank
+    for op in (lambda: ft_i(3, (1,)) + ft_i(4, (1,)), lambda: ft_i(3, (1,)) - ft_i(4, (1,)),
+               lambda: ExpSum(3, {}) * ft_i(4, (1,)), lambda: ft_i(4, (1,)) * ExpSum(3, {}),
+               lambda: expsum_mul(ft_i(3, (1,)), ft_i(4, (1,)))):
         with pytest.raises(ValueError, match="rank mismatch"):
             op()
 
@@ -188,6 +246,10 @@ def test_expsum_equality_compares_every_coefficient():
     assert x.coefficient(Weight([5, 0, 0])) == RatFunc.constant(names, 0)
     # a zero coefficient is dropped, so it does not tell two sums apart
     assert ExpSum(3, {**x.coeffs, Weight([5, 0, 0]): RatFunc.constant(names, 0)}) == x
+    # and a sum drops the coefficients that cancel, keeping the others
+    assert (x - x).coeffs == {}
+    y = ft_i(3, (1,))
+    assert (x + y) - y == x and set(((x + y) - y).coeffs) == set(x.coeffs)
 
 
 def test_ft_shuffle_identity_small():
@@ -428,6 +490,71 @@ def _sums_of_all_short_words(m):
         dbar = dbar + dbar_i(m, w)
         ft = ft + ft_i(m, w)
     return [dbar] + [ft.coeffs[b] for b in sorted(ft.coeffs, key=lambda b: b.entries)]
+
+
+def _test_every_key(mp):
+    """Make _divide_out test every key of the denominator, not only the candidates given."""
+    divide_out = measures._divide_out
+    mp.setattr(measures, "_divide_out", lambda terms, den, keys: divide_out(terms, den, tuple(den)))
+
+
+def _parts(rs):
+    return [(r.d, r.terms, r.den) for r in rs]
+
+
+def test_sums_test_only_the_keys_that_can_cancel(monkeypatch):
+    # a key that one summand carries less often divides only that summand,
+    # once lifted, so it cannot divide the sum: testing it changes nothing
+    given = []
+    divide_out = measures._divide_out
+
+    def counting(terms, den, keys):
+        given.append((len(keys), len(den)))
+        return divide_out(terms, den, keys)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(measures, "_divide_out", counting)
+        candidates = _sums_of_all_short_words(4)
+    assert any(k < n for k, n in given)
+    _test_every_key(monkeypatch)
+    assert _parts(_sums_of_all_short_words(4)) == _parts(candidates)
+
+
+@_PROPERTY_SETTINGS
+@given(_EXPRS, _EXPRS, _EXPRS)
+def test_sums_cancel_as_when_every_key_is_tested(x, y, z):
+    a, b, c = _build(x), _build(y), _build(z)
+
+    def sums():
+        return [a + b, a - b, (a + b) - b, a * b + c, (a + c) * (b + c) - c * c]
+
+    candidates = sums()
+    with pytest.MonkeyPatch.context() as mp:
+        _test_every_key(mp)
+        assert _parts(sums()) == _parts(candidates)
+
+
+def _ref_residues(terms):
+    """_residues with each power computed in the call."""
+    base = measures._base_point(len(next(iter(terms))))
+    sums = [[0] * (max(map(sum, terms)) + 1) for _ in base]
+    for mon, c in terms.items():
+        r = c * prod(pow(x, e, measures._P) for x, e in zip(base, mon)) % measures._P
+        for e, by_exponent in zip(mon, sums):
+            by_exponent[e] += r
+    return sums
+
+
+def test_residues_read_the_cached_powers_correctly():
+    # 5, 9 and 12 are degrees above every earlier call; 9 and 1 are read again
+    measures._powers.cache_clear()
+    for deg in (2, 1, 5, 3, 9, 9, 12, 0):
+        for n in (1, 3):
+            terms = {tuple(deg if k == j else 0 for k in range(n)): -7 + j for j in range(n)}
+            terms[(0,) * n] = 3
+            terms[(1,) + (0,) * (n - 1)] = 2**70
+            assert measures._residues(terms) == _ref_residues(terms)
+    assert measures._powers.cache_info().hits > 0
 
 
 def test_hyperplane_test_changes_no_sum(monkeypatch):

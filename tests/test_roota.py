@@ -2,6 +2,7 @@ from fractions import Fraction
 from collections import Counter
 from itertools import product
 from math import comb, factorial
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +108,18 @@ def test_alpha_coords_and_linear_form():
         assert str(a.linear_form()) == f"a{i}"
     r = Weight.root(4, 1, 3)
     assert r.alpha_coords() == (1, 1, 0)
+
+
+def test_height_in_closed_form_is_the_sum_of_alpha_coordinates():
+    for m in range(1, 7):
+        for head in product(range(-2, 3), repeat=m - 1):
+            w = Weight(head + (0,))
+            if w.in_root_lattice():
+                assert w.height() == sum(w.alpha_coords())
+            else:
+                message = f"^{re.escape(str(w))} is not in the root lattice$"
+                with pytest.raises(ValueError, match=message):
+                    w.height()
 
 
 def test_all_ones_maps_to_zero():
