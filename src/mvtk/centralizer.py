@@ -30,7 +30,7 @@ from math import lcm
 from .exactalg.linalg import identity, inverse, mat_mul, solve
 from .exactalg.poly import MultiPoly, _exact
 from .measures import ExpSum, RatFunc, _alpha_values
-from .roota import Weight, alpha_names
+from .roota import Weight, alpha_names, lusztig_weight
 
 
 # -- coordinate functions on N ---------------------------------------------------
@@ -69,18 +69,11 @@ class CoordFunction:
         return cls(m, MultiPoly.var(entry_names(m), f"n{i}{j}"))
 
     def _homogeneous_weight(self) -> Weight:
-        positions = entry_positions(self.m)
-        weight = None
-        for mon in self.poly.terms:
-            w = Weight.zero(self.m)
-            for e, (i, j) in zip(mon, positions):
-                if e:
-                    w = w + Weight.root(self.m, i, j) * e
-            if weight is None:
-                weight = w
-            elif weight != w:
-                raise ValueError("polynomial is not weight-homogeneous")
-        return weight if weight is not None else Weight.zero(self.m)
+        # the exponents of a monomial are read in entry_positions order, which is root_positions
+        weights = {lusztig_weight(self.m, mon) for mon in self.poly.terms} or {Weight.zero(self.m)}
+        if len(weights) > 1:
+            raise ValueError("polynomial is not weight-homogeneous")
+        return weights.pop()
 
     def __mul__(self, other: "CoordFunction") -> "CoordFunction":
         return CoordFunction(self.m, self.poly * other.poly)

@@ -586,16 +586,7 @@ def ft_total_mass(e: ExpSum, p: int, direction=None) -> Fraction:
         forms_val = prod(sum(map(mul, key, direction)) ** mult for key, mult in coeff.den.items())
         if sum(coeff.den.values()) != p:
             raise ValueError("coefficient is not a pure degree -p term")
-        bval = b.pair(_ray_point(m, direction))
+        # <b, x> at the point x with alpha(x) = direction
+        bval = sum(map(mul, b.alpha_coords(), direction))
         total += Fraction(cnum * (-bval) ** p, coeff.d * factorial(p)) / forms_val
     return total
-
-
-def _ray_point(m: int, direction):
-    """A trace-zero point whose alpha values are the direction entries."""
-    # x with x_i - x_{i+1} = direction_i
-    x = [Fraction(0)] * m
-    for i in range(m - 2, -1, -1):
-        x[i] = x[i + 1] + Fraction(direction[i])
-    shift = sum(x) / m
-    return [v - shift for v in x]

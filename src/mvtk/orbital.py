@@ -35,7 +35,7 @@ from .exactalg import (
 )
 from .exactalg.linalg import solve
 from .measures import RatFunc
-from .roota import Weight, alpha_names, root_positions, subset_weight
+from .roota import Weight, alpha_names, p_mu_factors, root_positions, subset_weight
 
 
 # -- tableaux ---------------------------------------------------------------------
@@ -114,14 +114,6 @@ def lusztig_datum(tau: Tableau) -> tuple:
             count = sum(1 for x in tau.rows[i - 1] if x == j)
         out.append(count)
     return tuple(out)
-
-
-def lusztig_weight(m: int, datum) -> Weight:
-    w = Weight.zero(m)
-    for n, (i, j) in zip(datum, root_positions(m)):
-        if n:
-            w = w + Weight.root(m, i, j) * n
-    return w
 
 
 # -- the chart ---------------------------------------------------------------------
@@ -537,8 +529,6 @@ def orbital_multidegree(orb: OrbitalIdeal) -> MultiPoly:
 
 def dbar_mv(tau_or_orb) -> RatFunc:
     """Equivariant multiplicity: multidegree over the chart weight product."""
-    from .roota import p_mu_factors
-
     orb = tau_or_orb if isinstance(tau_or_orb, OrbitalIdeal) else orbital_ideal(tau_or_orb)
     md = orbital_multidegree(orb)
     den = {}

@@ -22,7 +22,7 @@ from functools import cache, cached_property
 from itertools import chain, islice, repeat, product as iproduct
 from math import lcm, prod
 
-from .exactalg.linalg import coords, identity, mat_mul, mat_vec, null_space, rref
+from .exactalg.linalg import coords, identity, inverse, mat_mul, mat_vec, null_space, rref
 from .exactalg.poly import MultiPoly, _scaled_point
 from .measures import RatFunc, dbar_i
 from .roota import Weight, alpha_names, multichains, positive_roots, root_positions, seq_weight
@@ -577,23 +577,24 @@ def flag_function_from_chi(m: int, chi: dict, method="direct") -> RatFunc:
 
 
 def _flag_function_interpolated(m: int, chi: dict) -> RatFunc:
-    """Reconstruct the flag function over the all-roots denominator.
+    """Reconstruct the flag function over a power of the all-roots denominator.
 
-    Evaluates the sequence sum at a tensor grid, interpolates the numerator
-    (homogeneous, degree = #roots - sequence length over the product of all
-    positive roots), then certifies the result at fresh sample points.
+    For mult = 1, 2, 3: interpolates the numerator (homogeneous, degree
+    mult * #roots - sequence length) from the sequence sum times the root
+    product to the mult on a tensor grid, then certifies the result at fresh
+    sample points.  A numerator that is not a polynomial of that degree
+    moves on to the next mult.  Every grid coordinate is positive, so no
+    root and no tail of a sequence vanishes there.
     """
     names = alpha_names(m)
     roots = positive_roots(m)
-    some_seq = next(iter(chi))
-    p_len = len(some_seq)
+    p_len = len(next(iter(chi)))
     for mult in (1, 2, 3):
-        deg = mult * len(roots) - p_len
-        try:
-            num = _interpolate_homogeneous(
-                names, deg, lambda pt: _flag_eval(m, chi, pt) * _roots_eval(m, pt) ** mult
-            )
-        except ZeroDivisionError:
+        num = _interpolate_homogeneous(
+            names, mult * len(roots) - p_len,
+            lambda pt: _flag_eval(m, chi, pt) * _roots_eval(m, pt) ** mult,
+        )
+        if num is None:
             continue
         candidate = RatFunc(num, {r.alpha_coords(): mult for r in roots})
         if _certify_flag(m, chi, candidate):
@@ -619,10 +620,7 @@ def _flag_eval(m: int, chi: dict, alpha_values: dict) -> Fraction:
         den = 1
         for i in reversed(seq):
             tail[i - 1] += 1
-            v = tail_value(tuple(tail))
-            if v == 0:
-                raise ZeroDivisionError("grid point hits a pole")
-            den *= v
+            den *= tail_value(tuple(tail))
         total += Fraction(c * d ** len(seq), den)
     return total
 
@@ -634,64 +632,29 @@ def _roots_eval(m: int, alpha_values: dict) -> Fraction:
     return Fraction(num, d ** (m * (m - 1) // 2))
 
 
-def _interpolate_homogeneous(names, deg, value_fn) -> MultiPoly:
-    """Interpolate a homogeneous polynomial of the given degree from a grid.
+def _interpolate_homogeneous(names, deg, value_fn) -> MultiPoly | None:
+    """The homogeneous polynomial of degree `deg` with the values of `value_fn`, or None.
 
-    Dehomogenizes at the last variable = 1 and runs iterated univariate
-    Newton interpolation on a shifted tensor grid.
+    Dehomogenizes at the last variable = 1 and samples the tensor grid with
+    nodes 17 + 6k + j (j = 0..deg) on axis k.  Each axis is one Vandermonde
+    solve: the inverse matrix of its nodes maps every line of values along
+    that axis to monomial coefficients.  None means the values are not those
+    of a polynomial of degree <= deg, for instance of a function with a pole.
     """
-    r = len(names)
-    free = r - 1
-    grids = [[Fraction(17 + 6 * k + j) for j in range(deg + 1)] for k in range(free)]
-
-    values: dict = {}
-    for idx in iproduct(*(range(deg + 1) for _ in range(free))):
-        point = {names[k]: grids[k][idx[k]] for k in range(free)}
-        point[names[-1]] = Fraction(1)
-        values[idx] = value_fn(point)
-
-    # iterated Newton interpolation, axis by axis
-    table = values
-    for axis in range(free):
-        new_table: dict = {}
-        xs = grids[axis]
-        groups: dict = {}
-        for idx, val in table.items():
-            key = idx[:axis] + (None,) + idx[axis + 1 :]
-            groups.setdefault(key, {})[idx[axis]] = val
-        for key, col in groups.items():
-            coeffs = [col[j] for j in range(deg + 1)]
-            for level in range(1, deg + 1):
-                for i in range(deg, level - 1, -1):
-                    coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-            # convert Newton to monomial coefficients in this axis
-            mono = [Fraction(0)] * (deg + 1)
-            acc = [Fraction(1)]  # product polynomial coefficients
-            for i in range(deg + 1):
-                for d, c in enumerate(acc):
-                    mono[d] += coeffs[i] * c
-                # acc *= (x - xs[i])
-                nxt = [Fraction(0)] * (len(acc) + 1)
-                for d, c in enumerate(acc):
-                    nxt[d + 1] += c
-                    nxt[d] -= c * xs[i]
-                acc = nxt
-            for e, c in enumerate(mono):
-                if c:
-                    new_idx = key[:axis] + (e,) + key[axis + 1 :]
-                    new_table[new_idx] = new_table.get(new_idx, Fraction(0)) + c
-        table = new_table
-
-    terms = {}
-    for idx, c in table.items():
-        if not c:
-            continue
-        total = sum(idx)
-        if total > deg:
-            raise ArithmeticError("interpolated function is not a polynomial of the expected degree")
-        mon = tuple(idx) + (deg - total,)
-        terms[mon] = terms.get(mon, Fraction(0)) + c
-    return MultiPoly(tuple(names), terms)
+    n, free = deg + 1, len(names) - 1
+    nodes = [[17 + 6 * k + j for j in range(n)] for k in range(free)]
+    grid = list(iproduct(range(n), repeat=free))  # row-major: the last axis varies fastest
+    table = [value_fn(dict(zip(names, [xs[i] for xs, i in zip(nodes, idx)] + [1])))
+             for idx in grid]
+    # solve along the last axis, then move it to the front; after every axis
+    # the order is row-major again, in exponents instead of node indices
+    for xs in reversed(nodes):
+        inv = inverse([[x ** e for e in range(n)] for x in xs])
+        lines = [mat_vec(inv, table[i:i + n]) for i in range(0, len(table), n)]
+        table = [c for column in zip(*lines) for c in column]
+    if any(c and sum(exps) > deg for exps, c in zip(grid, table)):
+        return None
+    return MultiPoly(tuple(names), {exps + (deg - sum(exps),): c for exps, c in zip(grid, table)})
 
 
 _CERTIFY_SEED, _CERTIFY_TRIALS = 20240817, 4

@@ -181,14 +181,37 @@ def root_positions(m: int) -> tuple:
     return tuple((i, j) for i in range(1, m) for j in range(i + 1, m + 1))
 
 
+def lusztig_weight(m: int, counts) -> Weight:
+    """sum of n_ij (eps_i - eps_j), one count n_ij per positive root in the fixed order
+    (a Lusztig datum, or the exponents of a monomial in the entries n_ij): the eps-entry
+    k is the row sum of the counts n_kj minus the column sum of the counts n_ik."""
+    counts, positions = tuple(counts), root_positions(m)
+    if len(counts) != len(positions):
+        raise ValueError(f"rank {m - 1} takes {len(positions)} counts, one per positive root, "
+                         f"not {counts}")
+    entries = [0] * m
+    for n, (i, j) in zip(counts, positions):
+        entries[i - 1] += n
+        entries[j - 1] -= n
+    return Weight(entries)
+
+
 # -- sequences and shuffles ----------------------------------------------------
 
 
+def _counts(items, top: int, what: str) -> list:
+    """How often each of 1..top occurs in items; ValueError for any other item."""
+    counts = [0] * top
+    for x in items:
+        if not 1 <= x <= top:
+            raise ValueError(f"{what} {x} is not in 1..{top}")
+        counts[x - 1] += 1
+    return counts
+
+
 def seq_weight(m: int, seq) -> Weight:
-    w = Weight.zero(m)
-    for i in seq:
-        w = w + Weight.alpha(m, i)
-    return w
+    """sum of alpha_i over the letters i of seq, each in 1..m-1."""
+    return Weight.from_alpha(m, _counts(seq, m - 1, "letter"))
 
 
 def sequences(m: int, nu: Weight) -> list:
@@ -319,10 +342,8 @@ def _orbit_subsets(m: int, i: int):
 
 
 def subset_weight(m: int, subset) -> Weight:
-    w = Weight.zero(m)
-    for c in subset:
-        w = w + Weight.eps(m, c)
-    return w
+    """sum of eps_c over the entries c of subset (a repeated entry counts again), each in 1..m."""
+    return Weight(_counts(subset, m, "index"))
 
 
 def minuscule_chains(m: int, i: int, gamma, n: int):

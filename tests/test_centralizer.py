@@ -23,7 +23,7 @@ from mvtk.centralizer import (
 from mvtk.exactalg import MultiPoly
 from mvtk.exactalg.linalg import identity, inverse, mat_mul
 from mvtk.measures import ExpSum, RatFunc, dbar_i, ft_i
-from mvtk.roota import Weight, alpha_names, sequences, shuffles
+from mvtk.roota import Weight, alpha_names, lusztig_weight, sequences, shuffles
 
 
 def random_regular_x(rng, m, height=6):
@@ -54,6 +54,18 @@ def _ref_is_admissible(x, height):
         return True
 
     return rec([], 0)
+
+
+def test_coordinate_function_weight_is_the_root_sum_of_its_monomials():
+    assert CoordFunction.parse(4, "n12*n23 - 2*n13").weight == Weight.root(4, 1, 3)
+    assert CoordFunction.parse(4, "n12*n34").weight == lusztig_weight(4, (1, 0, 0, 0, 0, 1))
+    assert (CoordFunction.parse(4, "n13*n24 - n14*n23").weight
+            == lusztig_weight(4, (0, 1, 0, 0, 1, 0)))
+    for text in ("3", "0"):
+        assert CoordFunction.parse(4, text).weight == Weight.zero(4)
+    for text in ("n12 + n23", "n12*n34 + n14*n23"):
+        with pytest.raises(ValueError, match="not weight-homogeneous"):
+            CoordFunction.parse(4, text)
 
 
 def test_is_admissible_matches_the_weight_loop():

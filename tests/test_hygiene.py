@@ -1,7 +1,8 @@
-"""Import hygiene: every name a library module imports is used in it.
+"""Import hygiene: every name a library module imports is used in it, and
+every import sits at module level.
 
 The project has no linter among its dependencies, so an import left behind
-by a deletion would otherwise go unseen.
+by a deletion, or one hidden in a function body, would otherwise go unseen.
 """
 
 import ast
@@ -36,3 +37,21 @@ def test_an_unused_import_is_reported():
     tree = ast.parse("import os.path\nfrom fractions import Fraction\nfrom math import comb as c\n"
                      "x = c(3, 1)\n")
     assert _unused_imports(tree) == [(1, "os"), (2, "Fraction")]
+
+
+def _function_level_imports(tree):
+    """(line, function name) of each import statement inside a function body."""
+    return sorted({(node.lineno, fn.name) for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_function_body_imports(path):
+    assert _function_level_imports(ast.parse(path.read_text())) == []
+
+
+def test_a_function_level_import_is_reported():
+    tree = ast.parse("import os\n\ndef f():\n    from math import comb\n    return comb(3, 1)\n\n"
+                     "class C:\n    def g(self):\n        import re\n        return re\n")
+    assert _function_level_imports(tree) == [(4, "f"), (9, "g")]

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd, prod
+from math import factorial, gcd, prod
 from operator import sub
 
 import pytest
@@ -374,6 +374,15 @@ def test_total_mass():
         m = 3
         e = ft_i(m, seq)
         assert ft_total_mass(e, len(seq)) == Fraction(1, factorial(len(seq)))
+
+
+def test_total_mass_along_other_rays():
+    # the pairing <beta, x> at the point x with alpha(x) = direction is sum_k c_k direction_k
+    for m, seq in [(3, (2, 1, 1)), (4, (1, 2, 3, 2)), (4, (3, 3, 1))]:
+        e = ft_i(m, seq)
+        directions = [(1,) * (m - 1), tuple(range(m - 1, 0, -1)), (Fraction(1, 3),) + (7,) * (m - 2)]
+        for direction in directions:
+            assert ft_total_mass(e, len(seq), direction) == Fraction(1, factorial(len(seq)))
 
 
 def test_expsum_serialization():

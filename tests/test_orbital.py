@@ -10,7 +10,6 @@ from mvtk.orbital import (
     Tableau,
     dbar_mv,
     lusztig_datum,
-    lusztig_weight,
     orbital_ideal,
     orbital_multidegree,
     plucker_chart,
@@ -22,7 +21,7 @@ from mvtk.preproj import (
     flag_function,
     load_module_fixture,
 )
-from mvtk.roota import Weight, alpha_names
+from mvtk.roota import Weight, alpha_names, lusztig_weight
 from test_mdeg import k_polynomial_top_down
 
 FIXTURES = res.files("mvtk") / "fixtures"

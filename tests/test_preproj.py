@@ -633,6 +633,55 @@ def test_interpolated_flag_function_names_its_certificate(monkeypatch):
         flag_function_from_chi(3, chi, method="interpolate")
 
 
+@pytest.mark.parametrize("compute, key", [
+    (lambda method: flag_function(simple_module(4, 1).direct_sum(simple_module(4, 1)), method=method),
+     (1, 0, 0)),
+    (lambda method: flag_function_from_chi(4, {(2, 2): 2}, method=method), (0, 1, 0)),
+], ids=["S1+S1", "chi (2,2)"])
+def test_interpolated_flag_function_retries_the_next_multiplicity(compute, key):
+    # the sum is 1/a^2: times the root product it is no polynomial, times its square it is
+    expected = RatFunc(MultiPoly.constant(alpha_names(4), 1), {key: 2})
+    assert compute("interpolate") == compute("direct") == expected
+
+
+def _random_homogeneous(rng, names, deg, dense=False):
+    monomials = [e for e in iproduct(range(deg + 1), repeat=len(names)) if sum(e) == deg]
+    return MultiPoly(names, {mon: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+                             for mon in monomials if dense or rng.random() < 0.6})
+
+
+@pytest.mark.parametrize("n_vars, deg", list(iproduct((3, 4), range(5))))
+def test_grid_interpolation_round_trips_homogeneous_polynomials(n_vars, deg):
+    rng = random.Random(10 * n_vars + deg)
+    names = alpha_names(n_vars + 1)
+    poly = _random_homogeneous(rng, names, deg)
+    points = []
+
+    def values(point):
+        points.append(point)
+        return poly.evaluate(point)
+
+    assert preproj._interpolate_homogeneous(names, deg, values) == poly
+    assert len(points) == (deg + 1) ** (len(names) - 1)
+
+
+@pytest.mark.parametrize("n_vars, deg", list(iproduct((3, 4), range(1, 5))))
+def test_grid_interpolation_of_a_function_with_a_pole_is_no_polynomial(n_vars, deg):
+    # a pole along a1 = 0 (the numerator does not vanish there); at degree 0 the grid
+    # is one point, which every function fits
+    rng = random.Random(10 * n_vars + deg)
+    names = alpha_names(n_vars + 1)
+    pole = _random_homogeneous(rng, names, deg + 1, dense=True)
+    assert preproj._interpolate_homogeneous(
+        names, deg, lambda point: pole.evaluate(point) / point["a1"]) is None
+
+
+def test_flag_eval_at_a_pole_raises():
+    # the grid and the certificate points never hit one; a point from outside can
+    with pytest.raises(ZeroDivisionError):
+        preproj._flag_eval(3, {(1, 2): 1}, {"a1": 1, "a2": 0})
+
+
 def test_multiplicativity_small():
     m = 4
     s1, s2 = simple_module(m, 1), simple_module(m, 2)

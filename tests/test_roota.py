@@ -2,6 +2,7 @@ from fractions import Fraction
 from collections import Counter
 from itertools import product
 from math import comb, factorial
+import random
 import re
 
 import pytest
@@ -13,16 +14,19 @@ from mvtk.measures import ft_i
 from mvtk.roota import (
     Weight,
     alpha_names,
+    lusztig_weight,
     minuscule_chains,
     multichains,
     p_mu,
     positive_roots,
+    root_positions,
     seq_weight,
     sequence_count,
     sequences,
     shuffle_multiplicity,
     shuffle_permutations,
     shuffles,
+    subset_weight,
 )
 
 
@@ -59,6 +63,40 @@ def test_eps_and_root_closed_forms_match_the_validating_constructor():
 def test_eps_and_root_refuse_indices_out_of_range(name, args):
     with pytest.raises(ValueError, match="undefined for m = 3|not a positive root for m = 3"):
         getattr(Weight, name)(*args)
+
+
+def test_root_lattice_sums_in_closed_form_match_the_sums_root_by_root():
+    # the oracles add Weight.root * n, Weight.alpha and Weight.eps one at a time
+    rng = random.Random(27)
+    for m in range(1, 7):
+        for _ in range(30):
+            counts = [rng.randint(-3, 3) for _ in root_positions(m)]
+            expected = Weight.zero(m)
+            for n, (i, j) in zip(counts, root_positions(m)):
+                expected = expected + Weight.root(m, i, j) * n
+            assert lusztig_weight(m, counts) == expected
+            seq = [rng.randint(1, m - 1) for _ in range(rng.randint(0, 6))] if m > 1 else []
+            assert seq_weight(m, seq) == sum((Weight.alpha(m, i) for i in seq), Weight.zero(m))
+            subset = [rng.randint(1, m) for _ in range(rng.randint(0, m))]
+            expected = sum((Weight.eps(m, c) for c in subset), Weight.zero(m))
+            assert subset_weight(m, subset) == expected
+
+
+@pytest.mark.parametrize("compute, match", [
+    (lambda: seq_weight(3, (1, 0)), "letter 0 is not in 1..2"),
+    (lambda: seq_weight(3, (3, 1)), "letter 3 is not in 1..2"),
+    (lambda: seq_weight(3, (-2,)), "letter -2 is not in 1..2"),
+    (lambda: subset_weight(3, (0, 1)), "index 0 is not in 1..3"),
+    (lambda: subset_weight(3, (1, 4)), "index 4 is not in 1..3"),
+    (lambda: subset_weight(3, (-3,)), "index -3 is not in 1..3"),
+    (lambda: lusztig_weight(3, (1, 0)), r"rank 2 takes 3 counts, one per positive root, not \(1, 0"),
+    (lambda: lusztig_weight(3, (1, 0, 0, 1)), "rank 2 takes 3 counts"),
+    (lambda: lusztig_weight(3, (1, Fraction(1, 2), 0)), "integer entries"),
+])
+def test_root_lattice_sums_refuse_letters_indices_and_counts_out_of_range(compute, match):
+    # a count vector indexed by letter would otherwise take letter 0 as the last letter
+    with pytest.raises(ValueError, match=match):
+        compute()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
