@@ -30,7 +30,7 @@ from math import lcm
 from .exactalg.linalg import identity, inverse, mat_mul, solve
 from .exactalg.poly import MultiPoly, _exact
 from .measures import ExpSum, RatFunc, _alpha_values
-from .roota import Weight, alpha_names, lusztig_weight
+from .roota import Weight, alpha_names, lusztig_weight, root_positions
 
 
 # -- coordinate functions on N ---------------------------------------------------
@@ -41,8 +41,7 @@ def entry_names(m: int) -> tuple:
     return tuple(f"n{i}{j}" for i in range(1, m) for j in range(i + 1, m + 1))
 
 
-def entry_positions(m: int) -> tuple:
-    return tuple((i, j) for i in range(1, m) for j in range(i + 1, m + 1))
+entry_positions = root_positions
 
 
 class CoordFunction:
@@ -69,7 +68,6 @@ class CoordFunction:
         return cls(m, MultiPoly.var(entry_names(m), f"n{i}{j}"))
 
     def _homogeneous_weight(self) -> Weight:
-        # the exponents of a monomial are read in entry_positions order, which is root_positions
         weights = {lusztig_weight(self.m, mon) for mon in self.poly.terms} or {Weight.zero(self.m)}
         if len(weights) > 1:
             raise ValueError("polynomial is not weight-homogeneous")

@@ -640,7 +640,11 @@ def _interpolate_homogeneous(names, deg, value_fn) -> MultiPoly | None:
     solve: the inverse matrix of its nodes maps every line of values along
     that axis to monomial coefficients.  None means the values are not those
     of a polynomial of degree <= deg, for instance of a function with a pole.
+    A negative degree has only the zero polynomial, returned without sampling
+    (the caller's certificate decides).
     """
+    if deg < 0:
+        return MultiPoly.zero(tuple(names))
     n, free = deg + 1, len(names) - 1
     nodes = [[17 + 6 * k + j for j in range(n)] for k in range(free)]
     grid = list(iproduct(range(n), repeat=free))  # row-major: the last axis varies fastest

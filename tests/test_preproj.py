@@ -3,7 +3,7 @@ import importlib.resources as res
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import combinations, permutations, product as iproduct
 
 import pytest
 from hypothesis import given, settings
@@ -641,6 +641,20 @@ def test_interpolated_flag_function_names_its_certificate(monkeypatch):
 def test_interpolated_flag_function_retries_the_next_multiplicity(compute, key):
     # the sum is 1/a^2: times the root product it is no polynomial, times its square it is
     expected = RatFunc(MultiPoly.constant(alpha_names(4), 1), {key: 2})
+    assert compute("interpolate") == compute("direct") == expected
+
+
+@pytest.mark.parametrize("compute, c", [
+    (lambda method: flag_function(simple_module(3, 1).direct_sum(simple_module(3, 1))
+                                  .direct_sum(simple_module(3, 2)).direct_sum(simple_module(3, 2)),
+                                  method=method), 1),
+    (lambda method: flag_function_from_chi(
+        3, {seq: 1 for seq in sorted(set(permutations((1, 1, 2, 2))))}, method=method), Fraction(1, 4)),
+], ids=["S1+S1+S2+S2", "shuffles of (1,1) and (2,2)"])
+def test_interpolated_flag_function_skips_a_negative_degree(compute, c):
+    # 4 letters over 3 roots: at mult 1 the numerator degree is -1, and the grid
+    # route goes on to mult 2, where the sum is c/(a1^2 a2^2)
+    expected = RatFunc(MultiPoly.constant(alpha_names(3), c), {(1, 0): 2, (0, 1): 2})
     assert compute("interpolate") == compute("direct") == expected
 
 
