@@ -86,9 +86,13 @@ _TOKEN = re.compile(
 
 
 def _exact(c) -> Fraction:
-    """c as a Fraction; floats are refused, since they are not exact."""
-    if isinstance(c, float):
-        raise TypeError(f"float {c!r} in exact arithmetic; pass an int or a Fraction")
+    """c as a Fraction, for c an int or a Fraction (a numbers.Rational).
+
+    Anything else is refused: a float is not exact, and a string would be
+    parsed, which no other operation does.
+    """
+    if not isinstance(c, Rational):
+        raise TypeError(f"{type(c).__name__} {c!r} in exact arithmetic; pass an int or a Fraction")
     return Fraction(c)
 
 

@@ -20,11 +20,11 @@ from collections.abc import Mapping, ValuesView
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, islice, repeat, product as iproduct
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .exactalg.linalg import coords, identity, inverse, mat_mul, mat_vec, null_space, rref
-from .exactalg.poly import MultiPoly, _scaled_point
-from .measures import RatFunc, dbar_i
+from .exactalg.poly import MultiPoly, _exact, _scaled_point
+from .measures import RatFunc
 from .roota import Weight, alpha_names, multichains, positive_roots, root_positions, seq_weight
 
 
@@ -550,18 +550,24 @@ def flag_data(rep: QuiverRep, primes=DEFAULT_PRIMES) -> dict:
 def flag_function(rep: QuiverRep, primes=DEFAULT_PRIMES, method="direct") -> RatFunc:
     """The rational function sum of chi(F_i) * Dbar_i over Seq(dim vector), for `rep` over Q.
 
-    method "direct" (the default) adds the Dbar_i as RatFuncs;
-    "interpolate" reconstructs the sum from values on a grid, which is
-    far slower at rank 5 and is kept as an independent route.
+    method "direct" (the default) sums in RatFuncs along the prefix trie of
+    the sequences (see flag_function_from_chi); "interpolate" reconstructs
+    the sum from values on a grid, which is far slower at rank 5 and is
+    kept as an independent route.
     """
     chi = flag_data(rep, primes)
     return flag_function_from_chi(rep.m, chi, method=method)
 
 
 def flag_function_from_chi(m: int, chi: dict, method="direct") -> RatFunc:
-    """Sum of chi[i] * Dbar_i, in sorted sequence order ("direct") or on a grid.
+    """Sum of chi[i] * Dbar_i, along the prefix trie of the sequences ("direct") or on a grid.
 
-    The sequences with nonzero chi must share one weight, else ValueError.
+    The sequences with nonzero chi must share one weight nu, else
+    ValueError.  The k-th factor 1/(beta_k - nu) of Dbar_seq depends only on
+    the prefix t = seq[:k], whose form beta(t) - nu has the letter counts of
+    t minus those of nu as alpha coordinates.  So the direct route gives each
+    sequence its chi, each shorter prefix the sum over its children divided
+    once by its form, and returns the value of the empty prefix.
     """
     if method not in ("direct", "interpolate"):
         raise ValueError(f"unknown flag-function method {method!r}")
@@ -572,24 +578,39 @@ def flag_function_from_chi(m: int, chi: dict, method="direct") -> RatFunc:
             raise ValueError(f"sequence {seq} does not have weight {nu}")
     if method == "interpolate" and chi:
         return _flag_function_interpolated(m, chi)
-    # an empty chi (every chi vanished; the zero module has chi {(): 1}) sums to 0
-    return sum((dbar_i(m, seq) * chi[seq] for seq in sorted(chi)), RatFunc.constant(alpha_names(m), 0))
+    names = alpha_names(m)
+    if not chi:  # every chi vanished; the zero module has chi {(): 1}
+        return RatFunc.constant(names, 0)
+    const, top = (0,) * (m - 1), nu.alpha_coords()
+    level = {}
+    for seq, c in chi.items():
+        c = _exact(c)
+        level[seq] = RatFunc._make(names, c.denominator, {const: c.numerator}, {})
+    for k in reversed(range(len(next(iter(chi))))):
+        sums = {}
+        for seq, f in level.items():
+            t = seq[:k]
+            sums[t] = sums[t] + f if t in sums else f
+        level = {t: f.divide_by_form(tuple(t.count(i) - n for i, n in enumerate(top, 1)))
+                 for t, f in sums.items()}
+    return level[()]
 
 
 def _flag_function_interpolated(m: int, chi: dict) -> RatFunc:
     """Reconstruct the flag function over a power of the all-roots denominator.
 
-    For mult = 1, 2, 3: interpolates the numerator (homogeneous, degree
-    mult * #roots - sequence length) from the sequence sum times the root
-    product to the mult on a tensor grid, then certifies the result at fresh
-    sample points.  A numerator that is not a polynomial of that degree
-    moves on to the next mult.  Every grid coordinate is positive, so no
-    root and no tail of a sequence vanishes there.
+    For mult = 1, 2, ... up to the largest power of a positive root in any
+    Dbar_i (see _root_power_bound): interpolates the numerator (homogeneous,
+    degree mult * #roots - sequence length) from the sequence sum times the
+    root product to the mult on a tensor grid, then certifies the result at
+    fresh sample points.  A numerator that is not a polynomial of that
+    degree moves on to the next mult.  Every grid coordinate is positive, so
+    no root and no tail of a sequence vanishes there.
     """
     names = alpha_names(m)
     roots = positive_roots(m)
     p_len = len(next(iter(chi)))
-    for mult in (1, 2, 3):
+    for mult in range(1, _root_power_bound(m, chi) + 1):
         num = _interpolate_homogeneous(
             names, mult * len(roots) - p_len,
             lambda pt: _flag_eval(m, chi, pt) * _roots_eval(m, pt) ** mult,
@@ -601,6 +622,27 @@ def _flag_function_interpolated(m: int, chi: dict) -> RatFunc:
             return candidate
     raise ArithmeticError("flag function does not clear against the root product "
                           f"(certificate: {_CERTIFY_TRIALS} random points, seed {_CERTIFY_SEED})")
+
+
+def _root_power_bound(m: int, chi: dict) -> int:
+    """The largest power of a positive root among the denominators of the Dbar_i, at least 1.
+
+    The factors of Dbar_seq are the tails seq[k:], keyed by their letter
+    counts over the counts' gcd; the sum's denominator holds a root no more
+    often than some Dbar_i does.  Tails that are not multiples of a root
+    (poles the root product cannot clear) do not count.
+    """
+    keys = {r.alpha_coords() for r in positive_roots(m)}
+    powers: dict = {}
+    for seq in chi:
+        tail = [0] * (m - 1)
+        for i in reversed(seq):
+            tail[i - 1] += 1
+            g = gcd(*tail)
+            key = tuple(c // g for c in tail)
+            if key in keys:
+                powers[seq, key] = powers.get((seq, key), 0) + 1
+    return max(powers.values(), default=1)
 
 
 def _flag_eval(m: int, chi: dict, alpha_values: dict) -> Fraction:

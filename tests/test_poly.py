@@ -29,7 +29,7 @@ from mvtk.exactalg import (
 )
 from mvtk.exactalg.linalg import identity
 from mvtk.measures import ExpSum, RatFunc, dbar_i, ft_i
-from mvtk.preproj import _flag_eval
+from mvtk.preproj import _flag_eval, flag_function_from_chi
 
 
 def test_parse_roundtrip():
@@ -130,6 +130,22 @@ def test_floats_are_refused():
             make()
     assert MultiPoly(vs, {(1, 0): Fraction(1, 10)}) * 10 == x
     assert dbar_i(3, (1, 2)).evaluate({"a1": Fraction(1, 10), "a2": 2}) == Fraction(5, 21)
+
+
+def test_strings_are_refused():
+    # Fraction('1/2') parses; exact arithmetic takes ints and Fractions only, as
+    # MultiPoly * '3' already did
+    r = dbar_i(3, (1, 2))
+    for make, text in (
+        (lambda: dbar_i(3, (1,)) * '3', "'3'"),
+        (lambda: r.evaluate({"a1": '1/2', "a2": 2}), "'1/2'"),
+        (lambda: r.num.evaluate({"a1": '1/2', "a2": 2}), "'1/2'"),
+        (lambda: flag_function_from_chi(3, {(1, 2): '1'}), "'1'"),
+    ):
+        with pytest.raises(TypeError, match=f"^str {text} in exact arithmetic"):
+            make()
+    with pytest.raises(TypeError):
+        r.num * '3'
 
 
 # -- the arithmetic kernel against sympy ----------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvtk import preproj
+from mvtk import measures, preproj
 from mvtk.exactalg import MultiPoly
 from mvtk.exactalg.linalg import rref
 from mvtk.measures import RatFunc, dbar_i
@@ -560,6 +560,89 @@ def test_flag_function_from_chi_rejects_mixed_weights(method, chi):
     assert flag_function_from_chi(3, {(2,): 0, (1,): 1}, method=method) == dbar_i(3, (1,))
 
 
+def _ref_flag_fold(m, chi):
+    """The direct route as it was, one Dbar_i per sequence summed in sorted order: the oracle."""
+    return sum((dbar_i(m, seq) * chi[seq] for seq in sorted(chi) if chi[seq]),
+               RatFunc.constant(alpha_names(m), 0))
+
+
+def _parts(r):
+    return r.d, r.terms, r.den
+
+
+# a relation among the Dbar_i of weight 2 alpha_1 + 2 alpha_2: below a prefix it makes the
+# prefix's sum vanish, and the assembly goes on with a zero
+_DBAR_RELATION = {(1, 2, 1, 2): -1, (1, 2, 2, 1): -2, (2, 1, 1, 2): 2, (2, 1, 2, 1): 1}
+
+
+@pytest.mark.parametrize("chi", [
+    {}, {(): 1}, {(1,): Fraction(-3, 7)},
+    {(1, 2): Fraction(1, 2), (2, 1): Fraction(-2, 3)},
+    {(1, 2, 2): Fraction(5, 4), (2, 1, 2): 0, (2, 2, 1): -Fraction(1, 6)},
+], ids=["empty", "empty-sequence", "one-letter", "fractions", "fractions-and-zero"])
+def test_trie_assembly_matches_the_fold(chi):
+    assert _parts(flag_function_from_chi(3, chi)) == _parts(_ref_flag_fold(3, chi))
+
+
+def test_trie_assembly_of_the_dbar_relation_is_zero():
+    assert flag_function_from_chi(3, _DBAR_RELATION).is_zero() and _ref_flag_fold(3, _DBAR_RELATION).is_zero()
+    # one letter behind the relation: the prefix (3,) sums to 0 inside the trie
+    chi = {(3,) + seq: c for seq, c in _DBAR_RELATION.items()} | {(1, 2, 3, 1, 2): 5}
+    assert _parts(flag_function_from_chi(4, chi)) == _parts(_ref_flag_fold(4, chi)) \
+        == _parts(dbar_i(4, (1, 2, 3, 1, 2)) * 5)
+
+
+def test_trie_assembly_matches_the_fold_on_random_chi():
+    # signs, zeros and sparse subsets of one weight's sequences; every third chi puts the
+    # relation behind a random prefix, whose sum is then 0
+    rng = random.Random(20261019)
+    for case in range(60):
+        m = 3 + case % 3
+        counts = [rng.randint(0, 2) for _ in range(m - 1)]
+        if case % 3 == 0:
+            counts[:2] = counts[0] + 2, counts[1] + 2
+        if not any(counts):
+            counts[rng.randrange(m - 1)] = 1
+        seqs = sequences(m, Weight.from_alpha(m, counts))
+        subset = rng.sample(seqs, min(len(seqs), rng.randint(1, 12)))
+        chi = {seq: rng.choice((-2, -1, 0, 1, 2, 3)) for seq in subset}
+        if case % 3 == 0:
+            rest = sequences(m, Weight.from_alpha(m, [counts[0] - 2, counts[1] - 2] + counts[2:]))
+            t = rng.choice(rest)
+            chi = {seq: c for seq, c in chi.items() if seq[:len(t)] != t}
+            chi.update({t + seq: c for seq, c in _DBAR_RELATION.items()})
+        assert _parts(flag_function_from_chi(m, chi)) == _parts(_ref_flag_fold(m, chi)), (m, chi)
+
+
+@pytest.mark.parametrize("case", ["a4", "a5-a2", "a5-a3"])
+def test_trie_assembly_matches_the_fold_on_the_examples(case):
+    m, rep = {"a4": (5, a4_module()), "a5-a2": (6, a5_module(2)), "a5-a3": (6, a5_module(3))}[case]
+    chi = flag_data(rep, primes=(5, 7, 11, 13))
+    assert _parts(flag_function_from_chi(m, chi)) == _parts(_ref_flag_fold(m, chi))
+
+
+def test_trie_assembly_divides_once_per_prefix(monkeypatch):
+    # the A5 chi: no Dbar_i is built (dbar_i and ft_i both build from _simplex_terms),
+    # one divide_by_form per proper prefix of a sequence, and one sum per sibling merge
+    chi = flag_data(a5_module(2), primes=(5, 7, 11, 13))
+    calls = {"_simplex_terms": 0, "divide_by_form": 0, "__add__": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(measures, "_simplex_terms")
+    counted(RatFunc, "divide_by_form")
+    counted(RatFunc, "__add__")
+    flag_function_from_chi(6, chi)
+    prefixes = {seq[:k] for seq in chi for k in range(len(seq))}
+    assert calls == {"_simplex_terms": 0, "divide_by_form": len(prefixes), "__add__": len(chi) - 1}
+
+
 def test_a4_flag_pattern_and_identity():
     M = a4_module()
     chi = flag_data(M, primes=(2, 3, 5))
@@ -633,15 +716,25 @@ def test_interpolated_flag_function_names_its_certificate(monkeypatch):
         flag_function_from_chi(3, chi, method="interpolate")
 
 
-@pytest.mark.parametrize("compute, key", [
+@pytest.mark.parametrize("compute, key, power", [
     (lambda method: flag_function(simple_module(4, 1).direct_sum(simple_module(4, 1)), method=method),
-     (1, 0, 0)),
-    (lambda method: flag_function_from_chi(4, {(2, 2): 2}, method=method), (0, 1, 0)),
-], ids=["S1+S1", "chi (2,2)"])
-def test_interpolated_flag_function_retries_the_next_multiplicity(compute, key):
-    # the sum is 1/a^2: times the root product it is no polynomial, times its square it is
-    expected = RatFunc(MultiPoly.constant(alpha_names(4), 1), {key: 2})
+     (1, 0, 0), 2),
+    (lambda method: flag_function_from_chi(4, {(2, 2): 2}, method=method), (0, 1, 0), 2),
+    (lambda method: flag_function_from_chi(4, {(1, 1, 1, 1): 24}, method=method), (1, 0, 0), 4),
+], ids=["S1+S1", "chi (2,2)", "chi S1^4"])
+def test_interpolated_flag_function_retries_the_next_multiplicity(compute, key, power):
+    # the sum is 1/a^power: times the root product to a lower power it is no polynomial
+    expected = RatFunc(MultiPoly.constant(alpha_names(4), 1), {key: power})
     assert compute("interpolate") == compute("direct") == expected
+
+
+@pytest.mark.parametrize("m, chi, bound", [
+    (3, {(): 1}, 1), (4, {(1, 1, 1, 1): 24}, 4), (4, {(2, 2): 2}, 2),
+    # tails 2, 2 2, 1 2 2 and 1 1 2 2: a2 twice, a1 + a2 once, and 1 2 is no root
+    (3, {(1, 1, 2, 2): 1}, 2), (5, {(1, 2, 3, 4): 1, (4, 3, 2, 1): 1}, 1),
+])
+def test_root_power_bound_reads_the_tails(m, chi, bound):
+    assert preproj._root_power_bound(m, chi) == bound
 
 
 @pytest.mark.parametrize("compute, c", [
