@@ -20,12 +20,14 @@ from collections.abc import Mapping, ValuesView
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, islice, repeat, product as iproduct
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 from .exactalg.linalg import coords, identity, inverse, mat_mul, mat_vec, null_space, rref
 from .exactalg.poly import MultiPoly, _exact, _scaled_point
 from .measures import RatFunc
-from .roota import Weight, alpha_names, multichains, positive_roots, root_positions, seq_weight
+from .roota import (
+    Weight, _counts, alpha_names, multichains, positive_roots, root_positions, seq_weight,
+)
 
 
 # -- the representations ----------------------------------------------------------
@@ -43,9 +45,10 @@ def arrow_pairs(m):
 class QuiverRep:
     """A module over the preprojective algebra of A_{m-1}.
 
-    `field` is 'Q' (Fraction entries) or a prime p (int entries mod p).
-    Matrices are stored as tuples of row tuples, shape (dim target, dim
-    source); missing arrows are zero.
+    `field` is 'Q' (Fraction entries) or a prime p (int entries mod p); any
+    other field, such as Z/4 or Z/9, is refused with ValueError.  Matrices
+    are stored as tuples of row tuples, shape (dim target, dim source);
+    missing arrows are zero.
     """
 
     def __init__(self, m, dims, maps, field="Q", check=True):
@@ -53,7 +56,7 @@ class QuiverRep:
         self.dims = tuple(int(d) for d in dims)
         if len(self.dims) != m - 1:
             raise ValueError("need one dimension per vertex 1..m-1")
-        self.field = field
+        self.field = _check_field(field)
         self.maps = {}
         for (i, j) in arrow_pairs(m):
             mat = maps.get((i, j))
@@ -117,6 +120,7 @@ class QuiverRep:
     def reduce_mod(self, p: int) -> "QuiverRep":
         if self.field != "Q":
             raise ValueError("already over a prime field")
+        _check_field(p)
         maps = {}
         for key, mat in self.maps.items():
             rows = []
@@ -148,6 +152,14 @@ class QuiverRep:
         return tuple(out)
 
 
+def _check_field(field):
+    """`field` if it is 'Q' or a prime; ValueError naming it otherwise."""
+    if field != "Q" and not (isinstance(field, int) and field > 1
+                             and all(field % d for d in range(2, isqrt(field) + 1))):
+        raise ValueError(f"field {field!r} is neither 'Q' nor a prime")
+    return field
+
+
 # -- submodule lattices ------------------------------------------------------------
 
 
@@ -159,7 +171,9 @@ class SubmoduleLattice:
     submodules of a submodule N are the N with the space U_i at one vertex
     i replaced by a hyperplane of U_i that contains the images of the
     arrows into i; the step depends only on the spaces at i - 1, i and i + 1,
-    and the search memoises it on them (see `_children`).  The search
+    and the search memoises it on them, and the span of those images on the
+    spaces at i - 1 and i + 1, for this search only (see `_children`).  The
+    field is a prime, as QuiverRep refuses any other.  The search
     reaches every submodule exactly when it reaches zero, i.e. when the
     module is nilpotent; otherwise it raises ValueError.  Every module over
     the preprojective algebra is nilpotent, but a QuiverRep built with
@@ -189,7 +203,7 @@ class SubmoduleLattice:
         rep = self.rep
         nv = rep.m - 1
         children = {}  # submodule -> [(codimension-1 submodule, letter)]
-        memo: dict = {}  # the step's hyperplanes, for this search only
+        memo: dict = {}  # the step's hyperplanes and spans, for this search only
         level = [_full_module(rep)]
         while level:
             lower = set()  # submodules one dimension down
@@ -388,7 +402,8 @@ def count_points(rep: QuiverRep, query, q: int) -> int:
     seq lists the simple quotients from the bottom up.  `rep` is over Q (it
     is reduced mod q) or over F_q.  The series are counted by peeling simple
     quotients off the top, memoised on the submodule reached, so the count
-    stays feasible on modules whose full submodule lattice would not.
+    stays feasible on modules whose full submodule lattice would not.  A
+    letter outside 1..m-1 raises ValueError.
     """
     if not (isinstance(query, tuple) and len(query) == 2 and query[0] == "compseries"):
         raise ValueError(f"count_points answers the query ('compseries', seq) only, not {query!r}")
@@ -397,13 +412,10 @@ def count_points(rep: QuiverRep, query, q: int) -> int:
     elif rep.field != q:
         raise ValueError(f"rep is over F_{rep.field}, so it has no points over F_{q}")
     seq = tuple(query[1])
-    letters = [0] * (rep.m - 1)
-    for i in seq:
-        letters[i - 1] += 1
-    if tuple(letters) != rep.dims:
+    if tuple(_counts(seq, rep.m - 1, "letter")) != rep.dims:
         return 0
 
-    memo: dict = {}  # the step's hyperplanes, for this count only
+    memo: dict = {}  # the step's hyperplanes and spans, for this count only
 
     @cache
     def rec(state, k):  # series of type seq[:k] up to the submodule `state`
@@ -423,39 +435,51 @@ def _children(rep: QuiverRep, sub, i: int, memo: dict):
     """The codimension-1 submodules of `sub` with quotient the simple at vertex i.
 
     `sub` holds one rref tuple per vertex.  A child replaces the space U_i
-    by a hyperplane of U_i that contains the images of the arrows into i.
-    In coordinates on U_i such a hyperplane is the kernel of a functional
-    phi that vanishes on those images: one per projective point of their
-    annihilator.  Each child is yielded whole, as `sub` with U_i replaced.
+    by a hyperplane of U_i that contains W, the span of the images of
+    U_{i-1} and U_{i+1} under the arrows into i.  W is built once, as an
+    rref in the coordinates of M_i, and c = dim U_i - dim W decides:
 
-    The arrows into i come from i +- 1, so the hyperplanes depend only on
-    U_{i-1}, U_i and U_{i+1}; `memo`, one dict per walk, keeps them under
-    that key.  With t the last index where phi_t != 0, the rows row_j -
-    (phi_j / phi_t) row_t (j != t) are already the rref of ker phi: row_t
-    is zero left of its pivot and at the other pivots, and phi_j = 0 for j > t.
+    - c <= 0: no child.  If W lies in U_i, then W = U_i and no hyperplane
+      contains it; otherwise an image leaves U_i.
+    - c >= 1: if a row of W lies outside U_i (`coords` is None), no child.
+      At c = 1 the one child's space is W itself, whose rref is canonical.
+      At c >= 2 a hyperplane is the kernel of a functional phi on U_i that
+      vanishes on W: one per projective point of the annihilator of W's
+      coordinates.  With t the last index where phi_t != 0, the rows row_j
+      - (phi_j / phi_t) row_t (j != t) are already the rref of ker phi:
+      row_t is zero left of its pivot and at the other pivots, and phi_j =
+      0 for j > t (`_kernel_rref`).
+
+    Each child is yielded whole, as `sub` with U_i replaced.  `memo`, one
+    dict per walk, keeps the hyperplanes under (i, U_{i-1}, U_i, U_{i+1}),
+    on which alone they depend, and W, under "spans", per (i, U_{i-1},
+    U_{i+1}).
     """
     key = (i,) + sub[max(i - 2, 0) : i + 1]
     if key not in memo:
         memo[key] = hyperplanes = []
-        p = rep.field
-        space = sub[i - 1]
-        w_rows = []
-        for v in (i - 1, i + 1):
-            if 1 <= v < rep.m:
-                mat = rep.maps[(v, i)]
-                for row in sub[v - 1]:
-                    img = mat_vec(mat, row, p)
-                    if any(img):
-                        c = coords(img, space, p)
-                        if c is None:
-                            return  # an image leaves U_i: no invariant hyperplane
-                        w_rows.append(c)
-        ann = null_space(w_rows, len(space), p)
-        ann_cols = tuple(zip(*ann))
-        for lead in reversed(range(len(ann))):  # projective points, first nonzero 1
-            for rest in iproduct(range(p), repeat=len(ann) - lead - 1):
-                point = (0,) * lead + (1,) + rest
-                hyperplanes.append(_kernel_rref(space, mat_vec(ann_cols, point, p), p))
+        p, space = rep.field, sub[i - 1]
+        spans = memo.setdefault("spans", {})
+        around = (i, sub[i - 2] if i > 1 else None, sub[i] if i < rep.m - 1 else None)
+        if around not in spans:
+            spans[around] = rref([mat_vec(rep.maps[(v, i)], row, p) for v in (i - 1, i + 1)
+                                  if 1 <= v < rep.m for row in sub[v - 1]], p)
+        span = spans[around]
+        c = len(space) - len(span)
+        if c <= 0:
+            return
+        w_rows = [coords(row, space, p) for row in span]
+        if None in w_rows:
+            return
+        if c == 1:
+            hyperplanes.append(span)
+        else:
+            ann = null_space(w_rows, len(space), p)
+            ann_cols = tuple(zip(*ann))
+            for lead in reversed(range(c)):  # projective points, first nonzero 1
+                for rest in iproduct(range(p), repeat=c - lead - 1):
+                    point = (0,) * lead + (1,) + rest
+                    hyperplanes.append(_kernel_rref(space, mat_vec(ann_cols, point, p), p))
     head, tail = sub[: i - 1], sub[i:]
     for h in memo[key]:
         yield head + (h,) + tail
@@ -515,8 +539,12 @@ DEFAULT_PRIMES = (2, 3, 5, 7)
 
 
 def _reductions(rep: QuiverRep, primes):
-    """(p, rep mod p) for each of `primes` that divides no entry denominator of `rep`."""
+    """(p, rep mod p) for each of `primes` that divides no entry denominator of `rep`.
+
+    A non-prime raises ValueError; only a prime that divides a denominator is skipped.
+    """
     for p in primes:
+        _check_field(p)
         try:
             yield p, rep.reduce_mod(p)
         except ValueError:

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from mvtk import measures, preproj
 from mvtk.exactalg import MultiPoly
-from mvtk.exactalg.linalg import rref
+from mvtk.exactalg.linalg import coords, mat_vec, null_space, rref
 from mvtk.measures import RatFunc, dbar_i
 from mvtk.preproj import (
     QuiverRep,
     SubmoduleLattice,
+    _children,
     _kernel_rref,
     brick_module,
     count_points,
@@ -393,6 +394,110 @@ def test_kernel_rref_matches_the_rref_oracle(case):
     p, space, phi = case
     oracle = rref([(f,) + row for f, row in zip(phi, space)], p)
     assert _kernel_rref(space, phi, p) == tuple(row[1:] for row in oracle[1:])
+
+
+# -- the lattice step against its per-image predecessor ----------------------------
+
+
+def _ref_children(rep, sub, i):
+    """The children as the step built them before it read them off the span W:
+    the coordinates in U_i of each arrow image, solved one image at a time, then
+    the null space and one `_kernel_rref` per projective point."""
+    p, space = rep.field, sub[i - 1]
+    w_rows = []
+    for v in (i - 1, i + 1):
+        if 1 <= v < rep.m:
+            mat = rep.maps[(v, i)]
+            for row in sub[v - 1]:
+                img = mat_vec(mat, row, p)
+                if any(img):
+                    c = coords(img, space, p)
+                    if c is None:
+                        return []
+                    w_rows.append(c)
+    ann = null_space(w_rows, len(space), p)
+    ann_cols = tuple(zip(*ann))
+    out = []
+    for lead in reversed(range(len(ann))):
+        for rest in iproduct(range(p), repeat=len(ann) - lead - 1):
+            point = (0,) * lead + (1,) + rest
+            h = _kernel_rref(space, mat_vec(ann_cols, point, p), p)
+            out.append(sub[: i - 1] + (h,) + sub[i:])
+    return out
+
+
+@pytest.mark.parametrize("name, q", [("a4", 2), ("a4", 3), ("i52_i53", 2), ("i52_i53", 3)])
+def test_children_match_the_per_image_oracle(name, q):
+    # every (node, vertex) of the lattice, in one walk memo, so later calls hit it
+    build = {"a4": a4_module, "i52_i53": lambda: injective_pair(5, 2, 3)}[name]
+    rep = build().reduce_mod(q)
+    memo = {}
+    for sub in SubmoduleLattice(rep).subs:
+        for i in range(1, rep.m):
+            assert list(_children(rep, sub, i, memo)) == _ref_children(rep, sub, i), (sub, i)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_children_at_codimension_three(p):
+    # S_1^3: nothing maps into vertex 1, so W = 0 and U_1 = F_p^3 has (p^3 - 1)/(p - 1)
+    # hyperplanes; each of them, of codimension 2 over W, has p + 1
+    rep = QuiverRep(3, (3, 0), {}, field=p)
+    full = preproj._full_module(rep)
+    kids = list(_children(rep, full, 1, {}))
+    assert kids == _ref_children(rep, full, 1)
+    assert len(set(kids)) == (p**3 - 1) // (p - 1)
+    for kid in kids:
+        assert list(_children(rep, kid, 1, {})) == _ref_children(rep, kid, 1)
+        assert len(_ref_children(rep, kid, 1)) == p + 1
+    assert len(SubmoduleLattice(rep).subs) == 2 + 2 * (p**2 + p + 1)
+
+
+@pytest.mark.parametrize("sub", [
+    (((0, 1, 0), (0, 0, 1)), ((1,),)),  # c = 1, W = <e1> is not in U_1 = <e2, e3>
+    (((0, 1, 0),), ((1,),)),            # c = 0
+    ((), ((1,),)),                      # c = -1
+])
+def test_children_of_a_tuple_that_is_no_submodule(sub):
+    # the arrow 2 -> 1 maps M_2 onto <e1>, which leaves U_1: neither route yields a child
+    rep = QuiverRep(3, (3, 1), {(2, 1): ((1,), (0,), (0,))}, field=3)
+    assert list(_children(rep, sub, 1, {})) == []
+    assert _ref_children(rep, sub, 1) == []
+
+
+@pytest.mark.parametrize("q, spans", [(2, 171), (3, 256), (5, 480)])
+def test_lattice_walk_builds_one_span_per_neighbourhood(q, spans, monkeypatch):
+    # one rref, the span W, per distinct (i, U_{i-1}, U_{i+1}) that the walk visits
+    built = []
+    monkeypatch.setattr(preproj, "rref", lambda rows, p: built.append(p) or rref(rows, p))
+    rep = injective_pair(6, 2, 4).reduce_mod(q)
+    lat = SubmoduleLattice(rep)
+    nv = rep.m - 1
+    around = {(i, sub[max(i - 2, 0) : i - 1], sub[i : i + 1])
+              for sub in lat.subs for i in range(1, nv + 1)}
+    assert len(built) == len(around) == spans
+
+
+@pytest.mark.parametrize("seq, letter", [((0,), 0), ((3,), 3), ((-1,), -1), ((2, 0), 0)])
+def test_count_points_refuses_a_letter_outside_the_diagram(seq, letter):
+    # before, (0,) raised KeyError, (3,) IndexError, and (-1,) counted 0
+    rep = QuiverRep(3, (0, 1), {})
+    with pytest.raises(ValueError, match=f"letter {letter} is not in 1..2"):
+        count_points(rep, ("compseries", seq), 3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: QuiverRep(3, (0, 1), {}, field=4),
+    lambda: QuiverRep(3, (0, 1), {}, field=9, check=False),
+    lambda: QuiverRep(3, (0, 1), {}).reduce_mod(4),
+    lambda: QuiverRep(3, (0, 1), {}).reduce_mod(0),
+    lambda: QuiverRep(3, (0, 1), {}).reduce_mod(1),
+    lambda: count_points(QuiverRep(3, (0, 1), {}), ("compseries", (2,)), 4),
+    lambda: flag_data(injective_module(4, 2), primes=(4, 6, 9, 5)),
+    lambda: flag_data(injective_module(4, 2), primes=(2, 3, 5, 9)),
+], ids=["rep-4", "rep-9", "reduce-4", "reduce-0", "reduce-1", "count-4", "flag-4", "flag-9"])
+def test_a_field_that_is_not_prime_is_refused(make):
+    with pytest.raises(ValueError, match=r"field (4|9|0|1) is neither 'Q' nor a prime"):
+        make()
 
 
 def test_composition_series_counts_memory_at_scale():
