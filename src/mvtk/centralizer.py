@@ -221,6 +221,9 @@ def dbar_direct(f: CoordFunction, x) -> Fraction:
 
 
 def eval_ratfunc_at_x(r: RatFunc, x) -> Fraction:
+    """r at the alpha values of x, a point with one more entry than r has variables."""
+    if len(x) != len(r.variables) + 1:
+        raise ValueError(f"a point of length {len(r.variables) + 1} is needed, not {x!r}")
     return r.evaluate(dict(zip(alpha_names(len(x)), _alpha_values(x))))
 
 

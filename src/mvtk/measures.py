@@ -17,14 +17,11 @@ a product multiplies the integer polynomials over d_a*d_b, and one gcd
 brings the result to lowest terms; no Fraction is made, and the MultiPoly
 `num` is built only when it is read.  The numerator is kept cancelled
 against the denominator, never by a general multivariate gcd: a factor f is
-divided out of terms by exact integer division, tried only when terms
-vanishes at a fixed point of the hyperplane f = 0 over F_P.  A nonzero
-value there proves that f does not divide num: if num = f*q, then
-terms = f*(d*q) with d*q integral by Gauss's lemma (f is primitive), so
-terms vanishes mod P wherever f does, whatever P divides.  No prime is
-skipped.  By the same lemma the quotient is integral, so the division stops
-at the first coefficient that f's leading entry does not divide.  So each
-rational function has one (d, terms, den), and equality compares them.
+divided out of terms by exact integer trial division (_divide_by_form).
+If num = f*q, then terms = f*(d*q) with d*q integral by Gauss's lemma (f is
+primitive), so the division fails only when f does not divide num.  So
+each rational function has one (d, terms, den), and equality compares
+them.
 
 Only a key that can divide the result is tested.  Z[x] is a UFD, and
 distinct keys are non-associate primes, none dividing either operand's
@@ -42,7 +39,6 @@ on exponents.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 from operator import mul
 
@@ -74,7 +70,6 @@ def _form_key(form, n: int):
     return tuple(c // g for c in form), g
 
 
-@lru_cache(maxsize=4096)
 def _form_poly(key: tuple, variables: tuple) -> MultiPoly:
     """The linear form of a denominator key, as a polynomial."""
     n = len(key)
@@ -127,99 +122,22 @@ def _divide_by_form(terms: dict, key: tuple):
     return quo
 
 
-# The hyperplane test of _divide_out runs over F_P at a fixed point; the
-# point and the prime affect only how often it must fall back to division.
-_P = (1 << 61) - 1
-
-
-@lru_cache(maxsize=16)
-def _base_point(n: int) -> tuple:
-    # powers of one constant, not multiples of it: a homogeneous numerator at
-    # c * (1, ..., n) is its value at small integers, which can vanish by structure
-    return tuple(pow(0x9E3779B97F4A7C15, k + 1, _P) for k in range(n))
-
-
-@lru_cache(maxsize=64)
-def _powers(n: int, deg: int) -> tuple:
-    """Powers 0..deg of each base-point coordinate mod _P."""
-    return tuple(tuple(pow(x, e, _P) for e in range(deg + 1)) for x in _base_point(n))
-
-
-def _residues(terms: dict) -> list:
-    """An integer polynomial's terms at the base point mod _P, summed by exponent.
-
-    Entry j lists, for each e, the sum of the values of the terms with x_j^e.
-    """
-    deg = max(map(sum, terms))
-    pw = _powers(len(next(iter(terms))), deg)
-    sums = [[0] * (deg + 1) for _ in pw]
-    for mon, r in terms.items():
-        for e, p in zip(mon, pw):
-            if e:
-                r *= p[e]
-        r %= _P
-        for e, by_exponent in zip(mon, sums):
-            by_exponent[e] += r
-    return sums
-
-
-@lru_cache(maxsize=4096)
-def _hyperplane_point(key: tuple):
-    """(j, x_j / b_j) for the point of key = 0 that differs from the base point b
-    only in coordinate j, the first nonzero entry of key; None when _P divides key[j]."""
-    j = next(k for k, c in enumerate(key) if c)
-    if key[j] % _P == 0:
-        return None
-    base = _base_point(len(key))
-    rest = sum(c * b for k, (c, b) in enumerate(zip(key, base)) if k != j)
-    return j, -rest * pow(key[j] * base[j], -1, _P) % _P
-
-
-def _off_hyperplane(residues, key: tuple) -> bool:
-    """True when num, given by its residues, is nonzero at a point of key = 0 mod _P.
-
-    At the point of _hyperplane_point each term's value at the base point
-    is rescaled by (x_j / b_j)^e_j, so the value is a polynomial in that
-    ratio with the sums by exponent of x_j as coefficients.  The test is
-    skipped (False) when _P divides key[j].
-    """
-    point = _hyperplane_point(key)
-    if point is None:
-        return False
-    j, ratio = point
-    total = 0
-    for s in reversed(residues[j]):
-        total = (total * ratio + s) % _P
-    return total != 0
-
-
 def _divide_out(terms: dict, den: dict, keys) -> dict:
     """terms divided by each of `keys` as often as it divides (terms itself if none does).
 
     `keys` holds every key of den that can divide terms (see the module
-    docstring), and den's multiplicities are lowered in place.  A key is
-    divided only after terms vanishes at the hyperplane test's point;
-    neither the point nor _P decides a result.
+    docstring), and den's multiplicities are lowered in place.
     """
     if not keys or len(terms) == 1 and not any(next(iter(terms))):  # no key, or a constant
         return terms
-    residues = None
     for key in keys:
-        mult = left = den[key]
-        while left:
-            if residues is None:
-                residues = _residues(terms)
-            if _off_hyperplane(residues, key):
-                break
-            quo = _divide_by_form(terms, key)
-            if quo is None:
-                break
-            terms, residues = quo, None
-            left -= 1
-        if not left:
-            del den[key]
-        elif left != mult:
+        left = den[key]
+        while left and (quo := _divide_by_form(terms, key)) is not None:
+            terms, left = quo, left - 1
+        if left:
             den[key] = left
+        else:
+            del den[key]
     return terms
 
 
@@ -533,17 +451,19 @@ class ExpSum:
         """Evaluate at a regular point x (trace-zero tuple) and torus point t.
 
         e^{-beta} evaluates to prod t_i^{-beta_i} using the sum-zero
-        integer representative of beta.  Floats in x or t are refused.
+        integer representative of beta.  Floats in x or t are refused, as
+        are an x or t of a length other than m and a t with a zero entry.
         """
+        if len(x) != self.m or len(t) != self.m:
+            raise ValueError(f"x and t need {self.m} entries each, not {x!r} and {t!r}")
         values = dict(zip(alpha_names(self.m), _alpha_values(x)))
-        t = [_exact(ti) for ti in t]
+        tvals = [_exact(ti) for ti in t]
+        if not all(tvals):
+            raise ValueError(f"the torus point {t!r} has a zero entry")
         total = Fraction(0)
         for b, c in self.coeffs.items():
             shift = sum(b.entries) // b.m
-            exps = [e - shift for e in b.entries]
-            tpow = Fraction(1)
-            for e, ti in zip(exps, t):
-                tpow *= ti ** (-e)
+            tpow = prod([ti ** (shift - e) for e, ti in zip(b.entries, tvals)], start=Fraction(1))
             total += tpow * c.evaluate(values)
         return total
 
@@ -570,11 +490,14 @@ def ft_total_mass(e: ExpSum, p: int, direction=None) -> Fraction:
     Substituting alpha_i = c_i t turns each coefficient into a Laurent
     series in t; for the transform of a length-p sequence measure the limit
     is the coefficient of t^0, computed from truncated exponential series.
-    The result should be the simplex volume 1/p!.
+    The result should be the simplex volume 1/p!.  A direction has m - 1
+    entries and lies on no denominator form's hyperplane.
     """
     m = e.m
     if direction is None:
         direction = tuple(range(1, m))  # generic positive integers
+    elif len(direction) != m - 1:
+        raise ValueError(f"a direction has {m - 1} entries, not {direction!r}")
     # evaluate sum_j exp(-b_j t)/prod(c_k - c_j) * t^{-p}: collect t^p coefficient
     total = Fraction(0)
     for b, coeff in e.coeffs.items():
@@ -584,6 +507,8 @@ def ft_total_mass(e: ExpSum, p: int, direction=None) -> Fraction:
         if cnum is None or len(coeff.terms) != 1:
             raise ValueError("total-mass check expects simplex transforms")
         forms_val = prod(sum(map(mul, key, direction)) ** mult for key, mult in coeff.den.items())
+        if not forms_val:
+            raise ValueError(f"a denominator form vanishes on the direction {direction!r}")
         if sum(coeff.den.values()) != p:
             raise ValueError("coefficient is not a pure degree -p term")
         # <b, x> at the point x with alpha(x) = direction

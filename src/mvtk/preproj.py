@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, islice, repeat, product as iproduct
 from math import gcd, isqrt, lcm, prod
+from numbers import Integral
 
 from .exactalg.linalg import coords, identity, inverse, mat_mul, mat_vec, null_space, rref
 from .exactalg.poly import MultiPoly, _exact, _scaled_point
@@ -78,7 +79,9 @@ class QuiverRep:
 
     def _coerce(self, v):
         if self.field == "Q":
-            return Fraction(v)
+            return _exact(v)
+        if not isinstance(v, (int, Integral)):   # int first: the ABC check is slow
+            raise TypeError(f"{type(v).__name__} {v!r} as an entry over F_{self.field}; pass an int")
         return int(v) % self.field
 
     def relation_holds(self):

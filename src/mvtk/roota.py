@@ -14,7 +14,7 @@ from itertools import accumulate, combinations
 from math import factorial
 from operator import add, neg
 
-from .exactalg.poly import MultiPoly
+from .exactalg.poly import MultiPoly, _exact
 
 
 def alpha_names(m: int) -> tuple:
@@ -100,6 +100,8 @@ class Weight:
         return Weight._make(tuple(map(neg, self.entries)))
 
     def __mul__(self, k: int) -> "Weight":
+        if not isinstance(k, int):
+            raise TypeError(f"{type(k).__name__} {k!r} scales a weight; pass an int")
         return Weight._make(tuple([a * k for a in self.entries]))
 
     __rmul__ = __mul__
@@ -159,11 +161,8 @@ class Weight:
         return MultiPoly(names, terms)
 
     def pair(self, point) -> Fraction:
-        """Evaluate the linear form at x in the trace-zero Cartan, exactly."""
-        total = Fraction(0)
-        for e, x in zip(self.entries, point):
-            total += e * Fraction(x)
-        return total
+        """Evaluate the linear form at x in the trace-zero Cartan, exactly: ints and Fractions."""
+        return sum([e * _exact(x) for e, x in zip(self.entries, point)], Fraction(0))
 
     def __repr__(self):
         return f"Weight({list(self.entries)})"

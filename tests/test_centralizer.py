@@ -450,3 +450,10 @@ def test_unitriangular_inverse():
     n = solve_nx(4, (Fraction(5), Fraction(2), Fraction(-1), Fraction(-6)))
     inv = inverse(n)
     assert mat_mul(n, inv) == identity(4)
+
+
+@pytest.mark.parametrize("x", [(1, 2), (1, 2, 3, -6)])
+def test_eval_ratfunc_at_x_refuses_a_point_of_the_wrong_length(x):
+    # before, (1, 2) raised KeyError: 'a2' and (1, 2, 3, -6) dropped the last entry
+    with pytest.raises(ValueError, match="a point of length 3 is needed"):
+        eval_ratfunc_at_x(dbar_i(3, (1, 2)), x)

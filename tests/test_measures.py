@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import factorial, gcd, prod
+from math import factorial, gcd
 from operator import sub
 
 import pytest
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from mvtk import measures
 from mvtk.exactalg import MultiPoly
-from mvtk.exactalg.poly import _integer_terms
 from mvtk.measures import (
     ExpSum,
     RatFunc,
@@ -385,6 +384,29 @@ def test_total_mass_along_other_rays():
             assert ft_total_mass(e, len(seq), direction) == Fraction(1, factorial(len(seq)))
 
 
+@pytest.mark.parametrize("direction, text", [
+    ((1,), r"a direction has 3 entries, not \(1,\)"),
+    ((1, 2, 3, 4), r"a direction has 3 entries, not \(1, 2, 3, 4\)"),
+    ((1, -1, 3), r"a denominator form vanishes on the direction \(1, -1, 3\)"),
+])
+def test_total_mass_refuses_a_bad_direction(direction, text):
+    # before, (1,) raised ZeroDivisionError and (1, 2, 3, 4) was truncated to (1, 2, 3)
+    with pytest.raises(ValueError, match=text):
+        ft_total_mass(ft_i(4, (1, 2)), 2, direction)
+
+
+@pytest.mark.parametrize("x, t, text", [
+    ((1, 2, 3, -6), (1, 2, 3), "x and t need 4 entries each"),
+    ((1, 2, -3), (1, 2, 3, 4), "x and t need 4 entries each"),
+    ((1, 2, 3, 4, -10), (1, 2, 3, 4, 5), "x and t need 4 entries each"),
+    ((1, 2, 3, -6), (1, 0, 3, 4), r"the torus point \(1, 0, 3, 4\) has a zero entry"),
+])
+def test_expsum_evaluate_refuses_a_bad_point(x, t, text):
+    # before, a t of length 3 gave 0 and an x of length 3 raised KeyError: 'a3'
+    with pytest.raises(ValueError, match=text):
+        ft_i(4, (1, 2)).evaluate(x, t)
+
+
 def test_expsum_serialization():
     e = ft_i(3, (1,))
     data = e.serialize()
@@ -464,7 +486,7 @@ def test_ratfunc_results_keep_the_invariant(x, y, c):
     assert (a * 0).den == {} and (a - a).den == {}
 
 
-# -- the hyperplane test of _divide_out -----------------------------------------
+# -- trial division in _divide_out -----------------------------------------------
 
 # primitive keys, first nonzero entry positive, as RatFunc.den holds them
 _KEYS = st.tuples(*[st.integers(-4, 4)] * 3).filter(any).map(
@@ -479,15 +501,11 @@ _QUOTIENTS = st.dictionaries(
 
 @_PROPERTY_SETTINGS
 @given(_KEYS, _QUOTIENTS, st.integers(1, 2))
-def test_hyperplane_test_never_rejects_a_multiple(key, q, k):
-    # q has fractional coefficients: the test reads D * num, D the lcm of
-    # their denominators, which vanishes on key = 0 mod _P by Gauss's lemma
+def test_a_multiple_of_a_form_cancels_it(key, q, k):
+    # q has fractional coefficients: the division reads D * num, D the lcm of
+    # their denominators, and D * q is integral, so each of the k trials is exact
     form = measures._form_poly(key, q.variables)
-    num = form**k * q
-    if not num.is_zero():
-        _, terms = _integer_terms(num.terms)
-        assert not measures._off_hyperplane(measures._residues(terms), key)
-    assert RatFunc(num, {key: k}) == RatFunc.from_poly(q)
+    assert RatFunc(form**k * q, {key: k}) == RatFunc.from_poly(q)
 
 
 def _sums_of_all_short_words(m):
@@ -541,37 +559,6 @@ def test_sums_cancel_as_when_every_key_is_tested(x, y, z):
     with pytest.MonkeyPatch.context() as mp:
         _test_every_key(mp)
         assert _parts(sums()) == _parts(candidates)
-
-
-def _ref_residues(terms):
-    """_residues with each power computed in the call."""
-    base = measures._base_point(len(next(iter(terms))))
-    sums = [[0] * (max(map(sum, terms)) + 1) for _ in base]
-    for mon, c in terms.items():
-        r = c * prod(pow(x, e, measures._P) for x, e in zip(base, mon)) % measures._P
-        for e, by_exponent in zip(mon, sums):
-            by_exponent[e] += r
-    return sums
-
-
-def test_residues_read_the_cached_powers_correctly():
-    # 5, 9 and 12 are degrees above every earlier call; 9 and 1 are read again
-    measures._powers.cache_clear()
-    for deg in (2, 1, 5, 3, 9, 9, 12, 0):
-        for n in (1, 3):
-            terms = {tuple(deg if k == j else 0 for k in range(n)): -7 + j for j in range(n)}
-            terms[(0,) * n] = 3
-            terms[(1,) + (0,) * (n - 1)] = 2**70
-            assert measures._residues(terms) == _ref_residues(terms)
-    assert measures._powers.cache_info().hits > 0
-
-
-def test_hyperplane_test_changes_no_sum(monkeypatch):
-    # with the test off, _divide_out tries every division: the results must not change
-    on = _sums_of_all_short_words(4)
-    monkeypatch.setattr(measures, "_off_hyperplane", lambda residues, key: False)
-    off = _sums_of_all_short_words(4)
-    assert [(r.num, r.den) for r in on] == [(r.num, r.den) for r in off]
 
 
 # -- the integer arithmetic against sympy.cancel --------------------------------

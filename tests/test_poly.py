@@ -29,7 +29,8 @@ from mvtk.exactalg import (
 )
 from mvtk.exactalg.linalg import identity
 from mvtk.measures import ExpSum, RatFunc, dbar_i, ft_i
-from mvtk.preproj import _flag_eval, flag_function_from_chi
+from mvtk.preproj import QuiverRep, _flag_eval, flag_function_from_chi
+from mvtk.roota import Weight
 
 
 def test_parse_roundtrip():
@@ -115,6 +116,12 @@ def test_floats_are_refused():
         lambda: ft_i(3, (1,)).evaluate((1, 0, -1), (1, 0.5, 3)),
         lambda: ExpSum(3, {}).evaluate((1, 0, -1), (1, 0.5, 3)),
         lambda: _flag_eval(3, {(1, 2): 1}, {"a1": 0.1, "a2": 2}),
+        # weights and module entries: a weight's entries are ints, a module's exact
+        lambda: Weight([1, 0, 0]) * 0.5,
+        lambda: 0.5 * Weight([1, 0, 0]),
+        lambda: Weight([1, 0, 0]).pair((0.5, 0, -0.5)),
+        lambda: QuiverRep(3, (1, 1), {(2, 1): [[0.1]]}),
+        lambda: QuiverRep(3, (1, 1), {(2, 1): [[0.5]]}, field=5),
         # the points of the centralizer's n_x, psi and Weyl witness
         lambda: eval_ratfunc_at_x(dbar_i(3, (1, 2)), (0.1, 0, -0.1)),
         lambda: psi_eval((0.5, 0, -0.5), (1, 2, 3)),
@@ -141,6 +148,8 @@ def test_strings_are_refused():
         (lambda: r.evaluate({"a1": '1/2', "a2": 2}), "'1/2'"),
         (lambda: r.num.evaluate({"a1": '1/2', "a2": 2}), "'1/2'"),
         (lambda: flag_function_from_chi(3, {(1, 2): '1'}), "'1'"),
+        (lambda: Weight([1, 0, 0]).pair(('1/2', 0, 0)), "'1/2'"),
+        (lambda: QuiverRep(3, (1, 1), {(2, 1): [['1/3']]}), "'1/3'"),
     ):
         with pytest.raises(TypeError, match=f"^str {text} in exact arithmetic"):
             make()

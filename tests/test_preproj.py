@@ -500,6 +500,13 @@ def test_a_field_that_is_not_prime_is_refused(make):
         make()
 
 
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(3), "1"])
+def test_an_entry_over_a_prime_field_is_an_integer(entry):
+    # before, int(entry) % 5 was stored: Fraction(1, 2) became 0 (floats are in test_poly)
+    with pytest.raises(TypeError, match=f"^{type(entry).__name__} .* as an entry over F_5"):
+        QuiverRep(3, (1, 1), {(2, 1): [[entry]]}, field=5)
+
+
 def test_composition_series_counts_memory_at_scale():
     # the join stays factored: no table of the 652,510 sequences is built
     lat = SubmoduleLattice(injective_pair(6, 2, 4).reduce_mod(2))

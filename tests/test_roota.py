@@ -310,3 +310,13 @@ def test_multichains_match_brute_force(poset, n):
 def test_minuscule_rejects_bad_gamma():
     with pytest.raises(ValueError):
         minuscule_chains(4, 2, (1, 1), 1)
+
+
+@pytest.mark.parametrize("k", [0.5, Fraction(1, 2), Fraction(2)])
+def test_a_weight_is_scaled_by_ints_only(k):
+    # before, * 0.5 gave entries (0.5, 0.0, 0.0) and * Fraction(1, 2) gave (1/2, 0, 0):
+    # no longer int entries
+    for scale in (lambda w: w * k, lambda w: k * w):
+        with pytest.raises(TypeError, match="scales a weight; pass an int"):
+            scale(Weight([1, 0, 0]))
+    assert Weight([1, 0, 0]) * 3 == 3 * Weight([1, 0, 0]) == Weight([3, 0, 0])
