@@ -28,7 +28,7 @@ from functools import cache
 from math import lcm
 
 from .exactalg.linalg import identity, inverse, mat_mul, solve
-from .exactalg.poly import MultiPoly, _exact
+from .exactalg.poly import MultiPoly, _exact, _reduced
 from .measures import ExpSum, RatFunc, _alpha_values
 from .roota import Weight, alpha_names, lusztig_weight, root_positions
 
@@ -68,7 +68,7 @@ class CoordFunction:
         return cls(m, MultiPoly.var(entry_names(m), f"n{i}{j}"))
 
     def _homogeneous_weight(self) -> Weight:
-        weights = {lusztig_weight(self.m, mon) for mon in self.poly.terms} or {Weight.zero(self.m)}
+        weights = {lusztig_weight(self.m, mon) for mon in self.poly.ints} or {Weight.zero(self.m)}
         if len(weights) > 1:
             raise ValueError("polynomial is not weight-homogeneous")
         return weights.pop()
@@ -177,7 +177,7 @@ def _derivatives(m: int, f: MultiPoly, left: bool):
     positions = entry_positions(m)
     index = {pos: v for v, pos in enumerate(positions)}
     out: dict = {}
-    for mon, c in f.terms.items():
+    for mon, c in f.ints.items():
         for v, e in enumerate(mon):
             if e:
                 i, j = positions[v]
@@ -190,9 +190,9 @@ def _derivatives(m: int, f: MultiPoly, left: bool):
                 terms = out.setdefault(letter, {})
                 terms[new] = terms.get(new, 0) + c * e
     for i in sorted(out):
-        terms = {mon: c for mon, c in out[i].items() if c}
-        if terms:
-            yield i, MultiPoly._make(f.variables, terms)
+        ints = {mon: c for mon, c in out[i].items() if c}
+        if ints:  # over f's d; the exponent factors can share a prime with it
+            yield i, MultiPoly._make(f.variables, *_reduced(f.d, ints))
 
 
 # -- Dbar two ways ----------------------------------------------------------------
@@ -206,9 +206,8 @@ def dbar_of_function(f: CoordFunction) -> RatFunc:
 
     @cache  # per call: one entry per polynomial of the U(n)-module that f generates
     def dbar(g: MultiPoly, nu: Weight) -> RatFunc:
-        if nu.is_zero():
-            c = g.constant_term()
-            return RatFunc._make(names, c.denominator, {(0,) * len(names): c.numerator} if c else {}, {})
+        if nu.is_zero():  # g is a constant: ints / d with at most one term
+            return RatFunc._make(names, g.d, {(0,) * len(names): c for c in g.ints.values()}, {})
         total = sum((dbar(h, nu - Weight.alpha(m, i)) for i, h in _derivatives(m, g, True)), zero)
         return (-total).divide_by_form(nu.alpha_coords())
 
@@ -231,8 +230,10 @@ def eval_ratfunc_at_x(r: RatFunc, x) -> Fraction:
 
 
 def psi_eval(x, t):
-    """The product t^{-1} n_x t n_x^{-1} for regular x and diagonal t."""
+    """The product t^{-1} n_x t n_x^{-1} for regular x and diagonal t of the same length."""
     m = len(x)
+    if len(t) != m:
+        raise ValueError(f"x has {m} entries and t has {len(t)}; they need the same number")
     check_regular(x)
     tvals = [_exact(v) for v in t]
     if any(v == 0 for v in tvals):

@@ -8,9 +8,10 @@ a fully reduced, monic output basis.  When g joins the basis, a pending pair
 lcm(h, g) (criterion B); the new pairs (f, g) are grouped by lcm (F); a class
 goes if another class's lcm strictly divides its own (M), or if one of its
 pairs has coprime leads and so reduces to zero (product criterion).  Any
-other class keeps its pair with the oldest f.  The hot loop works on
-integer coefficient dictionaries; Fractions only appear at the API
-boundary.
+other class keeps its pair with the oldest f.  The kernel works on
+integer coefficient dictionaries: it packs a MultiPoly's `ints` as they
+stand, and unpacks a content-free entry with lead coefficient lc as the
+monic (|lc|, +-ints), so it makes no Fraction.
 
 Inside the kernel a monomial is one int K whose integer order is the term
 order (packed monomials, as in Monagan-Pearce, J. Symbolic Comput. 46,
@@ -50,12 +51,11 @@ eliminated variables sit outside the basis's ring.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from .poly import GREVLEX, MultiPoly, TermOrder, _integer_terms
+from .poly import GREVLEX, MultiPoly, TermOrder, _rescaled
 
 IntPoly = dict  # monomial -> int: packed keys in the kernel, exponent tuples before packing
 
@@ -132,21 +132,18 @@ class _Packing:
         return tuple([e >> s & field for s in self.shifts])
 
     def to_poly(self, entry: tuple, variables: tuple) -> MultiPoly:
-        """The monic MultiPoly of an entry."""
+        """The monic MultiPoly of a content-free entry: its ints over |lc|, signed like lc."""
         lm, _, lc, tail = entry
-        return MultiPoly._make(variables, {self.monomial(m): Fraction(c, lc)
-                                           for m, c in [(lm, lc)] + tail})
+        sign = -1 if lc < 0 else 1
+        ints = {self.monomial(m): sign * c for m, c in [(lm, lc)] + tail}
+        return MultiPoly._make(variables, abs(lc), ints)
 
 
 # -- raw integer polynomial helpers -----------------------------------------
 
 
 def _content_normalize(p: IntPoly) -> IntPoly:
-    if not p:
-        return p
-    g = 0
-    for c in p.values():
-        g = gcd(g, c)
+    g = gcd(*p.values())
     if g > 1:
         for m in p:
             p[m] //= g
@@ -157,10 +154,10 @@ def _normal_form_full(p: IntPoly, basis: Sequence[tuple], pk: _Packing) -> tuple
     """Full normal form of p against kernel entries (lm, exponents, lc, tail).
 
     Fraction-free: rescalings applied to the working polynomial are mirrored
-    on the remainder.  Returns (r, scale): r is content-free and equals
-    scale * (the normal form of p), scale a Fraction.  The working terms sit
-    behind a lazy max-heap of negated keys, so the running lead is found
-    without rescanning.
+    on the remainder.  Returns (r, num, den): r is content-free and equals
+    (num / den) * (the normal form of p), num and den nonzero ints.  The
+    working terms sit behind a lazy max-heap of negated keys, so the running
+    lead is found without rescanning.
     """
     bits, diff, guard, top = pk.bits, pk.diff, pk.guard, pk.top
     divisors = [entry[1] for entry in basis]
@@ -228,14 +225,12 @@ def _normal_form_full(p: IntPoly, basis: Sequence[tuple], pk: _Packing) -> tuple
                     work[m] //= gg
                 for m in remainder:
                     remainder[m] //= gg
-    gg = 0
-    for c in remainder.values():
-        gg = gcd(gg, c)
+    gg = gcd(*remainder.values())
     if gg > 1:
         for m in remainder:
             remainder[m] //= gg
         den *= gg
-    return remainder, Fraction(num, den)
+    return remainder, num, den
 
 
 def _spoly(f: tuple, g: tuple, lcm: int, pk: _Packing) -> IntPoly:
@@ -275,7 +270,7 @@ def _buchberger(known: list, gens: list, pk: _Packing) -> list:
         return (pk.degree(lm), len(p), lm)
 
     for p in sorted(gens, key=rank):
-        p, _ = _normal_form_full(p, basis, pk)
+        p = _normal_form_full(p, basis, pk)[0]
         if p:
             basis.append(pk.entry(p))
 
@@ -328,7 +323,7 @@ def _buchberger(known: list, gens: list, pk: _Packing) -> list:
             continue
         del live[(i, j)]
         s = _spoly(basis[i], basis[j], k, pk)
-        s, _ = _normal_form_full(s, basis, pk)
+        s = _normal_form_full(s, basis, pk)[0]
         if s:
             basis.append(pk.entry(s))
             update(len(basis) - 1)
@@ -353,7 +348,7 @@ def _interreduce(basis: list, pk: _Packing) -> list:
     for idx, (lm, _, lc, tail) in enumerate(keep):
         p = dict(tail)
         p[lm] = lc
-        r, _ = _normal_form_full(p, keep[:idx] + keep[idx + 1:], pk)
+        r = _normal_form_full(p, keep[:idx] + keep[idx + 1:], pk)[0]
         if r:
             reduced.append(pk.entry(r))
     reduced.sort(reverse=True)
@@ -383,7 +378,7 @@ class GroebnerBasis:
         """(packing, the members as kernel entries) at `bits` bits a field, kept for reuse."""
         if self._kernel is None or self._kernel[0].bits != bits:
             pk = _Packing(self.order, len(self.variables), bits)
-            self._kernel = (pk, [pk.entry(pk.pack_poly(_integer_terms(g.terms)[1])) for g in self.gens])
+            self._kernel = (pk, [pk.entry(pk.pack_poly(g.ints)) for g in self.gens])
         return self._kernel
 
     def _bits(self) -> int:
@@ -411,13 +406,10 @@ class GroebnerBasis:
 
 
 def _check_same_ring(gens: Sequence[MultiPoly]):
-    vars0 = None
-    for g in gens:
-        if vars0 is None:
-            vars0 = g.variables
-        elif g.variables != vars0:
-            raise ValueError("generators live in different rings")
-    return vars0
+    rings = {g.variables for g in gens}
+    if len(rings) > 1:
+        raise ValueError("generators live in different rings")
+    return rings.pop() if rings else None
 
 
 def _carry(G: GroebnerBasis, variables: tuple, order: TermOrder) -> GroebnerBasis | None:
@@ -475,7 +467,7 @@ def groebner(gens: Sequence[MultiPoly] | GroebnerBasis,
         elif not polys:
             return carried
         known = carried
-    raw = [_integer_terms(g.terms)[1] for g in polys]
+    raw = [g.ints for g in polys]
     bits = known._bits() if known else 16
     while True:
         pk = _Packing(order, len(variables), bits)
@@ -494,9 +486,9 @@ def groebner(gens: Sequence[MultiPoly] | GroebnerBasis,
 def normal_form(f: MultiPoly, G: GroebnerBasis) -> MultiPoly:
     """Remainder of f modulo the reduced basis; zero iff f lies in the ideal.
 
-    The heap kernel reduces d * f in integers, d the lcm of f's
-    denominators; d and the scale the kernel reports turn its output back
-    into the exact remainder.
+    The heap kernel reduces f's ints, d * f; d and the scale num / den the
+    kernel reports turn its output r back into the exact remainder
+    r * den / (num * d).
     """
     if not G.gens:
         return f
@@ -504,17 +496,16 @@ def normal_form(f: MultiPoly, G: GroebnerBasis) -> MultiPoly:
         raise ValueError("polynomial and basis live in different rings")
     if f.is_zero():
         return f
-    d, raw = _integer_terms(f.terms)
     bits = G._bits()
     while True:
         try:
             pk, entries = G._entries(bits)
-            remainder, scale = _normal_form_full(pk.pack_poly(raw), entries, pk)
+            remainder, num, den = _normal_form_full(pk.pack_poly(f.ints), entries, pk)
             break
         except _Overflow:
             bits *= 2
-    factor = 1 / (d * scale)
-    return MultiPoly._make(f.variables, {pk.monomial(m): c * factor for m, c in remainder.items()})
+    ints = {pk.monomial(m): c for m, c in remainder.items()}
+    return MultiPoly._make(f.variables, *_rescaled(f.d, ints, den, num))
 
 
 def in_ideal(f: MultiPoly, G: GroebnerBasis) -> bool:
@@ -581,8 +572,8 @@ def eliminate(gens: Sequence[MultiPoly] | GroebnerBasis, drop: Iterable[str]) ->
     k = len(drop)
     out = []
     for g in G.gens:
-        if not any(any(m[:k]) for m in g.terms):
-            out.append(MultiPoly._make(keep, {m[k:]: c for m, c in g.terms.items()}))
+        if not any(any(m[:k]) for m in g.ints):
+            out.append(MultiPoly._make(keep, g.d, {m[k:]: c for m, c in g.ints.items()}))
     return GroebnerBasis(keep, out, GREVLEX)
 
 
@@ -625,8 +616,8 @@ def homogenize(gens: Sequence[MultiPoly], hvar: str) -> GroebnerBasis:
     out = []
     for g in G.gens:
         d = g.total_degree()
-        terms = {}
-        for m, c in g.terms.items():
-            terms[m + (d - sum(m),)] = c
-        out.append(MultiPoly._make(new_vars, terms))
+        ints = {}
+        for m, c in g.ints.items():
+            ints[m + (d - sum(m),)] = c
+        out.append(MultiPoly._make(new_vars, g.d, ints))
     return GroebnerBasis(new_vars, out, GREVLEX)

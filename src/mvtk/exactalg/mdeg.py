@@ -36,12 +36,11 @@ by (1, weight):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Mapping, Sequence
 
 from .groebner import GroebnerBasis, groebner
-from .poly import GREVLEX, MultiPoly, TermOrder, _times_form
+from .poly import GREVLEX, MultiPoly, TermOrder, _reduced, _times_form
 
 
 class WeightAssignment:
@@ -174,19 +173,21 @@ def multidegree(gens: Sequence[MultiPoly] | GroebnerBasis, w: WeightAssignment,
     by_weight: dict = {}
     for (_, *beta), coef in k_poly.items():
         by_weight[tuple(beta)] = by_weight.get(tuple(beta), 0) + coef
+    forms = [(w.weight(beta).linear_form(w.alpha_names), coef) for beta, coef in by_weight.items()]
+    e = lcm(*(f.d for f, _ in forms))  # every form as ints over e
     total: dict = {}
-    for beta, coef in by_weight.items():
-        # the coefficient of each alpha_j, a plain int on the root lattice
+    for f, coef in forms:
         coords = [0] * len(w.alpha_names)
-        for m, f in w.weight(beta).linear_form(w.alpha_names).terms.items():
-            coords[m.index(1)] = f.numerator if f.denominator == 1 else f
+        for m, a in f.ints.items():
+            coords[m.index(1)] = a * (e // f.d)
         power = {(0,) * len(coords): coef}
         for _ in range(c):
             power = _times_form(power, tuple(coords))
         for mon, v in power.items():
             total[mon] = total.get(mon, 0) + v
-    scale = Fraction((-1) ** c, factorial(c))
-    return MultiPoly(w.alpha_names, {mon: v * scale for mon, v in total.items() if v})
+    # mdeg = ((-1)^c / c!) * total / e^c
+    total = {mon: -v if c % 2 else v for mon, v in total.items() if v}
+    return MultiPoly._make(w.alpha_names, *_reduced(factorial(c) * e**c, total))
 
 
 def dimension(gens: Sequence[MultiPoly] | GroebnerBasis, nvars: int | None = None,

@@ -1,18 +1,18 @@
-"""Exact multivariate polynomials over Q.
+"""Exact multivariate polynomials over Q, stored in integers.
 
-Coefficients are arbitrary-precision rationals (fractions.Fraction); no
-floating point enters anywhere.  Monomials are exponent tuples over a fixed
-ordered variable list.
-
-Every MultiPoly keeps one invariant: `variables` is a tuple of n names and
-`terms` maps tuples of n exponents to nonzero Fractions.  `MultiPoly(...)`
-is the validating constructor for outside input: it coerces coefficients
-(rejecting floats), checks exponent lengths, merges and drops zeros.
-`MultiPoly._make` trusts its arguments to meet the invariant already and
-checks nothing; arithmetic and the ring maps build their results with it.
-`evaluate` scales the point by the lcm of its denominators, sums the terms
-in ints and makes one Fraction; like coefficients, points refuse floats.
-The canonical text syntax is
+A MultiPoly over a tuple `variables` of n names is ints / d: `ints` maps
+tuples of n exponents to nonzero ints, and d > 0 is coprime to every
+coefficient, so (variables, d, ints) is canonical; equality and hashing
+compare it.  Arithmetic, the ring maps, `primitive` and `evaluate` run in
+ints and make no Fraction, and `_reduced` brings a result to lowest terms
+with one gcd.  RatFunc's numerator and the Groebner kernel take (d, ints)
+as they stand; `terms`, the {monomial: Fraction} view, is built on each
+read.  `MultiPoly(variables, terms)` validates outside input: it takes
+ints and Fractions only, checks exponent lengths, merges and drops zeros,
+and puts the terms over the lcm of their denominators, which no prime
+divides along with every numerator.  `MultiPoly._make` trusts a canonical
+(variables, d, ints).  `evaluate` scales the point by the lcm of its
+denominators and makes one Fraction.  The canonical text syntax is
 
     3*a1^2*a6 - 1/2*a2*a8 + a5
 
@@ -62,11 +62,7 @@ class TermOrder:
         return (self._grevlex_key(mon[:k]), self._grevlex_key(mon[k:]))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TermOrder)
-            and self.kind == other.kind
-            and self.block == other.block
-        )
+        return isinstance(other, TermOrder) and (self.kind, self.block) == (other.kind, other.block)
 
     def __hash__(self):
         return hash((self.kind, self.block))
@@ -89,8 +85,13 @@ def _exact(c) -> Fraction:
     """c as a Fraction, for c an int or a Fraction (a numbers.Rational).
 
     Anything else is refused: a float is not exact, and a string would be
-    parsed, which no other operation does.
+    parsed, which no other operation does.  An int still becomes a
+    Fraction, so that a negative power of it stays exact.
     """
+    if type(c) is Fraction:  # immutable, so returned as it is
+        return c
+    if type(c) is int:
+        return Fraction(c)
     if not isinstance(c, Rational):
         raise TypeError(f"{type(c).__name__} {c!r} in exact arithmetic; pass an int or a Fraction")
     return Fraction(c)
@@ -103,12 +104,17 @@ def _scaled_point(values: Mapping, names) -> tuple[int, list]:
     return d, [x.numerator * (d // x.denominator) for x in point]
 
 
-def _integer_terms(terms: Mapping) -> tuple[int, dict]:
-    """(D, D * terms) with D the lcm of the coefficients' denominators, as {monomial: int}."""
-    d = lcm(*(c.denominator for c in terms.values()))
-    if d == 1:
-        return 1, {m: c.numerator for m, c in terms.items()}
-    return d, {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
+def _reduced(d: int, ints: dict) -> tuple[int, dict]:
+    """(d, ints) over gcd(d, every coefficient): canonical, for d > 0 and nonzero ints."""
+    g = gcd(d, *ints.values()) if d != 1 else 1
+    return (d, ints) if g == 1 else (d // g, {m: c // g for m, c in ints.items()})
+
+
+def _rescaled(d: int, ints: dict, num: int, den: int) -> tuple[int, dict]:
+    """The canonical (d', ints') with ints' / d' = (num / den) * ints / d, for nonzero num, den."""
+    if den < 0:
+        num, den = -num, -den
+    return _reduced(d * den, ints if num == 1 else {m: c * num for m, c in ints.items()})
 
 
 def _int_value(terms: Mapping, d: int, xs) -> tuple[int, int]:
@@ -147,9 +153,9 @@ def _int_product(a: dict, b: dict) -> dict:
 
 
 class MultiPoly:
-    """Immutable multivariate polynomial with exact rational coefficients."""
+    """Immutable multivariate polynomial with exact rational coefficients, ints / d."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "d", "ints")
 
     def __init__(self, variables, terms: Mapping[tuple, Fraction] | None = None):
         self.variables = tuple(variables)
@@ -163,41 +169,36 @@ class MultiPoly:
                 mon = tuple(mon)
                 if len(mon) != n:
                     raise ValueError("exponent vector length mismatch")
-                clean[mon] = clean.get(mon, Fraction(0)) + c
+                clean[mon] = clean.get(mon, 0) + c
             clean = {m: c for m, c in clean.items() if c != 0}
-        self.terms = clean
+        self.d = d = lcm(*(c.denominator for c in clean.values()))
+        self.ints = {m: c.numerator * (d // c.denominator) for m, c in clean.items()}
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _make(cls, variables: tuple, terms: dict) -> "MultiPoly":
-        """Trusted constructor: the arguments already meet the invariant."""
+    def _make(cls, variables: tuple, d: int, ints: dict) -> "MultiPoly":
+        """Trusted constructor: (d, ints) is already canonical."""
         p = object.__new__(cls)
-        p.variables = variables
-        p.terms = terms
+        p.variables, p.d, p.ints = variables, d, ints
         return p
 
     @classmethod
-    def _from_ints(cls, variables: tuple, d: int, terms: dict) -> "MultiPoly":
-        """terms / d from {monomial: int}: one Fraction per nonzero term."""
-        return cls._make(variables, {m: Fraction(c, d) for m, c in terms.items() if c})
-
-    @classmethod
     def zero(cls, variables) -> "MultiPoly":
-        return cls(variables, {})
+        return cls._make(tuple(variables), 1, {})
 
     @classmethod
     def constant(cls, variables, c) -> "MultiPoly":
         variables = tuple(variables)
         c = _exact(c)
-        return cls._make(variables, {(0,) * len(variables): c} if c else {})
+        return cls._make(variables, c.denominator, {(0,) * len(variables): c.numerator} if c else {})
 
     @classmethod
     def var(cls, variables, name) -> "MultiPoly":
         variables = tuple(variables)
         i = variables.index(name)
         mon = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return cls(variables, {mon: Fraction(1)})
+        return cls._make(variables, 1, {mon: 1})
 
     @classmethod
     def parse(cls, text: str, variables) -> "MultiPoly":
@@ -274,30 +275,35 @@ class MultiPoly:
 
     # -- queries ------------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """{monomial: Fraction coefficient}, built on each read."""
+        d = self.d
+        return {m: Fraction(c, d) for m, c in self.ints.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
+        return all(sum(m) == 0 for m in self.ints)
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is -1 by convention."""
-        return max((sum(m) for m in self.terms), default=-1)
+        return max((sum(m) for m in self.ints), default=-1)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
+        return len({sum(m) for m in self.ints}) <= 1
 
     def leading_monomial(self, order: TermOrder = GREVLEX) -> tuple:
-        if not self.terms:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        return max(self.ints, key=order.key)
 
     def coefficient(self, mon: tuple) -> Fraction:
-        return self.terms.get(tuple(mon), Fraction(0))
+        return Fraction(self.ints.get(tuple(mon), 0), self.d)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
+        return Fraction(self.ints.get((0,) * len(self.variables), 0), self.d)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -316,20 +322,23 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m)
-            s = c if s is None else s + c
+        # both sides over lcm(d_a, d_b), then one gcd for the sum
+        d = self.d if self.d == other.d else lcm(self.d, other.d)
+        sa, sb = d // self.d, d // other.d
+        ints = dict(self.ints) if sa == 1 else {m: c * sa for m, c in self.ints.items()}
+        for m, c in other.ints.items():
+            s = ints.get(m)
+            s = c * sb if s is None else s + c * sb
             if s:
-                terms[m] = s
+                ints[m] = s
             else:
-                del terms[m]
-        return MultiPoly._make(self.variables, terms)
+                del ints[m]
+        return MultiPoly._make(self.variables, *_reduced(d, ints))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._make(self.variables, {m: -c for m, c in self.terms.items()})
+        return MultiPoly._make(self.variables, self.d, {m: -c for m, c in self.ints.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -341,19 +350,17 @@ class MultiPoly:
 
     def _scale(self, c: Fraction) -> "MultiPoly":
         if not c:
-            return MultiPoly._make(self.variables, {})
-        return MultiPoly._make(self.variables, {m: k * c for m, k in self.terms.items()})
+            return MultiPoly._make(self.variables, 1, {})
+        return MultiPoly._make(self.variables, *_rescaled(self.d, self.ints, c.numerator, c.denominator))
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             if not isinstance(other, (Rational, float)):
                 return NotImplemented
             return self._scale(_exact(other))
-        # integer numerators over the lcm of each operand's denominators: the
-        # pair products and sums stay in ints, one Fraction per output term
-        da, a = _integer_terms(self.terms)
-        db, b = _integer_terms(self._coerce(other).terms)
-        return MultiPoly._from_ints(self.variables, da * db, _int_product(a, b))
+        other = self._coerce(other)
+        ints = {m: c for m, c in _int_product(self.ints, other.ints).items() if c}
+        return MultiPoly._make(self.variables, *_reduced(self.d * other.d, ints))
 
     __rmul__ = __mul__
 
@@ -376,7 +383,7 @@ class MultiPoly:
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
-            return self.variables == other.variables and self.terms == other.terms
+            return (self.variables, self.d, self.ints) == (other.variables, other.d, other.ints)
         if not self.is_constant() and not isinstance(other, (int, Fraction)):
             return NotImplemented
         try:
@@ -385,96 +392,94 @@ class MultiPoly:
             return NotImplemented
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        return hash((self.variables, self.d, frozenset(self.ints.items())))
 
     # -- substitution and ring maps ------------------------------------
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
         """The value at a point given by name, in ints and one Fraction; floats are refused."""
-        d, xs = _scaled_point(values, self.variables)
-        cden, ints = _integer_terms(self.terms)
-        num, deg = _int_value(ints, d, xs)
-        return Fraction(num, cden * d**deg)
+        e, xs = _scaled_point(values, self.variables)
+        num, deg = _int_value(self.ints, e, xs)
+        return Fraction(num, self.d * e**deg)
 
     def substitute(self, images: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Ring map sending each variable to a polynomial (all in one target ring)."""
-        target = None
-        for img in images.values():
-            target = img.variables
-            break
-        if target is None:
+        if not images:
             raise ValueError("empty substitution")
+        target = next(iter(images.values())).variables
         for v in self.variables:
             if v not in images:
                 raise ValueError(f"no image for variable {v!r}")
+        one = (0,) * len(target)
         out = MultiPoly.zero(target)
-        for m, c in self.terms.items():
-            term = MultiPoly.constant(target, c)
+        for m, c in self.ints.items():
+            term = MultiPoly._make(target, 1, {one: c})
             for e, v in zip(m, self.variables):
                 if e:
                     term = term * images[v] ** e
             out = out + term
-        return out
+        return MultiPoly._make(target, *_reduced(out.d * self.d, out.ints))
 
     def rename(self, variables) -> "MultiPoly":
         """Reinterpret in a ring whose variables contain the current ones."""
         variables = tuple(variables)
         pos = [variables.index(v) for v in self.variables]
         n = len(variables)
-        terms = {}
-        for m, c in self.terms.items():
+        ints = {}
+        for m, c in self.ints.items():
             mon = [0] * n
             for e, p in zip(m, pos):
                 mon[p] = e
-            terms[tuple(mon)] = c
-        return MultiPoly._make(variables, terms)
+            ints[tuple(mon)] = c
+        return MultiPoly._make(variables, self.d, ints)
 
     def restrict(self, variables) -> "MultiPoly":
         """Drop unused variables; fails if a dropped variable occurs."""
         variables = tuple(variables)
         keep = [self.variables.index(v) for v in variables]
         dropset = [i for i in range(len(self.variables)) if self.variables[i] not in variables]
-        terms = {}
-        for m, c in self.terms.items():
+        ints = {}
+        for m, c in self.ints.items():
             if any(m[i] for i in dropset):
                 raise ValueError("polynomial involves a dropped variable")
-            terms[tuple(m[i] for i in keep)] = c
-        return MultiPoly._make(variables, terms)
+            ints[tuple(m[i] for i in keep)] = c
+        return MultiPoly._make(variables, self.d, ints)
 
     # -- integer normal forms ------------------------------------------
 
     def primitive(self) -> tuple["MultiPoly", Fraction]:
         """Return (primitive integer part, content) with content * part == self."""
-        if not self.terms:
+        if not self.ints:
             return self, Fraction(1)
-        den, ints = _integer_terms(self.terms)
-        g = gcd(*ints.values())
-        if ints[self.leading_monomial()] < 0:
+        g = gcd(*self.ints.values())
+        if self.ints[self.leading_monomial()] < 0:
             g = -g
-        part = MultiPoly._from_ints(self.variables, 1, {m: c // g for m, c in ints.items()})
-        return part, Fraction(g, den)
+        part = MultiPoly._make(self.variables, 1, {m: c // g for m, c in self.ints.items()})
+        return part, Fraction(g, self.d)
 
     # -- printing -------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self.ints:
             return "0"
-        mons = sorted(self.terms, key=GREVLEX.key, reverse=True)
+        d = self.d
+        mons = sorted(self.ints, key=GREVLEX.key, reverse=True)
         pieces = []
         for m in mons:
-            c = self.terms[m]
+            c = self.ints[m]
             factors = [
                 v if e == 1 else f"{v}^{e}"
                 for v, e in zip(self.variables, m)
                 if e
             ]
             mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
+            if factors and mag == d:
                 body = "*".join(factors)
             else:
-                body = "*".join([str(mag)] + factors)
+                # |c| / d in lowest terms, printed as a Fraction prints
+                g = gcd(mag, d)
+                text = str(mag // g) if g == d else f"{mag // g}/{d // g}"
+                body = "*".join([text] + factors)
             if not pieces:
                 pieces.append(body if c > 0 else "-" + body)
             else:

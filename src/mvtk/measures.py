@@ -11,11 +11,12 @@ such as the x_j - x_i of the symbolic n_x, are keyed the same way.  Every
 key a caller passes is such a tuple; any other raises ValueError.
 
 The numerator is stored in integers, as num = terms / d with `terms` a
-{monomial: nonzero int} and d > 0 coprime to every coefficient.  A sum
-lifts both sides by the forms each lacks and adds them over lcm(d_a, d_b),
-a product multiplies the integer polynomials over d_a*d_b, and one gcd
-brings the result to lowest terms; no Fraction is made, and the MultiPoly
-`num` is built only when it is read.  The numerator is kept cancelled
+{monomial: nonzero int} and d > 0 coprime to every coefficient: the
+canonical (d, ints) of a MultiPoly, which `RatFunc(num, den)` takes and
+`num` hands back as they stand.  A sum lifts both sides by the forms each
+lacks and adds them over lcm(d_a, d_b), a product multiplies the integer
+polynomials over d_a*d_b, and one gcd (`poly._reduced`) brings the result
+to lowest terms; no Fraction is made.  The numerator is kept cancelled
 against the denominator, never by a general multivariate gcd: a factor f is
 divided out of terms by exact integer trial division (_divide_by_form).
 If num = f*q, then terms = f*(d*q) with d*q integral by Gauss's lemma (f is
@@ -42,7 +43,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 from operator import mul
 
-from .exactalg.poly import (MultiPoly, _exact, _int_product, _int_value, _integer_terms,
+from .exactalg.poly import (MultiPoly, _exact, _int_product, _int_value, _reduced, _rescaled,
                             _scaled_point, _times_form)
 from .roota import Weight, alpha_names
 
@@ -73,7 +74,7 @@ def _form_key(form, n: int):
 def _form_poly(key: tuple, variables: tuple) -> MultiPoly:
     """The linear form of a denominator key, as a polynomial."""
     n = len(key)
-    return MultiPoly(variables, {
+    return MultiPoly._make(variables, 1, {
         tuple(int(i == k) for i in range(n)): c for k, c in enumerate(key) if c
     })
 
@@ -141,17 +142,6 @@ def _divide_out(terms: dict, den: dict, keys) -> dict:
     return terms
 
 
-def _lowest(d: int, terms: dict) -> tuple[int, dict]:
-    """(d, terms) divided by gcd(d, every coefficient), for d > 0."""
-    g = gcd(d, *terms.values()) if d != 1 else 1
-    return (d, terms) if g == 1 else (d // g, {m: c // g for m, c in terms.items()})
-
-
-def _scaled(d: int, terms: dict, c: Fraction) -> tuple[int, dict]:
-    """The reduced (d', terms') with terms' / d' = c * terms / d, for c != 0."""
-    return _lowest(d * c.denominator, {m: v * c.numerator for m, v in terms.items()})
-
-
 class RatFunc:
     """num / prod of linear forms, kept factored and cancelled.
 
@@ -159,11 +149,11 @@ class RatFunc:
     with `terms` a {monomial: nonzero int}, d > 0 and gcd(d, every
     coefficient) = 1; `den` maps primitive integer coefficient tuples (see
     the module docstring) to positive multiplicities, and no key's form
-    divides num.  Zero is d = 1 with empty `terms` and `den`.  The MultiPoly
-    `num` is built from (d, terms) each time it is read.  `RatFunc(num, den)`
-    is the validating constructor and the one place a MultiPoly numerator
-    is converted: its keys are integer coefficient tuples, and it moves the
-    content of a non-primitive one into the numerator and cancels.
+    divides num.  Zero is d = 1 with empty `terms` and `den`.  (d, terms)
+    is the canonical (d, ints) of the MultiPoly `num`.  `RatFunc(num, den)`
+    is the validating constructor: its keys are integer coefficient tuples,
+    and it moves the content of a non-primitive one into the numerator and
+    cancels.
     `RatFunc._make` trusts its arguments and checks nothing; sums and
     products build with `_from_ints`, which cancels and reduces,
     `divide_by_form` tests only the new key, and negation and nonzero
@@ -184,9 +174,9 @@ class RatFunc:
             if content != 1:
                 scale *= content**mult
             clean[key] = clean.get(key, 0) + mult
-        d, terms = _integer_terms(num.terms)
+        d, terms = num.d, num.ints
         if scale != 1:
-            d, terms = _scaled(d, terms, Fraction(1, scale))
+            d, terms = _rescaled(d, terms, 1, scale)
         r = RatFunc._from_ints(num.variables, d, terms, clean, tuple(clean))
         self.variables, self.d, self.terms, self.den = r.variables, r.d, r.terms, r.den
 
@@ -203,7 +193,7 @@ class RatFunc:
         terms = {m: c for m, c in terms.items() if c}
         if not terms:
             return cls._make(variables, 1, {}, {})
-        return cls._make(variables, *_lowest(d, _divide_out(terms, den, keys)), den)
+        return cls._make(variables, *_reduced(d, _divide_out(terms, den, keys)), den)
 
     # -- constructors
 
@@ -217,8 +207,8 @@ class RatFunc:
 
     @property
     def num(self) -> MultiPoly:
-        """The numerator terms / d as a MultiPoly, built on each read."""
-        return MultiPoly._from_ints(self.variables, self.d, self.terms)
+        """The numerator terms / d as a MultiPoly; the two share (d, terms)."""
+        return MultiPoly._make(self.variables, self.d, self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -274,7 +264,8 @@ class RatFunc:
             c = _exact(other)
             if not c or not self.terms:
                 return RatFunc._make(self.variables, 1, {}, {})
-            return RatFunc._make(self.variables, *_scaled(self.d, self.terms, c), dict(self.den))
+            d, terms = _rescaled(self.d, self.terms, c.numerator, c.denominator)
+            return RatFunc._make(self.variables, d, terms, dict(self.den))
         other = self._coerce(other)
         den = dict(self.den)
         for key, mult in other.den.items():
@@ -296,7 +287,7 @@ class RatFunc:
             return self
         d, terms = self.d, self.terms
         if content != 1:
-            d, terms = _scaled(d, terms, Fraction(1, content))
+            d, terms = _rescaled(d, terms, 1, content)
         den = dict(self.den)
         if key in den:
             den[key] += 1
@@ -342,26 +333,41 @@ class RatFunc:
 # -- the sequence calculus -----------------------------------------------------
 
 
+def _run_keys(run, m: int) -> list:
+    """(key, content) of the letter counts of each nonempty prefix of `run`, in order."""
+    counts = [0] * (m - 1)
+    out = []
+    for i in run:
+        counts[i - 1] += 1
+        g = gcd(*counts)
+        out.append((tuple(counts) if g == 1 else tuple([c // g for c in counts]), g))
+    return out
+
+
 def _simplex_terms(m: int, seq: tuple, first: int):
     """The terms (-1)^j / prod_{k != j} |beta_k - beta_j| for j = first..p of a sequence's
-    partial sums.  |beta_k - beta_j| is the letter count of seq[j:k] or seq[k:j], run up
-    from j; the keys' contents (gcds) are positive, and their product is the d."""
+    partial sums.  |beta_k - beta_j| is the letter count of seq[j:k] or seq[k:j]; the
+    keys' contents (gcds) are positive, and their product is the d.  For j = p alone
+    (dbar_i) one backward run from p keys them; otherwise the forward run from each j
+    keys every pair once, and term j reads the pairs k < j off the runs from k."""
     for i in seq:
         if not 0 < i < m:
             raise ValueError(f"letter {i} of a sequence is not in 1..{m - 1}")
     names = alpha_names(m)
     const = (0,) * (m - 1)
-    for j in range(first, len(seq) + 1):
+    p = len(seq)
+    if first == p:
+        factors = [_run_keys(reversed(seq), m)]
+    else:
+        forward = [_run_keys(seq[j:], m) for j in range(p + 1)]  # forward[j][k - j - 1]: seq[j:k]
+        factors = [forward[j] + [forward[k][j - k - 1] for k in range(j - 1, -1, -1)]
+                   for j in range(first, p + 1)]
+    for j, keys in enumerate(factors, first):
         den: dict = {}
         content = 1
-        for run in (seq[j:], reversed(seq[:j])):
-            counts = [0] * (m - 1)
-            for i in run:
-                counts[i - 1] += 1
-                g = gcd(*counts)
-                key = tuple(counts) if g == 1 else tuple([c // g for c in counts])
-                content *= g
-                den[key] = den.get(key, 0) + 1
+        for key, g in keys:
+            content *= g
+            den[key] = den.get(key, 0) + 1
         yield RatFunc._make(names, content, {const: -1 if j % 2 else 1}, den)
 
 

@@ -34,6 +34,7 @@ from .exactalg import (
     saturate,
 )
 from .exactalg.linalg import solve
+from .exactalg.poly import _reduced
 from .measures import RatFunc
 from .roota import Weight, alpha_names, p_mu_factors, root_positions, subset_weight
 
@@ -171,20 +172,9 @@ class TmuChart:
 
 
 def _poly_matmul(A, B, zero):
-    n = len(A)
-    k = len(B)
-    mcols = len(B[0]) if B else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(mcols):
-            s = zero
-            for t in range(k):
-                if not A[i][t].is_zero() and not B[t][j].is_zero():
-                    s = s + A[i][t] * B[t][j]
-            row.append(s)
-        out.append(row)
-    return out
+    cols = list(zip(*B))
+    return [[sum((a * b for a, b in zip(row, col) if not a.is_zero() and not b.is_zero()), zero)
+             for col in cols] for row in A]
 
 
 class _Minors:
@@ -277,7 +267,7 @@ def _pivot_candidates(mat, t, limit=400):
         for c in range(cols):
             e = mat[r][c]
             if not e.is_zero():
-                entries.append((len(e.terms), e.total_degree(), r, c))
+                entries.append((len(e.ints), e.total_degree(), r, c))
     entries.sort()
     found = []
 
@@ -424,7 +414,7 @@ def _witness_candidates(minor, t, limit=12):
     for rs, cs in islice(minor.blocks(t), WITNESS_BLOCKS):
         d = minor(rs, cs)
         if not d.is_zero():
-            scored.append((len(d.terms), sum(sum(mon) for mon in d.terms), str(d), d))
+            scored.append((len(d.ints), sum(sum(mon) for mon in d.ints), str(d), d))
     scored.sort(key=lambda s: s[:3])
     return [s[3] for s in scored[:limit]]
 
@@ -458,8 +448,8 @@ def _prune_zero_variables(basis, variables):
     """
     removed, rest = [], []
     for g in basis:
-        mon = next(iter(g.terms))
-        if len(g.terms) == 1 and sum(mon) == 1:
+        mon = next(iter(g.ints))
+        if len(g.ints) == 1 and sum(mon) == 1:
             removed.append(g.variables[mon.index(1)])
         else:
             rest.append(g)
@@ -473,8 +463,8 @@ def _prune_zero_variables(basis, variables):
 def _set_zero(p: MultiPoly, names) -> MultiPoly:
     """p with the variables `names` set to zero, in the ring of its other variables."""
     idx = [p.variables.index(v) for v in names]
-    kept = {mon: c for mon, c in p.terms.items() if not any(mon[i] for i in idx)}
-    return MultiPoly._make(p.variables, kept).restrict(
+    kept = {mon: c for mon, c in p.ints.items() if not any(mon[i] for i in idx)}
+    return MultiPoly._make(p.variables, *_reduced(p.d, kept)).restrict(
         tuple(v for v in p.variables if v not in names))
 
 
@@ -682,17 +672,17 @@ def _check_plucker_fixture(kernel, names, subsets, fixture):
     flip_idx = [v for v, l in enumerate(labels) if rename.get(l) != "u"]
     rows, rhs = [], []
     for poly in parsed:
-        mons = sorted(poly.terms)
+        mons = sorted(poly.ints)
         if len(mons) == 1:
             continue
         base = mons[0]
         found = None
         for pattern in range(1 << (len(mons) - 1)):
-            trial = dict(poly.terms)
+            trial = dict(poly.ints)
             for k, mon in enumerate(mons[1:]):
                 if (pattern >> k) & 1:
                     trial[mon] = -trial[mon]
-            cand = substituted(MultiPoly(labels, trial), set())
+            cand = substituted(MultiPoly._make(labels, poly.d, trial), set())
             if normal_form(cand, kernel).is_zero():
                 found = pattern
                 break

@@ -14,7 +14,7 @@ from itertools import accumulate, combinations
 from math import factorial
 from operator import add, neg
 
-from .exactalg.poly import MultiPoly, _exact
+from .exactalg.poly import MultiPoly, _exact, _reduced
 
 
 def alpha_names(m: int) -> tuple:
@@ -149,19 +149,20 @@ class Weight:
         only a Q-basis of P tensor Q); on Q the coefficients are integers.
         """
         names = tuple(names) if names is not None else alpha_names(self.m)
-        n = len(names)
-        shift = Fraction(sum(self.entries), self.m)
-        acc = Fraction(0)
-        terms = {}
-        for k in range(self.m - 1):
-            acc += self.entries[k] - shift
+        m, total = self.m, sum(self.entries)
+        ints, acc = {}, 0
+        for k in range(m - 1):
+            acc += m * self.entries[k] - total  # m times the coefficient of alpha_(k+1)
             if acc:
-                mon = tuple(1 if j == k else 0 for j in range(n))
-                terms[mon] = acc
-        return MultiPoly(names, terms)
+                ints[tuple(int(j == k) for j in range(len(names)))] = acc
+        return MultiPoly._make(names, *_reduced(m, ints))
 
     def pair(self, point) -> Fraction:
-        """Evaluate the linear form at x in the trace-zero Cartan, exactly: ints and Fractions."""
+        """Evaluate the linear form at x in the trace-zero Cartan, exactly: ints and Fractions.
+
+        The point has m entries, one per entry of the weight."""
+        if len(point) != self.m:
+            raise ValueError(f"pairing needs a point of {self.m} entries, not {point!r}")
         return sum([e * _exact(x) for e, x in zip(self.entries, point)], Fraction(0))
 
     def __repr__(self):

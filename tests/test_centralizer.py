@@ -457,3 +457,10 @@ def test_eval_ratfunc_at_x_refuses_a_point_of_the_wrong_length(x):
     # before, (1, 2) raised KeyError: 'a2' and (1, 2, 3, -6) dropped the last entry
     with pytest.raises(ValueError, match="a point of length 3 is needed"):
         eval_ratfunc_at_x(dbar_i(3, (1, 2)), x)
+
+
+@pytest.mark.parametrize("t", [(1, 2), (1, 2, 3, 4)])
+def test_psi_eval_refuses_a_torus_point_of_the_wrong_length(t):
+    # before, (1, 2) raised IndexError and (1, 2, 3, 4) dropped the last entry
+    with pytest.raises(ValueError, match=f"x has 3 entries and t has {len(t)}"):
+        psi_eval((1, 0, -1), t)

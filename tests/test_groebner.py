@@ -32,7 +32,6 @@ from mvtk.exactalg.groebner import (
     _Packing,
     _spoly,
 )
-from mvtk.exactalg.poly import _integer_terms
 from mvtk.measures import _divide_by_form, _form_key, _form_poly
 from mvtk.orbital import Tableau, orbital_ideal, plucker_chart
 
@@ -248,10 +247,12 @@ def _ref_exact_poly_division(g, f):
 
 
 def _divide_by_key(g, key):
-    """g / key by the integer kernel on D * g, back over Q; None if inexact."""
-    d, terms = _integer_terms(g.terms)
-    quo = _divide_by_form(terms, key)
-    return None if quo is None else MultiPoly._from_ints(g.variables, d, quo)
+    """g / key by the integer kernel on g's ints, back over g's d; None if inexact.
+
+    The quotient of the ints by a primitive key keeps their content (Gauss's
+    lemma), so it stays coprime to d and the trusted constructor applies."""
+    quo = _divide_by_form(g.ints, key)
+    return None if quo is None else MultiPoly._make(g.variables, g.d, quo)
 
 
 XYZ = ("x", "y", "z")

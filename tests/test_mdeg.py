@@ -54,6 +54,18 @@ def test_summary_fields():
     assert minimal_primes([(1, 1, 0), (1, 0, 1)]) == [frozenset([0]), frozenset([1, 2])]
 
 
+def test_multidegree_of_weights_off_the_root_lattice():
+    # eps_1 and eps_2 at m = 3 have alpha coordinates (2/3, 1/3) and (-1/3, 1/3):
+    # the forms' coefficients are not integers, and the class is still their product
+    vs, (x, y) = poly_ring(["x", "y"])
+    w = WeightAssignment(vs, {"x": Weight.eps(3, 1), "y": Weight.eps(3, 2)}, alpha_names(3))
+    fx, fy = (w.weights[v].linear_form(w.alpha_names) for v in vs)
+    assert str(fx) == "2/3*a1 + 1/3*a2"
+    assert multidegree([x, y], w) == fx * fy
+    assert multidegree([x * y], w) == fx + fy
+    assert multidegree([x**2 * y], w) == 2 * fx + fy
+
+
 def _random_monomial_or_binomial_ideal(rng, names):
     gens = []
     for _ in range(rng.randint(1, 4)):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -117,6 +119,20 @@ def test_one_pass_simplex_terms_match_the_oracle():
             assert [b.entries for b in got] == [b.entries for b in ref]
             assert [parts(r) for r in got.values()] == [parts(r) for r in ref.values()]
             assert parts(dbar_i(m, w)) == parts(_ref_dbar_i(m, w))
+
+
+def test_simplex_terms_print_as_pinned_on_measure_rank3_sequences():
+    # the 120 sequences over {1, 2, 3} of length 1 to 4 at m = 4 (the measure_rank3
+    # universe): ft_i's serialization and dbar_i's text, pinned from the loop
+    # that keyed each pair from both ends, before the triangle of pair keys
+    lines = []
+    for n in range(1, 5):
+        for seq in product((1, 2, 3), repeat=n):
+            lines.append(json.dumps(ft_i(4, seq).serialize()))
+            lines.append(str(dbar_i(4, seq)))
+    assert len(lines) == 240
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "01c9edd88957e3ad72954ce7d72e00d82ab80c2a3a4e38282af3ddd76f1de4e3")
 
 
 @pytest.mark.parametrize("letter", [0, 4, -1])

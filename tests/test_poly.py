@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -28,6 +29,7 @@ from mvtk.exactalg import (
     poly_ring,
 )
 from mvtk.exactalg.linalg import identity
+from mvtk.exactalg.poly import _exact
 from mvtk.measures import ExpSum, RatFunc, dbar_i, ft_i
 from mvtk.preproj import QuiverRep, _flag_eval, flag_function_from_chi
 from mvtk.roota import Weight
@@ -139,6 +141,20 @@ def test_floats_are_refused():
     assert dbar_i(3, (1, 2)).evaluate({"a1": Fraction(1, 10), "a2": 2}) == Fraction(5, 21)
 
 
+def test_exact_passes_a_fraction_through_and_makes_an_int_a_fraction():
+    half = Fraction(1, 2)
+    assert _exact(half) is half
+    for c, want in ((True, Fraction(1)), (3, Fraction(3)), (-2, Fraction(-2))):
+        got = _exact(c)
+        assert type(got) is Fraction and got == want
+    for c in (0.5, "1/2", Decimal("0.5")):
+        with pytest.raises(TypeError, match="in exact arithmetic"):
+            _exact(c)
+    # an int torus entry still gives an exact value at a negative power of t
+    value = ft_i(3, (1, 2)).evaluate((3, 1, -4), (2, 3, 5))
+    assert type(value) is Fraction
+
+
 def test_strings_are_refused():
     # Fraction('1/2') parses; exact arithmetic takes ints and Fractions only, as
     # MultiPoly * '3' already did
@@ -159,8 +175,10 @@ def test_strings_are_refused():
 
 # -- the arithmetic kernel against sympy ----------------------------------------
 # Every result is built by the trusted constructor, so each is checked twice:
-# its terms against sympy's, and the invariant that constructor relies on
-# (tuple monomials of the ring's length, nonzero Fraction coefficients).
+# its terms against sympy's, and the canonical form that constructor relies
+# on: ints / d with tuple monomials of the ring's length, nonzero int
+# coefficients and d > 0 coprime to them, the same (d, ints) and hash as the
+# validating constructor gives from the Fraction view.
 
 _NAMES = ("a", "b", "c", "d")
 _ARITH_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -190,10 +208,15 @@ def _sympy_terms(expr, variables):
 
 def _assert_invariant(p, n):
     assert type(p.variables) is tuple and len(p.variables) == n
-    for mon, c in p.terms.items():
+    assert type(p.d) is int and p.d > 0
+    for mon, c in p.ints.items():
         assert type(mon) is tuple and len(mon) == n
         assert all(type(e) is int and e >= 0 for e in mon)
-        assert type(c) is Fraction and c != 0
+        assert type(c) is int and c != 0
+    assert gcd(p.d, *p.ints.values()) == 1
+    again = MultiPoly(p.variables, p.terms)
+    assert (again.d, again.ints) == (p.d, p.ints)
+    assert again == p and hash(again) == hash(p)
 
 
 def _results(p, q, c, k):
@@ -236,7 +259,8 @@ def test_arithmetic_results_keep_the_invariant(pair, c, k):
     results += [wide.restrict(p.variables)]
     _assert_invariant(wide, n + 1)
     if not q.is_zero():
-        results += [normal_form(p, groebner([q]))]
+        results += [normal_form(p, groebner([q]))] + list(groebner([q]).gens)
+        results += list(groebner([q], LEX).gens)
         for g in homogenize([q], "z").gens:
             _assert_invariant(g, n + 1)
     for got in results:

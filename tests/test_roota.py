@@ -320,3 +320,11 @@ def test_a_weight_is_scaled_by_ints_only(k):
         with pytest.raises(TypeError, match="scales a weight; pass an int"):
             scale(Weight([1, 0, 0]))
     assert Weight([1, 0, 0]) * 3 == 3 * Weight([1, 0, 0]) == Weight([3, 0, 0])
+
+
+@pytest.mark.parametrize("point", [(1, 2), (1, 2, 3, 4)])
+def test_weight_pair_refuses_a_point_of_the_wrong_length(point):
+    # before, zip cut both points to their common length and each paired to 1
+    with pytest.raises(ValueError, match="needs a point of 3 entries"):
+        Weight([1, 0, 0]).pair(point)
+    assert Weight([1, 0, 0]).pair((1, 2, -3)) == 1
