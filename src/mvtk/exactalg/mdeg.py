@@ -40,7 +40,7 @@ from math import comb, factorial, lcm
 from typing import Mapping, Sequence
 
 from .groebner import GroebnerBasis, groebner
-from .poly import GREVLEX, MultiPoly, TermOrder, _reduced, _times_form
+from .poly import GREVLEX, MultiPoly, TermOrder, _reduced
 
 
 class WeightAssignment:
@@ -180,14 +180,21 @@ def multidegree(gens: Sequence[MultiPoly] | GroebnerBasis, w: WeightAssignment,
         coords = [0] * len(w.alpha_names)
         for m, a in f.ints.items():
             coords[m.index(1)] = a * (e // f.d)
-        power = {(0,) * len(coords): coef}
-        for _ in range(c):
-            power = _times_form(power, tuple(coords))
-        for mon, v in power.items():
-            total[mon] = total.get(mon, 0) + v
+        for mon, v in _form_power(coords, c).items():
+            total[mon] = total.get(mon, 0) + coef * v
     # mdeg = ((-1)^c / c!) * total / e^c
     total = {mon: -v if c % 2 else v for mon, v in total.items() if v}
     return MultiPoly._make(w.alpha_names, *_reduced(factorial(c) * e**c, total))
+
+
+def _form_power(coords: list, c: int) -> dict:
+    """(sum_j coords[j] x_j)^c as {exponent tuple: nonzero int}, by the multinomial theorem:
+    x_j takes k of the degree left by x_0..x_{j-1}, with factor C(left, k) coords[j]^k."""
+    out, last = {(): 1}, len(coords) - 1
+    for j, a in enumerate(coords):
+        out = {e + (k,): v * comb(left, k) * a**k for e, v in out.items() for left in (c - sum(e),)
+               for k in ((left,) if j == last else range(left + 1) if a else (0,))}
+    return {e: v for e, v in out.items() if v}
 
 
 def dimension(gens: Sequence[MultiPoly] | GroebnerBasis, nvars: int | None = None,

@@ -83,13 +83,8 @@ class Tableau:
 
     def restricted_shape(self, i: int) -> tuple:
         """Shape after deleting all boxes with entries > i, padded to m parts."""
-        sh = []
-        for row in self.rows:
-            k = sum(1 for x in row if x <= i)
-            sh.append(k)
-        while len(sh) < self.m:
-            sh.append(0)
-        return tuple(sh)
+        sh = [sum(1 for x in row if x <= i) for row in self.rows]
+        return tuple(sh + [0] * (self.m - len(sh)))
 
     def weight_lambda(self) -> Weight:
         lam = list(self.shape()) + [0] * (self.m - len(self.rows))
@@ -107,14 +102,8 @@ class Tableau:
 
 def lusztig_datum(tau: Tableau) -> tuple:
     """Entry at eps_i - eps_j counts the boxes in row i filled with j."""
-    m = tau.m
-    out = []
-    for (i, j) in root_positions(m):
-        count = 0
-        if i <= len(tau.rows):
-            count = sum(1 for x in tau.rows[i - 1] if x == j)
-        out.append(count)
-    return tuple(out)
+    rows = tau.rows
+    return tuple(rows[i - 1].count(j) if i <= len(rows) else 0 for (i, j) in root_positions(tau.m))
 
 
 # -- the chart ---------------------------------------------------------------------
@@ -172,9 +161,11 @@ class TmuChart:
 
 
 def _poly_matmul(A, B, zero):
-    cols = list(zip(*B))
-    return [[sum((a * b for a, b in zip(row, col) if not a.is_zero() and not b.is_zero()), zero)
-             for col in cols] for row in A]
+    """A * B, each sum over the positions t where both A[r][t] and B[t][c] are nonzero."""
+    rows = [[(t, a) for t, a in enumerate(row) if not a.is_zero()] for row in A]
+    cols = [{t for t, b in enumerate(col) if not b.is_zero()} for col in zip(*B)]
+    return [[sum((a * B[t][c] for t, a in row if t in col), zero) for c, col in enumerate(cols)]
+            for row in rows]
 
 
 class _Minors:

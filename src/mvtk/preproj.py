@@ -36,11 +36,7 @@ from .roota import (
 
 def arrow_pairs(m):
     """Oriented edges (i, j) of the doubled A_{m-1} diagram."""
-    out = []
-    for i in range(1, m - 1):
-        out.append((i, i + 1))
-        out.append((i + 1, i))
-    return out
+    return [edge for i in range(1, m - 1) for edge in ((i, i + 1), (i + 1, i))]
 
 
 class QuiverRep:
@@ -68,8 +64,6 @@ class QuiverRep:
                 mat = tuple(tuple(self._coerce(v) for v in row) for row in mat)
                 if len(mat) != dj or (dj and any(len(r) != di for r in mat)):
                     raise ValueError(f"arrow {i}->{j} has the wrong shape")
-                if dj == 0:
-                    mat = ()
             self.maps[(i, j)] = mat
         if check and not self.relation_holds():
             raise ValueError("preprojective relation fails")
@@ -107,34 +101,23 @@ class QuiverRep:
             raise ValueError("incompatible summands")
         dims = tuple(a + b for a, b in zip(self.dims, other.dims))
         maps = {}
-        for (i, j) in arrow_pairs(self.m):
-            a = self.maps[(i, j)]
-            b = other.maps[(i, j)]
-            di1, di2 = self.dims[i - 1], other.dims[i - 1]
-            dj1, dj2 = self.dims[j - 1], other.dims[j - 1]
-            rows = []
-            for r in range(dj1):
-                rows.append(tuple(a[r]) + tuple(self._zero() for _ in range(di2)))
-            for r in range(dj2):
-                rows.append(tuple(self._zero() for _ in range(di1)) + tuple(b[r]))
-            maps[(i, j)] = tuple(rows)
+        for (i, j) in arrow_pairs(self.m):  # block diagonal: each side padded by zeros
+            pad_a, pad_b = (self._zero(),) * other.dims[i - 1], (self._zero(),) * self.dims[i - 1]
+            maps[(i, j)] = (tuple(row + pad_a for row in self.maps[(i, j)])
+                            + tuple(pad_b + row for row in other.maps[(i, j)]))
         return QuiverRep(self.m, dims, maps, self.field)
 
     def reduce_mod(self, p: int) -> "QuiverRep":
         if self.field != "Q":
             raise ValueError("already over a prime field")
         _check_field(p)
-        maps = {}
-        for key, mat in self.maps.items():
-            rows = []
-            for row in mat:
-                vals = []
-                for v in row:
-                    if v.denominator % p == 0:
-                        raise ValueError(f"entry {v} not reducible mod {p}")
-                    vals.append((v.numerator * pow(v.denominator, p - 2, p)) % p)
-                rows.append(tuple(vals))
-            maps[key] = tuple(rows)
+
+        def entry(v):
+            if v.denominator % p == 0:
+                raise ValueError(f"entry {v} not reducible mod {p}")
+            return (v.numerator * pow(v.denominator, p - 2, p)) % p
+
+        maps = {key: tuple(tuple(map(entry, row)) for row in mat) for key, mat in self.maps.items()}
         return QuiverRep(self.m, self.dims, maps, p)
 
     def socle_dims(self):
@@ -144,14 +127,8 @@ class QuiverRep:
         p = self.field
         out = []
         for v in range(1, self.m):
-            dv = self.dims[v - 1]
-            stacked = []
-            for w in (v - 1, v + 1):
-                if 1 <= w <= self.m - 1:
-                    mat = self.maps[(v, w)]
-                    for r in range(self.dims[w - 1]):
-                        stacked.append(tuple(mat[r][c] for c in range(dv)))
-            out.append(len(null_space(stacked, dv, p)))
+            stacked = [row for w in (v - 1, v + 1) if 1 <= w < self.m for row in self.maps[(v, w)]]
+            out.append(len(null_space(stacked, self.dims[v - 1], p)))
         return tuple(out)
 
 
@@ -170,13 +147,13 @@ class SubmoduleLattice:
     """All submodules of a nilpotent representation over F_p, with containment.
 
     The lattice is built top-down by a breadth-first search from the full
-    module, one `_children` step per node and vertex: the codimension-1
-    submodules of a submodule N are the N with the space U_i at one vertex
-    i replaced by a hyperplane of U_i that contains the images of the
-    arrows into i; the step depends only on the spaces at i - 1, i and i + 1,
-    and the search memoises it on them, and the span of those images on the
-    spaces at i - 1 and i + 1, for this search only (see `_children`).  The
-    field is a prime, as QuiverRep refuses any other.  The search
+    module on one `_Walk`: a child of N replaces the space U_i at one vertex
+    i by a hyperplane of U_i that contains the images of the arrows into i.
+    A node is a tuple of the walk's space ids, and the search reads the
+    step memo directly on a hit.  At the end the spaces are ranked once in
+    rref order and the nodes sorted by total dimension, then by their ranks
+    (the order of their rref tuples: equal spaces share one id), and decoded.
+    The field is a prime, as QuiverRep refuses any other.  The search
     reaches every submodule exactly when it reaches zero, i.e. when the
     module is nilpotent; otherwise it raises ValueError.  Every module over
     the preprojective algebra is nilpotent, but a QuiverRep built with
@@ -197,38 +174,44 @@ class SubmoduleLattice:
         if rep.field == "Q":
             raise ValueError("enumerate over a prime field")
         self.rep = rep
-        self.subs, self.covers = self._search()
-        self.dim_vectors = [
-            tuple(len(u) for u in sub) for sub in self.subs
-        ]
+        self.subs, self.covers, self.dim_vectors = self._search()
 
     def _search(self):
-        rep = self.rep
-        nv = rep.m - 1
-        children = {}  # submodule -> [(codimension-1 submodule, letter)]
-        memo: dict = {}  # the step's hyperplanes and spans, for this search only
-        level = [_full_module(rep)]
+        nv, walk = self.rep.m - 1, _Walk(self.rep)
+        children, steps = {}, walk.steps  # node -> [(codimension-1 node, letter)]
+        vertices = [(i, max(i - 2, 0)) for i in range(1, nv + 1)]
+        level = [walk.top]
         while level:
             lower = set()  # submodules one dimension down
             for sub in level:
                 kids = children[sub] = []
-                for i in range(1, nv + 1):
-                    for child in _children(rep, sub, i, memo):
-                        kids.append((child, i))
-                        lower.add(child)
+                for i, lo in vertices:
+                    hyperplanes = steps.get((i,) + sub[lo : i + 1])
+                    if hyperplanes is None:
+                        hyperplanes = walk.step(sub, i)
+                    if hyperplanes:
+                        head, tail = sub[: i - 1], sub[i:]
+                        for h in hyperplanes:
+                            child = head + (h,) + tail
+                            kids.append((child, i))
+                            lower.add(child)
             level = lower
-        if ((),) * nv not in children:
+        if (walk.ids.get(()),) * nv not in children:
             raise ValueError(
                 "module is not nilpotent: the top-down search does not reach "
                 "the zero submodule"
             )
-        subs = sorted(children, key=lambda s: (sum(len(u) for u in s), s))
-        index = {sub: i for i, sub in enumerate(subs)}
+        spaces, dims = walk.spaces, [len(u) for u in walk.spaces]
+        rank = {sid: r for r, sid in enumerate(sorted(range(len(spaces)), key=spaces.__getitem__))}
+        nodes = sorted(children, key=lambda s: (sum(map(dims.__getitem__, s)),
+                                                tuple(map(rank.__getitem__, s))))
+        index = {sub: k for k, sub in enumerate(nodes)}
         covers = [
             sorted((index[child], letter) for child, letter in children[sub])
-            for sub in subs
+            for sub in nodes
         ]
-        return subs, covers
+        subs = [tuple(map(spaces.__getitem__, sub)) for sub in nodes]
+        return subs, covers, [tuple(map(dims.__getitem__, sub)) for sub in nodes]
 
     @cached_property
     def below(self):
@@ -405,8 +388,9 @@ def count_points(rep: QuiverRep, query, q: int) -> int:
     seq lists the simple quotients from the bottom up.  `rep` is over Q (it
     is reduced mod q) or over F_q.  The series are counted by peeling simple
     quotients off the top, memoised on the submodule reached, so the count
-    stays feasible on modules whose full submodule lattice would not.  A
-    letter outside 1..m-1 raises ValueError.
+    stays feasible on modules whose full submodule lattice would not; the
+    peel runs on its own `_Walk`, on space ids.  A letter outside 1..m-1
+    raises ValueError.
     """
     if not (isinstance(query, tuple) and len(query) == 2 and query[0] == "compseries"):
         raise ValueError(f"count_points answers the query ('compseries', seq) only, not {query!r}")
@@ -418,78 +402,94 @@ def count_points(rep: QuiverRep, query, q: int) -> int:
     if tuple(_counts(seq, rep.m - 1, "letter")) != rep.dims:
         return 0
 
-    memo: dict = {}  # the step's hyperplanes and spans, for this count only
+    walk = _Walk(rep)
 
     @cache
-    def rec(state, k):  # series of type seq[:k] up to the submodule `state`
+    def rec(state, k):  # series of type seq[:k] up to the submodule `state`, as ids
         if k == 0:
             return 1
-        return sum(rec(child, k - 1) for child in _children(rep, state, seq[k - 1], memo))
+        i = seq[k - 1]
+        head, tail = state[: i - 1], state[i:]
+        return sum(rec(head + (h,) + tail, k - 1) for h in walk.step(state, i))
 
-    return rec(_full_module(rep), len(seq))
-
-
-def _full_module(rep: QuiverRep) -> tuple:
-    """The full module as a submodule: the identity rref at every vertex."""
-    return tuple(tuple(map(tuple, identity(d, rep.field))) for d in rep.dims)
+    return rec(walk.top, len(seq))
 
 
-def _children(rep: QuiverRep, sub, i: int, memo: dict):
-    """The codimension-1 submodules of `sub` with quotient the simple at vertex i.
+class _Walk:
+    """One walk down a submodule lattice: spaces[id] is an rref, ids[rref] its id.
 
-    `sub` holds one rref tuple per vertex.  A child replaces the space U_i
-    by a hyperplane of U_i that contains W, the span of the images of
-    U_{i-1} and U_{i+1} under the arrows into i.  W is built once, as an
-    rref in the coordinates of M_i, and c = dim U_i - dim W decides:
-
-    - c <= 0: no child.  If W lies in U_i, then W = U_i and no hyperplane
-      contains it; otherwise an image leaves U_i.
-    - c >= 1: if a row of W lies outside U_i (`coords` is None), no child.
-      At c = 1 the one child's space is W itself, whose rref is canonical.
-      At c >= 2 a hyperplane is the kernel of a functional phi on U_i that
-      vanishes on W: one per projective point of the annihilator of W's
-      coordinates.  With t the last index where phi_t != 0, the rows row_j
-      - (phi_j / phi_t) row_t (j != t) are already the rref of ker phi:
-      row_t is zero left of its pivot and at the other pivots, and phi_j =
-      0 for j > t (`_kernel_rref`).
-
-    Each child is yielded whole, as `sub` with U_i replaced.  `memo`, one
-    dict per walk, keeps the hyperplanes under (i, U_{i-1}, U_i, U_{i+1}),
-    on which alone they depend, and W, under "spans", per (i, U_{i-1},
-    U_{i+1}).
+    A submodule is the tuple of its m - 1 space ids; `top` is the full
+    module.  `steps` keeps the hyperplane ids of `step` per (i, id_{i-1},
+    id_i, id_{i+1}), on which alone they depend, and `spans` keeps W per
+    (i, id_{i-1}, id_{i+1}) (no id past either end of the diagram).
     """
-    key = (i,) + sub[max(i - 2, 0) : i + 1]
-    if key not in memo:
-        memo[key] = hyperplanes = []
-        p, space = rep.field, sub[i - 1]
-        spans = memo.setdefault("spans", {})
-        around = (i, sub[i - 2] if i > 1 else None, sub[i] if i < rep.m - 1 else None)
-        if around not in spans:
-            spans[around] = rref([mat_vec(rep.maps[(v, i)], row, p) for v in (i - 1, i + 1)
-                                  if 1 <= v < rep.m for row in sub[v - 1]], p)
-        span = spans[around]
+
+    def __init__(self, rep: QuiverRep):
+        self.rep = rep
+        self.spaces, self.ids = [], {}
+        self.steps, self.spans = {}, {}
+        self.top = tuple(self.intern(tuple(map(tuple, identity(d, rep.field)))) for d in rep.dims)
+
+    def intern(self, space) -> int:
+        sid = self.ids.get(space)
+        if sid is None:
+            sid = self.ids[space] = len(self.spaces)
+            self.spaces.append(space)
+        return sid
+
+    def step(self, sub, i: int) -> list:
+        """The hyperplane ids at vertex i for the submodule ids `sub`, from the memo or computed.
+
+        A child replaces U_i by a hyperplane of U_i that contains W, the
+        span of the images of U_{i-1} and U_{i+1} under the arrows into i.
+        W is built once, as an rref in the coordinates of M_i, and c =
+        dim U_i - dim W decides:
+
+        - c <= 0: no child.  If W lies in U_i, then W = U_i and no hyperplane
+          contains it; otherwise an image leaves U_i.
+        - c >= 1: if a row of W lies outside U_i (`coords` is None), no child.
+          At c = 1 the one child's space is W itself, whose rref is canonical.
+          At c >= 2 a hyperplane is the kernel of a functional phi on U_i that
+          vanishes on W: one per projective point of the annihilator of W's
+          coordinates.  With t the last index where phi_t != 0, the rows row_j
+          - (phi_j / phi_t) row_t (j != t) are already the rref of ker phi:
+          row_t is zero left of its pivot and at the other pivots, and phi_j =
+          0 for j > t (`_kernel_rref`).
+        """
+        key = (i,) + sub[max(i - 2, 0) : i + 1]
+        hyperplanes = self.steps.get(key)
+        if hyperplanes is not None:
+            return hyperplanes
+        self.steps[key] = hyperplanes = []
+        rep, p = self.rep, self.rep.field
+        around = (i,) + sub[max(i - 2, 0) : i - 1] + sub[i : i + 1]
+        span = self.spans.get(around)
+        if span is None:
+            span = self.spans[around] = rref(
+                [mat_vec(rep.maps[(v, i)], row, p) for v in (i - 1, i + 1)
+                 if 1 <= v < rep.m for row in self.spaces[sub[v - 1]]], p)
+        space = self.spaces[sub[i - 1]]
         c = len(space) - len(span)
         if c <= 0:
-            return
+            return hyperplanes
         w_rows = [coords(row, space, p) for row in span]
         if None in w_rows:
-            return
+            return hyperplanes
         if c == 1:
-            hyperplanes.append(span)
+            hyperplanes.append(self.intern(span))
         else:
             ann = null_space(w_rows, len(space), p)
             ann_cols = tuple(zip(*ann))
             for lead in reversed(range(c)):  # projective points, first nonzero 1
                 for rest in iproduct(range(p), repeat=c - lead - 1):
                     point = (0,) * lead + (1,) + rest
-                    hyperplanes.append(_kernel_rref(space, mat_vec(ann_cols, point, p), p))
-    head, tail = sub[: i - 1], sub[i:]
-    for h in memo[key]:
-        yield head + (h,) + tail
+                    kernel = _kernel_rref(space, mat_vec(ann_cols, point, p), p)
+                    hyperplanes.append(self.intern(kernel))
+        return hyperplanes
 
 
 def _kernel_rref(space, phi, p: int) -> tuple:
-    """The rref of the kernel of phi != 0 on the rref rows `space`, as in `_children`."""
+    """The rref of the kernel of phi != 0 on the rref rows `space`, as in `_Walk.step`."""
     t = max(j for j, f in enumerate(phi) if f)
     pivot, inv = space[t], pow(phi[t], -1, p)
     return tuple(
@@ -510,9 +510,18 @@ def euler_interpolate(counts, degree_bound: int) -> int:
     through the first degree_bound + 1 points (x_i, y_i) is evaluated in
     Lagrange form over the integers: with w_i = prod_{j != i} (x_i - x_j)
     and D the lcm of the w_i, D * P(x) = sum_i y_i (D / w_i) prod_{j != i}
-    (x - x_j).
+    (x - x_j).  Two different counts at one q, or a negative bound, raise
+    ValueError; a q or a count that is not an int raises TypeError.
     """
-    pts = sorted(dict(counts).items())
+    if degree_bound < 0:
+        raise ValueError(f"degree bound {degree_bound} is negative")
+    samples: dict = {}
+    for qx, y in counts:
+        if not (isinstance(qx, int) and isinstance(y, int)):
+            raise TypeError(f"sample ({qx!r}, {y!r}): q and the count must be ints")
+        if samples.setdefault(qx, y) != y:
+            raise ValueError(f"two counts at q={qx}: {samples[qx]} and {y}")
+    pts = sorted(samples.items())
     if len(pts) < degree_bound + 1:
         raise ValueError("not enough sample points for the degree bound")
     xs = [x for x, _ in pts[: degree_bound + 1]]
@@ -566,9 +575,7 @@ def flag_data(rep: QuiverRep, primes=DEFAULT_PRIMES) -> dict:
     if len(reduced) < 3:
         raise ValueError("need at least three usable primes")
     per_prime = {p: SubmoduleLattice(r).composition_series_counts() for p, r in reduced.items()}
-    seqs = set()
-    for d in per_prime.values():
-        seqs.update(d)
+    seqs = set().union(*per_prime.values())
     chi = {}
     for seq in sorted(seqs):
         samples = [(p, counts.get(seq, 0)) for p, counts in per_prime.items()]
@@ -771,17 +778,15 @@ def injective_module(m: int, i: int) -> QuiverRep:
     for v in range(1, m - 1):
         # up arrow v -> v+1: (r, c) -> (r, c+1)
         rows = [[0] * dims[v - 1] for _ in range(dims[v])]
-        for cell in basis[v]:
-            r, c = cell
+        for (r, c) in basis[v]:
             if c + 1 <= width:
-                rows[index[(r, c + 1)]][index[cell]] = 1
+                rows[index[(r, c + 1)]][index[(r, c)]] = 1
         maps[(v, v + 1)] = rows
         # down arrow v+1 -> v: (r, c) -> (r+1, c)
         rows = [[0] * dims[v] for _ in range(dims[v - 1])]
-        for cell in basis[v + 1]:
-            r, c = cell
+        for (r, c) in basis[v + 1]:
             if r + 1 <= height:
-                rows[index[(r + 1, c)]][index[cell]] = 1
+                rows[index[(r + 1, c)]][index[(r, c)]] = 1
         maps[(v + 1, v)] = rows
     rep = QuiverRep(m, dims, maps, "Q")
     socle = rep.reduce_mod(97).socle_dims()
@@ -827,10 +832,8 @@ class FiltrationCertificate:
 
     def __init__(self, m: int, layers):
         self.m = m
-        self.layers = []
-        for root, mult, span in layers:
-            root = tuple(root)
-            self.layers.append((root, int(mult), {int(v): list(vs) for v, vs in span.items()}))
+        self.layers = [(tuple(root), int(mult), {int(v): list(vs) for v, vs in span.items()})
+                       for root, mult, span in layers]
 
 
 def hn_verify(rep: QuiverRep, cert: FiltrationCertificate):
@@ -848,7 +851,7 @@ def hn_verify(rep: QuiverRep, cert: FiltrationCertificate):
     order = root_positions(m)
     rank = {pos: k for k, pos in enumerate(order)}
     datum = [0] * len(order)
-    prev = list(_full_module(rep))
+    prev = [tuple(map(tuple, identity(d))) for d in rep.dims]
     last_rank = -1
     for layer_no, (root, mult, span) in enumerate(cert.layers):
         if root not in rank:
@@ -856,10 +859,7 @@ def hn_verify(rep: QuiverRep, cert: FiltrationCertificate):
         if rank[root] <= last_rank:
             raise ValueError("certificate roots are not strictly increasing")
         last_rank = rank[root]
-        current = []
-        for v in range(1, m):
-            vectors = span.get(v, [])
-            current.append(rref(vectors))
+        current = [rref(span.get(v, [])) for v in range(1, m)]
         _check_layer(rep, prev, current, root, mult, layer_no)
         datum[rank[root]] = mult
         prev = current
@@ -955,8 +955,7 @@ def load_certificate(payload, params=None) -> FiltrationCertificate:
     payload, entry = _read_fixture(payload, params)
     layers = []
     for layer in payload["hn_certificate"]:
-        span = {}
-        for v, vectors in layer.get("sub", {}).items():
-            span[int(v)] = [[entry(x) for x in vec] for vec in vectors]
+        span = {int(v): [[entry(x) for x in vec] for vec in vectors]
+                for v, vectors in layer.get("sub", {}).items()}
         layers.append((tuple(layer["root"]), layer["mult"], span))
     return FiltrationCertificate(payload["m"], layers)

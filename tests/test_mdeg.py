@@ -16,7 +16,8 @@ from mvtk.exactalg import (
     multigraded_hilbert,
     poly_ring,
 )
-from mvtk.exactalg.mdeg import _k_polynomial
+from mvtk.exactalg.mdeg import _form_power, _k_polynomial
+from mvtk.exactalg.poly import _times_form
 from mvtk.roota import Weight, alpha_names
 
 
@@ -64,6 +65,18 @@ def test_multidegree_of_weights_off_the_root_lattice():
     assert multidegree([x, y], w) == fx * fy
     assert multidegree([x * y], w) == fx + fy
     assert multidegree([x**2 * y], w) == 2 * fx + fy
+
+
+@pytest.mark.parametrize("coords", [
+    [0, 0, 0], [3, 0, 0], [0, -2, 0], [1, 1, 1], [2, 0, -3], [1, -1, 2, 5], [-4, 7, 0, 1],
+])
+@pytest.mark.parametrize("c", [0, 1, 2, 5])
+def test_form_power_matches_repeated_products(coords, c):
+    # the multinomial expansion against c products by the form, zero terms dropped
+    power = {(0,) * len(coords): 1}
+    for _ in range(c):
+        power = _times_form(power, tuple(coords))
+    assert _form_power(coords, c) == {m: v for m, v in power.items() if v}
 
 
 def _random_monomial_or_binomial_ideal(rng, names):

@@ -16,8 +16,8 @@ from mvtk.measures import RatFunc, dbar_i
 from mvtk.preproj import (
     QuiverRep,
     SubmoduleLattice,
-    _children,
     _kernel_rref,
+    _Walk,
     brick_module,
     count_points,
     euler_interpolate,
@@ -426,15 +426,21 @@ def _ref_children(rep, sub, i):
     return out
 
 
+def _walk_children(walk, sub, i):
+    """The children of the decoded submodule `sub` at vertex i by one step of `walk`, decoded."""
+    kids = walk.step(tuple(map(walk.intern, sub)), i)
+    return [sub[: i - 1] + (walk.spaces[h],) + sub[i:] for h in kids]
+
+
 @pytest.mark.parametrize("name, q", [("a4", 2), ("a4", 3), ("i52_i53", 2), ("i52_i53", 3)])
 def test_children_match_the_per_image_oracle(name, q):
-    # every (node, vertex) of the lattice, in one walk memo, so later calls hit it
+    # every (node, vertex) of the lattice, on one walk, so later steps hit its memo
     build = {"a4": a4_module, "i52_i53": lambda: injective_pair(5, 2, 3)}[name]
     rep = build().reduce_mod(q)
-    memo = {}
+    walk = _Walk(rep)
     for sub in SubmoduleLattice(rep).subs:
         for i in range(1, rep.m):
-            assert list(_children(rep, sub, i, memo)) == _ref_children(rep, sub, i), (sub, i)
+            assert _walk_children(walk, sub, i) == _ref_children(rep, sub, i), (sub, i)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -442,12 +448,14 @@ def test_children_at_codimension_three(p):
     # S_1^3: nothing maps into vertex 1, so W = 0 and U_1 = F_p^3 has (p^3 - 1)/(p - 1)
     # hyperplanes; each of them, of codimension 2 over W, has p + 1
     rep = QuiverRep(3, (3, 0), {}, field=p)
-    full = preproj._full_module(rep)
-    kids = list(_children(rep, full, 1, {}))
+    walk = _Walk(rep)
+    full = tuple(map(walk.spaces.__getitem__, walk.top))
+    assert full == (((1, 0, 0), (0, 1, 0), (0, 0, 1)), ())
+    kids = _walk_children(walk, full, 1)
     assert kids == _ref_children(rep, full, 1)
     assert len(set(kids)) == (p**3 - 1) // (p - 1)
     for kid in kids:
-        assert list(_children(rep, kid, 1, {})) == _ref_children(rep, kid, 1)
+        assert _walk_children(_Walk(rep), kid, 1) == _ref_children(rep, kid, 1)
         assert len(_ref_children(rep, kid, 1)) == p + 1
     assert len(SubmoduleLattice(rep).subs) == 2 + 2 * (p**2 + p + 1)
 
@@ -460,8 +468,26 @@ def test_children_at_codimension_three(p):
 def test_children_of_a_tuple_that_is_no_submodule(sub):
     # the arrow 2 -> 1 maps M_2 onto <e1>, which leaves U_1: neither route yields a child
     rep = QuiverRep(3, (3, 1), {(2, 1): ((1,), (0,), (0,))}, field=3)
-    assert list(_children(rep, sub, 1, {})) == []
+    assert _walk_children(_Walk(rep), sub, 1) == []
     assert _ref_children(rep, sub, 1) == []
+
+
+@pytest.mark.parametrize("name, q, digest", [
+    ("i62_i64", 2, "e66d96404c1c9a8face884b44f924d8c3fb90dd785847dd990a9337f70f5516d"),
+    ("i62_i64", 3, "d2c4f586f7c3ed5308a6de9f15d2b883963035ddc33e0cf54369337e0cac3961"),
+    ("i62_i64", 5, "c562ace275b72d79f001dc8f06645c3aabe956f3b3124f1b5f080631234d4925"),
+    ("a4", 2, "7027dd49fdfe8d3e8660b110e9b952a964cb8b1bd3c69d7e41772e3013ae9c64"),
+    ("a4", 3, "e65e240dff8bedc6732b26ba5e609a99495b438c35a1ae622b7fe2a86f0a36ed"),
+    ("a4", 5, "276e001d417977ca83b617a63ed0ef8d8ea369a983e98640289da808ba2348fd"),
+    ("a4", 7, "7c624c2d287e4e4b47f23d288947a1e9e8d1e08d058553ce16b21d0e2ccc0959"),
+])
+def test_lattice_order_is_pinned(name, q, digest):
+    # the node order, the covers and the dimension vectors, byte for byte, as the
+    # search produced them when it walked on tuples of rref tuples
+    build = {"i62_i64": lambda: injective_pair(6, 2, 4), "a4": a4_module}[name]
+    lat = SubmoduleLattice(build().reduce_mod(q))
+    text = repr((lat.subs, lat.covers, lat.dim_vectors))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("q, spans", [(2, 171), (3, 256), (5, 480)])
@@ -526,6 +552,15 @@ def test_euler_interpolate():
         euler_interpolate([(2, 2), (3, 3), (5, 7)], 1)  # not on a line
     with pytest.raises(ValueError):
         euler_interpolate([(2, 3)], 1)  # not enough points
+    # before, dict(counts) kept the last count at q = 2 and returned 1
+    with pytest.raises(ValueError, match="two counts at q=2: 3 and 2"):
+        euler_interpolate([(2, 3), (2, 2), (3, 3), (5, 5)], 1)
+    # before, the float count gave 2.0
+    with pytest.raises(TypeError, match=r"sample \(2, 3\.0\)"):
+        euler_interpolate([(2, 3.0), (3, 4), (5, 6)], 1)
+    # before, a bound of -1 reported a misfit at q=2
+    with pytest.raises(ValueError, match="degree bound -1 is negative"):
+        euler_interpolate([(2, 3), (3, 4)], -1)
 
 
 def _newton_interpolate(counts, degree_bound: int) -> int:
