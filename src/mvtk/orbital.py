@@ -1,11 +1,15 @@
 """Tableaux, chart ideals from rank conditions, multidegrees, and sections.
 
-The pipeline: a semistandard tableau fixes a chain of Jordan types; rank
-conditions on powers of leading principal blocks of the generic chart
-matrix cut out the closure; saturating by minors that are nonzero at
-generic points extracts the top-dimensional component, certified by the
-dimension count.  The multidegree of that component over the chart weight
-product is the equivariant multiplicity.  In the two-step lattice window
+The pipeline: a semistandard tableau fixes a chain of Jordan types, so a
+rank R for each power of each leading principal block of the generic chart
+matrix.  The minors of size R + 1 cut out a union of components, on some of
+which a rank drops below R.  Z_tau is the component where every rank is
+exactly R: saturating by one seeded random combination of the R-minors
+per block and power removes the others, and the dimension count certifies
+the result.  A multidegree adds over the top components of a union, so a
+union left in would give a wrong value and no error.  The multidegree of
+the component over the chart weight product is the equivariant
+multiplicity.  In the two-step lattice window
 (mu = (1,...,1), at most two columns) the same chart embeds into a minor
 coordinate space whose homogeneous coordinate ring carries the section
 counts, bucketed by torus weight.
@@ -13,11 +17,13 @@ counts, bucketed by torus weight.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
 
 from .exactalg import (
+    GREVLEX,
     GroebnerBasis,
     HilbertNumerator,
     MultiPoly,
@@ -48,10 +54,12 @@ class Tableau:
     __slots__ = ("rows", "m")
 
     def __init__(self, rows, m=None):
-        self.rows = tuple(tuple(int(x) for x in row) for row in rows)
+        self.rows = tuple(tuple(row) for row in rows)
         if not self.rows or any(not r for r in self.rows):
             raise ValueError("empty tableau or empty row")
         entries = [x for row in self.rows for x in row]
+        if not all(isinstance(x, int) for x in entries) or not isinstance(m, (int, type(None))):
+            raise TypeError(f"tableau entries and m must be ints: {rows!r}, m={m!r}")
         self.m = m if m is not None else max(entries)
         self._validate()
 
@@ -249,165 +257,68 @@ def _all_minors(minor, t):
     return [d for rs, cs in minor.blocks(t) if not (d := minor(rs, cs)).is_zero()]
 
 
-def _pivot_candidates(mat, t, limit=400):
-    """Candidate t x t transversal selections, simplest entries first."""
-    rows = len(mat)
-    cols = len(mat[0]) if mat else 0
-    entries = []
-    for r in range(rows):
-        for c in range(cols):
-            e = mat[r][c]
-            if not e.is_zero():
-                entries.append((len(e.ints), e.total_degree(), r, c))
-    entries.sort()
-    found = []
-
-    def rec(start, used_r, used_c, picked):
-        if len(found) >= limit:
-            return
-        if len(picked) == t:
-            found.append(picked)
-            return
-        if t - len(picked) > len(entries) - start:
-            return
-        for idx in range(start, len(entries)):
-            _, _, r, c = entries[idx]
-            if r in used_r or c in used_c:
-                continue
-            rec(idx + 1, used_r | {r}, used_c | {c}, picked + [(r, c)])
-            if len(found) >= limit:
-                return
-
-    rec(0, frozenset(), frozenset(), [])
-    for picked in found:
-        yield sorted(p[0] for p in picked), sorted(p[1] for p in picked)
-
-
-def _bordered_minors(minor, R, vanishes=None):
-    """(R+1)-minors containing a fixed R x R pivot block.
-
-    The pivot determinant must not vanish on the variety cut so far
-    (`vanishes` tests membership modulo the accumulated ideal); on the
-    locus where it is invertible the bordered minors cut the rank <= R
-    condition, and the pivot determinant joins the saturation witnesses.
-    Returns (minors, pivot determinant) or None if no usable pivot exists.
-    """
-    if R <= 0:
-        return None  # no pivot block to border
-    for rs, cs in _pivot_candidates(minor.mat, R):
-        pivot_det = minor(tuple(rs), tuple(cs))
-        if not pivot_det.is_zero() and not (vanishes and vanishes(pivot_det)):
-            break
-    else:
-        return None
-    nrows, ncols = minor.shape
-    out = [minor(tuple(sorted(rs + [r])), tuple(sorted(cs + [c])))
-           for r in range(nrows) if r not in rs for c in range(ncols) if c not in cs]
-    return [d for d in out if not d.is_zero()], pivot_det
-
-
-# Past FULL_MINOR_THRESHOLD minors a rank condition borders one pivot block;
-# enumerating all minors of a condition stops at MINOR_CAP, and the witness
-# search tries the first WITNESS_BLOCKS blocks.
-FULL_MINOR_THRESHOLD = 700
+# enumerating the minors of one matrix stops past MINOR_CAP blocks; the
+# exact-rank coefficients of `orbital_ideal` are seeded and bounded
 MINOR_CAP = 60000
-WITNESS_BLOCKS = 4000
+_EXACT_RANK_SEED = 1
+_EXACT_RANK_RANGE = 1000
 
 
-def rank_condition_ideal(tau: Tableau, chart: TmuChart | None = None) -> tuple:
-    """Closure equations and openness witnesses from the Jordan-type chain.
+def _rank_walk(tau: Tableau, chart: TmuChart, reduce):
+    """The rank conditions of tau, one step i and one power r at a time.
 
-    Returns (basis, witnesses): the reduced grevlex basis of the closure
-    equations and the primitive nonconstant witnesses, preferred first.
-    Conditions are generated per restriction step and per power, with the
-    matrix entries reduced modulo the ideal found so far: congruent entries
-    give congruent minors, so the accumulated ideal is unchanged while the
-    matrices stay small enough to enumerate.
+    Yields (i, r, R, k, minors) for i = 1..m and r = 1, 2, ... up to the
+    first r with R = 0.  B_i^r, the r-th power of the leading block of the
+    chart matrix through block row i, has rank R = sum_s max(s - r, 0) over
+    `tau.restricted_shape(i)` on Z_tau; `minors` are those of B_i^r with k
+    constant pivots eliminated (`_pivot_reduce`).  `reduce` takes each
+    entry to a congruent one modulo the ideal in hand: congruent entries
+    give congruent minors, and the matrices stay small.  It is called
+    afresh on each block and each running power, so a caller may enlarge
+    the ideal between two yields.
     """
-    m = tau.m
-    chart = chart or TmuChart(m, tau.content())
     A = chart.generic_matrix()
     zero = MultiPoly.zero(chart.variables)
-    gens = []
-    witnesses = []
-    basis = None
-
-    def reduce_entry(e):
-        if basis is None or e.is_zero():
-            return e
-        return normal_form(e, basis)
-
-    def refresh_basis():
-        # the basis in hand enters Buchberger as a basis, with the new generators
-        nonlocal basis, gens
-        fresh_gens = _dedupe_polys(gens)
-        gens = []
-        if fresh_gens:
-            basis = groebner(fresh_gens if basis is None else [basis, *fresh_gens])
-
-    for i in range(1, m + 1):
+    for i in range(1, tau.m + 1):
         n_i = chart.offsets[i]
-        block = [[reduce_entry(A[r][c]) if c < n_i and r < n_i else zero
-                  for c in range(n_i)] for r in range(n_i)]
+        block = [[reduce(e) for e in row[:n_i]] for row in A[:n_i]]
+        power = block
         sh = tau.restricted_shape(i)
-        power = [row[:] for row in block]
         r = 1
         while True:
             R = sum(max(s - r, 0) for s in sh)
             reduced, k = _pivot_reduce(power, zero)
             if k > R:
-                raise ValueError(
-                    f"rank condition at step {i}, power {r} is infeasible"
-                )
-            t = R + 1 - k
-            minor = _Minors(reduced, zero)
-            nrows, ncols = minor.shape
-            bordered = None
-            if comb(nrows, t) * comb(ncols, t) > FULL_MINOR_THRESHOLD:
-                vanishes = None
-                if basis is not None:
-                    vanishes = lambda d: normal_form(d, basis).is_zero()
-                bordered = _bordered_minors(minor, t - 1, vanishes=vanishes)
-            if bordered is None:
-                got = _all_minors(minor, t)
-            else:
-                got, pivot_det = bordered
-                witnesses.insert(0, pivot_det)
-            gens.extend(got)
+                raise ValueError(f"rank condition at step {i}, power {r} is infeasible")
+            yield i, r, R, k, _Minors(reduced, zero)
             if R == 0:
                 break
-            witnesses.extend(_witness_candidates(minor, R - k))
-            power = _poly_matmul(power, block, zero)
-            power = [[reduce_entry(e) for e in row] for row in power]
+            power = [[reduce(e) for e in row] for row in _poly_matmul(power, block, zero)]
             r += 1
-        if gens:
-            refresh_basis()
-    witnesses = [w for w in _dedupe_polys(witnesses) if not w.is_constant()]
-    return basis if basis is not None else groebner([]), witnesses
 
 
-def _dedupe_polys(polys):
-    seen = set()
-    uniq = []
-    for g in polys:
-        if g.is_zero():
-            continue
-        gp, _ = g.primitive()
-        if gp not in seen:
-            seen.add(gp)
-            uniq.append(gp)
-    return uniq
+def rank_condition_ideal(tau: Tableau, chart: TmuChart | None = None) -> GroebnerBasis:
+    """Closure equations from the Jordan-type chain: rank B_i^r <= R.
 
+    Returns the reduced grevlex basis of all (R+1)-minors of every B_i^r
+    (`_rank_walk`).  The entries of step i are reduced modulo the basis of
+    the steps before it, and the basis in hand enters Buchberger as a basis
+    with each step's minors.
+    """
+    chart = chart or TmuChart(tau.m, tau.content())
+    basis = GroebnerBasis(chart.variables, (), GREVLEX)
+    gens = []
 
-def _witness_candidates(minor, t, limit=12):
-    """Deterministic t-minors likely nonzero on the component: sparse first."""
-    scored = []
-    for rs, cs in islice(minor.blocks(t), WITNESS_BLOCKS):
-        d = minor(rs, cs)
-        if not d.is_zero():
-            scored.append((len(d.ints), sum(sum(mon) for mon in d.ints), str(d), d))
-    scored.sort(key=lambda s: s[:3])
-    return [s[3] for s in scored[:limit]]
+    def reduce(e):
+        return e if e.is_constant() else normal_form(e, basis)
+
+    for _, _, R, k, minors in _rank_walk(tau, chart, reduce):
+        gens.extend(_all_minors(minors, R + 1 - k))
+        if R == 0 and gens:
+            # primitive and deduplicated, the step's minors join the basis in hand
+            basis = groebner([basis, *dict.fromkeys(g.primitive()[0] for g in gens)])
+            gens = []
+    return basis
 
 
 # -- component extraction --------------------------------------------------------------
@@ -460,42 +371,56 @@ def _set_zero(p: MultiPoly, names) -> MultiPoly:
 
 
 def orbital_ideal(tau: Tableau) -> OrbitalIdeal:
-    """Extract the top-dimensional component ideal by guarded saturation."""
-    m = tau.m
-    chart = TmuChart(m, tau.content())
+    """The ideal of Z_tau in the chart: the rank conditions, saturated by exact-rank elements.
+
+    The rank conditions (`rank_condition_ideal`) cut out the union of the
+    varieties where every B_i^r has rank at most R; Z_tau is its component
+    where each has rank exactly R.  For each step i and power r with
+    R - k > 0 (k constant pivots of B_i^r), d = sum_g c_g * g runs over the
+    nonzero (R-k)-minors g of the pivot-reduced B_i^r, with the removed
+    variables set to 0 and the entries reduced modulo the ideal in hand.
+    So d is an element of the ideal of R-minors of B_i^r: it vanishes on a
+    component where that rank drops below R, and on Z_tau only if the c_g
+    are unlucky.  Saturating by each d in (i, r) order removes the
+    components of lower rank; bare variables are pruned after each.  The
+    c_g are drawn uniform in -1000..1000 (`_EXACT_RANK_RANGE`) from
+    random.Random(1) (`_EXACT_RANK_SEED`), and the dimension of the result
+    must be ht(nu).  A d that vanishes on all of V(I), or a wrong
+    dimension, raises ValueError naming the seed and the range.
+    """
+    chart = TmuChart(tau.m, tau.content())
     target = tau.weight_nu().height()
-    basis, witnesses = rank_condition_ideal(tau, chart)
-    current, live_names, removed = _prune_zero_variables(basis, chart.variables)
-    for raw_w in witnesses:
-        if not current:
-            break
-        w = _set_zero(raw_w, removed)
-        if w.is_constant():
-            continue
-        if normal_form(w, current).is_zero():
-            continue
-        sat = saturate(current, w)
-        if any(g.is_constant() for g in sat):
-            continue
-        if dimension(sat, nvars=len(live_names)) < target:
-            continue
-        # the saturation's basis replaces I's (the same basis if nothing
-        # changed); re-prune bare variables the saturation may have exposed
-        current, live_names, removed2 = _prune_zero_variables(sat, live_names)
-        removed = removed + removed2
-    dim_final = dimension(current, nvars=len(live_names))
+    basis, names, removed = _prune_zero_variables(rank_condition_ideal(tau, chart),
+                                                  chart.variables)
+    rng = random.Random(_EXACT_RANK_SEED)
+    certificate = f"seed {_EXACT_RANK_SEED}, coefficients in +-{_EXACT_RANK_RANGE}"
+
+    def reduce(e):
+        # removed variables are 0 on the component; entries stay in the chart ring
+        if e.is_constant():
+            return e
+        return normal_form(_set_zero(e, removed), basis).rename(chart.variables)
+
+    for i, r, R, k, minors in _rank_walk(tau, chart, reduce):
+        if R - k <= 0:
+            continue  # the k pivots already give rank >= R
+        d = sum((rng.randint(-_EXACT_RANK_RANGE, _EXACT_RANK_RANGE) * g
+                 for g in _all_minors(minors, R - k)), minors.zero)
+        d = normal_form(_set_zero(d, removed), basis)
+        if d.is_constant() and not d.is_zero():
+            continue  # the rank is R on all of V(I)
+        sat = None if d.is_zero() else saturate(basis, d)
+        if sat is None or any(g.is_constant() for g in sat):
+            raise ValueError(f"exact-rank element at step {i}, power {r} (R = {R}) vanishes "
+                             f"on every component ({certificate})")
+        basis, names, more = _prune_zero_variables(sat, names)
+        removed += more
+    dim_final = dimension(basis, nvars=len(names))
     if dim_final != target:
-        raise ValueError(
-            f"component extraction failed: dim {dim_final} != {target}; "
-            f"witnesses tried: {[str(w) for w in witnesses]}"
-        )
-    return OrbitalIdeal(
-        chart=chart,
-        basis=current,
-        dim=dim_final,
-        tableau=tau,
-        removed_vars=removed,
-    )
+        raise ValueError(f"component extraction failed: dim {dim_final} != {target} "
+                         f"({certificate})")
+    return OrbitalIdeal(chart=chart, basis=basis, dim=dim_final, tableau=tau,
+                        removed_vars=removed)
 
 
 def orbital_multidegree(orb: OrbitalIdeal) -> MultiPoly:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from mvtk import orbital
+from mvtk.centralizer import dbar_of_function
 from mvtk.exactalg import MultiPoly, WeightAssignment, groebner, multidegree, saturate
 from mvtk.orbital import (
     Tableau,
@@ -22,6 +23,7 @@ from mvtk.preproj import (
     load_module_fixture,
 )
 from mvtk.roota import Weight, alpha_names, lusztig_weight
+from test_centralizer import _flag_minor
 from test_mdeg import k_polynomial_top_down
 
 FIXTURES = res.files("mvtk") / "fixtures"
@@ -149,10 +151,10 @@ def test_a4_homogeneous_kernel_is_saturated_by_u(a4_plucker):
 
 
 def test_orbital_ideal_carries_its_basis(buchberger_runs):
-    # one run per rank-condition refresh and each saturation; none on a
-    # basis already in hand, the last rank-condition basis included
-    orb = orbital_ideal(Tableau(A5_TAU))
-    assert len(buchberger_runs) <= 29
+    # one run per rank-condition refresh (5) and per exact-rank saturation
+    # (10); none on a basis already in hand
+    orbital_ideal(Tableau(A5_TAU))
+    assert len(buchberger_runs) == 15
 
 
 def test_lusztig_datum_of_a5_tableau_matches_fixture():
@@ -186,45 +188,78 @@ BORDERED_DBAR = (
 )
 
 
-def test_bordered_minor_branch(monkeypatch):
-    # a rank condition with more than the full-enumeration threshold of
-    # minors: its (R+1)-minors come from one R x R pivot block, bordered
-    calls = []
-    inner = orbital._bordered_minors
-
-    def counted(*args, **kwargs):
-        out = inner(*args, **kwargs)
-        calls.append(out is not None)
-        return out
-
-    monkeypatch.setattr(orbital, "_bordered_minors", counted)
+def test_bordered_tau_value_and_shape():
+    # its largest rank condition has the most minors of the pinned cases;
+    # 18 chart variables and a component of dimension 11: degree 7
     orb = orbital_ideal(Tableau(BORDERED_TAU, m=6))
-    assert calls == [True]
     assert str(dbar_mv(orb)) == BORDERED_DBAR
     md = orbital_multidegree(orb)
     assert (len(orb.chart.variables), orb.dim) == (18, 11)
     assert md.is_homogeneous()
     assert md.total_degree() == 7
-    # with every rank condition enumerating all its minors (no bordering
-    # call) the value is the same
-    monkeypatch.setattr(orbital, "FULL_MINOR_THRESHOLD", 10**9)
-    assert str(dbar_mv(Tableau(BORDERED_TAU, m=6))) == BORDERED_DBAR
-    assert calls == [True]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the witness order decides the component (ROADMAP item 1)")
-@pytest.mark.parametrize("rows", [[[1, 1, 1, 2], [2, 3, 3, 4], [4, 5], [5]],
-                                  [[1, 1, 1, 3], [2, 2, 2, 4], [3, 4, 5], [5]]])
-def test_dbar_mv_does_not_depend_on_the_minor_strategy(monkeypatch, rows):
-    # the bordered branch puts its pivot determinant first among the
-    # witnesses, the all-minors branch adds none, and on these tableaux the
-    # two witness lists saturate onto different components.  Item 1's
-    # exact-rank saturation sides with the all-minors value on the first
-    # and with the bordered value on the second
-    bordered = dbar_mv(Tableau(rows, m=5))
-    monkeypatch.setattr(orbital, "FULL_MINOR_THRESHOLD", 10**9)
-    assert dbar_mv(Tableau(rows, m=5)) == bordered
+@pytest.mark.parametrize("rows, expected", [
+    # the rank conditions cut out more than one component here, and a
+    # union, or a component where a rank drops, adds a wrong term: each
+    # value is 1 over nine and eight roots
+    ([[1, 1, 1, 2], [2, 3, 3, 4], [4, 5], [5]],
+     "(1) / ((a1)*(a1 + a2)*(a1 + a2 + a3)*(a1 + a2 + a3 + a4)*(a2)*(a2 + a3)"
+     "*(a2 + a3 + a4)*(a3)*(a3 + a4))"),
+    ([[1, 1, 1, 3], [2, 2, 2, 4], [3, 4, 5], [5]],
+     "(1) / ((a1 + a2)*(a1 + a2 + a3)*(a1 + a2 + a3 + a4)*(a2)*(a2 + a3)"
+     "*(a2 + a3 + a4)*(a3)*(a3 + a4))"),
+    # a bordered pivot block (a7^2) vanishes on the whole variety, so only
+    # the ideal of all minors has dimension 6
+    ([[1, 1, 1, 1], [2, 2, 3, 3], [4, 4], [5, 5]], "(1) / ((a2)^2*(a2 + a3)^2*(a2 + a3 + a4)^2)"),
+], ids=["rank-drop", "union", "vanishing-pivot"])
+def test_dbar_mv_keeps_the_exact_rank_component(rows, expected):
+    assert str(dbar_mv(Tableau(rows, m=5))) == expected
+
+
+@pytest.mark.parametrize("rows, m, minors, height", [
+    ([[1, 1, 3], [2, 2, 4], [3, 6], [4], [5]], 6, [(3, 4, 6)], 7),
+    ([[1, 1, 3, 4], [2, 2, 4, 5], [3, 5]], 5, [(4, 5), (3, 4, 5)], 12),
+    ([[1, 1, 3, 5], [2, 2, 4, 6], [3, 5], [4, 6]], 6, [(5, 6), (3, 4, 5, 6)], 16),
+], ids=["D123,346", "I(5,2)+I(5,3)", "I(6,2)+I(6,4)"])
+def test_mv_side_equals_the_measure_side_up_to_sign(rows, m, minors, height):
+    # two independent pipelines: the chart ideal's multidegree, and D-bar of
+    # a product of flag minors Delta_{[1..k], J} (the injective I(m, k) is the
+    # minor with J = [m-k+1..m]).  Delta_{123,346} has odd height, so it
+    # also pins the sign between dbar_mv and the measure side (ROADMAP item
+    # 3), which this test records but does not settle
+    tau = Tableau(rows, m=m)
+    assert tau.weight_nu().height() == height
+    f = _flag_minor(m, minors[0])
+    for cols in minors[1:]:
+        f = f * _flag_minor(m, cols)
+    assert dbar_mv(tau) == dbar_of_function(f) * (-1) ** height
+
+
+def test_orbital_ideal_names_a_vanishing_exact_rank_element(monkeypatch):
+    # with every coefficient 0 the first exact-rank element, at step 2 of
+    # A4, is 0; the error names the step, the power, the rank, the seed and
+    # the range
+    monkeypatch.setattr(orbital, "_EXACT_RANK_RANGE", 0)
+    with pytest.raises(ValueError, match=r"step 2, power 1 \(R = 1\) vanishes .*seed 1, "
+                                         r"coefficients in \+-0"):
+        orbital_ideal(Tableau(A4_TAU))
+
+
+def test_orbital_ideal_refuses_past_the_minor_cap(monkeypatch):
+    monkeypatch.setattr(orbital, "MINOR_CAP", 1)
+    with pytest.raises(ValueError, match="minor enumeration cap exceeded"):
+        orbital_ideal(Tableau(A4_TAU))
+
+
+@pytest.mark.parametrize("rows, m", [
+    ([[1.7, 2], ["3", 4], [5]], None),  # int() would truncate 1.7 and parse "3"
+    ([[1, 2], [3, 4], [5.0]], None),
+    (A4_TAU, 5.0),
+])
+def test_tableau_refuses_non_integral_input(rows, m):
+    with pytest.raises(TypeError, match="must be ints"):
+        Tableau(rows, m=m)
 
 
 @pytest.mark.parametrize("rows, m", [([[1, 1], [2]], 2), ([[1], [2]], 3), ([[1, 1], [2, 2], [3]], 4)])
