@@ -46,11 +46,20 @@ standing first among the generators of `groebner`, `eliminate` or
 counts as plain generators.  `eliminate` carries it into its block ring
 itself, and `saturate` hands it on to `eliminate`: 1 - y*f and the
 eliminated variables sit outside the basis's ring.
+
+`ideals_equal` tests generators of J against a reduced basis K in hand by
+the lead-cover criterion: a subset of an ideal whose leads generate its
+initial ideal is a Groebner basis of it (Cox-Little-O'Shea, ch. 2, sec. 5).
+J lies in K when its generators reduce to zero modulo K.  Buchberger on them
+that reaches a partial basis B whose leads divide every lead of K makes B,
+inside J, a Groebner basis of K, so K = (B) lies in J; if it ends first, a
+lead of K lies outside in(J) = (lm(B)), so in(J) != in(K) and J != K.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import chain, count
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
@@ -258,10 +267,18 @@ def _spoly(f: tuple, g: tuple, lcm: int, pk: _Packing) -> IntPoly:
 # -- Buchberger with Gebauer-Moeller pruning ---------------------------------
 
 
-def _buchberger(known: list, gens: list, pk: _Packing) -> list:
-    """Kernel entries of a Groebner basis of `known` (entries of a basis) and `gens`."""
+def _buchberger(known: list, gens: list, pk: _Packing, until: set | None = None) -> list:
+    """Kernel entries of a Groebner basis of `known` (entries of a basis) and `gens`; a
+    partial one as soon as arriving leads have divided, and removed, every member of `until`."""
     guard, lcm = pk.guard, pk.lcm
     basis = list(known)
+    until = set() if until is None else until
+
+    def arrive(entry) -> bool:  # append entry; True once it empties a nonempty `until`
+        basis.append(entry)
+        hit = [l for l in until if ((l | guard) - entry[1]) & guard == guard]
+        until.difference_update(hit)
+        return bool(hit) and not until
 
     # insert cheap reducers first: most of a redundant generating set then
     # drops out during the insertion normal forms
@@ -271,8 +288,8 @@ def _buchberger(known: list, gens: list, pk: _Packing) -> list:
 
     for p in sorted(gens, key=rank):
         p = _normal_form_full(p, basis, pk)[0]
-        if p:
-            basis.append(pk.entry(p))
+        if p and arrive(pk.entry(p)):
+            return basis
 
     heap: list = []  # (deg lcm, lcm, i, j)
     live: dict = {}  # (i, j) -> exponents of the lcm, for pairs still pending
@@ -325,7 +342,8 @@ def _buchberger(known: list, gens: list, pk: _Packing) -> list:
         s = _spoly(basis[i], basis[j], k, pk)
         s = _normal_form_full(s, basis, pk)[0]
         if s:
-            basis.append(pk.entry(s))
+            if arrive(pk.entry(s)):
+                return basis
             update(len(basis) - 1)
     return basis
 
@@ -346,9 +364,7 @@ def _interreduce(basis: list, pk: _Packing) -> list:
     keep.sort()
     reduced = []
     for idx, (lm, _, lc, tail) in enumerate(keep):
-        p = dict(tail)
-        p[lm] = lc
-        r = _normal_form_full(p, keep[:idx] + keep[idx + 1:], pk)[0]
+        r = _normal_form_full({**dict(tail), lm: lc}, keep[:idx] + keep[idx + 1:], pk)[0]
         if r:
             reduced.append(pk.entry(r))
     reduced.sort(reverse=True)
@@ -514,27 +530,47 @@ def in_ideal(f: MultiPoly, G: GroebnerBasis) -> bool:
 
 def ideals_equal(gens_a: Sequence[MultiPoly], gens_b: Sequence[MultiPoly],
                  order: TermOrder = GREVLEX) -> bool:
-    """Equality of two ideals in one ring, by comparing their reduced bases.
+    """Equality of two ideals in one ring; nonzero ideals in different rings differ.
 
-    The reduced basis of an ideal is unique for the order, so the ideals are
-    equal exactly when the bases are.  Either side may already be a basis.
-    The zero ideal's basis is empty whatever ring it was built in.
+    Generators of J against a GroebnerBasis K for `order` go by the lead-cover
+    criterion of the module docstring: they must reduce to zero modulo K (J in
+    K), and Buchberger on them stops once its leads divide every lead of K (K
+    in J) or ends first (in(J) != in(K)).  Otherwise the reduced bases, unique
+    for the order, are compared; the zero ideal's is empty in any ring.
     """
-    Ga = groebner(gens_a, order)
-    Gb = groebner(gens_b, order)
+    for K, J in ((gens_a, gens_b), (gens_b, gens_a)):
+        if isinstance(K, GroebnerBasis) and K.order == order and not isinstance(J, GroebnerBasis):
+            known, polys, ring = _split(J)
+            if known is None:
+                return _equals_basis(K, polys, ring)
+    Ga, Gb = groebner(gens_a, order), groebner(gens_b, order)
     return Ga == Gb or not (Ga.gens or Gb.gens)
+
+
+def _equals_basis(K: GroebnerBasis, polys: list, ring) -> bool:
+    """Whether the nonzero `polys`, in `ring`, generate the ideal of K (see `ideals_equal`)."""
+    if not (K.gens and polys) or ring != K.variables:
+        return not (K.gens or polys)
+    bits = K._bits()
+    while True:
+        try:
+            pk, entries = K._entries(bits)
+            raw = [pk.pack_poly(g.ints) for g in polys]
+            if any(_normal_form_full(p, entries, pk)[0] for p in raw):
+                return False  # J is not inside K
+            uncovered = {entry[1] for entry in entries}
+            _buchberger([], raw, pk, uncovered)
+            return not uncovered
+        except _Overflow:
+            bits *= 2
 
 
 # -- variable bookkeeping -----------------------------------------------------
 
 
 def _fresh_name(variables, stem: str) -> str:
-    name = stem
-    k = 0
-    while name in variables:
-        k += 1
-        name = f"{stem}{k}"
-    return name
+    names = chain((stem,), (f"{stem}{k}" for k in count(1)))
+    return next(name for name in names if name not in variables)
 
 
 def eliminate(gens: Sequence[MultiPoly] | GroebnerBasis, drop: Iterable[str]) -> GroebnerBasis:
@@ -570,10 +606,8 @@ def eliminate(gens: Sequence[MultiPoly] | GroebnerBasis, drop: Iterable[str]) ->
             reordered.insert(0, carried)
     G = groebner(reordered, order)
     k = len(drop)
-    out = []
-    for g in G.gens:
-        if not any(any(m[:k]) for m in g.ints):
-            out.append(MultiPoly._make(keep, g.d, {m[k:]: c for m, c in g.ints.items()}))
+    out = [MultiPoly._make(keep, g.d, {m[k:]: c for m, c in g.ints.items()})
+           for g in G.gens if not any(any(m[:k]) for m in g.ints)]
     return GroebnerBasis(keep, out, GREVLEX)
 
 
@@ -613,11 +647,6 @@ def homogenize(gens: Sequence[MultiPoly], hvar: str) -> GroebnerBasis:
     """
     G = groebner(gens, GREVLEX)
     new_vars = G.variables + (hvar,)
-    out = []
-    for g in G.gens:
-        d = g.total_degree()
-        ints = {}
-        for m, c in g.ints.items():
-            ints[m + (d - sum(m),)] = c
-        out.append(MultiPoly._make(new_vars, g.d, ints))
+    out = [MultiPoly._make(new_vars, g.d, {m + (d - sum(m),): c for m, c in g.ints.items()})
+           for g, d in zip(G.gens, map(MultiPoly.total_degree, G.gens))]
     return GroebnerBasis(new_vars, out, GREVLEX)

@@ -154,10 +154,10 @@ def _codim(k_poly: dict) -> int:
     return k
 
 
-def _initial_ideal(gens: Sequence[MultiPoly] | GroebnerBasis, order: TermOrder) -> tuple:
+def _initial_ideal(gens: Sequence[MultiPoly] | GroebnerBasis, order: TermOrder, what: str) -> tuple:
     G = groebner(gens, order)
     if any(g.is_constant() for g in G.gens):
-        raise ValueError("unit ideal has no multidegree")
+        raise ValueError(f"unit ideal has no {what}")
     return G, G.leading_monomials()
 
 
@@ -165,7 +165,7 @@ def multidegree(gens: Sequence[MultiPoly] | GroebnerBasis, w: WeightAssignment,
                 order: TermOrder = GREVLEX) -> MultiPoly:
     """Torus-equivariant class of V(I) inside the weighted coordinate space."""
     w.check_nonzero()
-    _, lead = _initial_ideal(gens, order)
+    _, lead = _initial_ideal(gens, order, "multidegree")
     if not w.variables:
         return MultiPoly.constant(w.alpha_names, 1)  # K = 1, codimension 0: a point
     k_poly = _k_polynomial(lead, w.grades())
@@ -199,13 +199,15 @@ def _form_power(coords: list, c: int) -> dict:
 
 def dimension(gens: Sequence[MultiPoly] | GroebnerBasis, nvars: int | None = None,
               order: TermOrder = GREVLEX) -> int:
-    G, lead = _initial_ideal(gens, order)
+    """Krull dimension of S/I; `nvars` sizes the zero ideal's ring and must match any other's."""
+    G, lead = _initial_ideal(gens, order, "dimension")
     if not G.gens:
         if nvars is None:
             raise ValueError("dimension of the zero ideal needs the ambient size")
         return nvars
-    nvars = len(G.variables)
-    return nvars - _codim(_k_polynomial(lead, [(1,)] * nvars))
+    if nvars not in (None, n := len(G.variables)):
+        raise ValueError(f"nvars = {nvars}, but the ideal lives in {n} variables")
+    return n - _codim(_k_polynomial(lead, [(1,)] * n))
 
 
 @dataclass(frozen=True)

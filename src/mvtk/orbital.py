@@ -565,11 +565,8 @@ def _check_plucker_fixture(kernel, names, subsets, fixture):
     from the relations themselves, then the ideals must agree exactly.
     """
     label_by_subset = {tuple(s): l for l, s in fixture["minors"].items()}
-    rename = {}
-    for name, subset in zip(names, subsets):
-        label = label_by_subset.get(tuple(subset))
-        if label:
-            rename[label] = name
+    rename = {label_by_subset[tuple(s)]: name for name, s in zip(names, subsets)
+              if tuple(s) in label_by_subset}
     missing = [l for l in fixture["minors"] if l not in rename]
     if missing:
         raise ValueError(f"fixture labels {missing} have no computed minor")
@@ -592,16 +589,12 @@ def _check_plucker_fixture(kernel, names, subsets, fixture):
         if len(mons) == 1:
             continue
         base = mons[0]
-        found = None
-        for pattern in range(1 << (len(mons) - 1)):
-            trial = dict(poly.ints)
-            for k, mon in enumerate(mons[1:]):
-                if (pattern >> k) & 1:
-                    trial[mon] = -trial[mon]
-            cand = substituted(MultiPoly._make(labels, poly.d, trial), set())
-            if normal_form(cand, kernel).is_zero():
-                found = pattern
-                break
+        # normal forms are linear: reduce each substituted term once, then
+        # try the patterns as signed sums of the reduced terms
+        terms = [MultiPoly._make(labels, poly.d, {mon: poly.ints[mon]}) for mon in mons]
+        head, *tail = [normal_form(substituted(term, set()), kernel) for term in terms]
+        found = next((pattern for pattern in range(1 << len(tail)) if sum(
+            (-r if pattern >> k & 1 else r for k, r in enumerate(tail)), head).is_zero()), None)
         if found is None:
             raise AssertionError("no sign pattern of a fixture generator lies in the kernel")
         for k, mon in enumerate(mons[1:]):

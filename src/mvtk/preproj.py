@@ -18,7 +18,7 @@ import random
 import re
 from collections.abc import Mapping, ValuesView
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import chain, islice, repeat, product as iproduct
 from math import gcd, isqrt, lcm, prod
 from numbers import Integral
@@ -420,14 +420,15 @@ class _Walk:
 
     A submodule is the tuple of its m - 1 space ids; `top` is the full
     module.  `steps` keeps the hyperplane ids of `step` per (i, id_{i-1},
-    id_i, id_{i+1}), on which alone they depend, and `spans` keeps W per
-    (i, id_{i-1}, id_{i+1}) (no id past either end of the diagram).
+    id_i, id_{i+1}), on which alone they depend, `spans` keeps W per
+    (i, id_{i-1}, id_{i+1}) (no id past either end of the diagram), and
+    `images` the rows of space v's image under the arrow v -> i per (v, i, id_v).
     """
 
     def __init__(self, rep: QuiverRep):
         self.rep = rep
         self.spaces, self.ids = [], {}
-        self.steps, self.spans = {}, {}
+        self.steps, self.spans, self.images = {}, {}, {}
         self.top = tuple(self.intern(tuple(map(tuple, identity(d, rep.field)))) for d in rep.dims)
 
     def intern(self, space) -> int:
@@ -461,13 +462,18 @@ class _Walk:
         if hyperplanes is not None:
             return hyperplanes
         self.steps[key] = hyperplanes = []
-        rep, p = self.rep, self.rep.field
+        rep, p, images, spaces = self.rep, self.rep.field, self.images, self.spaces
         around = (i,) + sub[max(i - 2, 0) : i - 1] + sub[i : i + 1]
         span = self.spans.get(around)
         if span is None:
-            span = self.spans[around] = rref(
-                [mat_vec(rep.maps[(v, i)], row, p) for v in (i - 1, i + 1)
-                 if 1 <= v < rep.m for row in self.spaces[sub[v - 1]]], p)
+            rows = []
+            for v in (i - 1, i + 1):
+                if 1 <= v < rep.m:
+                    img = images.get(src := (v, i, sub[v - 1]))
+                    if img is None:
+                        img = images[src] = [mat_vec(rep.maps[v, i], r, p) for r in spaces[src[2]]]
+                    rows += img
+            span = self.spans[around] = rref(rows, p)
         space = self.spaces[sub[i - 1]]
         c = len(space) - len(span)
         if c <= 0:
@@ -508,29 +514,31 @@ def euler_interpolate(counts, degree_bound: int) -> int:
     samples must lie exactly on the fitted polynomial, else the counts are
     not polynomial in q and the method does not apply.  The interpolant P
     through the first degree_bound + 1 points (x_i, y_i) is evaluated in
-    Lagrange form over the integers: with w_i = prod_{j != i} (x_i - x_j)
-    and D the lcm of the w_i, D * P(x) = sum_i y_i (D / w_i) prod_{j != i}
-    (x - x_j).  Two different counts at one q, or a negative bound, raise
-    ValueError; a q or a count that is not an int raises TypeError.
+    Lagrange form over the integers: with w_i = prod_{j != i} (x_i - x_j), D
+    the lcm of the w_i and L(x) = prod_j (x - x_j), D * P(x) = L(x) * sum_i
+    y_i (D / w_i) / (x - x_i) off the nodes, each quotient exact.  Two counts
+    at one q, or a negative bound, raise ValueError; a q or a count that is
+    not an int, or is a bool, raises TypeError.
     """
     if degree_bound < 0:
         raise ValueError(f"degree bound {degree_bound} is negative")
     samples: dict = {}
     for qx, y in counts:
-        if not (isinstance(qx, int) and isinstance(y, int)):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (qx, y)):
             raise TypeError(f"sample ({qx!r}, {y!r}): q and the count must be ints")
         if samples.setdefault(qx, y) != y:
             raise ValueError(f"two counts at q={qx}: {samples[qx]} and {y}")
     pts = sorted(samples.items())
     if len(pts) < degree_bound + 1:
         raise ValueError("not enough sample points for the degree bound")
-    xs = [x for x, _ in pts[: degree_bound + 1]]
-    weights = [prod(xi - xj for xj in xs if xj != xi) for xi in xs]
-    den = lcm(*weights)
-    scaled = [y * (den // w) for (_, y), w in zip(pts, weights)]
+    xs = tuple(x for x, _ in pts[: degree_bound + 1])
+    den, factors = _lagrange_factors(xs)
+    scaled = [y * f for (_, y), f in zip(pts, factors)]
 
     def scaled_value(x):  # den * P(x)
-        return sum(c * prod(x - xj for xj in xs if xj != xi) for c, xi in zip(scaled, xs))
+        if not (nodes := prod(x - xj for xj in xs)):
+            return samples[x] * den  # x is a node
+        return sum(c * (nodes // (x - xi)) for c, xi in zip(scaled, xs))
 
     for qx, y in pts[degree_bound + 1 :]:
         if scaled_value(qx) != y * den:
@@ -542,6 +550,14 @@ def euler_interpolate(counts, degree_bound: int) -> int:
     if rest:
         raise ValueError("interpolated value at q=1 is not an integer")
     return value
+
+
+@lru_cache(maxsize=64)
+def _lagrange_factors(xs: tuple) -> tuple:
+    """(D, the D / w_i) of the nodes xs, as in `euler_interpolate`; they depend on xs alone."""
+    weights = [prod(xi - xj for xj in xs if xj != xi) for xi in xs]
+    den = lcm(*weights)
+    return den, tuple(den // w for w in weights)
 
 
 DEFAULT_PRIMES = (2, 3, 5, 7)

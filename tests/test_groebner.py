@@ -496,6 +496,89 @@ def test_ideals_equal_zero_and_unit_ideals():
     assert not ideals_equal([], [x])
 
 
+# -- ideals_equal against a basis in hand -----------------------------------------
+# With a GroebnerBasis K on one side and generators of J on the other, the
+# generators must reduce to zero modulo K, and Buchberger on them stops once
+# its leads cover K's.  The oracle compares the full reduced bases.
+
+
+def _equal_by_reduced_bases(gens_a, gens_b):
+    Ga, Gb = groebner(list(gens_a)), groebner(list(gens_b))
+    return Ga == Gb or not (Ga.gens or Gb.gens)
+
+
+@pytest.fixture
+def ideal_work(monkeypatch):
+    """Counts of full `groebner` runs and of `_buchberger` runs made from the module."""
+    module = importlib.import_module("mvtk.exactalg.groebner")
+    counts = {"groebner": 0, "buchberger": 0}
+    for name, key in (("groebner", "groebner"), ("_buchberger", "buchberger")):
+        inner = getattr(module, name)
+
+        def counted(*args, inner=inner, key=key):
+            counts[key] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_ideals_equal_with_the_basis_on_either_side(ideal_work):
+    vs, (x, y, z) = poly_ring(["x", "y", "z"])
+    K = groebner([x**2 - y, x * y - z, y**2 - x * z])
+    J = [x * y - z + 3 * (x**2 - y), x**2 - y, y**2 - x * z - x * (x * y - z)]
+    ideal_work.update(groebner=0, buchberger=0)
+    assert ideals_equal(K, J) and ideals_equal(J, K)
+    # no reduced basis of J is built: Buchberger on J stops once K's leads are covered
+    assert ideal_work == {"groebner": 0, "buchberger": 2}
+    assert ideals_equal(K, list(K.gens)[::-1])
+
+
+def test_ideals_equal_a_proper_subideal_runs_buchberger_to_the_end(ideal_work):
+    vs, (x, y) = poly_ring(["x", "y"])
+    K = groebner([x, y])
+    J = [x**2, y]  # inside K, and in(J) = (x^2, y) misses the lead x
+    assert all(in_ideal(g, K) for g in J)
+    ideal_work.update(groebner=0, buchberger=0)
+    assert not ideals_equal(J, K) and not ideals_equal(K, J)
+    assert ideal_work == {"groebner": 0, "buchberger": 2}
+
+
+def test_ideals_equal_stops_at_a_generator_outside_the_basis(ideal_work):
+    vs, (x, y) = poly_ring(["x", "y"])
+    K = groebner([x])
+    ideal_work.update(groebner=0, buchberger=0)
+    assert not ideals_equal(K, [x, y]) and not ideals_equal([y, x], K)
+    assert ideal_work == {"groebner": 0, "buchberger": 0}
+
+
+def test_ideals_equal_keeps_the_zero_ideal_and_ring_mismatch_results():
+    vs, (x, y) = poly_ring(["x", "y"])
+    x_only = MultiPoly.var(("x",), "x")
+    empty = eliminate([MultiPoly.parse("y*x - 1", ("y", "x"))], ["y"])  # zero ideal in ring (x)
+    cases = [
+        (empty, [MultiPoly.zero(vs)], True),   # zero ideals in two rings
+        (groebner([]), [], True),
+        (empty, [x], False),
+        (groebner([x]), [], False),
+        (groebner([x]), [x_only], False),      # nonzero, other rings
+        (groebner([x_only]), [x, y - y], False),
+    ]
+    for K, J, expected in cases:
+        assert _equal_by_reduced_bases(K, J) == expected
+        assert ideals_equal(K, J) == expected
+        assert ideals_equal(J, K) == expected
+
+
+@_IDEAL_SETTINGS
+@given(_ideal_pairs())
+def test_ideals_equal_against_a_basis_agrees_with_reduced_bases(pair):
+    a, b = pair
+    expected = _equal_by_reduced_bases(a, b)
+    assert ideals_equal(groebner(a), b) == expected
+    assert ideals_equal(a, groebner(b)) == expected
+
+
 # -- bases carried into Buchberger ------------------------------------------------
 # saturate and eliminate enter a GroebnerBasis among their generators as a
 # basis whose members are never paired; the result must be the one a plain

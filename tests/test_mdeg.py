@@ -55,6 +55,24 @@ def test_summary_fields():
     assert minimal_primes([(1, 1, 0), (1, 0, 1)]) == [frozenset([0]), frozenset([1, 2])]
 
 
+def test_dimension_refuses_an_nvars_off_the_ring():
+    # before, nvars was ignored for a nonzero ideal and this returned 2
+    vs, (x0, x1, x2) = poly_ring(["x0", "x1", "x2"])
+    assert dimension([x0], nvars=3) == 2
+    with pytest.raises(ValueError, match="nvars = 5, but the ideal lives in 3 variables"):
+        dimension([x0], nvars=5)
+    assert dimension([MultiPoly.zero(vs)], nvars=5) == 5  # the zero ideal has no ring of its own
+
+
+def test_dimension_of_the_unit_ideal_names_dimension():
+    # before, the message was the multidegree's
+    vs, (x, y) = poly_ring(["x", "y"])
+    with pytest.raises(ValueError, match="^unit ideal has no dimension$"):
+        dimension([x, x - 1])
+    with pytest.raises(ValueError, match="^unit ideal has no multidegree$"):
+        multidegree([x, x - 1], wa_for(vs, 3, [(1, 2), (2, 3)]))
+
+
 def test_multidegree_of_weights_off_the_root_lattice():
     # eps_1 and eps_2 at m = 3 have alpha coordinates (2/3, 1/3) and (-1/3, 1/3):
     # the forms' coefficients are not integers, and the class is still their product

@@ -9,6 +9,7 @@ from mvtk.centralizer import dbar_of_function
 from mvtk.exactalg import MultiPoly, WeightAssignment, groebner, multidegree, saturate
 from mvtk.orbital import (
     Tableau,
+    _check_plucker_fixture,
     dbar_mv,
     lusztig_datum,
     orbital_ideal,
@@ -86,6 +87,14 @@ def test_a4_section_totals(a4_plucker, n, total):
     # beyond the chain counts above: the totals of the degree-n sections
     sections = plucker_sections(Tableau(A4_TAU), n, chart=a4_plucker)
     assert sum(sections.values()) == total
+
+
+def test_a4_fixture_sign_flips_are_pinned(a4_plucker):
+    # the labels whose fixture coordinate is minus the computed minor
+    fixture = json.loads((FIXTURES / "a4_plucker.json").read_text())
+    flips = _check_plucker_fixture(a4_plucker.kernel, a4_plucker.variables,
+                                   a4_plucker.subsets, fixture)
+    assert flips == {"b1", "b2", "b3", "b4", "b5", "b6", "b9", "b10", "b12"}
 
 
 @pytest.fixture

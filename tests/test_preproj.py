@@ -1,6 +1,7 @@
 import hashlib
 import importlib.resources as res
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product as iproduct
@@ -503,6 +504,22 @@ def test_lattice_walk_builds_one_span_per_neighbourhood(q, spans, monkeypatch):
     assert len(built) == len(around) == spans
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_lattice_walk_maps_each_space_once_per_arrow(q, monkeypatch):
+    # the rows of U_v go through the arrow v -> i once per walk, however many
+    # spans (i, U_{i-1}, U_{i+1}) read them
+    rep = injective_pair(6, 2, 4).reduce_mod(q)
+    arrows = {id(mat) for mat in rep.maps.values()}
+    images = []
+    monkeypatch.setattr(preproj, "mat_vec", lambda mat, vec, p=None: (
+        images.append(vec) if id(mat) in arrows else None) or mat_vec(mat, vec, p))
+    lat = SubmoduleLattice(rep)
+    nv = rep.m - 1
+    pairs = {(v, i, sub[v - 1]) for sub in lat.subs for i in range(1, nv + 1)
+             for v in (i - 1, i + 1) if 1 <= v <= nv}
+    assert len(images) <= sum(len(space) for _, _, space in pairs)
+
+
 @pytest.mark.parametrize("seq, letter", [((0,), 0), ((3,), 3), ((-1,), -1), ((2, 0), 0)])
 def test_count_points_refuses_a_letter_outside_the_diagram(seq, letter):
     # before, (0,) raised KeyError, (3,) IndexError, and (-1,) counted 0
@@ -561,6 +578,11 @@ def test_euler_interpolate():
     # before, a bound of -1 reported a misfit at q=2
     with pytest.raises(ValueError, match="degree bound -1 is negative"):
         euler_interpolate([(2, 3), (3, 4)], -1)
+    # before, True was read as q = 1 and the call returned 3
+    with pytest.raises(TypeError, match=r"sample \(True, 3\)"):
+        euler_interpolate([(True, 3), (2, 5), (3, 7)], 1)
+    with pytest.raises(TypeError, match=r"sample \(2, False\)"):
+        euler_interpolate([(2, False), (3, 4), (5, 6)], 1)
 
 
 def _newton_interpolate(counts, degree_bound: int) -> int:
@@ -621,6 +643,27 @@ def test_euler_interpolate_matches_the_newton_oracle(case):
         return "value", value
 
     assert outcome(euler_interpolate) == outcome(_newton_interpolate)
+
+
+@pytest.mark.parametrize("nodes", [(2, 3, 5), (1, 2, 3, 5), (2, 3, 5, 7, 11, 13, 17, 19)])
+def test_euler_interpolate_on_shared_nodes_matches_the_newton_oracle(nodes):
+    # calls on one node tuple share its Lagrange factors, never its counts;
+    # q = 1 among the nodes reads the count there
+    rng = random.Random(len(nodes))
+    bound = len(nodes) - 2
+    for _ in range(20):
+        coeffs = [rng.randint(-9, 9) for _ in range(bound + 1)]
+        counts = [(x, sum(c * x**k for k, c in enumerate(coeffs))) for x in nodes]
+        if rng.random() < 0.3:
+            counts[-1] = (nodes[-1], counts[-1][1] + 1)  # a misfit
+        for case in ((counts, bound), (counts[:-1], bound)):
+            try:
+                expected = _newton_interpolate(*case)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    euler_interpolate(*case)
+            else:
+                assert euler_interpolate(*case) == expected
 
 
 def test_a4_euler_characteristics_table():
