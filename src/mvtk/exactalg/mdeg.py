@@ -225,14 +225,12 @@ def hilbert_numerator(gens: Sequence[MultiPoly] | GroebnerBasis,
     I must be homogeneous in total degree, which holds exactly when its
     reduced grevlex basis is homogeneous.
     """
-    G = groebner(gens, GREVLEX)
-    if any(g.is_constant() for g in G.gens):
-        raise ValueError("unit ideal")
+    G, lead = _initial_ideal(gens, GREVLEX, "Hilbert numerator")
     if any(not g.is_homogeneous() for g in G.gens):
         raise ValueError("ideal is not homogeneous in total degree")
     if G.gens and G.variables != w.variables:
         raise ValueError("weight assignment does not match the ring")
-    return HilbertNumerator(w.grades(), _k_polynomial(G.leading_monomials(), w.grades()))
+    return HilbertNumerator(w.grades(), _k_polynomial(lead, w.grades()))
 
 
 def multigraded_hilbert(gens: Sequence[MultiPoly] | GroebnerBasis | HilbertNumerator,

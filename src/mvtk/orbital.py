@@ -275,7 +275,8 @@ def _rank_walk(tau: Tableau, chart: TmuChart, reduce):
     entry to a congruent one modulo the ideal in hand: congruent entries
     give congruent minors, and the matrices stay small.  It is called
     afresh on each block and each running power, so a caller may enlarge
-    the ideal between two yields.
+    the ideal between two yields, as `orbital_ideal`, its one caller, does
+    after each step.
     """
     A = chart.generic_matrix()
     zero = MultiPoly.zero(chart.variables)
@@ -295,30 +296,6 @@ def _rank_walk(tau: Tableau, chart: TmuChart, reduce):
                 break
             power = [[reduce(e) for e in row] for row in _poly_matmul(power, block, zero)]
             r += 1
-
-
-def rank_condition_ideal(tau: Tableau, chart: TmuChart | None = None) -> GroebnerBasis:
-    """Closure equations from the Jordan-type chain: rank B_i^r <= R.
-
-    Returns the reduced grevlex basis of all (R+1)-minors of every B_i^r
-    (`_rank_walk`).  The entries of step i are reduced modulo the basis of
-    the steps before it, and the basis in hand enters Buchberger as a basis
-    with each step's minors.
-    """
-    chart = chart or TmuChart(tau.m, tau.content())
-    basis = GroebnerBasis(chart.variables, (), GREVLEX)
-    gens = []
-
-    def reduce(e):
-        return e if e.is_constant() else normal_form(e, basis)
-
-    for _, _, R, k, minors in _rank_walk(tau, chart, reduce):
-        gens.extend(_all_minors(minors, R + 1 - k))
-        if R == 0 and gens:
-            # primitive and deduplicated, the step's minors join the basis in hand
-            basis = groebner([basis, *dict.fromkeys(g.primitive()[0] for g in gens)])
-            gens = []
-    return basis
 
 
 # -- component extraction --------------------------------------------------------------
@@ -373,16 +350,21 @@ def _set_zero(p: MultiPoly, names) -> MultiPoly:
 def orbital_ideal(tau: Tableau) -> OrbitalIdeal:
     """The ideal of Z_tau in the chart: the rank conditions, saturated by exact-rank elements.
 
-    The rank conditions (`rank_condition_ideal`) cut out the union of the
-    varieties where every B_i^r has rank at most R; Z_tau is its component
-    where each has rank exactly R.  For each step i and power r with
-    R - k > 0 (k constant pivots of B_i^r), d = sum_g c_g * g runs over the
-    nonzero (R-k)-minors g of the pivot-reduced B_i^r, with the removed
-    variables set to 0 and the entries reduced modulo the ideal in hand.
-    So d is an element of the ideal of R-minors of B_i^r: it vanishes on a
-    component where that rank drops below R, and on Z_tau only if the c_g
-    are unlucky.  Saturating by each d in (i, r) order removes the
-    components of lower rank; bare variables are pruned after each.  The
+    One walk over the steps i and powers r (`_rank_walk`) gives both.  The
+    (R+1)-minors of every B_i^r cut out the union of the varieties where
+    each has rank at most R; each step's minors join the basis in hand,
+    which reduces the entries of later steps.  Z_tau is the component where
+    every rank is exactly R.  For each (i, r) with R - k > 0 (k constant
+    pivots), d = sum_g c_g * g runs over the nonzero (R-k)-minors g of the
+    same pivot-reduced B_i^r.  Its entries are reduced only modulo the
+    basis in hand, which lies in the final ideal I, so d is congruent
+    modulo I to an element of the ideal of R-minors of B_i^r, and I : d^inf
+    depends only on d modulo I.  So d vanishes on a component where that
+    rank drops below R, and on Z_tau only if the c_g are unlucky.  A step
+    with R - k <= 0 needs no d: its pivots give rank >= R on the variety of
+    the basis in hand, which contains V(I).  After the walk the bare
+    variables are pruned; saturating by each d in (i, r) order then removes
+    the components of lower rank, pruning bare variables after each.  The
     c_g are drawn uniform in -1000..1000 (`_EXACT_RANK_RANGE`) from
     random.Random(1) (`_EXACT_RANK_SEED`), and the dimension of the result
     must be ht(nu).  A d that vanishes on all of V(I), or a wrong
@@ -390,22 +372,26 @@ def orbital_ideal(tau: Tableau) -> OrbitalIdeal:
     """
     chart = TmuChart(tau.m, tau.content())
     target = tau.weight_nu().height()
-    basis, names, removed = _prune_zero_variables(rank_condition_ideal(tau, chart),
-                                                  chart.variables)
     rng = random.Random(_EXACT_RANK_SEED)
     certificate = f"seed {_EXACT_RANK_SEED}, coefficients in +-{_EXACT_RANK_RANGE}"
+    basis = GroebnerBasis(chart.variables, (), GREVLEX)
+    gens, exact = [], []
 
     def reduce(e):
-        # removed variables are 0 on the component; entries stay in the chart ring
-        if e.is_constant():
-            return e
-        return normal_form(_set_zero(e, removed), basis).rename(chart.variables)
+        return e if e.is_constant() else normal_form(e, basis)
 
     for i, r, R, k, minors in _rank_walk(tau, chart, reduce):
-        if R - k <= 0:
-            continue  # the k pivots already give rank >= R
-        d = sum((rng.randint(-_EXACT_RANK_RANGE, _EXACT_RANK_RANGE) * g
-                 for g in _all_minors(minors, R - k)), minors.zero)
+        gens.extend(_all_minors(minors, R + 1 - k))
+        if R - k > 0:  # else the k pivots already give rank >= R
+            d = sum((rng.randint(-_EXACT_RANK_RANGE, _EXACT_RANK_RANGE) * g
+                     for g in _all_minors(minors, R - k)), minors.zero)
+            exact.append((i, r, R, d))
+        if R == 0 and gens:
+            # primitive and deduplicated, the step's minors join the basis in hand
+            basis = groebner([basis, *dict.fromkeys(g.primitive()[0] for g in gens)])
+            gens = []
+    basis, names, removed = _prune_zero_variables(basis, chart.variables)
+    for i, r, R, d in exact:
         d = normal_form(_set_zero(d, removed), basis)
         if d.is_constant() and not d.is_zero():
             continue  # the rank is R on all of V(I)

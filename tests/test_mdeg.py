@@ -71,6 +71,8 @@ def test_dimension_of_the_unit_ideal_names_dimension():
         dimension([x, x - 1])
     with pytest.raises(ValueError, match="^unit ideal has no multidegree$"):
         multidegree([x, x - 1], wa_for(vs, 3, [(1, 2), (2, 3)]))
+    with pytest.raises(ValueError, match="^unit ideal has no Hilbert numerator$"):
+        hilbert_numerator([x, x - 1], wa_for(vs, 3, [(1, 2), (2, 3)]))
 
 
 def test_multidegree_of_weights_off_the_root_lattice():

@@ -166,6 +166,24 @@ def test_orbital_ideal_carries_its_basis(buchberger_runs):
     assert len(buchberger_runs) == 15
 
 
+def test_orbital_ideal_walks_the_rank_conditions_once(monkeypatch):
+    # one pivot reduction per (i, r): step i runs r = 1.. up to the largest
+    # part of its restricted shape, where R = 0 (at least once)
+    tau = Tableau(A5_TAU)
+    calls = []
+    inner = orbital._pivot_reduce
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(orbital, "_pivot_reduce", counted)
+    orbital_ideal(tau)
+    pairs = sum(max(1, *tau.restricted_shape(i)) for i in range(1, tau.m + 1))
+    assert pairs == 22
+    assert len(calls) == pairs
+
+
 def test_lusztig_datum_of_a5_tableau_matches_fixture():
     fixture = json.loads((FIXTURES / "a5_module.json").read_text())
     assert lusztig_datum(Tableau(A5_TAU)) == tuple(fixture["expected_lusztig"])
