@@ -107,6 +107,8 @@ def is_admissible(x, height: int) -> bool:
     to sum c_i alpha_i(x).  The values of all beta of height k are built
     from those of height k - 1, in ints over the lcm of the denominators.
     """
+    if height < 0:
+        raise ValueError(f"a height bound is at least 0, not {height!r}")
     if sum(_exact(v) for v in x) != 0:
         raise ValueError("diagonal point must have trace zero")
     alphas = _alpha_values(x)
@@ -133,6 +135,8 @@ def solve_nx(m: int, x):
     """
     if x == "symbolic":
         return _solve_nx_symbolic(m)
+    if len(x) != m:
+        raise ValueError(f"n_x at m = {m} needs a point of length {m}, not {len(x)}: {x!r}")
     vals = [_exact(v) for v in x]
     check_regular(vals)
     n = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]

@@ -30,7 +30,11 @@ numerator.  So a sum tests only the keys both operands carry equally often:
 a key that one side carries less often divides that side's numerator once
 lifted to the common denominator, and not the other's, so not the sum.  A
 product tests every key, as a key of one factor can divide the other's
-numerator, and divide_by_form only the new key.
+numerator, and divide_by_form only the new key.  The exponents of x_j,
+the key's first variable, settle many trials before any long division: a
+key x_j divides exactly when every term holds x_j, and a key of two or more
+terms never divides a numerator in which x_j has one power only, such as a
+monomial (`_divide_by_form` gives both proofs).
 
 An ExpSum is a finite weight-indexed family of RatFunc coefficients, the
 Fourier-transform picture of a simplex measure: the product is convolution
@@ -79,28 +83,27 @@ def _form_poly(key: tuple, variables: tuple) -> MultiPoly:
     })
 
 
-def _times_missing(terms: dict, scale: int, den: dict, common: dict) -> dict:
-    """scale * terms times each form of `common` as often as den lacks it: num over common."""
-    if scale != 1:
-        terms = {m: c * scale for m, c in terms.items()}
-    for key, mult in common.items():
-        for _ in range(mult - den.get(key, 0)):
-            terms = _times_form(terms, key)
-    return terms
-
-
 def _divide_by_form(terms: dict, key: tuple):
     """The quotient of an integer polynomial by the primitive form key; None if inexact.
 
-    With j the first nonzero entry, key = key[j]*x_j + r.  From the top
-    power of x_j down, each term c*x_j^e*u gives the quotient term
-    (c / key[j])*x_j^(e-1)*u, and r times it is subtracted at power e - 1.
-    The quotient is integral (Gauss's lemma), so the first c that key[j]
-    does not divide, or a term left at power 0, proves the division inexact.
+    With j the first nonzero entry, key = key[j]*x_j + r.  If r = 0, key is
+    x_j (primitive): the quotient lowers each power of x_j, and a term free
+    of x_j proves it inexact.  If all terms share one power e of x_j (say a
+    monomial), terms = x_j^e * u with u free of x_j; key, prime in the UFD
+    Z[x] and not associate to x_j, would divide u, of degree 0 in x_j: it is
+    inexact.  Else, from the top power of x_j down, each term c*x_j^e*u gives
+    the quotient term (c / key[j])*x_j^(e-1)*u, and r times it is subtracted
+    at power e - 1.  The quotient is integral (Gauss's lemma), so the first c
+    that key[j] does not divide, or a term left at power 0, proves it inexact.
     """
     j = next(k for k, c in enumerate(key) if c)
-    lead = key[j]
     rest = [(k, c) for k, c in enumerate(key) if c and k != j]
+    if not rest:   # key = x_j
+        if not all(mon[j] for mon in terms):
+            return None
+        return {mon[:j] + (mon[j] - 1,) + mon[j + 1:]: c for mon, c in terms.items()}
+    if len({mon[j] for mon in terms}) == 1:   # one power of x_j
+        return None
     levels: dict = {}
     for mon, c in terms.items():
         levels.setdefault(mon[j], {})[mon] = c
@@ -110,7 +113,7 @@ def _divide_by_form(terms: dict, key: tuple):
         for mon, c in levels.get(e, {}).items():
             if not c:
                 continue
-            q, r = divmod(c, lead)
+            q, r = divmod(c, key[j])
             if r:
                 return None
             qmon = mon[:j] + (e - 1,) + mon[j + 1:]
@@ -190,7 +193,8 @@ class RatFunc:
     @classmethod
     def _from_ints(cls, variables: tuple, d: int, terms: dict, den: dict, keys) -> "RatFunc":
         """(terms / d) / den, reduced, cancelled by the keys of den that can divide it."""
-        terms = {m: c for m, c in terms.items() if c}
+        if 0 in terms.values():
+            terms = {m: c for m, c in terms.items() if c}
         if not terms:
             return cls._make(variables, 1, {}, {})
         return cls._make(variables, *_reduced(d, _divide_out(terms, den, keys)), den)
@@ -232,20 +236,25 @@ class RatFunc:
         if not self.terms:
             return other
         d = lcm(self.d, other.d)
-        common = dict(self.den)
+        a = self.terms if d == self.d else {m: c * (d // self.d) for m, c in self.terms.items()}
+        b = other.terms if d == other.d else {m: c * (d // other.d) for m, c in other.terms.items()}
+        den = dict(self.den)
         equal = []   # the keys both sides carry equally often: the only ones that can cancel
-        for key, mult in other.den.items():
-            have = common.get(key, 0)
+        for key, have in self.den.items():   # lift other by the forms it lacks
+            for _ in range(have - other.den.get(key, 0)):
+                b = _times_form(b, key)
+        for key, mult in other.den.items():   # and self by those it lacks
+            have = den.get(key, 0)
             if mult > have:
-                common[key] = mult
+                den[key] = mult
+                for _ in range(mult - have):
+                    a = _times_form(a, key)
             elif mult == have:
                 equal.append(key)
-        a = _times_missing(self.terms, d // self.d, self.den, common)
-        if a is self.terms:
-            a = dict(a)
-        for m, c in _times_missing(other.terms, d // other.d, other.den, common).items():
+        a = dict(a) if a is self.terms else a
+        for m, c in b.items():
             a[m] = a.get(m, 0) + c
-        return RatFunc._from_ints(self.variables, d, a, common, equal)
+        return RatFunc._from_ints(self.variables, d, a, den, equal)
 
     __radd__ = __add__
 
@@ -333,42 +342,39 @@ class RatFunc:
 # -- the sequence calculus -----------------------------------------------------
 
 
-def _run_keys(run, m: int) -> list:
-    """(key, content) of the letter counts of each nonempty prefix of `run`, in order."""
-    counts = [0] * (m - 1)
-    out = []
-    for i in run:
-        counts[i - 1] += 1
-        g = gcd(*counts)
-        out.append((tuple(counts) if g == 1 else tuple([c // g for c in counts]), g))
-    return out
-
-
 def _simplex_terms(m: int, seq: tuple, first: int):
-    """The terms (-1)^j / prod_{k != j} |beta_k - beta_j| for j = first..p of a sequence's
-    partial sums.  |beta_k - beta_j| is the letter count of seq[j:k] or seq[k:j]; the
-    keys' contents (gcds) are positive, and their product is the d.  For j = p alone
-    (dbar_i) one backward run from p keys them; otherwise the forward run from each j
-    keys every pair once, and term j reads the pairs k < j off the runs from k."""
+    """The terms (-1)^j / prod_{k != j} |beta_k - beta_j| of a sequence's partial sums, for
+    j = 0..p (ft_i, first = 0) or j = p alone (dbar_i, first = p).  |beta_k - beta_j| is the
+    letter count of seq[j:k] or seq[k:j]; the keys' contents (gcds) are positive, and their
+    product is the d.  For j = p one backward run from p keys the pairs, in O(p); otherwise
+    one running count per j keys each pair j < k once, for both of its ends."""
     for i in seq:
         if not 0 < i < m:
             raise ValueError(f"letter {i} of a sequence is not in 1..{m - 1}")
-    names = alpha_names(m)
-    const = (0,) * (m - 1)
-    p = len(seq)
+    names, const, p = alpha_names(m), (0,) * (m - 1), len(seq)
     if first == p:
-        factors = [_run_keys(reversed(seq), m)]
-    else:
-        forward = [_run_keys(seq[j:], m) for j in range(p + 1)]  # forward[j][k - j - 1]: seq[j:k]
-        factors = [forward[j] + [forward[k][j - k - 1] for k in range(j - 1, -1, -1)]
-                   for j in range(first, p + 1)]
-    for j, keys in enumerate(factors, first):
-        den: dict = {}
-        content = 1
-        for key, g in keys:
-            content *= g
+        den, content, counts = {}, 1, [0] * (m - 1)
+        for i in reversed(seq):
+            counts[i - 1] += 1
+            g = gcd(*counts)
+            key = tuple(counts) if g == 1 else tuple([c // g for c in counts])
             den[key] = den.get(key, 0) + 1
-        yield RatFunc._make(names, content, {const: -1 if j % 2 else 1}, den)
+            content *= g
+        yield RatFunc._make(names, content, {const: -1 if p % 2 else 1}, den)
+        return
+    dens, contents, runs = [{} for _ in range(p + 1)], [1] * (p + 1), []
+    for k, i in enumerate(seq, 1):
+        runs.append([0] * (m - 1))   # runs[j]: the letter counts of seq[j:k]
+        for j, counts in enumerate(runs):
+            counts[i - 1] += 1
+            g = gcd(*counts)
+            key = tuple(counts) if g == 1 else tuple([c // g for c in counts])
+            dens[j][key] = dens[j].get(key, 0) + 1
+            dens[k][key] = dens[k].get(key, 0) + 1
+            contents[j] *= g
+            contents[k] *= g
+    for j in range(p + 1):
+        yield RatFunc._make(names, contents[j], {const: -1 if j % 2 else 1}, dens[j])
 
 
 def dbar_i(m: int, seq) -> RatFunc:
@@ -384,12 +390,13 @@ def ft_i(m: int, seq) -> "ExpSum":
     partial sums are pairwise distinct, as each letter adds 1 to the height.
     """
     seq = tuple(seq)
-    out = {}
-    beta = Weight.zero(m)
-    for j, term in enumerate(_simplex_terms(m, seq, 0)):
-        if j:
-            beta = beta + Weight.alpha(m, seq[j - 1])
-        out[beta] = term
+    terms = _simplex_terms(m, seq, 0)   # the first term checks the letters
+    out = {Weight._make((0,) * m): next(terms)}
+    beta = [0] * m   # eps coordinates: alpha_i = eps_i - eps_{i+1}, shifted to last entry 0
+    for i, term in zip(seq, terms):
+        beta[i - 1] += 1
+        beta[i] -= 1
+        out[Weight._make(tuple([b - beta[-1] for b in beta]))] = term
     return ExpSum._make(m, out)
 
 

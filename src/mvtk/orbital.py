@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .exactalg import (
     GREVLEX,
@@ -383,9 +383,14 @@ def orbital_ideal(tau: Tableau) -> OrbitalIdeal:
     for i, r, R, k, minors in _rank_walk(tau, chart, reduce):
         gens.extend(_all_minors(minors, R + 1 - k))
         if R - k > 0:  # else the k pivots already give rank >= R
-            d = sum((rng.randint(-_EXACT_RANK_RANGE, _EXACT_RANK_RANGE) * g
-                     for g in _all_minors(minors, R - k)), minors.zero)
-            exact.append((i, r, R, d))
+            gs = _all_minors(minors, R - k)
+            den, acc = lcm(*(g.d for g in gs)), {}   # sum_g c_g * g over the lcm of the g.d
+            for g in gs:
+                c = rng.randint(-_EXACT_RANK_RANGE, _EXACT_RANK_RANGE) * (den // g.d)
+                for mon, v in g.ints.items():
+                    acc[mon] = acc.get(mon, 0) + c * v
+            acc = {mon: v for mon, v in acc.items() if v}
+            exact.append((i, r, R, MultiPoly._make(chart.variables, *_reduced(den, acc))))
         if R == 0 and gens:
             # primitive and deduplicated, the step's minors join the basis in hand
             basis = groebner([basis, *dict.fromkeys(g.primitive()[0] for g in gens)])

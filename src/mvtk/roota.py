@@ -17,6 +17,7 @@ from operator import add, neg
 from .exactalg.poly import MultiPoly, _exact, _reduced
 
 
+@lru_cache(maxsize=None)
 def alpha_names(m: int) -> tuple:
     """Variable names for the simple-root coordinates of A_{m-1}."""
     return tuple(f"a{i}" for i in range(1, m))

@@ -109,6 +109,23 @@ def test_solve_nx_rejects_irregular():
         solve_nx(3, (Fraction(1), Fraction(1), Fraction(-2)))
 
 
+def test_solve_nx_refuses_a_point_of_another_length():
+    # before, (1, 2, 3, -6) at m = 3 was cut to (1, 2, 3), of trace 6, and n12
+    # evaluated to 1 there; a short point raised IndexError
+    for m, x in ((3, (1, 2, 3, -6)), (4, (1, 2, -3))):
+        with pytest.raises(ValueError, match=f"length {m}, not {len(x)}"):
+            solve_nx(m, x)
+    with pytest.raises(ValueError, match="length 3, not 4"):
+        dbar_direct(CoordFunction.parse(3, "n12"), (1, 2, 3, -6))
+
+
+def test_is_admissible_refuses_a_negative_height():
+    # before, a negative height made no step and returned True
+    with pytest.raises(ValueError, match="at least 0, not -1"):
+        is_admissible((1, 0, -1), -1)
+    assert is_admissible((1, 0, -1), 0)
+
+
 def test_solve_nx_symbolic_matches_points():
     n = solve_nx(3, "symbolic")
     x = (Fraction(3), Fraction(1), Fraction(-4))

@@ -258,9 +258,8 @@ def _divide_by_key(g, key):
 XYZ = ("x", "y", "z")
 _DIV_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 _COEFFS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
-_POLYS = st.dictionaries(
-    st.tuples(*[st.integers(0, 2)] * 3), _COEFFS, max_size=6
-).map(lambda terms: MultiPoly(XYZ, terms))
+_TERMS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), _COEFFS, max_size=6)
+_POLYS = _TERMS.map(lambda terms: MultiPoly(XYZ, terms))
 _NONZERO_POLYS = _POLYS.filter(lambda p: not p.is_zero())
 # primitive keys as RatFunc.den holds them: the first nonzero entry is
 # positive and may exceed 1, later entries have either sign
@@ -284,6 +283,76 @@ def test_exact_division_fails_exactly_when_the_oracle_does(key, q, r):
     except ArithmeticError:
         expected = None
     assert _divide_by_key(g, key) == expected
+
+
+# -- the fast paths of _divide_by_form -----------------------------------------
+# With x_j the first variable of the key, two cases end before the long
+# division: a key that is x_j alone, and a numerator in which x_j has one
+# power only, against a key of two or more terms.  Both must agree with the
+# oracle, and the zero numerator divides by every key.
+
+_ONE_VARIABLE_KEYS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_WIDE_KEYS = ((1, 1, 0), (2, -3, 0), (0, 1, 5), (1, 1, 1), (3, 0, -2), (0, 2, -1))
+
+
+def _oracle_quotient(g, key):
+    try:
+        return _ref_exact_poly_division(g, _form_poly(key, XYZ))
+    except ArithmeticError:
+        return None
+
+
+def _with_power(terms, j, e):
+    """The polynomial of `terms` with the power of x_j set to e in every monomial."""
+    return MultiPoly(XYZ, {mon[:j] + (e,) + mon[j + 1:]: c for mon, c in terms.items()})
+
+
+@pytest.mark.parametrize("key", _ONE_VARIABLE_KEYS)
+def test_a_one_variable_key_lowers_powers_and_stops_at_a_free_term(key):
+    v = _form_poly(key, XYZ)
+    q = MultiPoly.parse("3*x*y - 2*z^2 + 5", XYZ)
+    assert _divide_by_key(v * q, key) == _oracle_quotient(v * q, key) == q
+    assert _divide_by_key(v**3 * q, key) == _oracle_quotient(v**3 * q, key) == v**2 * q
+    for g in (v * q + 7, v * q + MultiPoly.parse("x + y + z", XYZ) - v):   # a term free of v
+        assert _divide_by_key(g, key) is None
+        assert _oracle_quotient(g, key) is None
+
+
+@pytest.mark.parametrize("key", _WIDE_KEYS)
+def test_a_wide_key_divides_no_numerator_with_one_power_of_its_first_variable(key):
+    j = next(k for k, c in enumerate(key) if c)
+    for text in ("1", "-6", "4*x^2*y*z", "x*y^2", "y*z + 2*y^2 - z", "x^2*y - 3*x^2*z + x^2"):
+        g = MultiPoly.parse(text, XYZ)
+        for e in range(3):
+            h = _with_power(g.terms, j, e)
+            assert _divide_by_key(h, key) is None
+            assert _oracle_quotient(h, key) is None
+
+
+@pytest.mark.parametrize("key", _ONE_VARIABLE_KEYS + _WIDE_KEYS)
+def test_the_zero_numerator_divides_by_every_key(key):
+    assert _divide_by_form({}, key) == {}
+    assert _divide_by_key(MultiPoly.zero(XYZ), key) == _oracle_quotient(MultiPoly.zero(XYZ), key)
+
+
+@st.composite
+def _fast_path_cases(draw):
+    """(key, numerator) of one fast path: a key x_j and any numerator, exact or
+    not, or a key of two or more terms and a numerator with one power of x_j."""
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(_ONE_VARIABLE_KEYS))
+        g = draw(_POLYS)
+        return key, _form_poly(key, XYZ) * g if draw(st.booleans()) else g
+    key = draw(_KEYS.filter(lambda k: sum(map(bool, k)) > 1))
+    j = next(k for k, c in enumerate(key) if c)
+    return key, _with_power(draw(_TERMS), j, draw(st.integers(0, 3)))
+
+
+@_DIV_SETTINGS
+@given(_fast_path_cases())
+def test_the_fast_paths_agree_with_the_oracle(case):
+    key, g = case
+    assert _divide_by_key(g, key) == _oracle_quotient(g, key)
 
 
 # -- bases as values ----------------------------------------------------------

@@ -291,6 +291,32 @@ def test_ft_shuffle_identity_exhaustive_rank3():
             assert lhs == rhs, (j, k)
 
 
+def test_shuffle_products_print_as_pinned_and_make_the_same_trials(monkeypatch):
+    # the 384 measure_rank3 pairs at m = 4 (letters 1..3, lengths j + k in 1..4):
+    # the products' serializations, pinned before the simplex terms keyed each
+    # pair once and before trial division read the exponents of x_j first; and
+    # the _divide_by_form calls of the products and the shuffle folds, as a
+    # speed-up must come from cheaper trials, not fewer
+    words = [w for n in range(4) for w in product((1, 2, 3), repeat=n)]
+    pairs = [(j, k) for j in words for k in words if 0 < len(j) + len(k) <= 4]
+    assert len(pairs) == 384
+    lines = [json.dumps(expsum_mul(ft_i(4, j), ft_i(4, k)).serialize()) for j, k in pairs]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "32270a74c26d185dfa313674feff5c78264f742ab56fc0b2693486fc7a13b708")
+    original, calls = measures._divide_by_form, []
+
+    def counted(terms, key):
+        calls.append(key)
+        return original(terms, key)
+    monkeypatch.setattr(measures, "_divide_by_form", counted)
+    for j, k in pairs:
+        rhs = ExpSum(4, {})
+        for s in shuffles(j, k):
+            rhs = rhs + ft_i(4, s)
+        assert expsum_mul(ft_i(4, j), ft_i(4, k)) == rhs, (j, k)
+    assert len(calls) == 7824
+
+
 def _tuples(letters, L):
     if L == 0:
         yield ()
