@@ -271,6 +271,8 @@ def ft_of_function(f: CoordFunction) -> ExpSum:
 
 def sbar(m: int, i: int):
     """The lift exp(-e_i) exp(f_i) exp(-e_i) of the simple reflection s_i."""
+    if not 0 < i < m:
+        raise ValueError(f"simple reflection s_{i} needs i in 1..{m - 1}")
     e = identity(m)
     e[i - 1][i] = Fraction(-1)
     fmat = identity(m)
@@ -286,6 +288,7 @@ def weyl_witness(x, i: int):
     guaranteed for regular x with s_i x regular.
     """
     m = len(x)
+    w = sbar(m, i)  # refuses i outside 1..m-1
     vals = [_exact(v) for v in x]
     check_regular(vals)
     sx = list(vals)
@@ -294,7 +297,6 @@ def weyl_witness(x, i: int):
 
     n_x = solve_nx(m, vals)
     n_sx = solve_nx(m, sx)
-    w = sbar(m, i)
     c_mat = mat_mul(w, inverse(n_x))
 
     # B(s) = n_sx diag(s) C must be lower-unitriangular, s = t^{-1}

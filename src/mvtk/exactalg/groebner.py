@@ -29,8 +29,9 @@ field keeps its top bit clear as a guard, so a divides b exactly when
 (SWAR) max built from the same borrows, and two leads are coprime when
 their lcm is their product.  Fields start at 16 bits.  Packing refuses a
 total degree that reaches the guard bit, and a sum made in the kernel a
-block degree that does, by raising `_Overflow`; `groebner` and
-`normal_form` then start again with fields twice as wide.
+block degree that does, by raising `_Overflow`.  Every kernel run goes
+through `GroebnerBasis._packed`, which then starts it again with fields
+twice as wide and keeps the width for the basis's next run.
 
 A basis already in hand enters Buchberger as it stands: its members are
 never paired with each other, and only the new generators run the update.
@@ -390,15 +391,18 @@ class GroebnerBasis:
         self.order = order
         self._kernel = None
 
-    def _entries(self, bits: int) -> tuple:
-        """(packing, the members as kernel entries) at `bits` bits a field, kept for reuse."""
-        if self._kernel is None or self._kernel[0].bits != bits:
-            pk = _Packing(self.order, len(self.variables), bits)
-            self._kernel = (pk, [pk.entry(pk.pack_poly(g.ints)) for g in self.gens])
-        return self._kernel
-
-    def _bits(self) -> int:
-        return self._kernel[0].bits if self._kernel is not None else 16
+    def _packed(self, run):
+        """run(packing, the members as kernel entries) at the width kept (16 bits a field at
+        first), each `_Overflow` doubling it; the packing that ran is kept for the next call."""
+        bits = self._kernel[0].bits if self._kernel is not None else 16
+        while True:
+            try:
+                if self._kernel is None or self._kernel[0].bits != bits:
+                    pk = _Packing(self.order, len(self.variables), bits)
+                    self._kernel = (pk, [pk.entry(pk.pack_poly(g.ints)) for g in self.gens])
+                return run(*self._kernel)
+            except _Overflow:
+                bits *= 2
 
     def leading_monomials(self) -> list:
         return [g.leading_monomial(self.order) for g in self.gens]
@@ -483,17 +487,13 @@ def groebner(gens: Sequence[MultiPoly] | GroebnerBasis,
         elif not polys:
             return carried
         known = carried
-    raw = [g.ints for g in polys]
-    bits = known._bits() if known else 16
-    while True:
-        pk = _Packing(order, len(variables), bits)
-        try:
-            start = known._entries(bits)[1] if known else []
-            basis = _buchberger(start, [pk.pack_poly(p) for p in raw], pk)
-            basis = _interreduce(basis, pk)
-            break
-        except _Overflow:
-            bits *= 2
+    if known is None:
+        known = GroebnerBasis(variables, (), order)
+
+    def run(pk, start):
+        return pk, _interreduce(_buchberger(start, [pk.pack_poly(g.ints) for g in polys], pk), pk)
+
+    pk, basis = known._packed(run)
     G = GroebnerBasis(variables, [pk.to_poly(e, variables) for e in basis], order)
     G._kernel = (pk, basis)
     return G
@@ -512,38 +512,34 @@ def normal_form(f: MultiPoly, G: GroebnerBasis) -> MultiPoly:
         raise ValueError("polynomial and basis live in different rings")
     if f.is_zero():
         return f
-    bits = G._bits()
-    while True:
-        try:
-            pk, entries = G._entries(bits)
-            remainder, num, den = _normal_form_full(pk.pack_poly(f.ints), entries, pk)
-            break
-        except _Overflow:
-            bits *= 2
-    ints = {pk.monomial(m): c for m, c in remainder.items()}
-    return MultiPoly._make(f.variables, *_rescaled(f.d, ints, den, num))
+
+    def run(pk, entries):
+        remainder, num, den = _normal_form_full(pk.pack_poly(f.ints), entries, pk)
+        ints = {pk.monomial(m): c for m, c in remainder.items()}
+        return MultiPoly._make(f.variables, *_rescaled(f.d, ints, den, num))
+
+    return G._packed(run)
 
 
 def in_ideal(f: MultiPoly, G: GroebnerBasis) -> bool:
     return normal_form(f, G).is_zero()
 
 
-def ideals_equal(gens_a: Sequence[MultiPoly], gens_b: Sequence[MultiPoly],
-                 order: TermOrder = GREVLEX) -> bool:
+def ideals_equal(gens_a: Sequence[MultiPoly], gens_b: Sequence[MultiPoly]) -> bool:
     """Equality of two ideals in one ring; nonzero ideals in different rings differ.
 
-    Generators of J against a GroebnerBasis K for `order` go by the lead-cover
+    Generators of J against a grevlex GroebnerBasis K go by the lead-cover
     criterion of the module docstring: they must reduce to zero modulo K (J in
     K), and Buchberger on them stops once its leads divide every lead of K (K
-    in J) or ends first (in(J) != in(K)).  Otherwise the reduced bases, unique
-    for the order, are compared; the zero ideal's is empty in any ring.
+    in J) or ends first (in(J) != in(K)).  Otherwise the reduced grevlex bases,
+    unique, are compared; the zero ideal's is empty in any ring.
     """
     for K, J in ((gens_a, gens_b), (gens_b, gens_a)):
-        if isinstance(K, GroebnerBasis) and K.order == order and not isinstance(J, GroebnerBasis):
+        if isinstance(K, GroebnerBasis) and K.order == GREVLEX and not isinstance(J, GroebnerBasis):
             known, polys, ring = _split(J)
             if known is None:
                 return _equals_basis(K, polys, ring)
-    Ga, Gb = groebner(gens_a, order), groebner(gens_b, order)
+    Ga, Gb = groebner(gens_a), groebner(gens_b)
     return Ga == Gb or not (Ga.gens or Gb.gens)
 
 
@@ -551,18 +547,16 @@ def _equals_basis(K: GroebnerBasis, polys: list, ring) -> bool:
     """Whether the nonzero `polys`, in `ring`, generate the ideal of K (see `ideals_equal`)."""
     if not (K.gens and polys) or ring != K.variables:
         return not (K.gens or polys)
-    bits = K._bits()
-    while True:
-        try:
-            pk, entries = K._entries(bits)
-            raw = [pk.pack_poly(g.ints) for g in polys]
-            if any(_normal_form_full(p, entries, pk)[0] for p in raw):
-                return False  # J is not inside K
-            uncovered = {entry[1] for entry in entries}
-            _buchberger([], raw, pk, uncovered)
-            return not uncovered
-        except _Overflow:
-            bits *= 2
+
+    def run(pk, entries):
+        raw = [pk.pack_poly(g.ints) for g in polys]
+        if any(_normal_form_full(p, entries, pk)[0] for p in raw):
+            return False  # J is not inside K
+        uncovered = {entry[1] for entry in entries}
+        _buchberger([], raw, pk, uncovered)
+        return not uncovered
+
+    return K._packed(run)
 
 
 # -- variable bookkeeping -----------------------------------------------------

@@ -197,10 +197,9 @@ def _form_power(coords: list, c: int) -> dict:
     return {e: v for e, v in out.items() if v}
 
 
-def dimension(gens: Sequence[MultiPoly] | GroebnerBasis, nvars: int | None = None,
-              order: TermOrder = GREVLEX) -> int:
+def dimension(gens: Sequence[MultiPoly] | GroebnerBasis, nvars: int | None = None) -> int:
     """Krull dimension of S/I; `nvars` sizes the zero ideal's ring and must match any other's."""
-    G, lead = _initial_ideal(gens, order, "dimension")
+    G, lead = _initial_ideal(gens, GREVLEX, "dimension")
     if not G.gens:
         if nvars is None:
             raise ValueError("dimension of the zero ideal needs the ambient size")
@@ -241,6 +240,8 @@ def multigraded_hilbert(gens: Sequence[MultiPoly] | GroebnerBasis | HilbertNumer
     """
     if not w.variables:
         raise ValueError("weight assignment has no variables, so no weight histogram")
+    if n < 0:
+        raise ValueError(f"degree n = {n} is negative")
     k = gens if isinstance(gens, HilbertNumerator) else hilbert_numerator(gens, w)
     if k.grades != w.grades():
         raise ValueError("numerator was graded by other weights")

@@ -99,7 +99,10 @@ def _exact(c) -> Fraction:
 
 def _scaled_point(values: Mapping, names) -> tuple[int, list]:
     """(d, xs) with the values at `names` equal to xs / d, d the lcm of their denominators."""
-    point = [_exact(values[v]) for v in names]
+    try:
+        point = [_exact(values[v]) for v in names]
+    except KeyError as missing:
+        raise ValueError(f"the point gives no value for the variable {missing}") from None
     d = lcm(*(x.denominator for x in point))
     return d, [x.numerator * (d // x.denominator) for x in point]
 
@@ -204,27 +207,16 @@ class MultiPoly:
     def parse(cls, text: str, variables) -> "MultiPoly":
         """Parse the canonical syntax; also accepts parenthesised factors."""
         variables = tuple(variables)
-        index = {v: i for i, v in enumerate(variables)}
-        pos = 0
-        tokens = []
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise ValueError(f"cannot tokenize {text[pos:]!r}")
-                break
-            pos = m.end()
+        tokens, pos = [], 0
+        while m := _TOKEN.match(text, pos):
             tokens.append(m)
+            pos = m.end()
+        if text[pos:].strip():
+            raise ValueError(f"cannot tokenize {text[pos:]!r}")
 
         def parse_sum(i):
-            sign = 1
-            while i < len(tokens) and tokens[i]["op"] in ("+", "-"):
-                if tokens[i]["op"] == "-":
-                    sign = -sign
-                i += 1
-            acc, i = parse_product(i)
-            acc = acc * sign
-            while i < len(tokens) and tokens[i]["op"] in ("+", "-"):
+            acc = cls.zero(variables)
+            while True:  # a run of signs, then a term
                 sign = 1
                 while i < len(tokens) and tokens[i]["op"] in ("+", "-"):
                     if tokens[i]["op"] == "-":
@@ -232,7 +224,8 @@ class MultiPoly:
                     i += 1
                 term, i = parse_product(i)
                 acc = acc + term * sign
-            return acc, i
+                if i == len(tokens) or tokens[i]["op"] not in ("+", "-"):
+                    return acc, i
 
         def parse_product(i):
             acc, i = parse_factor(i)
@@ -254,16 +247,16 @@ class MultiPoly:
                 base, i = cls.constant(variables, Fraction(t["num"])), i + 1
             elif t["var"]:
                 name = t["var"]
-                if name not in index:
+                if name not in variables:
                     raise ValueError(f"unknown variable {name!r}")
                 base, i = cls.var(variables, name), i + 1
             else:
                 raise ValueError(f"unexpected token {t.group()!r}")
             if i < len(tokens) and tokens[i]["op"] == "^":
-                exp_tok = tokens[i + 1]
-                if not exp_tok["num"] or "/" in exp_tok["num"]:
+                exp = tokens[i + 1]["num"] if i + 1 < len(tokens) else None
+                if not exp or "/" in exp:
                     raise ValueError("exponent must be a natural number")
-                base, i = base ** int(exp_tok["num"]), i + 2
+                base, i = base ** int(exp), i + 2
             return base, i
 
         if not tokens:

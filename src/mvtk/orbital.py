@@ -122,7 +122,9 @@ class TmuChart:
 
     def __init__(self, m: int, mu):
         self.m = m
-        self.mu = tuple(int(x) for x in mu)
+        self.mu = tuple(mu)
+        if not all(isinstance(x, int) for x in self.mu):
+            raise TypeError(f"parts of mu must be ints: {self.mu!r}")
         if len(self.mu) != m:
             raise ValueError("mu needs m parts")
         if any(self.mu[i] < self.mu[i + 1] for i in range(m - 1)):
@@ -487,49 +489,32 @@ def plucker_chart(tau: Tableau, orb: OrbitalIdeal | None = None,
     # row -c of A for c < 0
     minor = _Minors([[one if r == c else zero for c in range(m)] + [row[r] for row in A]
                      for r in range(m)], zero)
-    G = orb.basis
     live = orb.weight_assignment().variables
-    minors = []
-    subsets = []
-    for subset in _minor_subsets(m):
-        poly = minor(tuple(range(m)), tuple(c - 1 if c > 0 else m - c - 1 for c in subset))
-        reduced = _set_zero(poly, orb.removed_vars)
-        nf = normal_form(reduced, G) if G.gens else reduced
-        if nf.is_zero():
-            continue
-        minors.append(nf)
-        subsets.append(subset)
-    # canonical identity subset first (the homogenizing coordinate)
+    # the identity subset first (the homogenizing coordinate); coordinates
+    # that vanish on the chart go, and so does one that agrees up to sign with
+    # an earlier one: dropping it is a graded isomorphism onto a coordinate
+    # subspace
     id_subset = tuple(range(1, m + 1))
-    order = sorted(range(len(subsets)), key=lambda k: (subsets[k] != id_subset, subsets[k]))
-    subsets = [subsets[k] for k in order]
-    minors = [minors[k] for k in order]
-    # coordinates that agree up to sign on the chart are redundant: dropping
-    # the later one is a graded isomorphism onto a coordinate subspace
-    kept_subsets = []
-    kept_minors = []
-    seen = set()
-    for subset, nf in zip(subsets, minors):
-        if nf in seen:
+    subsets, minors, seen = [], [], set()
+    for subset in sorted(_minor_subsets(m), key=lambda s: (s != id_subset, s)):
+        poly = minor(tuple(range(m)), tuple(c - 1 if c > 0 else m - c - 1 for c in subset))
+        nf = normal_form(_set_zero(poly, orb.removed_vars), orb.basis)
+        if nf.is_zero() or nf in seen:
             continue
         seen.update((nf, -nf))
-        kept_subsets.append(subset)
-        kept_minors.append(nf)
-    subsets, minors = kept_subsets, kept_minors
+        subsets.append(subset)
+        minors.append(nf)
     names = ("u",) + tuple(f"b{k}" for k in range(1, len(subsets)))
-    weights = {name: subset_weight(m, map(abs, subset)) for name, subset in zip(names, subsets)}
     # the identity coordinate has weight 0 in the projective weight lattice
-    u_w = weights["u"]
-    weights = {name: w - u_w for name, w in weights.items()}
+    u_w = subset_weight(m, id_subset)
+    weights = {name: subset_weight(m, map(abs, s)) - u_w for name, s in zip(names, subsets)}
 
-    # kernel: eliminate the chart variables from (b - minor) + I; the
-    # orbital basis, in the chart variables only, enters as a basis
-    big_vars = live + tuple(n for n in names if n != "u")
-    lifted = [G]
-    for name, minor in zip(names, minors):
-        if name == "u":
-            continue  # the identity minor is 1 on the chart
-        lifted.append(MultiPoly.var(big_vars, name) - minor.rename(big_vars))
+    # kernel: eliminate the chart variables from (b - minor) + I, past the
+    # identity minor (1 on the chart); the orbital basis, in the chart
+    # variables only, enters as a basis
+    big_vars = live + names[1:]
+    lifted = [orb.basis] + [MultiPoly.var(big_vars, name) - nf.rename(big_vars)
+                            for name, nf in zip(names[1:], minors[1:])]
     kernel = eliminate(lifted, live)
     if fixture is not None:
         _check_plucker_fixture(kernel, names, subsets, fixture)

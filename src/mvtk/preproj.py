@@ -20,12 +20,12 @@ from collections.abc import Mapping, ValuesView
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import chain, islice, repeat, product as iproduct
-from math import gcd, isqrt, lcm, prod
+from math import isqrt, lcm, prod
 from numbers import Integral
 
 from .exactalg.linalg import coords, identity, inverse, mat_mul, mat_vec, null_space, rref
 from .exactalg.poly import MultiPoly, _exact, _scaled_point
-from .measures import RatFunc
+from .measures import RatFunc, dbar_i
 from .roota import (
     Weight, _counts, alpha_names, multichains, positive_roots, root_positions, seq_weight,
 )
@@ -50,10 +50,15 @@ class QuiverRep:
 
     def __init__(self, m, dims, maps, field="Q", check=True):
         self.m = m
-        self.dims = tuple(int(d) for d in dims)
-        if len(self.dims) != m - 1:
-            raise ValueError("need one dimension per vertex 1..m-1")
+        self.dims = tuple(dims)
+        if not all(isinstance(d, int) for d in self.dims):
+            raise TypeError(f"dimensions must be ints: {self.dims!r}")
+        if len(self.dims) != m - 1 or min(self.dims, default=0) < 0:
+            raise ValueError(f"need a dimension >= 0 at each vertex 1..m-1: {self.dims!r}")
         self.field = _check_field(field)
+        unknown = set(maps) - set(arrow_pairs(m))
+        if unknown:
+            raise ValueError(f"arrows {sorted(unknown)} are not edges of the doubled diagram")
         self.maps = {}
         for (i, j) in arrow_pairs(m):
             mat = maps.get((i, j))
@@ -681,22 +686,13 @@ def _flag_function_interpolated(m: int, chi: dict) -> RatFunc:
 def _root_power_bound(m: int, chi: dict) -> int:
     """The largest power of a positive root among the denominators of the Dbar_i, at least 1.
 
-    The factors of Dbar_seq are the tails seq[k:], keyed by their letter
-    counts over the counts' gcd; the sum's denominator holds a root no more
-    often than some Dbar_i does.  Tails that are not multiples of a root
-    (poles the root product cannot clear) do not count.
+    The sum's denominator holds a root no more often than some Dbar_i does.
+    Keys of Dbar_i that are not roots (poles the root product cannot clear)
+    do not count.
     """
     keys = {r.alpha_coords() for r in positive_roots(m)}
-    powers: dict = {}
-    for seq in chi:
-        tail = [0] * (m - 1)
-        for i in reversed(seq):
-            tail[i - 1] += 1
-            g = gcd(*tail)
-            key = tuple(c // g for c in tail)
-            if key in keys:
-                powers[seq, key] = powers.get((seq, key), 0) + 1
-    return max(powers.values(), default=1)
+    return max((c for seq in chi for key, c in dbar_i(m, seq).den.items() if key in keys),
+               default=1)
 
 
 def _flag_eval(m: int, chi: dict, alpha_values: dict) -> Fraction:
@@ -812,6 +808,8 @@ def injective_module(m: int, i: int) -> QuiverRep:
 
 
 def simple_module(m: int, i: int) -> QuiverRep:
+    if not 0 < i < m:
+        raise ValueError(f"simple module S_{i} needs i in 1..{m - 1}")
     dims = tuple(1 if v == i else 0 for v in range(1, m))
     return QuiverRep(m, dims, {}, "Q")
 

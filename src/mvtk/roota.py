@@ -322,7 +322,9 @@ def p_mu(m: int, mu) -> MultiPoly:
 
 def p_mu_factors(m: int, mu) -> list:
     """The factors of p_mu as a list of (root Weight, multiplicity)."""
-    mu = tuple(int(x) for x in mu)
+    mu = tuple(mu)
+    if not all(isinstance(x, int) for x in mu):
+        raise TypeError(f"parts of mu must be ints: {mu!r}")
     if len(mu) != m:
         raise ValueError("mu must have m parts (pad with zeros)")
     if any(x < 0 for x in mu) or any(mu[i] < mu[i + 1] for i in range(m - 1)):

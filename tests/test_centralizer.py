@@ -126,6 +126,16 @@ def test_is_admissible_refuses_a_negative_height():
     assert is_admissible((1, 0, -1), 0)
 
 
+@pytest.mark.parametrize("i", [0, 3, -1])
+def test_sbar_and_weyl_witness_refuse_a_reflection_outside_the_diagram(i):
+    # before, i = 0 indexed row -1 and returned a witness for another swap,
+    # and i = 3 raised IndexError
+    with pytest.raises(ValueError, match=f"s_{i} needs i in 1..2"):
+        sbar(3, i)
+    with pytest.raises(ValueError, match=f"s_{i} needs i in 1..2"):
+        weyl_witness((Fraction(1), Fraction(2), Fraction(-3)), i)
+
+
 def test_solve_nx_symbolic_matches_points():
     n = solve_nx(3, "symbolic")
     x = (Fraction(3), Fraction(1), Fraction(-4))

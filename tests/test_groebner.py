@@ -765,6 +765,36 @@ def test_exponents_past_the_field_width_start_again_wider():
     assert set(G2.gens) == _sympy_grevlex([x**20000 * y - 1, x * y**20000 - 1], vs)
 
 
+def test_ideals_equal_widens_against_a_basis_in_hand_which_keeps_the_width(monkeypatch):
+    # a basis built from members starts at 16-bit fields; the width that the
+    # check against it settles on stays with it for the next normal form
+    module = importlib.import_module("mvtk.exactalg.groebner")
+    made = []
+
+    class Counted(module._Packing):
+        def __init__(self, order, n, bits):
+            made.append(bits)
+            super().__init__(order, n, bits)
+
+    monkeypatch.setattr(module, "_Packing", Counted)
+    vs, (x, y) = poly_ring(["x", "y"])
+    # overflow while packing the members of the basis in hand
+    K = GroebnerBasis(vs, groebner([x**40000 - y, x * y]).gens, GREVLEX)
+    made.clear()
+    assert ideals_equal(K, [x * y, x**40000 - y])
+    assert made == [16, 32]
+    assert not ideals_equal([x * y, x**40000], K)
+    assert normal_form(x**40001 + y, K) == y
+    assert made == [16, 32]
+    # overflow while packing the generators set against it
+    L = GroebnerBasis(vs, groebner([x - y]).gens, GREVLEX)
+    made.clear()
+    assert ideals_equal([x**40000 - y**40000, y - x], L)
+    assert made == [16, 32]
+    assert normal_form(x**3, L) == y**3
+    assert made == [16, 32]
+
+
 def test_the_kernel_refuses_a_monomial_past_the_guard_bits():
     # every place that makes a monomial checks it: packing, a normal form's
     # new terms, an lcm's key, an S-polynomial's terms

@@ -336,6 +336,17 @@ def test_hilbert_rejects_a_numerator_of_other_weights():
         multigraded_hilbert(numerator, wa_for(names, 3, [(1, 3), (2, 3)]), 2)
 
 
+def test_hilbert_refuses_a_negative_degree():
+    # before, the layer list was empty and indexing it raised IndexError
+    names = ("x", "y")
+    w = wa_for(names, 3, [(1, 2), (2, 3)])
+    numerator = hilbert_numerator([], w)
+    for gens in ([], numerator):
+        with pytest.raises(ValueError, match="n = -1 is negative"):
+            multigraded_hilbert(gens, w, -1)
+    assert multigraded_hilbert(numerator, w, 0) == {Weight.zero(3): 1}
+
+
 def test_hilbert_numerator_matches_enumeration_on_random_monomial_ideals():
     # seed 20261018, 40 ideals in 2..5 variables, every n in 0..4: the
     # K-polynomial DP against the enumeration oracle.  The last variable

@@ -289,6 +289,22 @@ def test_tableau_refuses_non_integral_input(rows, m):
         Tableau(rows, m=m)
 
 
+@pytest.mark.parametrize("mu", [(2, 1.7, 0), ("2", 1, 0), (2.0, 1, 0)])
+def test_chart_refuses_a_part_of_mu_that_is_not_an_int(mu):
+    # before, int() truncated 1.7 and parsed "2"
+    with pytest.raises(TypeError, match="parts of mu must be ints"):
+        orbital.TmuChart(3, mu)
+
+
+def test_plucker_sections_refuse_a_negative_degree():
+    # before, the histogram's layer list was empty and indexing it raised IndexError
+    tau = Tableau(A4_TAU)
+    chart = plucker_chart(tau)
+    with pytest.raises(ValueError, match="n = -1 is negative"):
+        plucker_sections(tau, -1, chart)
+    assert plucker_sections(tau, 0, chart) == {Weight.zero(5): 1}
+
+
 @pytest.mark.parametrize("rows, m", [([[1, 1], [2]], 2), ([[1], [2]], 3), ([[1, 1], [2, 2], [3]], 4)])
 def test_dbar_mv_of_an_empty_chart_ring_is_one(rows, m):
     # every chart variable is forced to zero: nu = 0 and Z_tau is a point

@@ -49,6 +49,54 @@ def test_parse_rejects_unknown_variable():
         MultiPoly.parse("x + y", vs)
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("-x", lambda x, y: -x),
+    ("--x", lambda x, y: x),
+    ("+-+x - y", lambda x, y: -x - y),
+    ("x + -y", lambda x, y: x - y),
+    ("x - -y", lambda x, y: x + y),
+    ("x +- -+ y", lambda x, y: x + y),
+    ("-(x - y)^2 + 2*(x + y)", lambda x, y: -(x - y) ** 2 + 2 * (x + y)),
+    ("((x))*(-y + 1/3)", lambda x, y: x * (-y + Fraction(1, 3))),
+    ("", lambda x, y: 0 * x),
+    ("   ", lambda x, y: 0 * x),
+])
+def test_parse_accepts_signs_parentheses_and_empty_text(text, expected):
+    vs, (x, y) = poly_ring(["x", "y"])
+    assert MultiPoly.parse(text, vs) == expected(x, y)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x & y", "cannot tokenize"),
+    ("x +", "unexpected end"),
+    ("-", "unexpected end"),
+    ("(x + y", "unbalanced parenthesis"),
+    ("x + z", "unknown variable 'z'"),
+    ("x^y", "exponent must be a natural number"),
+    ("x^1/2", "exponent must be a natural number"),
+    ("x y", "trailing tokens"),
+    ("x + y)", "trailing tokens"),
+    ("x * )", "unexpected token"),
+    ("x^", "exponent must be a natural number"),  # before, IndexError
+    ("(x + y)^", "exponent must be a natural number"),
+])
+def test_parse_names_each_error(text, message):
+    vs, _ = poly_ring(["x", "y"])
+    with pytest.raises(ValueError, match=message):
+        MultiPoly.parse(text, vs)
+
+
+def test_evaluate_names_a_missing_variable():
+    # before, KeyError: 'y'
+    vs, (x, y) = poly_ring(["x", "y"])
+    with pytest.raises(ValueError, match="no value for the variable 'y'"):
+        (x + y).evaluate({"x": 1})
+    r = dbar_i(3, (1, 2))
+    with pytest.raises(ValueError, match="no value for the variable 'a2'"):
+        r.evaluate({"a1": Fraction(1, 2)})
+    assert r.evaluate({"a1": 1, "a2": 2}) == Fraction(1, 6)
+
+
 def test_arithmetic_exact():
     vs, (x, y) = poly_ring(["x", "y"])
     p = (x + y) ** 3

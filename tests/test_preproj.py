@@ -170,6 +170,27 @@ def test_relation_enforced():
     QuiverRep(3, (1, 1), {})
 
 
+@pytest.mark.parametrize("dims, maps, error, match", [
+    ((1.5, 1), {}, TypeError, "dimensions must be ints"),  # before, int() truncated 1.5
+    (("1", 1), {}, TypeError, "dimensions must be ints"),
+    ((-2, 1), {}, ValueError, "dimension >= 0"),  # before, -2 was kept
+    ((1, 1, 0), {}, ValueError, "dimension >= 0 at each vertex"),
+    ((1, 1), {(1, 3): [[1]]}, ValueError, r"arrows \[\(1, 3\)\] are not edges"),  # before, dropped
+    ((1, 1), {(1, 1): [[0]], (2, 1): [[1]]}, ValueError, r"arrows \[\(1, 1\)\]"),
+])
+def test_quiver_rep_refuses_bad_dimensions_and_arrows(dims, maps, error, match):
+    with pytest.raises(error, match=match):
+        QuiverRep(3, dims, maps)
+
+
+@pytest.mark.parametrize("i", [0, 3, -1])
+def test_simple_module_refuses_a_vertex_outside_the_diagram(i):
+    # before, it returned the zero module
+    with pytest.raises(ValueError, match=f"S_{i} needs i in 1..2"):
+        simple_module(3, i)
+    assert simple_module(3, 2).dims == (0, 1)
+
+
 @pytest.mark.parametrize("field, holds", [("Q", False), (5, False), (2, True)])
 def test_relation_is_checked_in_the_field(field, holds):
     # both composites of the all-ones 2 x 2 maps are 2 * ones: zero only mod 2

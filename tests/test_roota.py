@@ -18,6 +18,7 @@ from mvtk.roota import (
     minuscule_chains,
     multichains,
     p_mu,
+    p_mu_factors,
     positive_roots,
     root_positions,
     seq_weight,
@@ -251,6 +252,13 @@ def test_p_mu_degree_and_expansion():
 def test_p_mu_rejects_non_dominant():
     with pytest.raises(ValueError):
         p_mu(3, (1, 2, 0))
+
+
+@pytest.mark.parametrize("mu", [(2, 1.7, 0), ("2", 1, 0), (1, 1, 0.0)])
+def test_p_mu_refuses_a_part_that_is_not_an_int(mu):
+    # before, int() truncated 1.7 and parsed "2"
+    with pytest.raises(TypeError, match="parts of mu must be ints"):
+        p_mu_factors(3, mu)
 
 
 def test_minuscule_chain_counts():
