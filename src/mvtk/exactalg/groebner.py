@@ -11,7 +11,10 @@ pairs has coprime leads and so reduces to zero (product criterion).  Any
 other class keeps its pair with the oldest f.  The kernel works on
 integer coefficient dictionaries: it packs a MultiPoly's `ints` as they
 stand, and unpacks a content-free entry with lead coefficient lc as the
-monic (|lc|, +-ints), so it makes no Fraction.
+monic (|lc|, +-ints), so it makes no Fraction.  A run keeps the exponents
+of its leads in one list, appended on each arrival, which every normal
+form reads; a GroebnerBasis keeps that list of its members with their
+packing.
 
 Inside the kernel a monomial is one int K whose integer order is the term
 order (packed monomials, as in Monagan-Pearce, J. Symbolic Comput. 46,
@@ -121,7 +124,7 @@ class _Packing:
         return k
 
     def lcm(self, a: int, b: int) -> int:
-        """Field-wise max of two exponent vectors."""
+        """Field-wise max of two exponent vectors; `_buchberger`'s update inlines it."""
         ge = ((a | self.guard) - b) & self.guard  # guards of the fields where a >= b
         ge -= ge >> self.bits - 1
         return b ^ ((a ^ b) & ge)
@@ -160,9 +163,12 @@ def _content_normalize(p: IntPoly) -> IntPoly:
     return p
 
 
-def _normal_form_full(p: IntPoly, basis: Sequence[tuple], pk: _Packing) -> tuple:
+def _normal_form_full(p: IntPoly, basis: Sequence[tuple], divisors: Sequence[int],
+                      pk: _Packing) -> tuple:
     """Full normal form of p against kernel entries (lm, exponents, lc, tail).
 
+    `divisors` lists the entries' exponents (entry[1]), in their order; the
+    caller keeps it beside the entries, so it is not rebuilt per call.
     Fraction-free: rescalings applied to the working polynomial are mirrored
     on the remainder.  Returns (r, num, den): r is content-free and equals
     (num / den) * (the normal form of p), num and den nonzero ints.  The
@@ -170,7 +176,6 @@ def _normal_form_full(p: IntPoly, basis: Sequence[tuple], pk: _Packing) -> tuple
     lead is found without rescanning.
     """
     bits, diff, guard, top = pk.bits, pk.diff, pk.guard, pk.top
-    divisors = [entry[1] for entry in basis]
     remainder: IntPoly = {}
     work = dict(p)
     num = den = 1  # the scale applied so far, num / den in lowest terms
@@ -271,12 +276,14 @@ def _spoly(f: tuple, g: tuple, lcm: int, pk: _Packing) -> IntPoly:
 def _buchberger(known: list, gens: list, pk: _Packing, until: set | None = None) -> list:
     """Kernel entries of a Groebner basis of `known` (entries of a basis) and `gens`; a
     partial one as soon as arriving leads have divided, and removed, every member of `until`."""
-    guard, lcm = pk.guard, pk.lcm
+    guard, low = pk.guard, pk.bits - 1
     basis = list(known)
+    exps = [entry[1] for entry in basis]  # the leads' exponents, appended on each arrival
     until = set() if until is None else until
 
     def arrive(entry) -> bool:  # append entry; True once it empties a nonempty `until`
         basis.append(entry)
+        exps.append(entry[1])
         hit = [l for l in until if ((l | guard) - entry[1]) & guard == guard]
         until.difference_update(hit)
         return bool(hit) and not until
@@ -288,7 +295,7 @@ def _buchberger(known: list, gens: list, pk: _Packing, until: set | None = None)
         return (pk.degree(lm), len(p), lm)
 
     for p in sorted(gens, key=rank):
-        p = _normal_form_full(p, basis, pk)[0]
+        p = _normal_form_full(p, basis, exps, pk)[0]
         if p and arrive(pk.entry(p)):
             return basis
 
@@ -297,16 +304,20 @@ def _buchberger(known: list, gens: list, pk: _Packing, until: set | None = None)
 
     def update(new_index: int):
         """Gebauer-Moeller update on arrival of basis[new_index]."""
-        e_new = basis[new_index][1]
-        lcms = [lcm(entry[1], e_new) for entry in basis[:new_index]]
-        # criterion B: drop old pairs strictly refined by the new element
-        for (i, j), l in list(live.items()):
-            if ((l | guard) - e_new) & guard == guard and lcms[i] != l and lcms[j] != l:
+        e_new = exps[new_index]
+        # lcm(exps[i], e_new) for each older member, `_Packing.lcm` inline
+        lcms = [e_new ^ ((a ^ e_new) & (ge - (ge >> low)))
+                for a in exps[:new_index] for ge in [((a | guard) - e_new) & guard]]
+        # criterion B: of the pending pairs whose lcm the new lead divides,
+        # drop those strictly refined by the new element
+        hit = [(ij, l) for ij, l in live.items() if ((l | guard) - e_new) & guard == guard]
+        for (i, j), l in hit:
+            if lcms[i] != l and lcms[j] != l:
                 del live[(i, j)]
         # criterion F: one class per lcm value, [first index, coprime]
         by_lcm: dict = {}
         for i, l in enumerate(lcms):
-            coprime = l == basis[i][1] + e_new  # no field holds both exponents
+            coprime = l == exps[i] + e_new  # no field holds both exponents
             cls = by_lcm.get(l)
             if cls is None:
                 by_lcm[l] = [i, coprime]
@@ -341,7 +352,7 @@ def _buchberger(known: list, gens: list, pk: _Packing, until: set | None = None)
             continue
         del live[(i, j)]
         s = _spoly(basis[i], basis[j], k, pk)
-        s = _normal_form_full(s, basis, pk)[0]
+        s = _normal_form_full(s, basis, exps, pk)[0]
         if s:
             if arrive(pk.entry(s)):
                 return basis
@@ -363,9 +374,11 @@ def _interreduce(basis: list, pk: _Packing) -> list:
         else:
             keep.append(entry)
     keep.sort()
+    exps = [entry[1] for entry in keep]
     reduced = []
     for idx, (lm, _, lc, tail) in enumerate(keep):
-        r = _normal_form_full({**dict(tail), lm: lc}, keep[:idx] + keep[idx + 1:], pk)[0]
+        r = _normal_form_full({**dict(tail), lm: lc}, keep[:idx] + keep[idx + 1:],
+                              exps[:idx] + exps[idx + 1:], pk)[0]
         if r:
             reduced.append(pk.entry(r))
     reduced.sort(reverse=True)
@@ -392,14 +405,16 @@ class GroebnerBasis:
         self._kernel = None
 
     def _packed(self, run):
-        """run(packing, the members as kernel entries) at the width kept (16 bits a field at
-        first), each `_Overflow` doubling it; the packing that ran is kept for the next call."""
+        """run(packing, the members as kernel entries, their leads' exponents) at the width
+        kept (16 bits a field at first), each `_Overflow` doubling it; the packing that ran
+        is kept, with the entries and exponents, for the next call."""
         bits = self._kernel[0].bits if self._kernel is not None else 16
         while True:
             try:
                 if self._kernel is None or self._kernel[0].bits != bits:
                     pk = _Packing(self.order, len(self.variables), bits)
-                    self._kernel = (pk, [pk.entry(pk.pack_poly(g.ints)) for g in self.gens])
+                    entries = [pk.entry(pk.pack_poly(g.ints)) for g in self.gens]
+                    self._kernel = (pk, entries, [entry[1] for entry in entries])
                 return run(*self._kernel)
             except _Overflow:
                 bits *= 2
@@ -490,12 +505,12 @@ def groebner(gens: Sequence[MultiPoly] | GroebnerBasis,
     if known is None:
         known = GroebnerBasis(variables, (), order)
 
-    def run(pk, start):
+    def run(pk, start, _):
         return pk, _interreduce(_buchberger(start, [pk.pack_poly(g.ints) for g in polys], pk), pk)
 
     pk, basis = known._packed(run)
     G = GroebnerBasis(variables, [pk.to_poly(e, variables) for e in basis], order)
-    G._kernel = (pk, basis)
+    G._kernel = (pk, basis, [entry[1] for entry in basis])
     return G
 
 
@@ -513,8 +528,8 @@ def normal_form(f: MultiPoly, G: GroebnerBasis) -> MultiPoly:
     if f.is_zero():
         return f
 
-    def run(pk, entries):
-        remainder, num, den = _normal_form_full(pk.pack_poly(f.ints), entries, pk)
+    def run(pk, entries, exps):
+        remainder, num, den = _normal_form_full(pk.pack_poly(f.ints), entries, exps, pk)
         ints = {pk.monomial(m): c for m, c in remainder.items()}
         return MultiPoly._make(f.variables, *_rescaled(f.d, ints, den, num))
 
@@ -548,11 +563,11 @@ def _equals_basis(K: GroebnerBasis, polys: list, ring) -> bool:
     if not (K.gens and polys) or ring != K.variables:
         return not (K.gens or polys)
 
-    def run(pk, entries):
+    def run(pk, entries, exps):
         raw = [pk.pack_poly(g.ints) for g in polys]
-        if any(_normal_form_full(p, entries, pk)[0] for p in raw):
+        if any(_normal_form_full(p, entries, exps, pk)[0] for p in raw):
             return False  # J is not inside K
-        uncovered = {entry[1] for entry in entries}
+        uncovered = set(exps)
         _buchberger([], raw, pk, uncovered)
         return not uncovered
 

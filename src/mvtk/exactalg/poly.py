@@ -3,16 +3,18 @@
 A MultiPoly over a tuple `variables` of n names is ints / d: `ints` maps
 tuples of n exponents to nonzero ints, and d > 0 is coprime to every
 coefficient, so (variables, d, ints) is canonical; equality and hashing
-compare it.  Arithmetic, the ring maps, `primitive` and `evaluate` run in
-ints and make no Fraction, and `_reduced` brings a result to lowest terms
-with one gcd.  RatFunc's numerator and the Groebner kernel take (d, ints)
-as they stand; `terms`, the {monomial: Fraction} view, is built on each
-read.  `MultiPoly(variables, terms)` validates outside input: it takes
-ints and Fractions only, checks exponent lengths, merges and drops zeros,
-and puts the terms over the lcm of their denominators, which no prime
-divides along with every numerator.  `MultiPoly._make` trusts a canonical
-(variables, d, ints).  `evaluate` scales the point by the lcm of its
-denominators and makes one Fraction.  The canonical text syntax is
+compare it.  A constant also equals the int or Fraction it is and hashes
+like it; a str or a float equals no MultiPoly.  Arithmetic, the ring maps,
+`primitive` and `evaluate` run in ints and make no Fraction, and `_reduced`
+brings a result to lowest terms with one gcd.  RatFunc's numerator and the
+Groebner kernel take (d, ints) as they stand; `terms`, the {monomial:
+Fraction} view, is built on each read.  `MultiPoly(variables, terms)`
+validates outside input: it takes ints and Fractions only, checks exponent
+lengths, merges and drops zeros, and puts the terms over the lcm of their
+denominators, which no prime divides along with every numerator.
+`MultiPoly._make` trusts a canonical (variables, d, ints).  `evaluate`
+scales the point by the lcm of its denominators and makes one Fraction.
+The canonical text syntax is
 
     3*a1^2*a6 - 1/2*a2*a8 + a5
 
@@ -375,16 +377,17 @@ class MultiPoly:
         return self._scale(1 / _exact(other))
 
     def __eq__(self, other):
+        # a constant equals the int or Fraction it is, and hashes like it; a
+        # str or a float equals no MultiPoly
         if isinstance(other, MultiPoly):
             return (self.variables, self.d, self.ints) == (other.variables, other.d, other.ints)
-        if not self.is_constant() and not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        try:
-            return self.constant_term() == Fraction(other) and self.is_constant()
-        except (TypeError, ValueError):
-            return NotImplemented
+        if isinstance(other, (int, Fraction)):
+            return self.is_constant() and self.constant_term() == other
+        return NotImplemented
 
     def __hash__(self):
+        if self.is_constant():
+            return hash(self.constant_term())
         return hash((self.variables, self.d, frozenset(self.ints.items())))
 
     # -- substitution and ring maps ------------------------------------

@@ -22,7 +22,8 @@ divided out of terms by exact integer trial division (_divide_by_form).
 If num = f*q, then terms = f*(d*q) with d*q integral by Gauss's lemma (f is
 primitive), so the division fails only when f does not divide num.  So
 each rational function has one (d, terms, den), and equality compares
-them.
+them; a RatFunc with no denominator hashes like its numerator MultiPoly,
+which it equals.
 
 Only a key that can divide the result is tested.  Z[x] is a UFD, and
 distinct keys are non-associate primes, none dividing either operand's
@@ -314,6 +315,8 @@ class RatFunc:
         return self.d == other.d and self.terms == other.terms and self.den == other.den
 
     def __hash__(self):
+        if not self.den:  # equal to its numerator, so hashed like it (a constant like its number)
+            return hash(self.num)
         return hash((self.d, frozenset(self.terms.items()), frozenset(self.den.items())))
 
     def evaluate(self, values) -> Fraction:

@@ -12,7 +12,8 @@ the component over the chart weight product is the equivariant
 multiplicity.  In the two-step lattice window
 (mu = (1,...,1), at most two columns) the same chart embeds into a minor
 coordinate space whose homogeneous coordinate ring carries the section
-counts, bucketed by torus weight.
+counts, bucketed by torus weight.  Its minors are expanded from the chart
+matrix with the pruned variables already zero, in the ring of the others.
 """
 
 from __future__ import annotations
@@ -481,15 +482,17 @@ def plucker_chart(tau: Tableau, orb: OrbitalIdeal | None = None,
     if lam[0] > 2:
         raise ValueError("minor window needs at most two columns")
     orb = orb or orbital_ideal(tau)
-    chart = orb.chart
-    A = chart.generic_matrix()
-    zero = MultiPoly.zero(chart.variables)
-    one = MultiPoly.constant(chart.variables, 1)
+    live = orb.weight_assignment().variables
+    # the chart matrix with the removed variables at zero, in the ring of the
+    # live ones: a minor that vanishes on the chart for that reason is zero
+    # before it is expanded
+    A = [[_set_zero(e, orb.removed_vars) for e in row] for row in orb.chart.generic_matrix()]
+    zero = MultiPoly.zero(live)
+    one = MultiPoly.constant(live, 1)
     # [I | A^T]: column c of a subset is the unit vector e_c for c > 0 and
     # row -c of A for c < 0
     minor = _Minors([[one if r == c else zero for c in range(m)] + [row[r] for row in A]
                      for r in range(m)], zero)
-    live = orb.weight_assignment().variables
     # the identity subset first (the homogenizing coordinate); coordinates
     # that vanish on the chart go, and so does one that agrees up to sign with
     # an earlier one: dropping it is a graded isomorphism onto a coordinate
@@ -498,7 +501,7 @@ def plucker_chart(tau: Tableau, orb: OrbitalIdeal | None = None,
     subsets, minors, seen = [], [], set()
     for subset in sorted(_minor_subsets(m), key=lambda s: (s != id_subset, s)):
         poly = minor(tuple(range(m)), tuple(c - 1 if c > 0 else m - c - 1 for c in subset))
-        nf = normal_form(_set_zero(poly, orb.removed_vars), orb.basis)
+        nf = normal_form(poly, orb.basis)
         if nf.is_zero() or nf in seen:
             continue
         seen.update((nf, -nf))

@@ -8,7 +8,7 @@ every vertex the down-then-up composite equals the up-then-down composite
 Euler characteristics of submodule and flag varieties are obtained by
 counting F_q-points for several primes, fitting the exact interpolating
 polynomial, and evaluating at q = 1; a fit failure (non-polynomial counts)
-is a hard error, never a warning.
+is a hard error, never a warning.  Chain counts take a chain length n >= 0.
 """
 
 from __future__ import annotations
@@ -274,7 +274,8 @@ class SubmoduleLattice:
         )
 
     def chain_counts_by_total(self, n: int) -> dict:
-        """Chains 0 <= M^1 <= ... <= M^n <= M, bucketed by sum of dim M^k."""
+        """Chains 0 <= M^1 <= ... <= M^n <= M, bucketed by sum of dim M^k; n >= 0."""
+        _check_chain_length(n)
         if n == 0:
             return {(0,) * (self.rep.m - 1): 1}
         total: dict = {}
@@ -284,7 +285,8 @@ class SubmoduleLattice:
         return total
 
     def chain_counts_by_last(self, n: int) -> dict:
-        """Chains as above, bucketed by the dimension vector of M^n."""
+        """Chains as above, bucketed by the dimension vector of M^n; n >= 0."""
+        _check_chain_length(n)
         if n == 0:
             return {(0,) * (self.rep.m - 1): 1}
         out: dict = {}
@@ -292,6 +294,11 @@ class SubmoduleLattice:
         for dv, table in zip(self.dim_vectors, tables):
             out[dv] = out.get(dv, 0) + table[()]
         return out
+
+
+def _check_chain_length(n: int):
+    if n < 0:
+        raise ValueError(f"chain counts need n >= 0, not {n}")
 
 
 class CompositionSeriesTable(Mapping):

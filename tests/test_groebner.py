@@ -804,7 +804,7 @@ def test_the_kernel_refuses_a_monomial_past_the_guard_bits():
         grevlex.pack_poly({(2**14, 2**14): 1})
     entry = lex.entry(lex.pack_poly({(1, 0): 1, (0, 30000): -1}))  # x - y^30000
     with pytest.raises(_Overflow):
-        _normal_form_full(lex.pack_poly({(2, 0): 1}), [entry], lex)
+        _normal_form_full(lex.pack_poly({(2, 0): 1}), [entry], [entry[1]], lex)
     # their S-polynomial is zero: only the lcm x^20000*y^20000 is made
     gens = [grevlex.pack_poly({(20000, 1): 1}), grevlex.pack_poly({(1, 20000): 1})]
     with pytest.raises(_Overflow):
@@ -849,22 +849,41 @@ def test_a_coprime_pair_drops_its_whole_lcm_class(spoly_leads):
     assert [str(g) for g in G] == ["x^2", "y + 2"]
 
 
+@pytest.fixture
+def kernel_normal_forms(monkeypatch):
+    module = importlib.import_module("mvtk.exactalg.groebner")
+    calls = []
+    inner = module._normal_form_full
+
+    def counted(p, basis, divisors, pk):
+        calls.append(len(basis))
+        return inner(p, basis, divisors, pk)
+
+    monkeypatch.setattr(module, "_normal_form_full", counted)
+    return calls
+
+
 def _digest(basis) -> str:
     return hashlib.sha256("\n".join(sorted(str(g) for g in basis)).encode()).hexdigest()
 
 
-def test_paper_example_bases_are_pinned(spoly_leads):
+def test_paper_example_bases_are_pinned(spoly_leads, kernel_normal_forms):
     # reduced bases are unique, so a change to the pair bookkeeping must give
     # these same strings.  The digests are those of the update that tested
     # only the first member of an lcm class for coprimality.  The A4 chart
-    # (orbital ideal, kernel elimination and saturation by u) forms 505
-    # S-polynomials when the bases in hand enter Buchberger unpaired.
+    # (orbital ideal, kernel elimination and saturation by u) forms 494
+    # S-polynomials and makes 686 kernel normal forms when the bases in hand
+    # enter Buchberger unpaired, and the orbital ideal of tau_A5 499 and
+    # 1,105: cheaper bookkeeping keeps both counts, so it changes no work.
     chart = plucker_chart(Tableau([[1, 2], [3, 4], [5]]))
-    assert len(spoly_leads) <= 505
+    assert (len(spoly_leads), len(kernel_normal_forms)) == (494, 686)
     assert _digest(chart.kernel) == (
         "d24ba6262bc5558a30f6757bb7ac542bc373787bc5d645bac4a327b6629243bd")
     assert _digest(chart.homogeneous) == (
         "c76f29d63f6b7847094d2bec1f0a0c93127834dc98f991a500db9150d7ea426e")
+    spoly_leads.clear()
+    kernel_normal_forms.clear()
     orb = orbital_ideal(Tableau([[1, 1, 1, 3], [2, 2, 5], [3, 4], [4, 6]]))
+    assert (len(spoly_leads), len(kernel_normal_forms)) == (499, 1105)
     assert _digest(orb.basis) == (
         "7c9b71d86009779361373dbb49dc1acf5258a1ecd79a084c07773ea85891d903")

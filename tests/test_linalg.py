@@ -160,3 +160,41 @@ def test_plucker_fixture_without_sign_equations_flips_nothing():
     fixture = {"minors": {"p0": [1], "p1": [2], "p2": [3]}, "generators": ["p1*p2"]}
     kernel = [MultiPoly.parse("b1*b2", ring)]
     assert _check_plucker_fixture(kernel, ("u",) + ring, [(1,), (2,), (3,)], fixture) == set()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: inverse([[1, 2]], 5), "a row of 2 entries in a matrix of 1 rows that needs 1"),
+    (lambda: solve([[1, 0], [0, 1]], [1], 2, 5), "2 equations with 1 right-hand sides"),
+    (lambda: solve([[1, 0, 1]], [1], 2, 5), "a row of 3 entries .* needs 2"),
+    (lambda: null_space([[1, 2, 3]], 2, 5), "a row of 3 entries .* needs 2"),
+    (lambda: null_space([[1, 2]], 3, 5), "a row of 2 entries .* needs 3"),
+    (lambda: mat_vec(((1, 2),), (1,), 5), "a row of 2 entries .* needs 1"),
+    (lambda: mat_vec(((1, 2), (1,)), (1, 1)), "a row of 1 entries .* needs 2"),
+    (lambda: rref([[1], [3, 4]], 5), "a row of 2 entries in a matrix of 2 rows that needs 1"),
+    (lambda: rref([[1, 2], [3]]), "a row of 1 entries .* needs 2"),
+    (lambda: coords((1, 2, 3), ((1, 0),), 5), "a vector of 3 entries against rows of 2"),
+    (lambda: mat_mul([[1, 2]], [[1, 2], [3]], 5), "a row of 1 entries .* needs 2"),
+], ids=["inverse", "solve-rhs", "solve-width", "null_space-wide", "null_space-narrow",
+        "mat_vec", "mat_vec-ragged", "rref-F_p", "rref-Q", "coords", "mat_mul"])
+def test_misshapen_input_is_refused(call, message):
+    # before, each of these dropped or padded entries silently, or raised
+    # IndexError from inside the elimination
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: solve([[0.1]], [1], 1), "float 0.1"),
+    (lambda: solve([[1]], [0.5], 1), "float 0.5"),
+    (lambda: rref([['1/3', 1]]), "str '1/3'"),
+    (lambda: coords([0.5, 1], rref([[1, 0], [0, 1]])), "float 0.5"),
+    (lambda: null_space([[1, '2']], 2), "str '2'"),
+], ids=["solve-float", "solve-rhs-float", "rref-str", "coords-float", "null_space-str"])
+def test_inexact_entries_over_q_are_refused(call, text):
+    # a float would enter as its binary expansion, a string would be parsed;
+    # the rest of mvtk refuses both through poly._exact
+    with pytest.raises(TypeError, match=f"^{text} in exact arithmetic"):
+        call()
+    # the same entries, exact, go through
+    assert solve([[Fraction(1, 10)]], [1], 1) == [10]
+    assert rref([[Fraction(1, 3), 1]]) == ((1, 3),)

@@ -177,6 +177,27 @@ def test_ratfunc_equality_cross_multiplication():
     assert RatFunc(a1 + a2, {(1, 0): 1}) != RatFunc.constant(names, 1)
 
 
+def test_ratfunc_equals_and_hashes_like_a_number_or_its_numerator():
+    names = alpha_names(3)
+    one, half = RatFunc.constant(names, 1), RatFunc.constant(names, Fraction(1, 2))
+    for r, c in ((one, 1), (half, Fraction(1, 2)), (RatFunc.constant(names, 0), 0)):
+        assert r == c and c == r
+        assert hash(r) == hash(c)
+    assert {one: "v"}.get(1) == "v"
+    # no denominator: equal to its numerator, and hashed like it
+    num = MultiPoly.parse("a1^2 - 3*a2", names)
+    cancelled = RatFunc(num * MultiPoly.parse("a2", names), {(0, 1): 1})
+    for r in (RatFunc(num, {}), RatFunc.from_poly(num), cancelled):
+        assert not r.den
+        assert r == r.num and r.num == r
+        assert hash(r) == hash(r.num)
+        assert {r.num: "v"}.get(r) == "v"
+    # a str or a float never compares equal
+    for r, other in ((one, "1"), (one, 1.0), (half, "1/2"), (half, 0.5)):
+        assert r != other and other != r
+    assert dbar_i(3, (1,)) != 1
+
+
 def test_ratfunc_arithmetic_refuses_other_variables():
     a, b = dbar_i(3, (1, 2)), dbar_i(4, (1, 2))
     for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a * b.num,

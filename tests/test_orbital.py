@@ -159,6 +159,26 @@ def test_a4_homogeneous_kernel_is_saturated_by_u(a4_plucker):
     assert saturate(hom, MultiPoly.var(hom.variables, "u")) == hom
 
 
+def test_plucker_minors_are_expanded_on_the_reduced_chart(monkeypatch):
+    # the chart matrix enters with the pruned variables at zero, in the ring
+    # of the others: each of the 252 subsets gets one normal form there, and
+    # the 230 minors that vanish on the chart arrive as zero
+    orb = orbital_ideal(Tableau(A4_TAU))
+    seen = []
+    inner = orbital.normal_form
+
+    def counted(f, G):
+        seen.append((f.variables, f.is_zero()))
+        return inner(f, G)
+
+    monkeypatch.setattr(orbital, "normal_form", counted)
+    chart = plucker_chart(Tableau(A4_TAU), orb)
+    assert len(seen) == 252 and {ring for ring, _ in seen} == {orb.basis.variables}
+    assert sum(zero for _, zero in seen) == 230
+    # of the other 22, five agree up to sign with an earlier coordinate
+    assert len(chart.subsets) == 17
+
+
 def test_orbital_ideal_carries_its_basis(buchberger_runs):
     # one run per rank-condition refresh (5) and per exact-rank saturation
     # (10); none on a basis already in hand

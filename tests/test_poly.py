@@ -313,3 +313,20 @@ def test_arithmetic_results_keep_the_invariant(pair, c, k):
             _assert_invariant(g, n + 1)
     for got in results:
         _assert_invariant(got, n)
+
+
+def test_a_constant_equals_and_hashes_like_its_number():
+    vs, (x, y) = poly_ring(["x", "y"])
+    one, half, zero = MultiPoly.constant(vs, 1), MultiPoly.constant(vs, Fraction(1, 2)), x - x
+    for p, c in ((one, 1), (half, Fraction(1, 2)), (zero, 0), (zero, Fraction(0))):
+        assert p == c and c == p
+        assert hash(p) == hash(c)
+    assert {one: "v"}.get(1) == "v" and {1: "v"}.get(one) == "v"
+    assert {half: "v"}.get(Fraction(1, 2)) == "v"
+    # a str or a float never compares equal, and a nonconstant never equals a number
+    for p, other in ((one, "1"), (one, 1.0), (half, "1/2"), (half, 0.5), (zero, "0"), (zero, 0.0)):
+        assert p != other and other != p
+    assert x != 1 and x + 1 != 1
+    # members of sets built from bases keep their meaning
+    assert len({one, MultiPoly.constant(vs, 1), 1}) == 1
+    assert x in {x, one} and hash(x) == hash(MultiPoly.var(vs, "x"))

@@ -218,6 +218,17 @@ def test_submodule_counts_simple_cases():
     assert lat.chain_counts_by_total(1) == {(0,): 1, (1,): 1}
 
 
+@pytest.mark.parametrize("method", ["chain_counts_by_total", "chain_counts_by_last"])
+def test_chain_counts_refuse_a_negative_length(method):
+    # n = 0 counts the one empty chain; before, n < 0 reached multichains and
+    # raised "multichains need n >= 1", which n = 0 is not held to
+    counts = getattr(SubmoduleLattice(simple_module(3, 1).reduce_mod(5)), method)
+    assert counts(0) == {(0, 0): 1}
+    for n in (-1, -3):
+        with pytest.raises(ValueError, match=f"chain counts need n >= 0, not {n}"):
+            counts(n)
+
+
 def test_a4_submodule_table_row():
     M = a4_module()
     for q in (2, 3, 5):
