@@ -1,16 +1,17 @@
 """Exact commutative-algebra kernel: polynomials, Groebner bases, multidegrees.
 
-Linear algebra over Q and F_p lives in the submodule `linalg`.
+Two monomial orders: grevlex, 0 as a GroebnerBasis's `block`, and the
+elimination block order of `eliminate`.  Linear algebra over Q and F_p
+lives in the submodule `linalg`.
 """
 
-from .poly import GREVLEX, LEX, MultiPoly, TermOrder, poly_ring
+from .poly import MultiPoly, poly_ring
 from .groebner import (
     GroebnerBasis,
     eliminate,
     groebner,
     homogenize,
     ideals_equal,
-    in_ideal,
     normal_form,
     saturate,
 )
@@ -24,15 +25,11 @@ from .mdeg import (
 )
 
 __all__ = [
-    "GREVLEX",
-    "LEX",
     "MultiPoly",
-    "TermOrder",
     "poly_ring",
     "GroebnerBasis",
     "groebner",
     "normal_form",
-    "in_ideal",
     "ideals_equal",
     "eliminate",
     "saturate",

@@ -16,10 +16,13 @@ of its leads in one list, appended on each arrival, which every normal
 form reads; a GroebnerBasis keeps that list of its members with their
 packing.
 
-Inside the kernel a monomial is one int K whose integer order is the term
-order (packed monomials, as in Monagan-Pearce, J. Symbolic Comput. 46,
-2011).  The variables fall into blocks: one for grevlex, the eliminated
-and the kept variables for a block order, one per variable for lex.  A
+A basis's order is one int, `block`: grevlex on its first `block`
+variables, ties broken by grevlex on the rest.  Block 0 is grevlex; only
+`eliminate` runs `groebner` with a positive block, the number of variables
+it drops.  Inside the kernel a monomial is one int K whose integer order
+is that order (packed monomials, as in Monagan-Pearce, J. Symbolic Comput.
+46, 2011), and `_Packing` is the order's one implementation: the variables
+fall into at most two blocks, the first `block` ones and the rest.  A
 block of b variables holds, in F-bit fields, the prefix sums s_1 <= ... <=
 s_b of its exponents with the block degree s_b in its top field, and
 earlier blocks sit above later ones; comparing s_b, s_(b-1), ... in turn
@@ -68,7 +71,7 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from .poly import GREVLEX, MultiPoly, TermOrder, _rescaled
+from .poly import MultiPoly, _rescaled
 
 IntPoly = dict  # monomial -> int: packed keys in the kernel, exponent tuples before packing
 
@@ -78,7 +81,7 @@ class _Overflow(Exception):
 
 
 class _Packing:
-    """Packed monomials of one ring and term order, `bits` bits a field.
+    """Packed monomials of n variables under the order of `block`, `bits` bits a field.
 
     `weights` pack an exponent tuple in one dot product and `shifts` place
     each exponent in E; `blocks` holds (shift, mask, ones) per block,
@@ -88,9 +91,9 @@ class _Packing:
 
     __slots__ = ("bits", "weights", "shifts", "blocks", "tops", "top", "guard", "diff")
 
-    def __init__(self, order: TermOrder, n: int, bits: int):
+    def __init__(self, block: int, n: int, bits: int):
         # block [a, b) of the variables takes the fields n - b .. n - a - 1
-        cuts = sorted({0, n, min(order.block, n)} | set(range(n) if order.kind == "lex" else ()))
+        cuts = sorted({0, n, min(block, n)})
         self.bits, self.blocks, self.tops, self.shifts, self.weights = bits, [], [], [], []
         self.diff = 0
         for a, b in zip(cuts, cuts[1:]):
@@ -391,17 +394,19 @@ def _interreduce(basis: list, pk: _Packing) -> list:
 class GroebnerBasis:
     """Reduced Groebner basis; members are monic MultiPoly.
 
-    It is built only from members already reduced for `order` (by
-    `groebner`, `eliminate`, `saturate`, `homogenize`), so the operations
+    It is built only from members already reduced for the order of `block`
+    (by `groebner`, `eliminate`, `saturate`, `homogenize`), so the operations
     that take generators accept it without running Buchberger again.
     """
 
-    __slots__ = ("order", "gens", "variables", "_kernel")
+    __slots__ = ("block", "gens", "variables", "_kernel")
 
-    def __init__(self, variables, gens: Sequence[MultiPoly], order: TermOrder):
+    def __init__(self, variables, gens: Sequence[MultiPoly], block: int = 0):
+        if type(block) is not int or block < 0:
+            raise ValueError(f"block = {block!r}: a block size is an int >= 0")
         self.variables = tuple(variables)
         self.gens = tuple(gens)
-        self.order = order
+        self.block = block
         self._kernel = None
 
     def _packed(self, run):
@@ -412,7 +417,7 @@ class GroebnerBasis:
         while True:
             try:
                 if self._kernel is None or self._kernel[0].bits != bits:
-                    pk = _Packing(self.order, len(self.variables), bits)
+                    pk = _Packing(self.block, len(self.variables), bits)
                     entries = [pk.entry(pk.pack_poly(g.ints)) for g in self.gens]
                     self._kernel = (pk, entries, [entry[1] for entry in entries])
                 return run(*self._kernel)
@@ -420,7 +425,8 @@ class GroebnerBasis:
                 bits *= 2
 
     def leading_monomials(self) -> list:
-        return [g.leading_monomial(self.order) for g in self.gens]
+        """The members' leads, read off the kernel entries: `_Packing` alone knows the order."""
+        return self._packed(lambda pk, entries, _: [pk.monomial(entry[0]) for entry in entries])
 
     def __iter__(self):
         return iter(self.gens)
@@ -432,12 +438,12 @@ class GroebnerBasis:
         return (
             isinstance(other, GroebnerBasis)
             and self.variables == other.variables
-            and self.order == other.order
+            and self.block == other.block
             and set(self.gens) == set(other.gens)
         )
 
     def __repr__(self):
-        return f"GroebnerBasis({len(self.gens)} gens, {self.order!r})"
+        return f"GroebnerBasis({len(self.gens)} gens, block {self.block})"
 
 
 def _check_same_ring(gens: Sequence[MultiPoly]):
@@ -447,18 +453,17 @@ def _check_same_ring(gens: Sequence[MultiPoly]):
     return rings.pop() if rings else None
 
 
-def _carry(G: GroebnerBasis, variables: tuple, order: TermOrder) -> GroebnerBasis | None:
-    """G in the ring `variables` as a reduced basis for `order`, or None where
-    it need not stay one (see the module docstring)."""
-    if G.variables == variables and G.order == order:
+def _carry(G: GroebnerBasis, variables: tuple, block: int) -> GroebnerBasis | None:
+    """G in the ring `variables` as a reduced basis for the order of `block`, or
+    None where it need not stay one (see the module docstring)."""
+    if G.variables == variables and G.block == block:
         return G
-    if G.order != GREVLEX or order.kind == "lex":
+    if G.block:
         return None
     pos = [variables.index(v) for v in G.variables]
-    k = order.block
-    if pos != sorted(pos) or (k and pos and pos[0] < k <= pos[-1]):
+    if pos != sorted(pos) or (block and pos and pos[0] < block <= pos[-1]):
         return None
-    return GroebnerBasis(variables, [g.rename(variables) for g in G.gens], order)
+    return GroebnerBasis(variables, [g.rename(variables) for g in G.gens], block)
 
 
 def _split(gens) -> tuple:
@@ -481,35 +486,34 @@ def _split(gens) -> tuple:
     return known, polys, ring
 
 
-def groebner(gens: Sequence[MultiPoly] | GroebnerBasis,
-             order: TermOrder = GREVLEX) -> GroebnerBasis:
-    """Reduced basis for `order` of the ideal the generators generate.
+def groebner(gens: Sequence[MultiPoly] | GroebnerBasis, block: int = 0) -> GroebnerBasis:
+    """Reduced basis of the ideal the generators generate, for the order of `block`.
 
     A GroebnerBasis may stand first among the generators, in a ring of some
-    of their variables.  Where it stays a basis for `order` in their ring
+    of their variables.  Where it stays a basis for that order in their ring
     (`_carry`) it enters Buchberger as a basis in hand, its members never
     paired with each other; otherwise its members count as plain generators.
     """
-    if isinstance(gens, GroebnerBasis) and gens.order == order:
+    if isinstance(gens, GroebnerBasis) and gens.block == block:
         return gens
     known, polys, variables = _split(gens)
     if variables is None:
-        return GroebnerBasis((), (), order)
+        return GroebnerBasis((), (), block)
     if known is not None:
-        carried = _carry(known, variables, order)
+        carried = _carry(known, variables, block)
         if carried is None:
             polys += [g.rename(variables) for g in known.gens]
         elif not polys:
             return carried
         known = carried
     if known is None:
-        known = GroebnerBasis(variables, (), order)
+        known = GroebnerBasis(variables, (), block)
 
     def run(pk, start, _):
         return pk, _interreduce(_buchberger(start, [pk.pack_poly(g.ints) for g in polys], pk), pk)
 
     pk, basis = known._packed(run)
-    G = GroebnerBasis(variables, [pk.to_poly(e, variables) for e in basis], order)
+    G = GroebnerBasis(variables, [pk.to_poly(e, variables) for e in basis], block)
     G._kernel = (pk, basis, [entry[1] for entry in basis])
     return G
 
@@ -536,10 +540,6 @@ def normal_form(f: MultiPoly, G: GroebnerBasis) -> MultiPoly:
     return G._packed(run)
 
 
-def in_ideal(f: MultiPoly, G: GroebnerBasis) -> bool:
-    return normal_form(f, G).is_zero()
-
-
 def ideals_equal(gens_a: Sequence[MultiPoly], gens_b: Sequence[MultiPoly]) -> bool:
     """Equality of two ideals in one ring; nonzero ideals in different rings differ.
 
@@ -550,7 +550,7 @@ def ideals_equal(gens_a: Sequence[MultiPoly], gens_b: Sequence[MultiPoly]) -> bo
     unique, are compared; the zero ideal's is empty in any ring.
     """
     for K, J in ((gens_a, gens_b), (gens_b, gens_a)):
-        if isinstance(K, GroebnerBasis) and K.order == GREVLEX and not isinstance(J, GroebnerBasis):
+        if isinstance(K, GroebnerBasis) and not K.block and not isinstance(J, GroebnerBasis):
             known, polys, ring = _split(J)
             if known is None:
                 return _equals_basis(K, polys, ring)
@@ -603,21 +603,19 @@ def eliminate(gens: Sequence[MultiPoly] | GroebnerBasis, drop: Iterable[str]) ->
         if v not in variables:
             raise ValueError(f"cannot drop unknown variable {v!r}")
     keep = tuple(v for v in variables if v not in drop)
-    ring = drop + keep
-    order = TermOrder("block", len(drop))
+    ring, k = drop + keep, len(drop)
     reordered = [g.rename(ring) for g in polys]
     if known is not None:
         # carried here, so that the ring is the block ring even with no polys
-        carried = _carry(known, ring, order)
+        carried = _carry(known, ring, k)
         if carried is None:
             reordered += [g.rename(ring) for g in known.gens]
         else:
             reordered.insert(0, carried)
-    G = groebner(reordered, order)
-    k = len(drop)
+    G = groebner(reordered, k)
     out = [MultiPoly._make(keep, g.d, {m[k:]: c for m, c in g.ints.items()})
            for g in G.gens if not any(any(m[:k]) for m in g.ints)]
-    return GroebnerBasis(keep, out, GREVLEX)
+    return GroebnerBasis(keep, out)
 
 
 def saturate(gens: Sequence[MultiPoly] | GroebnerBasis, f: MultiPoly) -> GroebnerBasis:
@@ -634,7 +632,7 @@ def saturate(gens: Sequence[MultiPoly] | GroebnerBasis, f: MultiPoly) -> Groebne
     if f.variables != variables:
         raise ValueError("saturating element lives in a different ring")
     if known is None and not polys:
-        return GroebnerBasis(variables, (), GREVLEX)
+        return GroebnerBasis(variables, ())
     aux = _fresh_name(variables, "zsat")
     new_vars = (aux,) + variables
     lifted = [g.rename(new_vars) for g in polys]
@@ -654,8 +652,8 @@ def homogenize(gens: Sequence[MultiPoly], hvar: str) -> GroebnerBasis:
     so G^h is reduced, monic and in the same order.  In particular I^h is
     saturated with respect to hvar.
     """
-    G = groebner(gens, GREVLEX)
+    G = groebner(gens)
     new_vars = G.variables + (hvar,)
     out = [MultiPoly._make(new_vars, g.d, {m + (d - sum(m),): c for m, c in g.ints.items()})
            for g, d in zip(G.gens, map(MultiPoly.total_degree, G.gens))]
-    return GroebnerBasis(new_vars, out, GREVLEX)
+    return GroebnerBasis(new_vars, out)

@@ -40,7 +40,7 @@ from math import comb, factorial, lcm
 from typing import Mapping, Sequence
 
 from .groebner import GroebnerBasis, groebner
-from .poly import GREVLEX, MultiPoly, TermOrder, _reduced
+from .poly import MultiPoly, _reduced
 
 
 class WeightAssignment:
@@ -154,18 +154,17 @@ def _codim(k_poly: dict) -> int:
     return k
 
 
-def _initial_ideal(gens: Sequence[MultiPoly] | GroebnerBasis, order: TermOrder, what: str) -> tuple:
-    G = groebner(gens, order)
+def _initial_ideal(gens: Sequence[MultiPoly] | GroebnerBasis, what: str) -> tuple:
+    G = groebner(gens)
     if any(g.is_constant() for g in G.gens):
         raise ValueError(f"unit ideal has no {what}")
     return G, G.leading_monomials()
 
 
-def multidegree(gens: Sequence[MultiPoly] | GroebnerBasis, w: WeightAssignment,
-                order: TermOrder = GREVLEX) -> MultiPoly:
+def multidegree(gens: Sequence[MultiPoly] | GroebnerBasis, w: WeightAssignment) -> MultiPoly:
     """Torus-equivariant class of V(I) inside the weighted coordinate space."""
     w.check_nonzero()
-    _, lead = _initial_ideal(gens, order, "multidegree")
+    _, lead = _initial_ideal(gens, "multidegree")
     if not w.variables:
         return MultiPoly.constant(w.alpha_names, 1)  # K = 1, codimension 0: a point
     k_poly = _k_polynomial(lead, w.grades())
@@ -199,7 +198,7 @@ def _form_power(coords: list, c: int) -> dict:
 
 def dimension(gens: Sequence[MultiPoly] | GroebnerBasis, nvars: int | None = None) -> int:
     """Krull dimension of S/I; `nvars` sizes the zero ideal's ring and must match any other's."""
-    G, lead = _initial_ideal(gens, GREVLEX, "dimension")
+    G, lead = _initial_ideal(gens, "dimension")
     if not G.gens:
         if nvars is None:
             raise ValueError("dimension of the zero ideal needs the ambient size")
@@ -224,7 +223,7 @@ def hilbert_numerator(gens: Sequence[MultiPoly] | GroebnerBasis,
     I must be homogeneous in total degree, which holds exactly when its
     reduced grevlex basis is homogeneous.
     """
-    G, lead = _initial_ideal(gens, GREVLEX, "Hilbert numerator")
+    G, lead = _initial_ideal(gens, "Hilbert numerator")
     if any(not g.is_homogeneous() for g in G.gens):
         raise ValueError("ideal is not homogeneous in total degree")
     if G.gens and G.variables != w.variables:

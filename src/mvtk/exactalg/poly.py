@@ -19,7 +19,10 @@ The canonical text syntax is
     3*a1^2*a6 - 1/2*a2*a8 + a5
 
 with variables matching [a-z][a-z0-9]* and terms printed in descending
-grevlex order.
+grevlex order.  Grevlex is the only order a MultiPoly knows: it also picks
+`leading_monomial` and the sign of `primitive`.  The Groebner layer packs
+its orders, grevlex and the elimination block order, into int keys of its
+own (`groebner._Packing`).
 """
 
 from __future__ import annotations
@@ -32,51 +35,10 @@ from operator import add, neg
 from typing import Iterable, Mapping
 
 
-class TermOrder:
-    """Monomial order: grevlex, lex, or an elimination block order.
+def _grevlex_key(mon: tuple) -> tuple:
+    """Sort key of grevlex: a larger key is a larger monomial."""
+    return (sum(mon), tuple(map(neg, reversed(mon))))
 
-    A block order compares the first `block` exponents by grevlex, then the
-    rest by grevlex; any variable in the leading block dominates the tail,
-    which is what elimination needs.  Keys sort so that larger key == larger
-    monomial.
-    """
-
-    __slots__ = ("kind", "block")
-
-    def __init__(self, kind: str = "grevlex", block: int = 0):
-        if kind not in ("grevlex", "lex", "block"):
-            raise ValueError(f"unknown term order kind {kind!r}")
-        if kind == "block" and block <= 0:
-            raise ValueError("block order needs a positive block size")
-        self.kind = kind
-        self.block = block if kind == "block" else 0
-
-    @staticmethod
-    def _grevlex_key(mon: tuple) -> tuple:
-        return (sum(mon), tuple(map(neg, reversed(mon))))
-
-    def key(self, mon: tuple) -> tuple:
-        if self.kind == "grevlex":
-            return self._grevlex_key(mon)
-        if self.kind == "lex":
-            return mon
-        k = self.block
-        return (self._grevlex_key(mon[:k]), self._grevlex_key(mon[k:]))
-
-    def __eq__(self, other):
-        return isinstance(other, TermOrder) and (self.kind, self.block) == (other.kind, other.block)
-
-    def __hash__(self):
-        return hash((self.kind, self.block))
-
-    def __repr__(self):
-        if self.kind == "block":
-            return f"TermOrder('block', {self.block})"
-        return f"TermOrder({self.kind!r})"
-
-
-GREVLEX = TermOrder("grevlex")
-LEX = TermOrder("lex")
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[a-z][a-z0-9]*)|(?P<op>[+\-*^()]))"
@@ -107,6 +69,15 @@ def _scaled_point(values: Mapping, names) -> tuple[int, list]:
         raise ValueError(f"the point gives no value for the variable {missing}") from None
     d = lcm(*(x.denominator for x in point))
     return d, [x.numerator * (d // x.denominator) for x in point]
+
+
+def _positions(names, ring: tuple) -> list:
+    """The index in `ring` of each of `names`; a ValueError names the first one missing."""
+    try:
+        return [ring.index(v) for v in names]
+    except ValueError:
+        missing = next(v for v in names if v not in ring)
+        raise ValueError(f"variable {missing!r} is not among {ring}") from None
 
 
 def _reduced(d: int, ints: dict) -> tuple[int, dict]:
@@ -201,7 +172,7 @@ class MultiPoly:
     @classmethod
     def var(cls, variables, name) -> "MultiPoly":
         variables = tuple(variables)
-        i = variables.index(name)
+        i, = _positions((name,), variables)
         mon = tuple(1 if j == i else 0 for j in range(len(variables)))
         return cls._make(variables, 1, {mon: 1})
 
@@ -289,10 +260,11 @@ class MultiPoly:
     def is_homogeneous(self) -> bool:
         return len({sum(m) for m in self.ints}) <= 1
 
-    def leading_monomial(self, order: TermOrder = GREVLEX) -> tuple:
+    def leading_monomial(self) -> tuple:
+        """The grevlex-largest monomial."""
         if not self.ints:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.ints, key=order.key)
+        return max(self.ints, key=_grevlex_key)
 
     def coefficient(self, mon: tuple) -> Fraction:
         return Fraction(self.ints.get(tuple(mon), 0), self.d)
@@ -419,7 +391,7 @@ class MultiPoly:
     def rename(self, variables) -> "MultiPoly":
         """Reinterpret in a ring whose variables contain the current ones."""
         variables = tuple(variables)
-        pos = [variables.index(v) for v in self.variables]
+        pos = _positions(self.variables, variables)
         n = len(variables)
         ints = {}
         for m, c in self.ints.items():
@@ -432,7 +404,7 @@ class MultiPoly:
     def restrict(self, variables) -> "MultiPoly":
         """Drop unused variables; fails if a dropped variable occurs."""
         variables = tuple(variables)
-        keep = [self.variables.index(v) for v in variables]
+        keep = _positions(variables, self.variables)
         dropset = [i for i in range(len(self.variables)) if self.variables[i] not in variables]
         ints = {}
         for m, c in self.ints.items():
@@ -459,7 +431,7 @@ class MultiPoly:
         if not self.ints:
             return "0"
         d = self.d
-        mons = sorted(self.ints, key=GREVLEX.key, reverse=True)
+        mons = sorted(self.ints, key=_grevlex_key, reverse=True)
         pieces = []
         for m in mons:
             c = self.ints[m]

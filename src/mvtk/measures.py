@@ -345,26 +345,43 @@ class RatFunc:
 # -- the sequence calculus -----------------------------------------------------
 
 
-def _simplex_terms(m: int, seq: tuple, first: int):
-    """The terms (-1)^j / prod_{k != j} |beta_k - beta_j| of a sequence's partial sums, for
-    j = 0..p (ft_i, first = 0) or j = p alone (dbar_i, first = p).  |beta_k - beta_j| is the
-    letter count of seq[j:k] or seq[k:j]; the keys' contents (gcds) are positive, and their
-    product is the d.  For j = p one backward run from p keys the pairs, in O(p); otherwise
-    one running count per j keys each pair j < k once, for both of its ends."""
+def _check_letters(m: int, seq: tuple):
     for i in seq:
         if not 0 < i < m:
             raise ValueError(f"letter {i} of a sequence is not in 1..{m - 1}")
-    names, const, p = alpha_names(m), (0,) * (m - 1), len(seq)
-    if first == p:
-        den, content, counts = {}, 1, [0] * (m - 1)
-        for i in reversed(seq):
-            counts[i - 1] += 1
-            g = gcd(*counts)
-            key = tuple(counts) if g == 1 else tuple([c // g for c in counts])
-            den[key] = den.get(key, 0) + 1
-            content *= g
-        yield RatFunc._make(names, content, {const: -1 if p % 2 else 1}, den)
-        return
+
+
+def dbar_i(m: int, seq) -> RatFunc:
+    """Product over k < p of 1/(beta_k - beta_p) for the sequence's partial sums.
+
+    |beta_k - beta_p| is the letter count of seq[k:], so one backward run
+    from p keys the factors, in O(p); the keys' contents (gcds) are
+    positive, and their product is the d.
+    """
+    seq = tuple(seq)
+    _check_letters(m, seq)
+    sign = -1 if len(seq) % 2 else 1
+    den, content, counts = {}, 1, [0] * (m - 1)
+    for i in reversed(seq):
+        counts[i - 1] += 1
+        g = gcd(*counts)
+        key = tuple(counts) if g == 1 else tuple([c // g for c in counts])
+        den[key] = den.get(key, 0) + 1
+        content *= g
+    return RatFunc._make(alpha_names(m), content, {(0,) * (m - 1): sign}, den)
+
+
+def ft_i(m: int, seq) -> "ExpSum":
+    """Fourier transform of the simplex measure of a sequence.
+
+    Sum over j of e^{-beta_j} / prod_{k != j} (beta_k - beta_j).  The
+    partial sums are pairwise distinct, as each letter adds 1 to the height.
+    |beta_k - beta_j| is the letter count of seq[j:k] or seq[k:j]: one
+    running count per j keys each pair j < k once, for both of its ends.
+    """
+    seq = tuple(seq)
+    _check_letters(m, seq)
+    p = len(seq)
     dens, contents, runs = [{} for _ in range(p + 1)], [1] * (p + 1), []
     for k, i in enumerate(seq, 1):
         runs.append([0] * (m - 1))   # runs[j]: the letter counts of seq[j:k]
@@ -376,29 +393,13 @@ def _simplex_terms(m: int, seq: tuple, first: int):
             dens[k][key] = dens[k].get(key, 0) + 1
             contents[j] *= g
             contents[k] *= g
-    for j in range(p + 1):
-        yield RatFunc._make(names, contents[j], {const: -1 if j % 2 else 1}, dens[j])
-
-
-def dbar_i(m: int, seq) -> RatFunc:
-    """Product over k < p of 1/(beta_k - beta_p) for the sequence's partial sums."""
-    seq = tuple(seq)
-    return next(_simplex_terms(m, seq, len(seq)))
-
-
-def ft_i(m: int, seq) -> "ExpSum":
-    """Fourier transform of the simplex measure of a sequence.
-
-    Sum over j of e^{-beta_j} / prod_{k != j} (beta_k - beta_j).  The
-    partial sums are pairwise distinct, as each letter adds 1 to the height.
-    """
-    seq = tuple(seq)
-    terms = _simplex_terms(m, seq, 0)   # the first term checks the letters
-    out = {Weight._make((0,) * m): next(terms)}
+    names, const = alpha_names(m), (0,) * (m - 1)
+    out = {Weight._make((0,) * m): RatFunc._make(names, contents[0], {const: 1}, dens[0])}
     beta = [0] * m   # eps coordinates: alpha_i = eps_i - eps_{i+1}, shifted to last entry 0
-    for i, term in zip(seq, terms):
+    for j, i in enumerate(seq, 1):
         beta[i - 1] += 1
         beta[i] -= 1
+        term = RatFunc._make(names, contents[j], {const: -1 if j % 2 else 1}, dens[j])
         out[Weight._make(tuple([b - beta[-1] for b in beta]))] = term
     return ExpSum._make(m, out)
 

@@ -24,7 +24,6 @@ from itertools import combinations
 from math import comb, lcm
 
 from .exactalg import (
-    GREVLEX,
     GroebnerBasis,
     HilbertNumerator,
     MultiPoly,
@@ -338,7 +337,7 @@ def _prune_zero_variables(basis, variables):
     if not removed:
         return basis, tuple(variables), ()
     names = tuple(v for v in variables if v not in removed)
-    basis = GroebnerBasis(names, [g.restrict(names) for g in rest], basis.order)
+    basis = GroebnerBasis(names, [g.restrict(names) for g in rest], basis.block)
     return basis, names, tuple(removed)
 
 
@@ -377,7 +376,7 @@ def orbital_ideal(tau: Tableau) -> OrbitalIdeal:
     target = tau.weight_nu().height()
     rng = random.Random(_EXACT_RANK_SEED)
     certificate = f"seed {_EXACT_RANK_SEED}, coefficients in +-{_EXACT_RANK_RANGE}"
-    basis = GroebnerBasis(chart.variables, (), GREVLEX)
+    basis = GroebnerBasis(chart.variables, ())
     gens, exact = [], []
 
     def reduce(e):

@@ -297,6 +297,8 @@ class SubmoduleLattice:
 
 
 def _check_chain_length(n: int):
+    if type(n) is not int:
+        raise TypeError(f"chain counts need an int n, not {n!r}")
     if n < 0:
         raise ValueError(f"chain counts need n >= 0, not {n}")
 
@@ -869,6 +871,8 @@ def hn_verify(rep: QuiverRep, cert: FiltrationCertificate):
     if rep.field != "Q":
         raise ValueError("verify certificates over Q")
     m = rep.m
+    if cert.m != m:
+        raise ValueError(f"the certificate is for m = {cert.m}, the module for m = {m}")
     order = root_positions(m)
     rank = {pos: k for k, pos in enumerate(order)}
     datum = [0] * len(order)

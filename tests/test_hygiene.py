@@ -1,16 +1,22 @@
 """Import hygiene: every name a library module imports is used in it, and
-every import sits at module level.
+every import sits at module level.  Every per-layer timing or call-count
+metric of the benchmark names a function that its tracer wraps.
 
 The project has no linter among its dependencies, so an import left behind
 by a deletion, or one hidden in a function body, would otherwise go unseen.
 """
 
 import ast
+import importlib
+import importlib.util
+import json
+import types
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mvtk"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mvtk"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
 
 
@@ -86,3 +92,49 @@ def test_an_orphaned_private_definition_is_reported():
                                "        return 0\n    def __len__(self):\n        return 0\n"),
              "b.py": ast.parse("from a import _used\nx = _used()\n")}
     assert _orphans(trees) == [("a.py", 4, "_recursive"), ("a.py", 8, "_left")]
+
+
+def _tracer_module():
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def _unwrapped_metrics(names, tracing):
+    """Each `<layer>.<key>_s` or `_calls` name among `names` with no timed or counted key
+    `<layer>.<key>` in the tracer (`self_s` needs only the layer): the public functions
+    of each layer module under their ALIASES, then METHODS and COUNTED."""
+    timed = set()
+    for layer, modname in tracing.LAYERS.items():
+        for name, obj in vars(importlib.import_module(modname)).items():
+            if (isinstance(obj, types.FunctionType) and not name.startswith("_")
+                    and obj.__module__ == modname):
+                timed.add(tracing.ALIASES.get(f"{layer}.{name}", f"{layer}.{name}"))
+    timed |= {f"{layer}.{key}" for layer, _, _, key in tracing.METHODS}
+    counted = timed | {f"{layer}.{key}" for layer, _, _, key in tracing.COUNTED}
+    out = []
+    for name in names:
+        layer, _, key = name.partition(".")
+        if layer not in tracing.LAYERS or key == "self_s":
+            continue   # flag_s, gate.* and trace.* are not layer spans; self_s needs the layer only
+        if (key.endswith("_s") and name[:-2] not in timed
+                or key.endswith("_calls") and name[:-6] not in counted):
+            out.append(name)
+    return out
+
+
+def test_every_layer_metric_names_a_wrapped_function():
+    # a rename that leaves a metric without its function reads it as 0, silently
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [metric["name"] for metric in bench["per_layer"]]
+    assert _unwrapped_metrics(names, _tracer_module()) == []
+
+
+def test_an_unwrapped_layer_metric_is_reported():
+    names = ["groebner.groebner_s", "groebner.in_ideal_s", "mdeg.hilbert_calls",
+             "mdeg.multigraded_hilbert_s", "measures.ratfunc_new_calls", "measures.ratfunc_new_s",
+             "preproj.self_s", "flag_s", "orbital.sections_total", "gate.known_defect_ops"]
+    assert _unwrapped_metrics(names, _tracer_module()) == [
+        "groebner.in_ideal_s", "mdeg.multigraded_hilbert_s", "measures.ratfunc_new_s"]

@@ -19,10 +19,7 @@ from mvtk.centralizer import (
     weyl_witness,
 )
 from mvtk.exactalg import (
-    GREVLEX,
-    LEX,
     MultiPoly,
-    TermOrder,
     groebner,
     homogenize,
     normal_form,
@@ -106,21 +103,34 @@ def test_arithmetic_exact():
     assert third * 3 == x
 
 
-def test_grevlex_versus_lex():
+def test_grevlex_versus_the_block_order():
     vs, (x, y, z) = poly_ring(["x", "y", "z"])
     p = x * y * z + x**3
     # same degree: grevlex prefers the monomial with smaller last exponent
-    assert p.leading_monomial(GREVLEX) == (3, 0, 0)
-    assert p.leading_monomial(LEX) == (3, 0, 0)
+    assert p.leading_monomial() == (3, 0, 0)
+    assert groebner([p], 1).leading_monomials() == [(3, 0, 0)]
     q = x * z + y**2
-    assert q.leading_monomial(GREVLEX) == (0, 2, 0)
-    assert q.leading_monomial(LEX) == (1, 0, 1)
+    assert q.leading_monomial() == (0, 2, 0)
+    assert groebner([q], 1).leading_monomials() == [(1, 0, 1)]
 
 
 def test_block_order_dominates():
-    order = TermOrder("block", 1)
+    vs, (x, y) = poly_ring(["x", "y"])
     # any power of the first variable beats the rest
-    assert order.key((1, 0)) > order.key((0, 5))
+    assert groebner([x + y**5], 1).leading_monomials() == [(1, 0)]
+    assert groebner([x + y**5]).leading_monomials() == [(0, 5)]
+
+
+def test_ring_maps_name_a_missing_variable():
+    # each names the variable that the other ring lacks
+    vs, (x, y) = poly_ring(["x", "y"])
+    with pytest.raises(ValueError, match=r"variable 'z' is not among \('x', 'y'\)"):
+        MultiPoly.var(vs, "z")
+    with pytest.raises(ValueError, match=r"variable 'x' is not among \('y', 'z'\)"):
+        (x * y).rename(("y", "z"))
+    with pytest.raises(ValueError, match=r"variable 'z' is not among \('x', 'y'\)"):
+        y.restrict(("y", "z"))
+    assert y.restrict(("y",)) == MultiPoly.var(("y",), "y")
 
 
 def test_substitute_and_evaluate():
@@ -308,7 +318,7 @@ def test_arithmetic_results_keep_the_invariant(pair, c, k):
     _assert_invariant(wide, n + 1)
     if not q.is_zero():
         results += [normal_form(p, groebner([q]))] + list(groebner([q]).gens)
-        results += list(groebner([q], LEX).gens)
+        results += list(groebner([q], 1).gens)
         for g in homogenize([q], "z").gens:
             _assert_invariant(g, n + 1)
     for got in results:

@@ -227,6 +227,9 @@ def test_chain_counts_refuse_a_negative_length(method):
     for n in (-1, -3):
         with pytest.raises(ValueError, match=f"chain counts need n >= 0, not {n}"):
             counts(n)
+    for n in (1.5, True, "2"):
+        with pytest.raises(TypeError, match=f"chain counts need an int n, not {n!r}"):
+            counts(n)
 
 
 def test_a4_submodule_table_row():
@@ -844,10 +847,10 @@ def test_trie_assembly_matches_the_fold_on_the_examples(case):
 
 
 def test_trie_assembly_divides_once_per_prefix(monkeypatch):
-    # the A5 chi: no Dbar_i is built (dbar_i and ft_i both build from _simplex_terms),
+    # the A5 chi: no Dbar_i is built (dbar_i and ft_i both start with _check_letters),
     # one divide_by_form per proper prefix of a sequence, and one sum per sibling merge
     chi = flag_data(a5_module(2), primes=(5, 7, 11, 13))
-    calls = {"_simplex_terms": 0, "divide_by_form": 0, "__add__": 0}
+    calls = {"_check_letters": 0, "divide_by_form": 0, "__add__": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -857,12 +860,12 @@ def test_trie_assembly_divides_once_per_prefix(monkeypatch):
             return original(*args)
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(measures, "_simplex_terms")
+    counted(measures, "_check_letters")
     counted(RatFunc, "divide_by_form")
     counted(RatFunc, "__add__")
     flag_function_from_chi(6, chi)
     prefixes = {seq[:k] for seq in chi for k in range(len(seq))}
-    assert calls == {"_simplex_terms": 0, "divide_by_form": len(prefixes), "__add__": len(chi) - 1}
+    assert calls == {"_check_letters": 0, "divide_by_form": len(prefixes), "__add__": len(chi) - 1}
 
 
 def test_a4_flag_pattern_and_identity():
@@ -1136,6 +1139,17 @@ def test_hn_certificate_a5():
         Ma = a5_module(a)
         cert = load_certificate(str(FIXTURES / "a5_module.json"), params={"a": a})
         assert hn_verify(Ma, cert) == (0, 1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0)
+
+
+def test_hn_refuses_a_certificate_for_another_m():
+    # a certificate is read against the module's m only when the two agree
+    cert = load_certificate(str(FIXTURES / "a5_module.json"), params={"a": 2})
+    cert.m = 4
+    with pytest.raises(ValueError, match="the certificate is for m = 4, the module for m = 6"):
+        hn_verify(a5_module(2), cert)
+    cert.m = 6
+    with pytest.raises(ValueError, match="the certificate is for m = 6, the module for m = 5"):
+        hn_verify(a4_module(), cert)
 
 
 @pytest.mark.parametrize("load", [load_module_fixture, load_certificate])
