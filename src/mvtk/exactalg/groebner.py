@@ -39,6 +39,14 @@ block degree that does, by raising `_Overflow`.  Every kernel run goes
 through `GroebnerBasis._packed`, which then starts it again with fields
 twice as wide and keeps the width for the basis's next run.
 
+The update settles F and M on the cofactors r = lcm - E_g (field-wise, no
+borrow; one lcm divides another exactly when their r do).  No r is 0, as
+arrivals are fully reduced, so a class with r = x_v stays, and one mask of
+those fields removes each class whose r holds such an x_v.  A kept class is
+coprime exactly when r is an older lead: one sharing a field with E_g has
+an r strictly dividing this one, so M removed the class.  K is additive,
+so a class with r = x_v has the key K_g + K(x_v).
+
 A basis already in hand enters Buchberger as it stands: its members are
 never paired with each other, and only the new generators run the update.
 A reduced grevlex basis G stays a reduced Groebner basis of the ideal it
@@ -127,7 +135,8 @@ class _Packing:
         return k
 
     def lcm(self, a: int, b: int) -> int:
-        """Field-wise max of two exponent vectors; `_buchberger`'s update inlines it."""
+        """Field-wise max of two exponent vectors; `_buchberger`'s update makes the
+        cofactor lcm - b from the same borrows."""
         ge = ((a | self.guard) - b) & self.guard  # guards of the fields where a >= b
         ge -= ge >> self.bits - 1
         return b ^ ((a ^ b) & ge)
@@ -282,9 +291,12 @@ def _buchberger(known: list, gens: list, pk: _Packing, until: set | None = None)
     guard, low = pk.guard, pk.bits - 1
     basis = list(known)
     exps = [entry[1] for entry in basis]  # the leads' exponents, appended on each arrival
+    index = {e: i for i, e in enumerate(exps)}  # lead -> its index, one per lead
+    units = dict(zip([1 << s for s in pk.shifts], pk.weights))  # x_v -> its key
     until = set() if until is None else until
 
     def arrive(entry) -> bool:  # append entry; True once it empties a nonempty `until`
+        index[entry[1]] = len(basis)
         basis.append(entry)
         exps.append(entry[1])
         hit = [l for l in until if ((l | guard) - entry[1]) & guard == guard]
@@ -307,44 +319,47 @@ def _buchberger(known: list, gens: list, pk: _Packing, until: set | None = None)
 
     def update(new_index: int):
         """Gebauer-Moeller update on arrival of basis[new_index]."""
-        e_new = exps[new_index]
-        # lcm(exps[i], e_new) for each older member, `_Packing.lcm` inline
-        lcms = [e_new ^ ((a ^ e_new) & (ge - (ge >> low)))
-                for a in exps[:new_index] for ge in [((a | guard) - e_new) & guard]]
+        k_new, e_new = basis[new_index][:2]
+        # the cofactor lcm(exps[i], e_new) - e_new of each older member: a - e_new
+        # in the fields where a >= e_new, those whose guard bit the difference keeps
+        cofactors = [d & (ge - (ge >> low)) for a in exps[:new_index]
+                     for d in [(a | guard) - e_new] for ge in [d & guard]]
         # criterion B: of the pending pairs whose lcm the new lead divides,
         # drop those strictly refined by the new element
         hit = [(ij, l) for ij, l in live.items() if ((l | guard) - e_new) & guard == guard]
         for (i, j), l in hit:
-            if lcms[i] != l and lcms[j] != l:
+            if cofactors[i] != l - e_new != cofactors[j]:
                 del live[(i, j)]
-        # criterion F: one class per lcm value, [first index, coprime]
-        by_lcm: dict = {}
-        for i, l in enumerate(lcms):
-            coprime = l == exps[i] + e_new  # no field holds both exponents
-            cls = by_lcm.get(l)
-            if cls is None:
-                by_lcm[l] = [i, coprime]
-            elif coprime:
-                cls[1] = True
-        # criterion M among the classes: a strict divisor of an lcm is a
-        # smaller int in the same fields, so ascending ints meet it first
+
+        def pair(i, cofactor, k, degree):  # pending pair (i, new_index), its lcm's key k
+            if k & pk.top:
+                raise _Overflow
+            live[(i, new_index)] = e_new + cofactor
+            heapq.heappush(heap, (degree, k, i, new_index))
+
+        # criterion F: one class per cofactor, with its first index; then M on
+        # the cofactors, and the product criterion on the classes kept
+        first = dict(zip(reversed(cofactors), range(new_index - 1, -1, -1)))
+        mask, rest, degree = 0, [], pk.degree(k_new) + 1
+        for cofactor, i in first.items():
+            w = units.get(cofactor)
+            if w is None:
+                rest.append(cofactor)
+                continue
+            mask |= (cofactor << low) - cofactor  # the field of x_v
+            if index.get(cofactor, new_index) >= new_index:
+                pair(i, cofactor, k_new + w, degree)
         kept: list = []
-        for l in sorted(by_lcm):
-            gl = l | guard
-            for l2 in kept:
-                if (gl - l2) & guard == guard:
+        for cofactor in sorted([r for r in rest if not r & mask]):
+            gr = cofactor | guard
+            for r2 in kept:  # a strict divisor is a smaller int in the same fields
+                if (gr - r2) & guard == guard:
                     break
             else:
-                kept.append(l)
-                # product criterion: a coprime pair reduces to zero, and with
-                # it every pair of its class (Becker-Weispfenning, UPDATE)
-                i, coprime = by_lcm[l]
-                if not coprime:
-                    k = pk.key(l)
-                    if k & pk.top:
-                        raise _Overflow
-                    live[(i, new_index)] = l
-                    heapq.heappush(heap, (pk.degree(k), k, i, new_index))
+                kept.append(cofactor)
+                if index.get(cofactor, new_index) >= new_index:
+                    k = pk.key(e_new + cofactor)
+                    pair(first[cofactor], cofactor, k, pk.degree(k))
 
     for idx in range(len(known), len(basis)):
         update(idx)

@@ -239,6 +239,8 @@ def multigraded_hilbert(gens: Sequence[MultiPoly] | GroebnerBasis | HilbertNumer
     """
     if not w.variables:
         raise ValueError("weight assignment has no variables, so no weight histogram")
+    if type(n) is not int:
+        raise TypeError(f"degree n = {n!r} is not an int")
     if n < 0:
         raise ValueError(f"degree n = {n} is negative")
     k = gens if isinstance(gens, HilbertNumerator) else hilbert_numerator(gens, w)

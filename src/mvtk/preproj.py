@@ -27,7 +27,7 @@ from .exactalg.linalg import coords, identity, inverse, mat_mul, mat_vec, null_s
 from .exactalg.poly import MultiPoly, _exact, _scaled_point
 from .measures import RatFunc, dbar_i
 from .roota import (
-    Weight, _counts, alpha_names, multichains, positive_roots, root_positions, seq_weight,
+    Weight, _counts, alpha_names, positive_roots, root_positions, seq_weight,
 )
 
 
@@ -173,6 +173,11 @@ class SubmoduleLattice:
     below[i]: the ascending indices of all submodules of subs[i], itself
       included; the reflexive-transitive closure of covers.  Built on first
       read: only the chain counts need it, and it dwarfs covers.
+
+    Chain counts read level n of the multichains: per node t, the totals of
+    the chains with M^n = t, packed in byte fields that hold n * max_v dim
+    M_v, and their counts.  The deepest level built is kept; a deeper n
+    extends it unless it needs wider fields, a shallower n starts afresh.
     """
 
     def __init__(self, rep: QuiverRep):
@@ -180,6 +185,7 @@ class SubmoduleLattice:
             raise ValueError("enumerate over a prime field")
         self.rep = rep
         self.subs, self.covers, self.dim_vectors = self._search()
+        self._chains = None  # (n, width, level n): the deepest level built
 
     def _search(self):
         nv, walk = self.rep.m - 1, _Walk(self.rep)
@@ -276,24 +282,55 @@ class SubmoduleLattice:
     def chain_counts_by_total(self, n: int) -> dict:
         """Chains 0 <= M^1 <= ... <= M^n <= M, bucketed by sum of dim M^k; n >= 0."""
         _check_chain_length(n)
-        if n == 0:
-            return {(0,) * (self.rep.m - 1): 1}
+        width, tables = self._chain_level(n)
         total: dict = {}
-        for table in multichains(self.below, self.dim_vectors, n):
+        for table in tables:
             for grade, cnt in table.items():
                 total[grade] = total.get(grade, 0) + cnt
-        return total
+        return {_unpack(grade, width, self.rep.m - 1): cnt for grade, cnt in total.items()}
 
     def chain_counts_by_last(self, n: int) -> dict:
         """Chains as above, bucketed by the dimension vector of M^n; n >= 0."""
         _check_chain_length(n)
-        if n == 0:
-            return {(0,) * (self.rep.m - 1): 1}
         out: dict = {}
-        tables = multichains(self.below, [()] * len(self.subs), n)  # empty grades: counts
-        for dv, table in zip(self.dim_vectors, tables):
-            out[dv] = out.get(dv, 0) + table[()]
+        for dv, table in zip(self.dim_vectors, self._chain_level(n)[1]):
+            if table:
+                out[dv] = out.get(dv, 0) + sum(table.values())
         return out
+
+    def _chain_level(self, n: int) -> tuple:
+        """(width, level n of the multichains, packed `width` bytes a field)."""
+        # an entry of a total is at most n * max_v dim M_v
+        width = max(1, -(-(n * max(self.dim_vectors[-1], default=0)).bit_length() // 8))
+        grades = [sum(d << 8 * width * j for j, d in enumerate(dv)) for dv in self.dim_vectors]
+        k, kept_width, tables = self._chains or (n + 1, width, None)
+        if k > n or kept_width != width:  # level 0: the empty chain, at the zero submodule
+            k, tables = 0, [{0: 1}] + [{}] * (len(grades) - 1)
+        for _ in range(k, n):
+            tables = _chain_step(self.below, grades, tables)
+        if self._chains is None or self._chains[0] <= n:
+            self._chains = (n, width, tables)
+        return width, tables
+
+
+def _unpack(k: int, width: int, size: int) -> tuple:
+    """The `size` entries packed in k, `width` bytes each."""
+    b = k.to_bytes(width * size, "little")
+    if width == 1:
+        return tuple(b)
+    return tuple(int.from_bytes(b[i : i + width], "little") for i in range(0, len(b), width))
+
+
+def _chain_step(below, grades, tables) -> list:
+    """The next multichain level: per node t, the packed totals of the chains ending at t."""
+    out = []
+    for top, grade in enumerate(grades):
+        acc: dict = {}
+        for t in below[top]:
+            for total, cnt in tables[t].items():
+                acc[total] = acc.get(total, 0) + cnt
+        out.append({total + grade: cnt for total, cnt in acc.items()})
+    return out
 
 
 def _check_chain_length(n: int):
@@ -531,14 +568,17 @@ def euler_interpolate(counts, degree_bound: int) -> int:
     Lagrange form over the integers: with w_i = prod_{j != i} (x_i - x_j), D
     the lcm of the w_i and L(x) = prod_j (x - x_j), D * P(x) = L(x) * sum_i
     y_i (D / w_i) / (x - x_i) off the nodes, each quotient exact.  Two counts
-    at one q, or a negative bound, raise ValueError; a q or a count that is
-    not an int, or is a bool, raises TypeError.
+    at one q, or a negative bound, raise ValueError; a bound, a q or a count
+    that is not an int, or is a bool, raises TypeError.
     """
+    if not isinstance(degree_bound, int) or isinstance(degree_bound, bool):
+        raise TypeError(f"degree bound {degree_bound!r} is not an int")
     if degree_bound < 0:
         raise ValueError(f"degree bound {degree_bound} is negative")
     samples: dict = {}
     for qx, y in counts:
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (qx, y)):
+        if (not (isinstance(qx, int) and isinstance(y, int))
+                or isinstance(qx, bool) or isinstance(y, bool)):
             raise TypeError(f"sample ({qx!r}, {y!r}): q and the count must be ints")
         if samples.setdefault(qx, y) != y:
             raise ValueError(f"two counts at q={qx}: {samples[qx]} and {y}")

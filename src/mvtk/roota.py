@@ -399,6 +399,8 @@ def multichains(below, grades, n: int) -> list:
     the counts are the poset's zeta polynomial at n + 1 (Stanley, EC1,
     sec. 3.12).
     """
+    if type(n) is not int:
+        raise TypeError(f"multichains need an int n, not {n!r}")
     if n < 1:
         raise ValueError("multichains need n >= 1")
     tables = [{grade: 1} for grade in grades]

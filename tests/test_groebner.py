@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import importlib
 import random
 from fractions import Fraction
@@ -23,6 +24,7 @@ from mvtk.exactalg.groebner import (
     _buchberger,
     _check_same_ring,
     _fresh_name,
+    _interreduce,
     _normal_form_full,
     _Overflow,
     _Packing,
@@ -901,8 +903,11 @@ def test_paper_example_bases_are_pinned(spoly_leads, kernel_normal_forms):
     # S-polynomials and makes 686 kernel normal forms when the bases in hand
     # enter Buchberger unpaired, and the orbital ideal of tau_A5 499 and
     # 1,105: cheaper bookkeeping keeps both counts, so it changes no work.
+    # The pair digests pin the S-pairs themselves, in the order formed.
     chart = plucker_chart(Tableau([[1, 2], [3, 4], [5]]))
     assert (len(spoly_leads), len(kernel_normal_forms)) == (494, 686)
+    assert _pair_digest(spoly_leads) == (
+        "089caae9c2a1af9cb91f1952e15054fc5942032a4296cf9690287f1189d7ee0b")
     assert _digest(chart.kernel) == (
         "d24ba6262bc5558a30f6757bb7ac542bc373787bc5d645bac4a327b6629243bd")
     assert _digest(chart.homogeneous) == (
@@ -913,3 +918,99 @@ def test_paper_example_bases_are_pinned(spoly_leads, kernel_normal_forms):
     assert (len(spoly_leads), len(kernel_normal_forms)) == (499, 1105)
     assert _digest(orb.basis) == (
         "7c9b71d86009779361373dbb49dc1acf5258a1ecd79a084c07773ea85891d903")
+    assert _pair_digest(spoly_leads) == (
+        "13b91d1b84dbab121ea54ff66998aafa36e264ca7458de51eab63b70a9b3e56e")
+
+
+def _pair_digest(leads) -> str:
+    return hashlib.sha256(repr(leads).encode()).hexdigest()
+
+
+def _oracle_buchberger(known: list, gens: list, pk: _Packing) -> tuple:
+    """(basis, S-pair leads in the order formed) by the update that settles F and M
+    on the lcms themselves, testing each member of a class for coprimality: the
+    oracle for the cofactor update of `_buchberger`."""
+    guard, low = pk.guard, pk.bits - 1
+    basis, pairs = list(known), []
+    exps = [entry[1] for entry in basis]
+    for p in sorted(gens, key=lambda p: (pk.degree(max(p)), len(p), max(p))):
+        p = _normal_form_full(p, basis, exps, pk)[0]
+        if p:
+            basis.append(pk.entry(p))
+            exps.append(basis[-1][1])
+    heap, live = [], {}
+
+    def update(new_index):
+        e_new = exps[new_index]
+        lcms = [pk.lcm(a, e_new) for a in exps[:new_index]]
+        for (i, j), l in list(live.items()):
+            if ((l | guard) - e_new) & guard == guard and lcms[i] != l and lcms[j] != l:
+                del live[(i, j)]
+        by_lcm = {}
+        for i, l in enumerate(lcms):
+            cls = by_lcm.setdefault(l, [i, False])
+            cls[1] = cls[1] or l == exps[i] + e_new
+        kept = []
+        for l in sorted(by_lcm):
+            if all(((l | guard) - l2) & guard != guard for l2 in kept):
+                kept.append(l)
+                i, coprime = by_lcm[l]
+                if not coprime:
+                    k = pk.key(l)
+                    live[(i, new_index)] = l
+                    heapq.heappush(heap, (pk.degree(k), k, i, new_index))
+
+    for idx in range(len(known), len(basis)):
+        update(idx)
+    while heap:
+        _, k, i, j = heapq.heappop(heap)
+        if live.pop((i, j), None) is None:
+            continue
+        pairs.append((pk.monomial(basis[i][0]), pk.monomial(basis[j][0])))
+        s = _normal_form_full(_spoly(basis[i], basis[j], k, pk), basis, exps, pk)[0]
+        if s:
+            basis.append(pk.entry(s))
+            exps.append(basis[-1][1])
+            update(len(basis) - 1)
+    return basis, pairs
+
+
+def test_the_pair_update_matches_the_lcm_update(spoly_leads):
+    # random ideals in grevlex and block orders, some entering with a basis
+    # in hand: the same S-pairs in the same order, and the same basis
+    rng = random.Random(40)
+    for trial in range(300):
+        n = rng.randint(2, 4)
+        pk = _Packing(rng.randint(0, n), n, 16)
+        ring = tuple(f"x{v}" for v in range(n))
+        gens = [pk.pack_poly(_random_poly(rng, ring, rng.randint(1, 3)).ints)
+                for _ in range(rng.randint(2, 4))]
+        gens = [g for g in gens if g]
+        known = _interreduce(_buchberger([], gens[:trial % 2], pk), pk)
+        expected = _oracle_buchberger(known, gens[trial % 2:], pk)
+        spoly_leads.clear()
+        assert (_buchberger(known, gens[trial % 2:], pk), spoly_leads) == expected, trial
+
+
+def test_a_cofactor_that_is_a_later_lead_is_no_coprime_pair(spoly_leads):
+    # The insertions leave the leads x*y, y (x*y^2 + y reduced by x*y) and x.
+    # On the arrival of y the cofactor of lcm(x*y, y) is x, the lead of a
+    # member inserted after y: the pair is formed.  On the arrival of x the
+    # cofactor of lcm(x*y, x) = lcm(y, x) is y, an older lead: the class is
+    # coprime and goes.
+    vs, (x, y) = poly_ring(["x", "y"])
+    G = groebner([x * y, x * y**2 + y, x**2 * y**3 + x])
+    assert spoly_leads == [((1, 1), (0, 1))]
+    assert [str(g) for g in G] == ["x", "y"]
+
+
+def test_a_linear_cofactor_removes_each_class_holding_it(spoly_leads):
+    # y^2 joins the basis x*y^2, x^2*y*z in hand: the cofactor of its lcm
+    # with x*y^2 is x, which divides x^2*z, the cofactor of its lcm with
+    # x^2*y*z, so criterion M leaves one pair
+    vs, (x, y, z) = poly_ring(["x", "y", "z"])
+    K = groebner([x * y**2, x**2 * y * z])
+    spoly_leads.clear()
+    G = groebner([K, y**2])
+    assert spoly_leads == [((1, 2, 0), (0, 2, 0))]
+    assert [str(g) for g in G] == ["x^2*y*z", "y^2"]

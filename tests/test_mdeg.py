@@ -346,6 +346,15 @@ def test_hilbert_refuses_a_negative_degree():
     assert multigraded_hilbert(numerator, w, 0) == {Weight.zero(3): 1}
 
 
+def test_hilbert_refuses_a_degree_that_is_not_an_int():
+    # before, True counted as n = 1 and 1.0 failed inside range()
+    names = ("x", "y")
+    w = wa_for(names, 3, [(1, 2), (2, 3)])
+    for n in (True, 1.0):
+        with pytest.raises(TypeError, match=f"degree n = {n!r} is not an int"):
+            multigraded_hilbert([], w, n)
+
+
 def test_hilbert_numerator_matches_enumeration_on_random_monomial_ideals():
     # seed 20261018, 40 ideals in 2..5 variables, every n in 0..4: the
     # K-polynomial DP against the enumeration oracle.  The last variable

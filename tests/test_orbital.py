@@ -89,6 +89,12 @@ def test_a4_section_totals(a4_plucker, n, total):
     assert sum(sections.values()) == total
 
 
+def test_a4_sections_refuse_a_degree_that_is_not_an_int(a4_plucker):
+    # before, n = True returned the 17 sections of degree 1
+    with pytest.raises(TypeError, match="degree n = True is not an int"):
+        plucker_sections(Tableau(A4_TAU), True, chart=a4_plucker)
+
+
 def test_a4_fixture_sign_flips_are_pinned(a4_plucker):
     # the labels whose fixture coordinate is minus the computed minor
     fixture = json.loads((FIXTURES / "a4_plucker.json").read_text())

@@ -35,6 +35,7 @@ from mvtk.preproj import (
 from mvtk.roota import (
     Weight,
     alpha_names,
+    multichains,
     p_mu,
     positive_roots,
     sequences,
@@ -618,6 +619,10 @@ def test_euler_interpolate():
         euler_interpolate([(True, 3), (2, 5), (3, 7)], 1)
     with pytest.raises(TypeError, match=r"sample \(2, False\)"):
         euler_interpolate([(2, False), (3, 4), (5, 6)], 1)
+    # before, a bound of True returned 1 and one of 2.0 failed inside a slice
+    for bound in (True, 2.0):
+        with pytest.raises(TypeError, match=f"degree bound {bound!r} is not an int"):
+            euler_interpolate([(2, 1), (3, 1), (5, 1), (7, 1)], bound)
 
 
 def _newton_interpolate(counts, degree_bound: int) -> int:
@@ -731,6 +736,66 @@ def test_chain_totals_match_closed_formula():
             lat = SubmoduleLattice(M.reduce_mod(q))
             samples.append((q, sum(lat.chain_counts_by_total(n).values())))
         assert euler_interpolate(samples, len(primes) - 2) == total_formula(n)
+
+
+def _oracle_chain_counts(lat, n):
+    """(by total, by last) summed from roota.multichains: the oracle."""
+    by_total, by_last = {}, {}
+    for dv, table in zip(lat.dim_vectors, multichains(lat.below, lat.dim_vectors, n)):
+        for grade, cnt in table.items():
+            by_total[grade] = by_total.get(grade, 0) + cnt
+            by_last[dv] = by_last.get(dv, 0) + cnt
+    return by_total, by_last
+
+
+def _check_chain_counts(rep, calls):
+    # the kept level is extended, or built again below it or wider; the
+    # counts are the oracle's in every order
+    lat = SubmoduleLattice(rep)
+    oracle = {0: ({lat.dim_vectors[0]: 1},) * 2}  # the empty chain
+    for method, n in calls:
+        if n not in oracle:
+            oracle[n] = _oracle_chain_counts(lat, n)
+        expected = oracle[n]
+        got = (lat.chain_counts_by_total if method == "total" else lat.chain_counts_by_last)(n)
+        assert got == expected[method == "last"], (method, n)
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (2, 2, 4, 1, 4, 0, 3, 3)])
+def test_chain_counts_match_the_multichain_oracle(order):
+    M = a4_module()
+    for q in (2, 3, 5, 7, 11, 13, 17, 19):
+        _check_chain_counts(M.reduce_mod(q), [(method, n) for n in order
+                                              for method in ("total", "last")])
+
+
+def test_chain_counts_cross_a_field_width():
+    # an entry of a total is at most n * 2 here: one byte a field up to
+    # n = 127, two bytes from n = 128; the dimension sits in the second field
+    rep = QuiverRep(3, (0, 2), {}, field=2)
+    _check_chain_counts(rep, [("total", 1), ("last", 4), ("total", 127), ("total", 128),
+                              ("last", 200), ("total", 200), ("total", 3)])
+
+
+def test_chain_counts_build_each_level_once(monkeypatch):
+    steps = []
+    inner = preproj._chain_step
+
+    def counted(below, grades, tables):
+        steps.append(len(tables))
+        return inner(below, grades, tables)
+
+    monkeypatch.setattr(preproj, "_chain_step", counted)
+    lat = SubmoduleLattice(a4_module().reduce_mod(3))
+    for n in (1, 2, 3):
+        lat.chain_counts_by_total(n)
+    assert len(steps) == 3  # levels 1, 2 and 3, each from the one below
+    lat.chain_counts_by_last(3)
+    assert len(steps) == 3
+    lat.chain_counts_by_total(2)  # below the kept level: built again, level 3 kept
+    assert len(steps) == 5
+    lat.chain_counts_by_total(4)
+    assert len(steps) == 6
 
 
 def test_injective_modules():

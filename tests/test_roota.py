@@ -315,6 +315,13 @@ def test_multichains_match_brute_force(poset, n):
         multichains(below, grades, 0)
 
 
+def test_multichains_refuse_an_n_that_is_not_an_int():
+    # before, True counted as n = 1 and 1.0 failed inside range()
+    for n in (True, 1.0):
+        with pytest.raises(TypeError, match=f"multichains need an int n, not {n!r}"):
+            multichains([[0]], [(1,)], n)
+
+
 def test_minuscule_rejects_bad_gamma():
     with pytest.raises(ValueError):
         minuscule_chains(4, 2, (1, 1), 1)
